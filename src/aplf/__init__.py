@@ -6,7 +6,7 @@ Gaussian forecasts with calibrated uncertainty.
 """
 
 from .features import ObservationVector, TemperatureShiftEncoder, TemperatureTracker, calendar_type, encode_observations
-from .forecaster import ForecastPath, InstanceVector, forecast_step, gaussian_product_split, predict, quantile
+from .forecaster import ForecastPath, InstanceVector, forecast_step, predict, quantile
 from .metrics import EvalReport, calibration_and_ece, evaluate_forecasts, mape, mean_pinball, pinball, rmse
 from .model_types import (
     ChannelState,
@@ -16,12 +16,6 @@ from .model_types import (
     LearnerState,
     ModelParams,
 )
-from .recursive_learner import (
-    OnlineLearner,
-    batch_initialize,
-    channel_update,
-    trace_reset,
-    weighted_log_likelihood,
-)
+from .recursive_learner import OnlineLearner, batch_initialize, channel_update, trace_reset
 
 __version__ = "0.1.0"

@@ -18,7 +18,7 @@ from .forecaster import ColdStart, DegenerateVariances, QOutOfRange
 from .metrics import EmptyInput, evaluate_forecasts
 from .model_types import ForecastPoint
 from .oracles import self_check
-from .recursive_learner import DegenerateUpdate, NonPositiveSigma, SingularGram
+from .recursive_learner import DegenerateUpdate, SingularGram
 
 _INPUT_ERRORS = (
     harness.ParseError,
@@ -37,7 +37,6 @@ _NUMERIC_ERRORS = (
     DegenerateUpdate,
     DegenerateVariances,
     SingularGram,
-    NonPositiveSigma,
     ColdStart,
     QOutOfRange,
 )

@@ -17,15 +17,21 @@ import numpy as np
 from .model_types import HyperParams
 
 __all__ = [
+    "CALENDAR_TYPES",
     "HOURS_PER_DAY",
     "ObservationVector",
     "TemperatureTracker",
     "TemperatureShiftEncoder",
     "calendar_type",
     "encode_observations",
+    "neighbour_types",
 ]
 
 HOURS_PER_DAY = 24
+
+# Size of calendar_type's image: every hour of day, once per day class
+# (weekday; weekend or holiday).
+CALENDAR_TYPES = 2 * HOURS_PER_DAY
 
 
 def calendar_type(timestamp: datetime, holidays: Iterable[date] = ()) -> int:
@@ -38,6 +44,28 @@ def calendar_type(timestamp: datetime, holidays: Iterable[date] = ()) -> int:
     if timestamp.weekday() >= 5 or timestamp.date() in holidays:
         return h + HOURS_PER_DAY + 1
     return h + 1
+
+
+def neighbour_types(c: int, n: int) -> list[int]:
+    """Calendar types to try, nearest first, in place of a never-trained type c.
+
+    In calendar_type's layout (n == CALENDAR_TYPES) the same hour in the
+    other day class comes first, then the search widens hour by hour, the
+    same day class before the other. Any other layout widens by index
+    distance.
+    """
+    if n != CALENDAR_TYPES:
+        return sorted((cc for cc in range(1, n + 1) if cc != c), key=lambda cc: (abs(cc - c), cc))
+    hour, day_class = (c - 1) % HOURS_PER_DAY, (c - 1) // HOURS_PER_DAY
+    other = 1 - day_class
+
+    def ct(cls: int, h: int) -> int:
+        return cls * HOURS_PER_DAY + h % HOURS_PER_DAY + 1
+
+    order = [ct(other, hour)]
+    for d in range(1, HOURS_PER_DAY):
+        order += [ct(day_class, hour - d), ct(day_class, hour + d), ct(other, hour - d), ct(other, hour + d)]
+    return order
 
 
 @dataclass(frozen=True)
@@ -89,7 +117,6 @@ class TemperatureTracker:
     """
 
     def __init__(self, n_calendar_types: int):
-        self.n_calendar_types = n_calendar_types
         self.counts = [0] * n_calendar_types
         self.sums = [0.0] * n_calendar_types
 
@@ -106,19 +133,3 @@ class TemperatureTracker:
         if n == 0:
             return None
         return self.sums[c - 1] / n
-
-    def copy(self) -> "TemperatureTracker":
-        t = TemperatureTracker(self.n_calendar_types)
-        t.counts = list(self.counts)
-        t.sums = list(self.sums)
-        return t
-
-    def to_dict(self) -> dict:
-        return {"counts": list(self.counts), "sums": [float(v) for v in self.sums]}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TemperatureTracker":
-        t = cls(len(d["counts"]))
-        t.counts = [int(v) for v in d["counts"]]
-        t.sums = [float(v) for v in d["sums"]]
-        return t

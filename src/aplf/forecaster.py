@@ -14,7 +14,8 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .model_types import ForecastPoint, GaussianChannelParams, HyperParams, LearnerState, ModelParams
+from .features import neighbour_types
+from .model_types import ForecastPoint, GaussianChannelParams, LearnerState, ModelParams
 
 __all__ = [
     "DegenerateVariances",
@@ -23,7 +24,6 @@ __all__ = [
     "InstanceVector",
     "ForecastPath",
     "forecast_step",
-    "gaussian_product_split",
     "predict",
     "quantile",
     "standard_normal_quantile",
@@ -62,23 +62,6 @@ class ForecastPath:
     cold_start_substitutions: tuple[tuple[int, int], ...] = ()
 
 
-def gaussian_product_split(a: float, b: float, alpha: float, beta: float, y: float):
-    """Split N(x; a, b) * N(y; alpha*x, beta) into posterior and marginal factors.
-
-    Returns (posterior_mean, posterior_std, marginal_mean, marginal_std)
-    with the posterior a density in x given y and the marginal a density
-    in y. Requires b >= 0 and beta > 0.
-    """
-    b2 = b * b
-    beta2 = beta * beta
-    denom = beta2 + alpha * alpha * b2
-    posterior_mean = (a * beta2 + alpha * y * b2) / denom
-    posterior_std = math.sqrt(b2 * beta2 / denom)
-    marginal_mean = a * alpha
-    marginal_std = math.sqrt(denom)
-    return posterior_mean, posterior_std, marginal_mean, marginal_std
-
-
 def forecast_step(
     prev: ForecastPoint,
     s_params: GaussianChannelParams,
@@ -108,7 +91,6 @@ def forecast_step(
 def predict(
     model: ModelParams,
     instance: InstanceVector,
-    hp: HyperParams,
     calendar_fn,
     encoder,
     state: LearnerState | None = None,
@@ -141,36 +123,9 @@ def predict(
 
 
 def _nearest_trained(state: LearnerState, c: int, n: int) -> int:
-    """Nearest calendar type with at least one transition-channel update.
-
-    For the 48-type layout (hour x weekday/weekend) the search tries the
-    same hour in the other day class first, then widens hour by hour;
-    for other layouts it widens by index distance.
-    """
-    def trained(cc: int) -> bool:
-        return state.s_states[cc - 1].gamma > 0.0
-
-    if n == 48:
-        hour = (c - 1) % 24
-        day_class = (c - 1) // 24
-        other = 1 - day_class
-
-        def ct(cls: int, h: int) -> int:
-            return cls * 24 + (h % 24) + 1
-
-        candidates = [ct(other, hour)]
-        for d in range(1, 24):
-            candidates += [
-                ct(day_class, hour - d),
-                ct(day_class, hour + d),
-                ct(other, hour - d),
-                ct(other, hour + d),
-            ]
-    else:
-        candidates = sorted((cc for cc in range(1, n + 1) if cc != c), key=lambda cc: (abs(cc - c), cc))
-
-    for cc in candidates:
-        if trained(cc):
+    """Nearest calendar type, in neighbour_types order, with at least one transition-channel update."""
+    for cc in neighbour_types(c, n):
+        if state.s_states[cc - 1].gamma > 0.0:
             return cc
     raise ColdStart(f"no trained calendar type available as fallback for {c}")
 

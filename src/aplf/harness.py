@@ -19,10 +19,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .features import ObservationVector, TemperatureShiftEncoder, TemperatureTracker, calendar_type
+from .features import CALENDAR_TYPES, ObservationVector, TemperatureShiftEncoder, TemperatureTracker, calendar_type
 from .forecaster import InstanceVector, predict, standard_normal_quantile
 from .metrics import EvalReport, evaluate_forecasts, quantile_grid
-from .model_types import HyperParams, LearnerState, ModelParams
+from .model_types import S_DIM, HyperParams, LearnerState, ModelParams, _checked_array, _checked_list
 from .recursive_learner import OnlineLearner
 
 __all__ = [
@@ -312,11 +312,15 @@ def _pending_to_dict(pending: dict) -> dict:
     }
 
 
-def _pending_from_dict(d: dict) -> dict:
+def _pending_from_dict(d: dict, n_calendar_types: int, r_dim: int) -> dict:
     out = {}
     for key, buf in d.items():
         kind, _, c = key.partition(":")
-        out[(kind, int(c))] = [(np.asarray(u, dtype=float), float(s)) for u, s in buf]
+        c = int(c)
+        if kind not in ("s", "r") or not 1 <= c <= n_calendar_types:
+            raise ValueError(f"pending_batch key {key!r} names no channel")
+        shape = (S_DIM,) if kind == "s" else (r_dim,)
+        out[(kind, c)] = [(_checked_array(u, shape), float(s)) for u, s in buf]
     return out
 
 
@@ -330,7 +334,7 @@ def snapshot_save(path: Path | str, model: ModelParams, state: LearnerState,
         "hyper_params": asdict(hp),
         "model": model.to_dict(),
         "state": state.to_dict(),
-        "tracker": tracker.to_dict(),
+        "tracker": {"counts": tracker.counts, "sums": tracker.sums},
         "cursor": cursor.isoformat() if cursor is not None else None,
         "pending_batch": _pending_to_dict(pending or {}),
     }
@@ -346,7 +350,11 @@ def snapshot_save(path: Path | str, model: ModelParams, state: LearnerState,
 
 def snapshot_load(path: Path | str, *, expect_calendar_types: int | None = None,
                   expect_r_dim: int | None = None) -> Snapshot:
-    """Load a snapshot, verifying version, checksum, and model dimensions."""
+    """Load a snapshot, verifying version, checksum, and model dimensions.
+
+    Every list and array in the payload must have the length or shape its
+    own n_calendar_types and r_dim declare; otherwise CorruptSnapshot.
+    """
     try:
         doc = json.loads(Path(path).read_text())
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -368,12 +376,14 @@ def snapshot_load(path: Path | str, *, expect_calendar_types: int | None = None,
             raise ShapeMismatch(f"{path}: snapshot has {n_c} calendar types, config expects {expect_calendar_types}")
         if expect_r_dim is not None and r_dim != expect_r_dim:
             raise ShapeMismatch(f"{path}: snapshot has r_dim {r_dim}, config expects {expect_r_dim}")
-        model = ModelParams.from_dict(payload["model"])
-        state = LearnerState.from_dict(payload["state"])
-        tracker = TemperatureTracker.from_dict(payload["tracker"])
+        model = ModelParams.from_dict(payload["model"], n_c, r_dim)
+        state = LearnerState.from_dict(payload["state"], n_c, r_dim)
+        tracker = TemperatureTracker(n_c)
+        tracker.counts = [int(v) for v in _checked_list(payload["tracker"]["counts"], n_c)]
+        tracker.sums = [float(v) for v in _checked_list(payload["tracker"]["sums"], n_c)]
         hp = HyperParams(**payload["hyper_params"])
         cursor = datetime.fromisoformat(payload["cursor"]) if payload["cursor"] else None
-        pending = _pending_from_dict(payload.get("pending_batch", {}))
+        pending = _pending_from_dict(payload.get("pending_batch", {}), n_c, r_dim)
     except ShapeMismatch:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -413,8 +423,8 @@ def run_online_evaluation(records: list[SeriesRecord], config: RunConfig, *,
     if config.train_end is None:
         raise ParseError("config must set train_end for a run")
     hp = config.hp
-    if hp.n_calendar_types != 48:
-        raise ParseError("the built-in calendar mapping requires calendar_types = 48")
+    if hp.n_calendar_types != CALENDAR_TYPES:
+        raise ParseError(f"the built-in calendar mapping requires calendar_types = {CALENDAR_TYPES}")
     base = records[0].timestamp
     last_ts = records[-1].timestamp
     if not base <= config.train_end <= last_ts:
@@ -501,7 +511,7 @@ def run_online_evaluation(records: list[SeriesRecord], config: RunConfig, *,
             if anchor_load is None:
                 skipped_days += 1
             else:
-                path = predict(learner.model, instance, hp, cal, encoder, state=learner.state)
+                path = predict(learner.model, instance, cal, encoder, state=learner.state)
                 cold_starts += len(path.cold_start_substitutions)
                 for i, pt in enumerate(path.points, start=1):
                     row = f"{ts_of(t_idx + i).isoformat()},{i},{_format_float(pt.mean)},{_format_float(pt.std)}"

@@ -18,7 +18,6 @@ from .forecaster import standard_normal_quantile
 __all__ = [
     "EmptyInput",
     "EvalReport",
-    "abs_error",
     "calibration_and_ece",
     "evaluate_forecasts",
     "mape",
@@ -31,10 +30,6 @@ __all__ = [
 
 class EmptyInput(Exception):
     """The metric has no usable samples."""
-
-
-def abs_error(s: float, s_hat: float) -> float:
-    return abs(s - s_hat)
 
 
 def rmse(pairs) -> float:

@@ -10,7 +10,7 @@ weighted Gram matrix P and effective weighted sample count gamma).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -74,16 +74,6 @@ class GaussianChannelParams:
     def zeros(cls, k: int, sigma0: float = 1.0) -> "GaussianChannelParams":
         return cls(eta=np.zeros(k), sigma=float(sigma0))
 
-    def copy(self) -> "GaussianChannelParams":
-        return GaussianChannelParams(eta=self.eta.copy(), sigma=self.sigma)
-
-    def to_dict(self) -> dict:
-        return {"eta": [float(v) for v in self.eta], "sigma": float(self.sigma)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GaussianChannelParams":
-        return cls(eta=np.asarray(d["eta"], dtype=float), sigma=float(d["sigma"]))
-
 
 @dataclass
 class ChannelState:
@@ -101,21 +91,45 @@ class ChannelState:
     def identity(cls, k: int) -> "ChannelState":
         return cls(P=np.eye(k), gamma=0.0)
 
-    def copy(self) -> "ChannelState":
-        return ChannelState(P=self.P.copy(), gamma=self.gamma)
-
-    def to_dict(self) -> dict:
-        return {"P": [[float(v) for v in row] for row in self.P], "gamma": float(self.gamma)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ChannelState":
-        return cls(P=np.asarray(d["P"], dtype=float), gamma=float(d["gamma"]))
-
 
 def _check_calendar_index(c: int, n: int) -> int:
     if not 1 <= c <= n:
         raise IndexError(f"calendar type {c} outside 1..{n}")
     return c - 1
+
+
+# Snapshot codec (format v1): the one place that turns channel records into
+# JSON values and back. Reading checks every list length and array shape
+# against the dimensions the snapshot declares, so a payload that
+# contradicts its own header is rejected before it reaches a run.
+
+
+def _records_to_json(records: list) -> list[dict]:
+    """Each record's fields as JSON values: arrays become nested lists, scalars floats."""
+    return [{k: v.tolist() if isinstance(v, np.ndarray) else float(v) for k, v in vars(r).items()} for r in records]
+
+
+def _records_from_json(record_cls, items, n: int, shape: tuple[int, ...]) -> list:
+    """n records of record_cls, whose fields are an array of the given shape and a float."""
+    array_field, float_field = (f.name for f in fields(record_cls))
+    return [record_cls(_checked_array(item[array_field], shape), float(item[float_field]))
+            for item in _checked_list(items, n)]
+
+
+def _checked_list(items, n: int) -> list:
+    """items, if it is a list of exactly n entries; ValueError otherwise."""
+    if not isinstance(items, list) or len(items) != n:
+        got = len(items) if isinstance(items, list) else type(items).__name__
+        raise ValueError(f"expected a list of {n} entries, got {got}")
+    return items
+
+
+def _checked_array(value, shape: tuple[int, ...]) -> np.ndarray:
+    """value as a float array of exactly the given shape; ValueError otherwise."""
+    a = np.asarray(value, dtype=float)
+    if a.shape != shape:
+        raise ValueError(f"expected an array of shape {shape}, got {a.shape}")
+    return a
 
 
 @dataclass
@@ -146,23 +160,15 @@ class ModelParams:
     def r_channel(self, c: int) -> GaussianChannelParams:
         return self.r_channels[_check_calendar_index(c, len(self.r_channels))]
 
-    def copy(self) -> "ModelParams":
-        return ModelParams(
-            s_channels=[p.copy() for p in self.s_channels],
-            r_channels=[p.copy() for p in self.r_channels],
-        )
-
     def to_dict(self) -> dict:
-        return {
-            "s_channels": [p.to_dict() for p in self.s_channels],
-            "r_channels": [p.to_dict() for p in self.r_channels],
-        }
+        return {"s_channels": _records_to_json(self.s_channels), "r_channels": _records_to_json(self.r_channels)}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "ModelParams":
+    def from_dict(cls, d: dict, n_calendar_types: int, r_dim: int) -> "ModelParams":
+        """Inverse of to_dict; ValueError unless every list and eta has the given dimensions."""
         return cls(
-            s_channels=[GaussianChannelParams.from_dict(p) for p in d["s_channels"]],
-            r_channels=[GaussianChannelParams.from_dict(p) for p in d["r_channels"]],
+            s_channels=_records_from_json(GaussianChannelParams, d["s_channels"], n_calendar_types, (S_DIM,)),
+            r_channels=_records_from_json(GaussianChannelParams, d["r_channels"], n_calendar_types, (r_dim,)),
         )
 
 
@@ -183,26 +189,15 @@ class LearnerState:
     def s_state(self, c: int) -> ChannelState:
         return self.s_states[_check_calendar_index(c, len(self.s_states))]
 
-    def r_state(self, c: int) -> ChannelState:
-        return self.r_states[_check_calendar_index(c, len(self.r_states))]
-
-    def copy(self) -> "LearnerState":
-        return LearnerState(
-            s_states=[s.copy() for s in self.s_states],
-            r_states=[s.copy() for s in self.r_states],
-        )
-
     def to_dict(self) -> dict:
-        return {
-            "s_states": [s.to_dict() for s in self.s_states],
-            "r_states": [s.to_dict() for s in self.r_states],
-        }
+        return {"s_states": _records_to_json(self.s_states), "r_states": _records_to_json(self.r_states)}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "LearnerState":
+    def from_dict(cls, d: dict, n_calendar_types: int, r_dim: int) -> "LearnerState":
+        """Inverse of to_dict; ValueError unless every list and P has the given dimensions."""
         return cls(
-            s_states=[ChannelState.from_dict(s) for s in d["s_states"]],
-            r_states=[ChannelState.from_dict(s) for s in d["r_states"]],
+            s_states=_records_from_json(ChannelState, d["s_states"], n_calendar_types, (S_DIM, S_DIM)),
+            r_states=_records_from_json(ChannelState, d["r_states"], n_calendar_types, (r_dim, r_dim)),
         )
 
 

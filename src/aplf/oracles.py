@@ -85,7 +85,7 @@ def fd_log_likelihood_gradient(samples, eta: np.ndarray, sigma: float, lam: floa
 
 def _lemma_split(a: float, b: float, alpha: float, beta: float, y: float):
     # Product-split identity, written out locally on purpose: the oracle
-    # must not lean on the forecaster's implementation of the same algebra.
+    # must not lean on forecast_step's inline fusion of the same algebra.
     b2 = b * b
     beta2 = beta * beta
     denom = beta2 + alpha * alpha * b2
@@ -200,7 +200,7 @@ def self_check(seed: int = 0, verbose: bool = True) -> bool:
     the batch solution, the forecaster matching sequential conditioning,
     and sequential conditioning matching quadrature.
     """
-    from .model_types import HyperParams, ModelParams
+    from .model_types import ModelParams
     from .recursive_learner import batch_initialize, channel_update
     from .forecaster import InstanceVector, predict
 
@@ -254,8 +254,6 @@ def self_check(seed: int = 0, verbose: bool = True) -> bool:
     report("recursion-vs-batch", worst <= 1e-8, f"max |diff| = {worst:.3e}")
 
     # The forecaster equals sequential Gaussian conditioning.
-    hp = HyperParams(n_calendar_types=1, horizon=8)
-
     class _PassThrough:
         r_dim = 3
 
@@ -274,7 +272,7 @@ def self_check(seed: int = 0, verbose: bool = True) -> bool:
         anchor = float(rng.normal())
         model = ModelParams(s_channels=[s_params], r_channels=[r_params])
         instance = InstanceVector(anchor_load=anchor, observations=tuple(u_vectors), t=0)
-        path = predict(model, instance, hp, lambda t: 1, _PassThrough())
+        path = predict(model, instance, lambda t: 1, _PassThrough())
         reference = exact_filter_oracle(anchor, [(s_params, r_params, u) for u in u_vectors])
         for pt, (m, s) in zip(path.points, reference):
             worst = max(worst, abs(pt.mean - m), abs(pt.std - s))

@@ -28,17 +28,13 @@ from .model_types import (
 __all__ = [
     "DegenerateUpdate",
     "SingularGram",
-    "NonPositiveSigma",
     "LearnDiagnostics",
     "OnlineLearner",
     "batch_initialize",
     "channel_update",
     "trace_reset",
-    "weighted_log_likelihood",
     "GRAM_CONDITION_LIMIT",
 ]
-
-LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 # A weighted Gram matrix above this condition number is treated as singular.
 GRAM_CONDITION_LIMIT = 1e12
@@ -54,10 +50,6 @@ class DegenerateUpdate(Exception):
 
 class SingularGram(Exception):
     """The weighted Gram matrix is singular or too ill-conditioned to invert."""
-
-
-class NonPositiveSigma(Exception):
-    """Log-likelihood evaluation requires sigma > 0."""
 
 
 @dataclass
@@ -148,35 +140,11 @@ def batch_initialize(
     return ChannelState(P=p, gamma=gamma), GaussianChannelParams(eta=eta, sigma=sigma)
 
 
-def weighted_log_likelihood(
-    samples: list[tuple[np.ndarray, float]], eta: np.ndarray, sigma: float, lam: float
-) -> float:
-    """Geometrically discounted Gaussian log-likelihood of the samples.
-
-    The most recent sample has weight 1, the previous lam, and so on.
-    Empty input sums to 0. Test-support operation.
-    """
-    if sigma <= 0.0:
-        raise NonPositiveSigma(f"sigma must be > 0, got {sigma}")
-    n = len(samples)
-    if n == 0:
-        return 0.0
-    eta = np.asarray(eta, dtype=float)
-    inv_two_var = 1.0 / (2.0 * sigma * sigma)
-    log_norm = math.log(sigma) + LOG_SQRT_2PI
-    terms = []
-    for j, (u, s) in enumerate(samples):
-        resid = s - float(np.asarray(u, dtype=float) @ eta)
-        terms.append(lam ** (n - 1 - j) * (-resid * resid * inv_two_var - log_norm))
-    return math.fsum(terms)
-
-
 class OnlineLearner:
     """Single-writer owner of the model, state, and temperature tracker.
 
-    Exactly one logical thread calls learn_step; snapshot() hands out
-    deep copies that concurrent predictors may use freely. calendar_fn
-    maps an absolute step index to a calendar type in 1..n_calendar_types.
+    Exactly one logical thread calls learn_step. calendar_fn maps an
+    absolute step index to a calendar type in 1..n_calendar_types.
     """
 
     def __init__(
@@ -231,9 +199,6 @@ class OnlineLearner:
             if isinstance(obs, ObservationVector):
                 self.tracker.add(c, obs.w)
             prev = target
-
-    def snapshot(self) -> ModelParams:
-        return self.model.copy()
 
     @property
     def pending_batch(self) -> dict:

@@ -1,10 +1,37 @@
-"""Shared test fixtures: feature encoders and random model builders."""
+"""Shared test fixtures: feature encoders, random model builders, and the discounted log-likelihood."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from aplf.model_types import GaussianChannelParams, LearnerState, ModelParams
+
+
+class NonPositiveSigma(Exception):
+    """Log-likelihood evaluation requires sigma > 0."""
+
+
+def weighted_log_likelihood(samples, eta, sigma: float, lam: float) -> float:
+    """Geometrically discounted Gaussian log-likelihood of (u, s) samples.
+
+    The most recent sample has weight 1, the previous lam, and so on.
+    Empty input sums to 0.
+    """
+    if sigma <= 0.0:
+        raise NonPositiveSigma(f"sigma must be > 0, got {sigma}")
+    n = len(samples)
+    if n == 0:
+        return 0.0
+    eta = np.asarray(eta, dtype=float)
+    inv_two_var = 1.0 / (2.0 * sigma * sigma)
+    log_norm = math.log(sigma) + 0.5 * math.log(2.0 * math.pi)
+    terms = []
+    for j, (u, s) in enumerate(samples):
+        resid = s - float(np.asarray(u, dtype=float) @ eta)
+        terms.append(lam ** (n - 1 - j) * (-resid * resid * inv_two_var - log_norm))
+    return math.fsum(terms)
 
 
 class PassthroughEncoder:

@@ -14,7 +14,8 @@ from aplf.features import (
     calendar_type,
     encode_observations,
 )
-from aplf.model_types import HyperParams
+from aplf.harness import snapshot_load, snapshot_save
+from aplf.model_types import HyperParams, LearnerState, ModelParams
 
 HP = HyperParams()
 
@@ -141,11 +142,13 @@ def test_tracker_mean_is_permutation_invariant(values):
     assert forward.mean(1) == sum(values) / len(values)
 
 
-def test_tracker_round_trip():
+def test_tracker_round_trip(tmp_path):
     tracker = TemperatureTracker(4)
     tracker.add(2, 55.0)
     tracker.add(2, 65.0)
     tracker.add(4, -10.0)
-    restored = TemperatureTracker.from_dict(tracker.to_dict())
+    snapshot_save(tmp_path / "s.snapshot", ModelParams.initial(4, 3), LearnerState.initial(4, 3), tracker,
+                  HyperParams(n_calendar_types=4))
+    restored = snapshot_load(tmp_path / "s.snapshot").tracker
     assert restored.counts == tracker.counts
     assert restored.sums == tracker.sums

@@ -1,4 +1,4 @@
-"""Forward forecast recursion, Gaussian product split, quantiles, cold start."""
+"""Forward forecast recursion, the oracle's Gaussian product split, quantiles, cold start."""
 
 import math
 
@@ -16,12 +16,11 @@ from aplf.forecaster import (
     InstanceVector,
     QOutOfRange,
     forecast_step,
-    gaussian_product_split,
     predict,
     quantile,
 )
 from aplf.model_types import ForecastPoint, GaussianChannelParams, HyperParams, LearnerState, ModelParams
-from aplf.oracles import exact_filter_oracle
+from aplf.oracles import _lemma_split, exact_filter_oracle
 from aplf.recursive_learner import OnlineLearner
 
 
@@ -30,7 +29,7 @@ def normal_pdf(x, mean, std):
 
 
 def test_product_split_equal_variance_fusion():
-    post_mean, post_std, marg_mean, marg_std = gaussian_product_split(0.0, 1.0, 1.0, 1.0, 2.0)
+    post_mean, post_std, marg_mean, marg_std = _lemma_split(0.0, 1.0, 1.0, 1.0, 2.0)
     assert post_mean == 1.0
     assert math.isclose(post_std, math.sqrt(0.5), rel_tol=1e-15)
     assert marg_mean == 0.0
@@ -38,7 +37,7 @@ def test_product_split_equal_variance_fusion():
 
 
 def test_product_split_delta_prior_is_unmoved():
-    post_mean, post_std, marg_mean, marg_std = gaussian_product_split(3.0, 0.0, 2.0, 1.5, 10.0)
+    post_mean, post_std, marg_mean, marg_std = _lemma_split(3.0, 0.0, 2.0, 1.5, 10.0)
     assert post_mean == 3.0
     assert post_std == 0.0
     assert marg_mean == 6.0
@@ -53,7 +52,7 @@ def test_product_split_preserves_the_density_product_pointwise():
         alpha = float(rng.uniform(-2.0, 2.0))
         beta = float(rng.uniform(0.2, 2.0))
         y = float(rng.normal(scale=2.0))
-        post_mean, post_std, marg_mean, marg_std = gaussian_product_split(a, b, alpha, beta, y)
+        post_mean, post_std, marg_mean, marg_std = _lemma_split(a, b, alpha, beta, y)
         for x in rng.normal(scale=2.0, size=20):
             lhs = normal_pdf(x, a, b) * normal_pdf(y, alpha * x, beta)
             rhs = normal_pdf(x, post_mean, post_std) * normal_pdf(y, marg_mean, marg_std)
@@ -103,9 +102,8 @@ def test_predict_single_step_path():
         s_channels=[GaussianChannelParams(eta=np.array([2.0, 0.0]), sigma=1.0)],
         r_channels=[GaussianChannelParams(eta=np.array([4.0, 0.0, 0.0]), sigma=1.0)],
     )
-    hp = HyperParams(n_calendar_types=1, horizon=1)
     instance = InstanceVector(anchor_load=7.0, observations=(np.array([1.0, 0.0, 0.0]),), t=5)
-    path = predict(model, instance, hp, lambda t: 1, PassthroughEncoder())
+    path = predict(model, instance, lambda t: 1, PassthroughEncoder())
     assert len(path.points) == 1
     assert path.points[0].mean == 3.0
     assert math.isclose(path.points[0].std, math.sqrt(0.5), rel_tol=1e-15)
@@ -115,7 +113,6 @@ def test_predict_single_step_path():
 
 def test_predict_matches_filter_oracle_on_multi_type_paths():
     rng = np.random.default_rng(13)
-    hp = HyperParams(n_calendar_types=6, horizon=24)
     encoder = PassthroughEncoder()
     for _ in range(25):
         model = random_model(rng, 6)
@@ -123,7 +120,7 @@ def test_predict_matches_filter_oracle_on_multi_type_paths():
         u_vectors = [rng.normal(size=3) for _ in range(24)]
         instance = InstanceVector(anchor_load=anchor, observations=tuple(u_vectors), t=0)
         cal = lambda t: (t % 6) + 1
-        path = predict(model, instance, hp, cal, encoder)
+        path = predict(model, instance, cal, encoder)
         steps = [
             (model.s_channel(cal(i)), model.r_channel(cal(i)), u)
             for i, u in enumerate(u_vectors, start=1)
@@ -142,52 +139,48 @@ def test_converged_noiseless_identity_pattern_reproduces_the_constant():
         instance = InstanceVector(anchor_load=value, observations=(value,), t=t)
         learner.learn_step(instance, [value])
     instance = InstanceVector(anchor_load=value, observations=(value,) * 1, t=100)
-    path = predict(learner.model, instance, hp, lambda t: 1, LinearObsEncoder(), state=learner.state)
+    path = predict(learner.model, instance, lambda t: 1, LinearObsEncoder(), state=learner.state)
     assert math.isclose(path.points[0].mean, value, rel_tol=1e-9)
     assert path.points[0].std < 1e-6
 
 
 def test_predict_requires_anchor_and_observation_slots():
     model = random_model(np.random.default_rng(0), 1)
-    hp = HyperParams(n_calendar_types=1, horizon=1)
     with pytest.raises(ValueError):
         predict(model, InstanceVector(anchor_load=None, observations=(None,), t=0),
-                hp, lambda t: 1, PassthroughEncoder())
+                lambda t: 1, PassthroughEncoder())
     with pytest.raises(ValueError):
         predict(model, InstanceVector(anchor_load=1.0, observations=(), t=0),
-                hp, lambda t: 1, PassthroughEncoder())
+                lambda t: 1, PassthroughEncoder())
 
 
 def test_cold_start_borrows_same_hour_other_day_class_first():
     rng = np.random.default_rng(21)
-    hp = HyperParams(n_calendar_types=48, horizon=1)
     model = random_model(rng, 48)
     state = LearnerState.initial(48, 3)
     # Only the weekend twin of hour 13 (type 38) and one unrelated type are trained.
     state.s_states[38 - 1].gamma = 5.0
     state.s_states[2].gamma = 5.0
     instance = InstanceVector(anchor_load=1.0, observations=(np.array([1.0, 0.0, 0.0]),), t=0)
-    path = predict(model, instance, hp, lambda t: 14, PassthroughEncoder(), state=state)
+    path = predict(model, instance, lambda t: 14, PassthroughEncoder(), state=state)
     assert path.cold_start_substitutions == ((14, 38),)
 
 
 def test_cold_start_without_any_trained_type_raises():
     rng = np.random.default_rng(22)
-    hp = HyperParams(n_calendar_types=4, horizon=1)
     model = random_model(rng, 4)
     state = LearnerState.initial(4, 3)
     instance = InstanceVector(anchor_load=1.0, observations=(np.array([1.0, 0.0, 0.0]),), t=0)
     with pytest.raises(ColdStart):
-        predict(model, instance, hp, lambda t: 2, PassthroughEncoder(), state=state)
+        predict(model, instance, lambda t: 2, PassthroughEncoder(), state=state)
 
 
 def test_trained_types_are_used_directly():
     rng = np.random.default_rng(23)
     model = random_model(rng, 4)
-    hp = HyperParams(n_calendar_types=4, horizon=2)
     state = trained_state_like(model)
     instance = InstanceVector(anchor_load=1.0, observations=(None, None), t=0)
-    path = predict(model, instance, hp, lambda t: (t % 4) + 1, PassthroughEncoder(), state=state)
+    path = predict(model, instance, lambda t: (t % 4) + 1, PassthroughEncoder(), state=state)
     assert path.cold_start_substitutions == ()
     assert len(path.points) == 2
 

@@ -1,5 +1,7 @@
 """Ingestion, configuration, snapshots, the rolling loop, and the CLI."""
 
+import copy
+import hashlib
 import json
 from datetime import date, datetime, time, timedelta, timezone
 from pathlib import Path
@@ -178,12 +180,6 @@ def test_ingest_rejects_unknown_header(tmp_path):
 # --- snapshots ---------------------------------------------------------------
 
 
-def _trained_learner(records, config, **kwargs):
-    result_snapshot = {}
-    run_online_evaluation(records, config, **kwargs)
-    return result_snapshot
-
-
 def test_snapshot_round_trip_is_bit_identical(tmp_path, data_csv):
     config = base_config(train_end=datetime(2021, 3, 11, tzinfo=UTC))
     records, _ = ingest_csv(data_csv, config)
@@ -251,6 +247,58 @@ def test_snapshot_version_mismatch(tmp_path, data_csv):
         snapshot_load(snap_path)
 
 
+# A 2-type snapshot written by format version 1 as first released: batch
+# init mode after three 4-step learn_steps, so both transition channels are
+# initialized and both observation channels still hold pending samples.
+SNAPSHOT_V1 = Path(__file__).parent / "data" / "snapshot_v1.json"
+
+
+def _rewrite_payload(src: Path, dst: Path, edit) -> Path:
+    """Copy a snapshot with its payload edited and its checksum recomputed."""
+    doc = json.loads(src.read_text())
+    edit(doc["payload"])
+    body = json.dumps(doc["payload"], sort_keys=True, separators=(",", ":"))
+    doc["checksum"] = hashlib.sha256(body.encode()).hexdigest()
+    dst.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+    return dst
+
+
+def test_v1_snapshot_resaves_byte_identically(tmp_path):
+    snap = snapshot_load(SNAPSHOT_V1, expect_calendar_types=2, expect_r_dim=3)
+    assert sorted(snap.pending) == [("r", 1), ("r", 2)]
+    snapshot_save(tmp_path / "again.snapshot", snap.model, snap.state, snap.tracker, snap.hp,
+                  cursor=snap.cursor, pending=snap.pending)
+    assert (tmp_path / "again.snapshot").read_bytes() == SNAPSHOT_V1.read_bytes()
+
+
+@pytest.mark.parametrize("edit", [
+    lambda p: p["model"]["s_channels"].pop(),
+    lambda p: p["model"]["r_channels"][1]["eta"].pop(),
+    lambda p: p["state"]["s_states"][0].update(P=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+    lambda p: p["state"]["r_states"].append(p["state"]["r_states"][0]),
+    lambda p: p["tracker"]["counts"].pop(),
+    lambda p: p["tracker"]["sums"].append(1.0),
+    lambda p: p["pending_batch"]["r:1"][0][0].pop(),
+    lambda p: p["pending_batch"].update({"r:3": []}),
+], ids=["short-s-channels", "short-r-eta", "3x3-P-on-K2", "extra-r-state", "short-tracker-counts",
+        "long-tracker-sums", "short-pending-vector", "pending-type-out-of-range"])
+def test_snapshot_contradicting_its_header_is_corrupt(tmp_path, edit):
+    bad = _rewrite_payload(SNAPSHOT_V1, tmp_path / "bad.snapshot", edit)
+    with pytest.raises(CorruptSnapshot):
+        snapshot_load(bad)
+
+
+def test_cli_resume_from_a_short_snapshot_is_input_error(tmp_path, data_csv, capsys):
+    cfg = write_cli_config(tmp_path, test_end="2021-03-13T00:00:00+00:00")
+    snap = tmp_path / "mid.snapshot"
+    assert cli_main(["run", "--data", str(data_csv), "--config", str(cfg), "--snapshot-out", str(snap)]) == 0
+    short = _rewrite_payload(snap, tmp_path / "short.snapshot", lambda p: p["model"]["s_channels"].pop())
+    capsys.readouterr()
+    assert cli_main(["run", "--data", str(data_csv), "--config", str(write_cli_config(tmp_path)),
+                     "--resume", str(short)]) == 2
+    assert "malformed payload" in capsys.readouterr().err
+
+
 # --- the rolling loop --------------------------------------------------------
 
 
@@ -285,9 +333,9 @@ def test_parameters_never_see_loads_after_the_prediction_time(data_csv, tmp_path
     captured = {}
     real_predict = harness.predict
 
-    def spy(model, instance, hp, calendar_fn, encoder, state=None):
-        captured[instance.t] = model.copy()
-        return real_predict(model, instance, hp, calendar_fn, encoder, state=state)
+    def spy(model, instance, calendar_fn, encoder, state=None):
+        captured[instance.t] = copy.deepcopy(model)
+        return real_predict(model, instance, calendar_fn, encoder, state=state)
 
     monkeypatch.setattr(harness, "predict", spy)
     base = records[0].timestamp

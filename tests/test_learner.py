@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import LinearObsEncoder, PassthroughEncoder
+from helpers import LinearObsEncoder, NonPositiveSigma, PassthroughEncoder, weighted_log_likelihood
 
 from aplf.features import ObservationVector, TemperatureShiftEncoder
 from aplf.forecaster import InstanceVector
@@ -15,13 +15,11 @@ from aplf.recursive_learner import (
     BATCH_INIT_MAX_BUFFER,
     DegenerateUpdate,
     LearnDiagnostics,
-    NonPositiveSigma,
     OnlineLearner,
     SingularGram,
     batch_initialize,
     channel_update,
     trace_reset,
-    weighted_log_likelihood,
 )
 
 

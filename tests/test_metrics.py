@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from aplf.metrics import (
     EmptyInput,
-    abs_error,
     calibration_and_ece,
     evaluate_forecasts,
     mape,
@@ -20,12 +19,6 @@ from aplf.metrics import (
     rmse,
 )
 from aplf.model_types import ForecastPoint
-
-
-def test_abs_error():
-    assert abs_error(10.0, 8.0) == 2.0
-    assert abs_error(3.7, 3.7) == 0.0
-    assert abs_error(0.33, 0.0) == 0.33
 
 
 def test_rmse_values():
@@ -74,7 +67,7 @@ def test_pinball_median_is_half_absolute_error():
     for _ in range(200):
         s = float(rng.normal(scale=10.0))
         s_hat = float(rng.normal(scale=10.0))
-        assert pinball(s, s_hat, 0.5) == abs_error(s, s_hat) / 2.0
+        assert pinball(s, s_hat, 0.5) == abs(s - s_hat) / 2.0
 
 
 def test_pinball_both_branches_brute_force():
@@ -140,7 +133,7 @@ def test_coverage_is_monotone_in_q(rows):
 def test_rmse_dominates_mean_absolute_error():
     rng = np.random.default_rng(14)
     pairs = [(float(rng.normal()), float(rng.normal())) for _ in range(200)]
-    mean_abs = math.fsum(abs_error(s, sh) for s, sh in pairs) / len(pairs)
+    mean_abs = math.fsum(abs(s - sh) for s, sh in pairs) / len(pairs)
     assert rmse(pairs) >= mean_abs
 
 
