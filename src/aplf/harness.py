@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from datetime import date, datetime, time, timedelta
 from pathlib import Path
 
@@ -71,7 +71,7 @@ class VersionMismatch(Exception):
 
 
 class ShapeMismatch(Exception):
-    """Snapshot dimensions do not match the configured model."""
+    """Snapshot dimensions or hyper-parameters do not match the configured model."""
 
 
 class CorruptSnapshot(Exception):
@@ -105,20 +105,61 @@ class RunConfig:
     output_dir: Path | None = None
 
 
-_CONFIG_KEYS = (
-    "lambda_s", "lambda_r", "w1", "w2", "w3", "calendar_types", "horizon",
-    "trace_reset_threshold", "load_unit", "temperature_unit", "prediction_time",
-    "train_end", "test_end", "holidays", "init_mode", "emit_quantiles",
-    "step_minutes", "schedule_file", "output_dir",
-)
-
-
-def _parse_bool(raw: str, lineno: int, path) -> bool:
+def _parse_bool(raw: str) -> bool:
     if raw.lower() in ("true", "1", "yes"):
         return True
     if raw.lower() in ("false", "0", "no"):
         return False
-    raise ParseError(f"{path}:{lineno}: expected a boolean, got {raw!r}")
+    raise ValueError(f"expected a boolean, got {raw!r}")
+
+
+def _one_of(*choices: str):
+    def parse(raw: str) -> str:
+        if raw not in choices:
+            raise ValueError(f"must be one of {', '.join(choices)}, got {raw!r}")
+        return raw
+    return parse
+
+
+def _parse_step(raw: str) -> timedelta:
+    minutes = int(raw)
+    if minutes < 1:
+        raise ValueError(f"must be at least 1, got {minutes}")
+    return timedelta(minutes=minutes)
+
+
+def _parse_holidays(raw: str) -> frozenset:
+    return frozenset(date.fromisoformat(tok.strip()) for tok in raw.split(",") if tok.strip())
+
+
+def _hyper_param(name: str, convert):
+    """Parser for one HyperParams field, checked against the class's own bounds."""
+    def parse(raw: str):
+        value = convert(raw)
+        HyperParams(**{name: value})  # every bound there concerns a single field
+        return value
+    return parse
+
+
+# Config-file key -> (field name, parser). A parser raises ValueError on a
+# bad value, and load_config adds the file and line to the message.
+_HP_FIELDS = {
+    ("calendar_types" if f.name == "n_calendar_types" else f.name): (f.name, _hyper_param(f.name, type(f.default)))
+    for f in fields(HyperParams)
+}
+_CONFIG_FIELDS = {
+    "load_unit": ("load_unit", _one_of(*LOAD_UNITS)),
+    "temperature_unit": ("temperature_unit", _one_of("F", "C")),
+    "prediction_time": ("prediction_time", time.fromisoformat),
+    "train_end": ("train_end", datetime.fromisoformat),
+    "test_end": ("test_end", datetime.fromisoformat),
+    "holidays": ("holidays", _parse_holidays),
+    "init_mode": ("init_mode", _one_of("zero", "batch")),
+    "emit_quantiles": ("emit_quantiles", _parse_bool),
+    "step_minutes": ("step", _parse_step),
+    "schedule_file": ("schedule", lambda raw: _load_schedule(Path(raw))),
+    "output_dir": ("output_dir", Path),
+}
 
 
 def load_config(path: Path | str) -> RunConfig:
@@ -128,11 +169,12 @@ def load_config(path: Path | str) -> RunConfig:
     trace_reset_threshold, load_unit (kW|MW|GW), temperature_unit (F|C),
     prediction_time (HH:MM), train_end / test_end (ISO-8601), holidays
     (comma-separated ISO dates), init_mode (zero|batch), emit_quantiles,
-    step_minutes, schedule_file, output_dir. Lines starting with # and
-    blank lines are ignored.
+    step_minutes (at least 1), schedule_file, output_dir. Lines starting
+    with # and blank lines are ignored. Every ParseError names its line.
     """
     path = Path(path)
-    values: dict[str, str] = {}
+    hp_values: dict = {}
+    config_values: dict = {}
     for lineno, raw_line in enumerate(path.read_text().splitlines(), start=1):
         line = raw_line.strip()
         if not line or line.startswith("#"):
@@ -141,70 +183,23 @@ def load_config(path: Path | str) -> RunConfig:
             raise ParseError(f"{path}:{lineno}: expected 'key = value', got {raw_line!r}")
         key, _, raw = line.partition("=")
         key = key.strip()
-        raw = raw.strip()
-        if key not in _CONFIG_KEYS:
+        if key in _HP_FIELDS:
+            values, (name, parse) = hp_values, _HP_FIELDS[key]
+        elif key in _CONFIG_FIELDS:
+            values, (name, parse) = config_values, _CONFIG_FIELDS[key]
+        else:
             raise ParseError(f"{path}:{lineno}: unknown key {key!r}")
-        if key in values:
+        if name in values:
             raise ParseError(f"{path}:{lineno}: duplicate key {key!r}")
-        values[key] = raw
-
-    def _float(key, default):
-        return float(values[key]) if key in values else default
-
-    def _int(key, default):
-        return int(values[key]) if key in values else default
-
-    try:
-        hp = HyperParams(
-            lambda_s=_float("lambda_s", 0.2),
-            lambda_r=_float("lambda_r", 0.7),
-            w1=_float("w1", 20.0),
-            w2=_float("w2", 80.0),
-            w3=_float("w3", 20.0),
-            n_calendar_types=_int("calendar_types", 48),
-            horizon=_int("horizon", 24),
-            trace_reset_threshold=_float("trace_reset_threshold", 10.0),
-        )
-        config = RunConfig(hp=hp)
-        if "load_unit" in values:
-            if values["load_unit"] not in LOAD_UNITS:
-                raise ParseError(f"{path}: load_unit must be one of {LOAD_UNITS}")
-            config.load_unit = values["load_unit"]
-        if "temperature_unit" in values:
-            if values["temperature_unit"] not in ("F", "C"):
-                raise ParseError(f"{path}: temperature_unit must be F or C")
-            config.temperature_unit = values["temperature_unit"]
-        if "prediction_time" in values:
-            config.prediction_time = time.fromisoformat(values["prediction_time"])
-        if "train_end" in values:
-            config.train_end = datetime.fromisoformat(values["train_end"])
-        if "test_end" in values:
-            config.test_end = datetime.fromisoformat(values["test_end"])
-        if "holidays" in values and values["holidays"]:
-            config.holidays = frozenset(
-                date.fromisoformat(tok.strip()) for tok in values["holidays"].split(",") if tok.strip()
-            )
-        if "init_mode" in values:
-            if values["init_mode"] not in ("zero", "batch"):
-                raise ParseError(f"{path}: init_mode must be zero or batch")
-            config.init_mode = values["init_mode"]
-        if "emit_quantiles" in values:
-            config.emit_quantiles = _parse_bool(values["emit_quantiles"], 0, path)
-        if "step_minutes" in values:
-            config.step = timedelta(minutes=int(values["step_minutes"]))
-        if "output_dir" in values:
-            config.output_dir = Path(values["output_dir"])
-        if "schedule_file" in values:
-            config.schedule = _load_schedule(Path(values["schedule_file"]))
-    except ParseError:
-        raise
-    except (ValueError, KeyError) as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    return config
+        try:
+            values[name] = parse(raw.strip())
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: {key}: {exc}") from exc
+    return RunConfig(hp=HyperParams(**hp_values), **config_values)
 
 
 def _load_schedule(path: Path) -> dict:
-    """Per-day prediction overrides: lines `YYYY-MM-DD,HH:MM[,horizon]`."""
+    """Per-day prediction overrides: lines `YYYY-MM-DD,HH:MM[,horizon]`, horizon >= 1."""
     schedule = {}
     for lineno, raw_line in enumerate(path.read_text().splitlines(), start=1):
         line = raw_line.strip()
@@ -219,6 +214,8 @@ def _load_schedule(path: Path) -> dict:
             horizon = int(parts[2]) if len(parts) == 3 else None
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: {exc}") from exc
+        if horizon is not None and horizon < 1:
+            raise ParseError(f"{path}:{lineno}: horizon must be at least 1, got {horizon}")
         schedule[day] = (at, horizon)
     return schedule
 
@@ -382,6 +379,8 @@ def snapshot_load(path: Path | str, *, expect_calendar_types: int | None = None,
         tracker.counts = [int(v) for v in _checked_list(payload["tracker"]["counts"], n_c)]
         tracker.sums = [float(v) for v in _checked_list(payload["tracker"]["sums"], n_c)]
         hp = HyperParams(**payload["hyper_params"])
+        if hp.n_calendar_types != n_c:
+            raise ValueError(f"hyper_params.n_calendar_types {hp.n_calendar_types} contradicts n_calendar_types {n_c}")
         cursor = datetime.fromisoformat(payload["cursor"]) if payload["cursor"] else None
         pending = _pending_from_dict(payload.get("pending_batch", {}), n_c, r_dim)
     except ShapeMismatch:
@@ -430,21 +429,37 @@ def run_online_evaluation(records: list[SeriesRecord], config: RunConfig, *,
     if not base <= config.train_end <= last_ts:
         raise ParseError("train_end must lie inside the data span")
     step = config.step
-    by_ts = {r.timestamp: r for r in records}
 
-    def ts_of(i: int) -> datetime:
-        return base + i * step
+    # One anchor per day before test_end (the split boundary: resumed runs
+    # continue from there): its instant, its step index and its horizon.
+    test_end = config.test_end
+    anchors: list[tuple[datetime, int, int]] = []
+    day = base.date()
+    while day <= last_ts.date():
+        at, horizon = config.schedule.get(day, (config.prediction_time, None))
+        ts = datetime.combine(day, at, tzinfo=base.tzinfo)
+        if base <= ts <= last_ts:
+            t_idx, rem = divmod(ts - base, step)
+            if rem:
+                raise ParseError(f"prediction time {ts.isoformat()} off the {step} grid")
+            if test_end is None or ts < test_end:
+                anchors.append((ts, t_idx, horizon or hp.horizon))
+        day += timedelta(days=1)
+    if not any(config.train_end <= ts for ts, _, _ in anchors):
+        raise EmptySpan("no prediction days inside the test span")
 
-    def index_of(ts: datetime) -> int:
-        quot, rem = divmod(ts - base, step)
-        if rem:
-            raise ParseError(f"prediction time {ts.isoformat()} off the {step} grid")
-        return int(quot)
-
-    holidays = config.holidays
-
-    def cal(i: int) -> int:
-        return calendar_type(ts_of(i), holidays)
+    # The series on its step grid, from the first record through the last
+    # record or the last step any anchor predicts, whichever is later.
+    # Records come from ingest_csv, so each lies on the grid.
+    n_steps = max((last_ts - base) // step, max(t + h for _, t, h in anchors)) + 1
+    loads: list[float | None] = [None] * n_steps
+    temps: list[float | None] = [None] * n_steps
+    for r in records:
+        i = (r.timestamp - base) // step
+        loads[i] = r.load
+        temps[i] = r.temperature
+    types = [calendar_type(base + i * step, config.holidays) for i in range(n_steps)]
+    cal = types.__getitem__
 
     encoder = TemperatureShiftEncoder(hp)
     learner = OnlineLearner(hp, encoder=encoder, calendar_fn=cal, init_mode=config.init_mode)
@@ -452,24 +467,12 @@ def run_online_evaluation(records: list[SeriesRecord], config: RunConfig, *,
     if resume is not None:
         snap = snapshot_load(resume, expect_calendar_types=hp.n_calendar_types,
                              expect_r_dim=encoder.r_dim)
+        differ = [k for k, v in asdict(hp).items() if getattr(snap.hp, k) != v]
+        if differ:
+            raise ShapeMismatch(f"{resume}: snapshot hyper-parameters differ from the config: "
+                                f"{', '.join(differ)}")
         learner.restore(snap.model, snap.state, snap.tracker, snap.pending)
         cursor = snap.cursor
-
-    test_end = config.test_end
-    anchors: list[datetime] = []
-    day = base.date()
-    while day <= last_ts.date():
-        at, horizon_override = config.schedule.get(day, (config.prediction_time, None))
-        ts = datetime.combine(day, at, tzinfo=base.tzinfo)
-        if base <= ts <= last_ts:
-            if (ts - base) % step != timedelta(0):
-                raise ParseError(f"prediction time {ts.isoformat()} off the {step} grid")
-            anchors.append(ts)
-        day += timedelta(days=1)
-    test_anchors = [a for a in anchors
-                    if config.train_end <= a and (test_end is None or a < test_end)]
-    if not test_anchors:
-        raise EmptySpan("no prediction days inside the test span")
 
     q_grid = quantile_grid()
     z_grid = [standard_normal_quantile(q) for q in q_grid] if config.emit_quantiles else None
@@ -483,50 +486,36 @@ def run_online_evaluation(records: list[SeriesRecord], config: RunConfig, *,
     cold_starts = 0
     processed = cursor
 
-    for anchor_ts in anchors:
-        if test_end is not None and anchor_ts >= test_end:
-            break  # the split boundary: resumed runs continue from here
+    for anchor_ts, t_idx, horizon in anchors:
         if cursor is not None and anchor_ts <= cursor:
             continue
-        _, horizon_override = config.schedule.get(anchor_ts.date(), (None, None))
-        horizon = horizon_override or hp.horizon
-        t_idx = index_of(anchor_ts)
-        anchor_rec = by_ts.get(anchor_ts)
-        anchor_load = anchor_rec.load if anchor_rec is not None else None
-
+        anchor_load = loads[t_idx]
+        targets = loads[t_idx + 1:t_idx + horizon + 1]
         observations = []
-        for i in range(1, horizon + 1):
-            rec = by_ts.get(ts_of(t_idx + i))
-            if rec is None or rec.temperature is None:
+        for j in range(t_idx + 1, t_idx + horizon + 1):
+            w = temps[j]
+            if w is None:
                 observations.append(None)
             else:
-                c = cal(t_idx + i)
-                mean_temp = learner.tracker.mean(c)
-                w = rec.temperature
+                mean_temp = learner.tracker.mean(types[j])
                 observations.append(ObservationVector(w=w, w_bar=mean_temp if mean_temp is not None else w))
         instance = InstanceVector(anchor_load=anchor_load, observations=tuple(observations), t=t_idx)
 
-        is_test = config.train_end <= anchor_ts  # anchors at or past test_end already broke out
-        if is_test:
+        if config.train_end <= anchor_ts:
             if anchor_load is None:
                 skipped_days += 1
             else:
                 path = predict(learner.model, instance, cal, encoder, state=learner.state)
                 cold_starts += len(path.cold_start_substitutions)
-                for i, pt in enumerate(path.points, start=1):
-                    row = f"{ts_of(t_idx + i).isoformat()},{i},{_format_float(pt.mean)},{_format_float(pt.std)}"
+                for i, (pt, actual) in enumerate(zip(path.points, targets), start=1):
+                    row = f"{(anchor_ts + i * step).isoformat()},{i},{_format_float(pt.mean)},{_format_float(pt.std)}"
                     if z_grid is not None:
                         row += "," + ",".join(_format_float(pt.mean + pt.std * z) for z in z_grid)
                     forecast_rows.append(row)
-                    rec = by_ts.get(ts_of(t_idx + i))
-                    if rec is not None and rec.load is not None:
-                        eval_samples.append((rec.load, pt))
+                    if actual is not None:
+                        eval_samples.append((actual, pt))
 
         if frozen_after is None or anchor_ts < frozen_after:
-            targets = []
-            for i in range(1, horizon + 1):
-                rec = by_ts.get(ts_of(t_idx + i))
-                targets.append(rec.load if rec is not None else None)
             learner.learn_step(instance, targets)
         processed = anchor_ts
 

@@ -98,6 +98,34 @@ def test_load_config_rejects_bad_unit(tmp_path):
         load_config(cfg)
 
 
+@pytest.mark.parametrize("bad_line", [
+    "step_minutes = 0",
+    "emit_quantiles = maybe",
+    "lambda_s = abc",
+    "lambda_s = 1.5",
+    "calendar_types = 0",
+    "horizon = -1",
+    "prediction_time = 25:00",
+    "init_mode = lazy",
+    "holidays = 2021-02-30",
+])
+def test_load_config_errors_name_the_line(tmp_path, bad_line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"# line 1\nload_unit = GW\n{bad_line}\n")
+    with pytest.raises(ParseError, match=r"bad\.cfg:3: "):
+        load_config(cfg)
+
+
+@pytest.mark.parametrize("horizon", ["0", "-3"])
+def test_schedule_horizon_below_one_names_the_line(tmp_path, horizon):
+    schedule = tmp_path / "schedule.csv"
+    schedule.write_text(f"2021-03-12,06:00,6\n2021-03-13,06:00,{horizon}\n")
+    cfg = tmp_path / "sched.cfg"
+    cfg.write_text(f"load_unit = GW\nschedule_file = {schedule}\n")
+    with pytest.raises(ParseError, match=r"schedule\.csv:2: horizon"):
+        load_config(cfg)
+
+
 # --- ingestion ---------------------------------------------------------------
 
 
@@ -280,8 +308,9 @@ def test_v1_snapshot_resaves_byte_identically(tmp_path):
     lambda p: p["tracker"]["sums"].append(1.0),
     lambda p: p["pending_batch"]["r:1"][0][0].pop(),
     lambda p: p["pending_batch"].update({"r:3": []}),
+    lambda p: p["hyper_params"].update(n_calendar_types=48),
 ], ids=["short-s-channels", "short-r-eta", "3x3-P-on-K2", "extra-r-state", "short-tracker-counts",
-        "long-tracker-sums", "short-pending-vector", "pending-type-out-of-range"])
+        "long-tracker-sums", "short-pending-vector", "pending-type-out-of-range", "hyper-params-types"])
 def test_snapshot_contradicting_its_header_is_corrupt(tmp_path, edit):
     bad = _rewrite_payload(SNAPSHOT_V1, tmp_path / "bad.snapshot", edit)
     with pytest.raises(CorruptSnapshot):
@@ -297,6 +326,16 @@ def test_cli_resume_from_a_short_snapshot_is_input_error(tmp_path, data_csv, cap
     assert cli_main(["run", "--data", str(data_csv), "--config", str(write_cli_config(tmp_path)),
                      "--resume", str(short)]) == 2
     assert "malformed payload" in capsys.readouterr().err
+
+
+def test_cli_resume_under_other_hyper_params_is_input_error(tmp_path, data_csv, capsys):
+    cfg = write_cli_config(tmp_path, test_end="2021-03-13T00:00:00+00:00")
+    snap = tmp_path / "mid.snapshot"
+    assert cli_main(["run", "--data", str(data_csv), "--config", str(cfg), "--snapshot-out", str(snap)]) == 0
+    other = write_cli_config(tmp_path, lambda_s=0.9, lambda_r=0.95, trace_reset_threshold=1000)
+    capsys.readouterr()
+    assert cli_main(["run", "--data", str(data_csv), "--config", str(other), "--resume", str(snap)]) == 2
+    assert "lambda_s, lambda_r, trace_reset_threshold" in capsys.readouterr().err
 
 
 # --- the rolling loop --------------------------------------------------------
@@ -376,6 +415,52 @@ def test_missing_anchor_day_is_skipped_and_counted(tmp_path, series_14d):
     result = run_online_evaluation(records, config, gaps=gaps)
     assert result.notes["skipped_days"] == 1
     assert result.notes["n_gap_steps"] == 1
+
+
+# The last anchor (day 14, 11:00) predicts 12 steps past the last record;
+# with test_end on day 14 the last anchor is day 13's, inside the records.
+@pytest.mark.parametrize("test_end, steps_past_records", [
+    (None, 12),
+    (datetime(2021, 3, 14, tzinfo=UTC), 0),
+])
+def test_each_grid_step_is_typed_once(data_csv, monkeypatch, test_end, steps_past_records):
+    config = base_config(train_end=datetime(2021, 3, 11, tzinfo=UTC), test_end=test_end)
+    records, _ = ingest_csv(data_csv, config)
+    typed = []
+    real_calendar_type = harness.calendar_type
+
+    def spy(ts, holidays):
+        typed.append(ts)
+        return real_calendar_type(ts, holidays)
+
+    monkeypatch.setattr(harness, "calendar_type", spy)
+    run_online_evaluation(records, config)
+    assert len(typed) == len(set(typed)) == len(records) + steps_past_records
+
+
+def test_dropped_row_equals_blank_row(tmp_path, data_csv):
+    config = base_config(train_end=datetime(2021, 3, 11, tzinfo=UTC))
+    records, _ = ingest_csv(data_csv, config)
+    k = next(i for i, r in enumerate(records) if r.timestamp == datetime(2021, 3, 12, 15, tzinfo=UTC))
+    dropped = records[:k] + records[k + 1:]
+    blanked = records[:k] + [harness.SeriesRecord(records[k].timestamp, None, None)] + records[k + 1:]
+    a = run_online_evaluation(dropped, config, snapshot_out=tmp_path / "dropped.snapshot")
+    b = run_online_evaluation(blanked, config, snapshot_out=tmp_path / "blanked.snapshot")
+    assert a.forecast_rows == b.forecast_rows
+    assert a.notes == b.notes
+    assert (tmp_path / "dropped.snapshot").read_bytes() == (tmp_path / "blanked.snapshot").read_bytes()
+
+
+def test_short_last_horizon_with_records_past_it(tmp_path, data_csv):
+    schedule = tmp_path / "schedule.csv"
+    schedule.write_text("2021-03-14,06:00,2\n")
+    cfg = tmp_path / "sched.cfg"
+    cfg.write_text(f"load_unit = GW\ntrain_end = 2021-03-11T00:00:00+00:00\nschedule_file = {schedule}\n")
+    config = load_config(cfg)
+    records, _ = ingest_csv(data_csv, config)
+    result = run_online_evaluation(records, config)
+    assert result.forecast_rows[-1].startswith("2021-03-14T08:00:00+00:00,2,")
+    assert records[-1].timestamp == datetime(2021, 3, 14, 23, tzinfo=UTC)
 
 
 def test_quantile_emission_adds_columns(tmp_path, data_csv):
