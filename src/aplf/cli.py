@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from datetime import datetime
+from datetime import datetime, timedelta
 from pathlib import Path
 
 from . import harness
@@ -70,8 +70,9 @@ def _cmd_self_check(args) -> int:
     return 0 if self_check(seed=args.seed) else 3
 
 
-def _read_forecasts(path: Path) -> dict:
-    out = {}
+def _read_forecasts(path: Path) -> list:
+    """Every (timestamp, ForecastPoint) row of a forecasts.csv, in file order."""
+    out = []
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -81,8 +82,8 @@ def _read_forecasts(path: Path) -> dict:
             if not row:
                 continue
             try:
-                ts = datetime.fromisoformat(row[0])
-                out[ts] = ForecastPoint(mean=float(row[2]), std=float(row[3]), t=lineno)
+                out.append((datetime.fromisoformat(row[0]),
+                            ForecastPoint(mean=float(row[2]), std=float(row[3]), t=lineno)))
             except (ValueError, IndexError) as exc:
                 raise harness.ParseError(f"{path}:{lineno}: {exc}") from exc
     return out
@@ -90,13 +91,12 @@ def _read_forecasts(path: Path) -> dict:
 
 def _cmd_metrics(args) -> int:
     forecasts = _read_forecasts(Path(args.forecasts))
-    config = harness.RunConfig(load_unit="MW")
+    # One minute is the finest step a run accepts, so this grid admits the
+    # actuals of any run.
+    config = harness.RunConfig(load_unit="MW", step=timedelta(minutes=1))
     records, _ = harness.ingest_csv(args.actuals, config)
-    samples = [
-        (rec.load, forecasts[rec.timestamp])
-        for rec in records
-        if rec.load is not None and rec.timestamp in forecasts
-    ]
+    actuals = {rec.timestamp: rec.load for rec in records if rec.load is not None}
+    samples = [(actuals[ts], pt) for ts, pt in forecasts if ts in actuals]
     if not samples:
         raise harness.EmptySpan("no overlapping (forecast, actual) timestamps")
     report = evaluate_forecasts(samples)

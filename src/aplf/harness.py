@@ -13,15 +13,14 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 from datetime import date, datetime, time, timedelta
 from pathlib import Path
 
-import numpy as np
-
 from .features import CALENDAR_TYPES, ObservationVector, TemperatureShiftEncoder, TemperatureTracker, calendar_type
-from .forecaster import InstanceVector, predict, standard_normal_quantile
-from .metrics import EvalReport, evaluate_forecasts, quantile_grid
+from .forecaster import InstanceVector, predict
+from .metrics import QUANTILE_LEVELS, QUANTILE_Z, EvalReport, evaluate_forecasts
 from .model_types import S_DIM, HyperParams, LearnerState, ModelParams, _checked_array, _checked_list
 from .recursive_learner import OnlineLearner
 
@@ -229,8 +228,9 @@ def ingest_csv(path: Path | str, config: RunConfig):
 
     The header must be timestamp,load[,temperature]; timestamps must be
     strictly increasing on the configured step grid. Missing steps are
-    reported as gaps, not errors. Temperatures declared in Celsius are
-    converted to Fahrenheit here.
+    reported as gaps, not errors. A load must be finite and >= 0, a
+    temperature finite; a blank cell is missing. Temperatures declared in
+    Celsius are converted to Fahrenheit here.
     """
     if config.load_unit is None:
         raise UnitMissing("config does not declare load_unit")
@@ -266,7 +266,7 @@ def ingest_csv(path: Path | str, config: RunConfig):
                     load = float(load_field)
                 except ValueError as exc:
                     raise ParseError(f"{path}:{lineno}: bad load {row[1]!r}") from exc
-                if not np.isfinite(load) or load < 0:
+                if not math.isfinite(load) or load < 0:
                     raise ParseError(f"{path}:{lineno}: load must be finite and >= 0, got {load}")
             temp = None
             if has_temp:
@@ -276,6 +276,8 @@ def ingest_csv(path: Path | str, config: RunConfig):
                         temp = float(temp_field)
                     except ValueError as exc:
                         raise ParseError(f"{path}:{lineno}: bad temperature {row[2]!r}") from exc
+                    if not math.isfinite(temp):
+                        raise ParseError(f"{path}:{lineno}: temperature must be finite, got {temp}")
                     if convert:
                         temp = _c_to_f(temp)
             if prev_ts is not None:
@@ -474,11 +476,9 @@ def run_online_evaluation(records: list[SeriesRecord], config: RunConfig, *,
         learner.restore(snap.model, snap.state, snap.tracker, snap.pending)
         cursor = snap.cursor
 
-    q_grid = quantile_grid()
-    z_grid = [standard_normal_quantile(q) for q in q_grid] if config.emit_quantiles else None
     header = "timestamp,horizon,mean,std"
     if config.emit_quantiles:
-        header += "," + ",".join(f"q{int(round(q * 100)):02d}" for q in q_grid)
+        header += "," + ",".join(f"q{int(round(q * 100)):02d}" for q in QUANTILE_LEVELS)
 
     forecast_rows: list[str] = []
     eval_samples: list = []
@@ -509,8 +509,8 @@ def run_online_evaluation(records: list[SeriesRecord], config: RunConfig, *,
                 cold_starts += len(path.cold_start_substitutions)
                 for i, (pt, actual) in enumerate(zip(path.points, targets), start=1):
                     row = f"{(anchor_ts + i * step).isoformat()},{i},{_format_float(pt.mean)},{_format_float(pt.std)}"
-                    if z_grid is not None:
-                        row += "," + ",".join(_format_float(pt.mean + pt.std * z) for z in z_grid)
+                    if config.emit_quantiles:
+                        row += "," + ",".join(_format_float(pt.mean + pt.std * z) for z in QUANTILE_Z)
                     forecast_rows.append(row)
                     if actual is not None:
                         eval_samples.append((actual, pt))
@@ -519,7 +519,7 @@ def run_online_evaluation(records: list[SeriesRecord], config: RunConfig, *,
             learner.learn_step(instance, targets)
         processed = anchor_ts
 
-    report = evaluate_forecasts(eval_samples, q_grid) if eval_samples else None
+    report = evaluate_forecasts(eval_samples) if eval_samples else None
     max_slope = max(abs(float(p.eta[1])) for p in learner.model.s_channels)
     notes = {
         "load_unit": config.load_unit,

@@ -18,12 +18,13 @@ from .forecaster import standard_normal_quantile
 __all__ = [
     "EmptyInput",
     "EvalReport",
+    "QUANTILE_LEVELS",
+    "QUANTILE_Z",
     "calibration_and_ece",
     "evaluate_forecasts",
     "mape",
     "mean_pinball",
     "pinball",
-    "quantile_grid",
     "rmse",
 ]
 
@@ -59,57 +60,56 @@ def pinball(s: float, s_hat_q: float, q: float) -> float:
     return (1.0 - q) * (s_hat_q - s)
 
 
-def quantile_grid(step: int = 1) -> tuple[float, ...]:
-    """Percentile levels 0.01..0.99 at the given whole-percent step."""
-    return tuple(i / 100.0 for i in range(step, 100, step))
+# The fixed grid of quantile levels 0.01..0.99 that pinball loss and
+# calibration are scored on, and their standard normal quantiles.
+QUANTILE_LEVELS = tuple(i / 100.0 for i in range(1, 100))
+QUANTILE_Z = tuple(standard_normal_quantile(q) for q in QUANTILE_LEVELS)
+_LEVELS = np.array(QUANTILE_LEVELS)
+_Z = np.array(QUANTILE_Z)
 
 
-def _forecast_arrays(samples):
+def _quantile_table(samples):
+    """Actual loads and the (N, 99) Gaussian forecast quantiles of (actual, ForecastPoint) pairs."""
+    if not samples:
+        raise EmptyInput("evaluation needs at least one sample")
     actual = np.array([s for s, _ in samples], dtype=float)
     means = np.array([f.mean for _, f in samples], dtype=float)
     stds = np.array([f.std for _, f in samples], dtype=float)
-    return actual, means, stds
+    return actual, means[:, None] + stds[:, None] * _Z
 
 
-def mean_pinball(samples, q_grid=None) -> float:
-    """Pinball loss averaged over all samples and all grid quantiles.
-
-    samples are (actual, ForecastPoint) pairs; forecast quantiles are read
-    from the Gaussian forecast.
-    """
-    if not samples:
-        raise EmptyInput("mean_pinball needs at least one sample")
-    grid = quantile_grid() if q_grid is None else tuple(q_grid)
-    z = np.array([standard_normal_quantile(q) for q in grid])
-    qs = np.array(grid)
-    actual, means, stds = _forecast_arrays(samples)
-    forecast_q = means[:, None] + stds[:, None] * z[None, :]
-    diff = actual[:, None] - forecast_q
-    loss = np.where(diff >= 0.0, qs[None, :] * diff, (qs[None, :] - 1.0) * diff)
+def _pinball_of(actual, table) -> float:
+    diff = actual[:, None] - table
+    loss = np.where(diff >= 0.0, _LEVELS, _LEVELS - 1.0) * diff
     per_sample = loss.mean(axis=1)
     return math.fsum(per_sample) / len(per_sample)
 
 
-def calibration_and_ece(samples, q_grid=None):
-    """Empirical calibration curve and expected calibration error.
-
-    For each grid level q, coverage C(q) is the fraction of samples whose
-    actual load is at or below the q-quantile forecast; the ECE is the
-    mean absolute deviation of C(q) from q over the grid.
-    """
-    if not samples:
-        raise EmptyInput("calibration needs at least one sample")
-    grid = quantile_grid() if q_grid is None else tuple(q_grid)
-    if not grid:
-        raise EmptyInput("calibration needs a non-empty quantile grid")
-    z = np.array([standard_normal_quantile(q) for q in grid])
-    actual, means, stds = _forecast_arrays(samples)
-    forecast_q = means[:, None] + stds[:, None] * z[None, :]
-    counts = (actual[:, None] <= forecast_q).sum(axis=0)
-    n = len(samples)
-    curve = tuple((q, int(k) / n) for q, k in zip(grid, counts))
+def _calibration_of(actual, table):
+    counts = (actual[:, None] <= table).sum(axis=0)
+    n = len(actual)
+    curve = tuple((q, int(k) / n) for q, k in zip(QUANTILE_LEVELS, counts))
     ece = math.fsum(abs(q - c) for q, c in curve) / len(curve)
     return curve, ece
+
+
+def mean_pinball(samples) -> float:
+    """Pinball loss averaged over all samples and all QUANTILE_LEVELS.
+
+    samples are (actual, ForecastPoint) pairs; forecast quantiles are read
+    from the Gaussian forecast.
+    """
+    return _pinball_of(*_quantile_table(samples))
+
+
+def calibration_and_ece(samples):
+    """Empirical calibration curve and expected calibration error.
+
+    For each level q of QUANTILE_LEVELS, coverage C(q) is the fraction of
+    samples whose actual load is at or below the q-quantile forecast; the
+    ECE is the mean absolute deviation of C(q) from q over the grid.
+    """
+    return _calibration_of(*_quantile_table(samples))
 
 
 @dataclass(frozen=True)
@@ -135,17 +135,16 @@ class EvalReport:
         ]
 
 
-def evaluate_forecasts(samples, q_grid=None) -> EvalReport:
-    """Full evaluation of (actual, ForecastPoint) samples against one grid."""
-    if not samples:
-        raise EmptyInput("evaluation needs at least one sample")
+def evaluate_forecasts(samples) -> EvalReport:
+    """Full evaluation of (actual, ForecastPoint) samples on QUANTILE_LEVELS."""
+    actual, table = _quantile_table(samples)
     point_pairs = [(s, f.mean) for s, f in samples]
     mape_value, excluded = mape(point_pairs)
-    curve, ece = calibration_and_ece(samples, q_grid)
+    curve, ece = _calibration_of(actual, table)
     return EvalReport(
         rmse=rmse(point_pairs),
         mape=mape_value,
-        mean_pinball=mean_pinball(samples, q_grid),
+        mean_pinball=_pinball_of(actual, table),
         calibration_curve=curve,
         ece=ece,
         n_points=len(samples),

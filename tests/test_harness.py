@@ -191,6 +191,22 @@ def test_ingest_rejects_negative_load(tmp_path):
         ingest_csv(path, base_config())
 
 
+@pytest.mark.parametrize("column", ["load", "temperature"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_ingest_rejects_non_finite_cells(tmp_path, capsys, column, value):
+    load, temp = (value, "40.0") if column == "load" else ("1.6", value)
+    path = tmp_path / "x.csv"
+    path.write_text(
+        "timestamp,load,temperature\n"
+        "2021-03-01T00:00:00+00:00,1.5,40.0\n"
+        f"2021-03-01T01:00:00+00:00,{load},{temp}\n"
+    )
+    with pytest.raises(ParseError, match=f":3: {column} must be finite"):
+        ingest_csv(path, base_config())
+    assert cli_main(["run", "--data", str(path), "--config", str(write_cli_config(tmp_path))]) == 2
+    assert f"{path}:3: {column} must be finite" in capsys.readouterr().err
+
+
 def test_ingest_converts_celsius(tmp_path):
     path = tmp_path / "c.csv"
     path.write_text("timestamp,load,temperature\n2021-03-01T00:00:00+00:00,1.0,10.0\n")
@@ -538,8 +554,26 @@ def write_cli_config(tmp_path, **extra) -> Path:
     return cfg
 
 
-def test_cli_run_and_metrics(tmp_path, data_csv, capsys):
-    cfg = write_cli_config(tmp_path)
+def quarter_hourly_csv(path: Path, n_days: int) -> Path:
+    """The hourly synthetic profile restamped onto a 15-minute grid."""
+    rows = make_hourly_series(4 * n_days, seed=1)
+    start = rows[0][0]
+    return write_small_csv(path, [(start + i * timedelta(minutes=15), load, temp)
+                                  for i, (_, load, temp) in enumerate(rows)])
+
+
+REPORT_KEYS = ("n_points", "rmse", "mape_percent", "mean_pinball", "ece")
+
+
+@pytest.mark.parametrize("extra", [
+    pytest.param({"emit_quantiles": "true"}, id="quantiles"),
+    pytest.param({"horizon": "48"}, id="overlapping-horizons"),
+    pytest.param({"step_minutes": "15"}, id="15-minute-step"),
+])
+def test_cli_run_and_metrics(tmp_path, data_csv, capsys, extra):
+    if "step_minutes" in extra:
+        data_csv = quarter_hourly_csv(tmp_path / "quarter.csv", 14)
+    cfg = write_cli_config(tmp_path, **extra)
     out_dir = tmp_path / "cli_out"
     code = cli_main([
         "run", "--data", str(data_csv), "--config", str(cfg), "--output-dir", str(out_dir),
@@ -555,7 +589,13 @@ def test_cli_run_and_metrics(tmp_path, data_csv, capsys):
         "metrics", "--forecasts", str(out_dir / "forecasts.csv"), "--actuals", str(data_csv),
     ])
     assert code == 0
-    assert "mean_pinball = " in capsys.readouterr().out
+
+    def report_lines(text):
+        return [line for line in text.splitlines() if line.partition(" = ")[0] in REPORT_KEYS]
+
+    expected = report_lines((out_dir / "report.txt").read_text())
+    assert len(expected) == len(REPORT_KEYS)
+    assert report_lines(capsys.readouterr().out) == expected
 
 
 def test_cli_resume_matches_full_run(tmp_path, data_csv):

@@ -8,14 +8,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from aplf.forecaster import standard_normal_quantile
 from aplf.metrics import (
+    QUANTILE_LEVELS,
+    QUANTILE_Z,
     EmptyInput,
     calibration_and_ece,
     evaluate_forecasts,
     mape,
     mean_pinball,
     pinball,
-    quantile_grid,
     rmse,
 )
 from aplf.model_types import ForecastPoint
@@ -78,10 +80,11 @@ def test_pinball_both_branches_brute_force():
 
 
 def test_quantile_grid_default():
-    grid = quantile_grid()
+    grid = QUANTILE_LEVELS
     assert len(grid) == 99
     assert grid[0] == 0.01 and grid[-1] == 0.99
     assert all(a < b for a, b in zip(grid, grid[1:]))
+    assert QUANTILE_Z == tuple(standard_normal_quantile(q) for q in grid)
 
 
 def test_mean_pinball_degenerate_perfect_forecast_is_zero():
@@ -96,18 +99,22 @@ def test_mean_pinball_monotone_in_distance_for_fixed_std():
 
 
 def test_calibration_all_actuals_below_every_quantile():
-    grid = quantile_grid()
+    grid = QUANTILE_LEVELS
     samples = [(-100.0, ForecastPoint(mean=0.0, std=1.0, t=i)) for i in range(5)]
-    curve, ece = calibration_and_ece(samples, grid)
+    curve, ece = calibration_and_ece(samples)
     assert all(c == 1.0 for _, c in curve)
     expected = math.fsum(1.0 - q for q in grid) / len(grid)
     assert math.isclose(ece, expected, rel_tol=1e-12)
 
 
 def test_calibration_single_sample_single_level():
-    curve, ece = calibration_and_ece([(0.0, ForecastPoint(mean=1.0, std=2.0, t=0))], [0.5])
-    assert curve == ((0.5, 1.0),)
-    assert ece == 0.5
+    # The actual 0 lies at or below the q-quantile 1 + 2 z_q exactly when
+    # q >= Phi(-0.5) = 0.3085...
+    curve, ece = calibration_and_ece([(0.0, ForecastPoint(mean=1.0, std=2.0, t=0))])
+    expected = tuple((i / 100.0, 0.0 if i <= 30 else 1.0) for i in range(1, 100))
+    assert curve == expected
+    assert ece == math.fsum(abs(q - c) for q, c in expected) / 99
+    assert math.isclose(ece, (4.65 + 24.15) / 99, rel_tol=1e-15)
 
 
 def test_calibration_of_the_true_generator_is_tight():
@@ -149,6 +156,8 @@ def test_evaluate_forecasts_assembles_report():
     assert report.rmse >= 0.0
     assert 0.0 <= report.ece <= 1.0
     assert len(report.calibration_curve) == 99
+    assert (report.calibration_curve, report.ece) == calibration_and_ece(samples)
+    assert report.mean_pinball == mean_pinball(samples)
     assert report.n_mape_excluded == 0
     text = "\n".join(report.lines())
     assert "rmse = " in text and "ece = " in text
