@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -71,7 +72,11 @@ def _cmd_self_check(args) -> int:
 
 
 def _read_forecasts(path: Path) -> list:
-    """Every (timestamp, ForecastPoint) row of a forecasts.csv, in file order."""
+    """Every (timestamp, ForecastPoint) row of a forecasts.csv, in file order.
+
+    A row whose mean or std is not finite, or whose std is negative, is a
+    ParseError naming its line.
+    """
     out = []
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
@@ -82,10 +87,13 @@ def _read_forecasts(path: Path) -> list:
             if not row:
                 continue
             try:
-                out.append((datetime.fromisoformat(row[0]),
-                            ForecastPoint(mean=float(row[2]), std=float(row[3]), t=lineno)))
+                ts, mean, std = datetime.fromisoformat(row[0]), float(row[2]), float(row[3])
             except (ValueError, IndexError) as exc:
                 raise harness.ParseError(f"{path}:{lineno}: {exc}") from exc
+            if not (math.isfinite(mean) and math.isfinite(std) and std >= 0.0):
+                raise harness.ParseError(f"{path}:{lineno}: mean must be finite and std finite and >= 0, "
+                                         f"got mean {row[2]}, std {row[3]}")
+            out.append((ts, ForecastPoint(mean=mean, std=std, t=lineno)))
     return out
 
 

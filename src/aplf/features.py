@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from datetime import date, datetime
 from typing import Iterable
 
-import numpy as np
-
 from .model_types import HyperParams
 
 __all__ = [
@@ -76,8 +74,8 @@ class ObservationVector:
     w_bar: float
 
 
-def encode_observations(w: float, w_bar: float, hp: HyperParams) -> np.ndarray:
-    """Encode a temperature observation as [1, a1, a2].
+def encode_observations(w: float, w_bar: float, hp: HyperParams) -> tuple[float, float, float]:
+    """Encode a temperature observation as (1, a1, a2).
 
     a1 flags an upward shift (w - w_bar > w1), a2 a downward shift
     (w - w_bar < -w1); either flag also requires an extreme temperature
@@ -87,14 +85,14 @@ def encode_observations(w: float, w_bar: float, hp: HyperParams) -> np.ndarray:
     shift = w - w_bar
     a1 = 1.0 if (shift > hp.w1 and extreme) else 0.0
     a2 = 1.0 if (shift < -hp.w1 and extreme) else 0.0
-    return np.array([1.0, a1, a2])
+    return (1.0, a1, a2)
 
 
 class TemperatureShiftEncoder:
     """Feature encoder for the observation channel (r_dim = 3).
 
     Encodes ObservationVector pairs via encode_observations; a missing
-    observation falls back to the neutral vector [1, 0, 0].
+    observation falls back to the neutral vector (1, 0, 0).
     """
 
     r_dim = 3
@@ -102,11 +100,11 @@ class TemperatureShiftEncoder:
     def __init__(self, hp: HyperParams):
         self.hp = hp
 
-    def encode(self, obs: ObservationVector) -> np.ndarray:
+    def encode(self, obs: ObservationVector) -> tuple[float, float, float]:
         return encode_observations(obs.w, obs.w_bar, self.hp)
 
-    def missing(self) -> np.ndarray:
-        return np.array([1.0, 0.0, 0.0])
+    def missing(self) -> tuple[float, float, float]:
+        return (1.0, 0.0, 0.0)
 
 
 class TemperatureTracker:

@@ -9,10 +9,9 @@ next load given the anchoring load and the observations so far.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from statistics import NormalDist
-
-import numpy as np
 
 from .features import neighbour_types
 from .model_types import ForecastPoint, GaussianChannelParams, LearnerState, ModelParams
@@ -66,7 +65,7 @@ def forecast_step(
     prev: ForecastPoint,
     s_params: GaussianChannelParams,
     r_params: GaussianChannelParams,
-    u_r: np.ndarray,
+    u_r: Sequence[float],
 ) -> ForecastPoint:
     """Advance the forecast one step.
 
@@ -75,14 +74,15 @@ def forecast_step(
     slope) and conditions on the observation channel. Equivalent to one
     predict-then-condition pass of exact Gaussian filtering.
     """
-    slope = float(s_params.eta[1])
-    trans_mean = float(s_params.eta[0]) + slope * prev.mean
-    prop_var = s_params.sigma**2 + (slope * prev.std) ** 2
-    obs_var = r_params.sigma**2
+    intercept, slope = s_params.eta
+    trans_mean = intercept + slope * prev.mean
+    slope_std = slope * prev.std
+    prop_var = s_params.sigma * s_params.sigma + slope_std * slope_std
+    obs_var = r_params.sigma * r_params.sigma
     denom = obs_var + prop_var
     if denom <= 0.0:
         raise DegenerateVariances("both channel variances and the propagated variance are zero")
-    obs_mean = float(u_r @ r_params.eta)
+    obs_mean = sum(u * e for u, e in zip(u_r, r_params.eta))
     mean = (trans_mean * obs_var + obs_mean * prop_var) / denom
     std = math.sqrt(obs_var * prop_var / denom)
     return ForecastPoint(mean=mean, std=std, t=prev.t + 1)

@@ -319,7 +319,7 @@ def _pending_from_dict(d: dict, n_calendar_types: int, r_dim: int) -> dict:
         if kind not in ("s", "r") or not 1 <= c <= n_calendar_types:
             raise ValueError(f"pending_batch key {key!r} names no channel")
         shape = (S_DIM,) if kind == "s" else (r_dim,)
-        out[(kind, c)] = [(_checked_array(u, shape), float(s)) for u, s in buf]
+        out[(kind, c)] = [(tuple(_checked_array(u, shape).tolist()), float(s)) for u, s in buf]
     return out
 
 

@@ -11,6 +11,7 @@ weighted Gram matrix P and effective weighted sample count gamma).
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import cache
 
 import numpy as np
 
@@ -65,31 +66,38 @@ class HyperParams:
 
 @dataclass
 class GaussianChannelParams:
-    """Coefficients eta (length K) and standard deviation sigma >= 0 of one channel."""
+    """Coefficients eta (a list of K floats) and standard deviation sigma >= 0 of one channel."""
 
-    eta: np.ndarray
+    eta: list[float]
     sigma: float
 
     @classmethod
     def zeros(cls, k: int, sigma0: float = 1.0) -> "GaussianChannelParams":
-        return cls(eta=np.zeros(k), sigma=float(sigma0))
+        return cls(eta=[0.0] * k, sigma=float(sigma0))
 
 
 @dataclass
 class ChannelState:
     """Recursive-update state of one channel.
 
-    P is the K x K inverse weighted Gram matrix (kept symmetric by
-    averaging with its transpose after every rank-1 update); gamma is the
-    geometric sum of sample weights, 0 only before the first update.
+    P is the K x K inverse weighted Gram matrix as a nested list of
+    floats. It is exactly symmetric by construction: every update computes
+    its upper triangle and mirrors it. gamma is the geometric sum of sample
+    weights, 0 only before the first update.
     """
 
-    P: np.ndarray
+    P: list[list[float]]
     gamma: float
 
     @classmethod
-    def identity(cls, k: int) -> "ChannelState":
-        return cls(P=np.eye(k), gamma=0.0)
+    def identity(cls, k: int, gamma: float = 0.0) -> "ChannelState":
+        """P = I (fresh lists, copied from a cached template), with the given gamma."""
+        return cls(P=list(map(list, _identity_rows(k))), gamma=gamma)
+
+
+@cache
+def _identity_rows(k: int) -> tuple[tuple[float, ...], ...]:
+    return tuple(tuple(float(i == j) for j in range(k)) for i in range(k))
 
 
 def _check_calendar_index(c: int, n: int) -> int:
@@ -105,14 +113,14 @@ def _check_calendar_index(c: int, n: int) -> int:
 
 
 def _records_to_json(records: list) -> list[dict]:
-    """Each record's fields as JSON values: arrays become nested lists, scalars floats."""
-    return [{k: v.tolist() if isinstance(v, np.ndarray) else float(v) for k, v in vars(r).items()} for r in records]
+    """Each record's fields as JSON values: lists stay (nested) lists of floats, scalars become floats."""
+    return [{k: v if isinstance(v, list) else float(v) for k, v in vars(r).items()} for r in records]
 
 
 def _records_from_json(record_cls, items, n: int, shape: tuple[int, ...]) -> list:
-    """n records of record_cls, whose fields are an array of the given shape and a float."""
+    """n records of record_cls, whose fields are a (nested) float list of the given shape and a float."""
     array_field, float_field = (f.name for f in fields(record_cls))
-    return [record_cls(_checked_array(item[array_field], shape), float(item[float_field]))
+    return [record_cls(_checked_array(item[array_field], shape).tolist(), float(item[float_field]))
             for item in _checked_list(items, n)]
 
 
@@ -125,10 +133,17 @@ def _checked_list(items, n: int) -> list:
 
 
 def _checked_array(value, shape: tuple[int, ...]) -> np.ndarray:
-    """value as a float array of exactly the given shape; ValueError otherwise."""
+    """value as a float array of exactly the given shape; ValueError otherwise.
+
+    A square matrix (the only one is a channel's P) must also equal its
+    transpose exactly, as every P the learner writes does: the update reads
+    only its upper triangle.
+    """
     a = np.asarray(value, dtype=float)
     if a.shape != shape:
         raise ValueError(f"expected an array of shape {shape}, got {a.shape}")
+    if a.ndim == 2 and not np.array_equal(a, a.T):
+        raise ValueError("P is not symmetric")
     return a
 
 

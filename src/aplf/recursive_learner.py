@@ -12,7 +12,9 @@ an initial window they track it exactly.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 
@@ -45,7 +47,7 @@ BATCH_INIT_MAX_BUFFER = 32
 
 
 class DegenerateUpdate(Exception):
-    """The gain denominator was non-positive; the channel state is corrupted."""
+    """The gain denominator was non-positive, or the update produced a non-finite value."""
 
 
 class SingularGram(Exception):
@@ -64,37 +66,77 @@ class LearnDiagnostics:
 def channel_update(
     state: ChannelState,
     params: GaussianChannelParams,
-    u: np.ndarray,
+    u: Sequence[float],
     s: float,
     lam: float,
     diagnostics: LearnDiagnostics | None = None,
 ) -> tuple[ChannelState, GaussianChannelParams]:
     """One recursive update of a channel from sample (u, s).
 
-    Order matches the learning algorithm: P, gamma, sigma, eta. sigma and
-    eta consume the pre-update eta together with the post-update P and
-    gamma; the shared gain P_new @ u equals P_old @ u / (lam + u' P_old u),
-    so it is computed once from the pre-update quantities. A negative
-    sigma radicand (finite-precision only) is clamped to 0 and counted.
+    u is any sequence of K = 2 or K = 3 floats, the model's two channel
+    shapes. Order matches the learning algorithm: P, gamma, sigma, eta.
+    sigma and eta consume the pre-update eta together with the post-update
+    P and gamma; the shared gain P_new u equals P_old u / (lam + u' P_old u),
+    so it is computed once from the pre-update quantities. The update is
+    written out in closed form on the upper triangle of the symmetric P,
+    which is mirrored, so the new P is exactly symmetric. A negative sigma
+    radicand (finite-precision only) is clamped to 0 and counted. A gain
+    denominator that is not a positive finite number, or a new P entry,
+    eta or sigma that is not finite, raises DegenerateUpdate.
     """
-    u = np.asarray(u, dtype=float)
-    pu = state.P @ u
-    gain_denom = lam + float(u @ pu)
-    if gain_denom <= 0.0:
-        raise DegenerateUpdate(f"non-positive gain denominator {gain_denom}")
+    k = len(u)
+    if k == 2:
+        u0, u1 = u
+        (p00, p01), (_, p11) = state.P
+        eta0, eta1 = params.eta
+        pu0 = p00 * u0 + p01 * u1
+        pu1 = p01 * u0 + p11 * u1
+        gain_denom = lam + (u0 * pu0 + u1 * pu1)
+        if not 0.0 < gain_denom < math.inf:
+            raise DegenerateUpdate(f"gain denominator {gain_denom} is not a positive finite number")
+        q00 = (p00 - pu0 * pu0 / gain_denom) / lam
+        q01 = (p01 - pu0 * pu1 / gain_denom) / lam
+        q11 = (p11 - pu1 * pu1 / gain_denom) / lam
+        innovation = s - (u0 * eta0 + u1 * eta1)
+        g = innovation / gain_denom
+        e0, e1 = eta0 + pu0 * g, eta1 + pu1 * g
+        p_new, eta_new = [[q00, q01], [q01, q11]], [e0, e1]
+        finite = isfinite(q00) and isfinite(q01) and isfinite(q11) and isfinite(e0) and isfinite(e1)
+    elif k == 3:
+        u0, u1, u2 = u
+        (p00, p01, p02), (_, p11, p12), (_, _, p22) = state.P
+        eta0, eta1, eta2 = params.eta
+        pu0 = p00 * u0 + p01 * u1 + p02 * u2
+        pu1 = p01 * u0 + p11 * u1 + p12 * u2
+        pu2 = p02 * u0 + p12 * u1 + p22 * u2
+        gain_denom = lam + (u0 * pu0 + u1 * pu1 + u2 * pu2)
+        if not 0.0 < gain_denom < math.inf:
+            raise DegenerateUpdate(f"gain denominator {gain_denom} is not a positive finite number")
+        q00 = (p00 - pu0 * pu0 / gain_denom) / lam
+        q01 = (p01 - pu0 * pu1 / gain_denom) / lam
+        q02 = (p02 - pu0 * pu2 / gain_denom) / lam
+        q11 = (p11 - pu1 * pu1 / gain_denom) / lam
+        q12 = (p12 - pu1 * pu2 / gain_denom) / lam
+        q22 = (p22 - pu2 * pu2 / gain_denom) / lam
+        innovation = s - (u0 * eta0 + u1 * eta1 + u2 * eta2)
+        g = innovation / gain_denom
+        e0, e1, e2 = eta0 + pu0 * g, eta1 + pu1 * g, eta2 + pu2 * g
+        p_new, eta_new = [[q00, q01, q02], [q01, q11, q12], [q02, q12, q22]], [e0, e1, e2]
+        finite = (isfinite(q00) and isfinite(q01) and isfinite(q02) and isfinite(q11) and isfinite(q12)
+                  and isfinite(q22) and isfinite(e0) and isfinite(e1) and isfinite(e2))
+    else:
+        raise ValueError(f"channel_update supports K = 2 or 3 regressors, got {k}")
 
-    p_new = (state.P - np.outer(pu, pu) / gain_denom) / lam
-    p_new = (p_new + p_new.T) / 2.0  # rank-1 updates drift off symmetric
     gamma_new = 1.0 + lam * state.gamma
-
-    innovation = s - float(u @ params.eta)
-    radicand = params.sigma**2 - (params.sigma**2 - lam * innovation**2 / gain_denom) / gamma_new
+    sigma2 = params.sigma * params.sigma
+    radicand = sigma2 - (sigma2 - lam * (innovation * innovation) / gain_denom) / gamma_new
     if radicand < 0.0:
         if diagnostics is not None:
             diagnostics.sigma_clamps += 1
         radicand = 0.0
     sigma_new = math.sqrt(radicand)
-    eta_new = params.eta + pu * (innovation / gain_denom)
+    if not (finite and isfinite(sigma_new)):
+        raise DegenerateUpdate("update produced a non-finite P, eta or sigma")
 
     return ChannelState(P=p_new, gamma=gamma_new), GaussianChannelParams(eta=eta_new, sigma=sigma_new)
 
@@ -104,13 +146,17 @@ def trace_reset(state: ChannelState, hp: HyperParams) -> ChannelState:
 
     gamma is preserved; the same object is returned when no reset fires.
     """
-    if float(np.trace(state.P)) > hp.trace_reset_threshold:
-        return ChannelState(P=np.eye(state.P.shape[0]), gamma=state.gamma)
+    p = state.P
+    trace = 0.0
+    for i, row in enumerate(p):
+        trace += row[i]
+    if trace > hp.trace_reset_threshold:
+        return ChannelState.identity(len(p), state.gamma)
     return state
 
 
 def batch_initialize(
-    samples: list[tuple[np.ndarray, float]], lam: float
+    samples: list[tuple[tuple[float, ...], float]], lam: float
 ) -> tuple[ChannelState, GaussianChannelParams]:
     """Exact batch solve of the weighted maximum-likelihood problem.
 
@@ -137,7 +183,7 @@ def batch_initialize(
     p = (p + p.T) / 2.0
     radicand = (float(weights @ s_vec**2) - float(q @ eta)) / gamma
     sigma = math.sqrt(max(radicand, 0.0))
-    return ChannelState(P=p, gamma=gamma), GaussianChannelParams(eta=eta, sigma=sigma)
+    return ChannelState(P=p.tolist(), gamma=gamma), GaussianChannelParams(eta=eta.tolist(), sigma=sigma)
 
 
 class OnlineLearner:
@@ -169,7 +215,7 @@ class OnlineLearner:
         self.state = LearnerState.initial(hp.n_calendar_types, encoder.r_dim)
         self.tracker = TemperatureTracker(hp.n_calendar_types)
         self.diagnostics = LearnDiagnostics()
-        self._pending: dict[tuple[str, int], list[tuple[np.ndarray, float]]] = {}
+        self._pending: dict[tuple[str, int], list[tuple[tuple[float, ...], float]]] = {}
         if init_mode == "batch":
             for c in range(1, hp.n_calendar_types + 1):
                 self._pending[("s", c)] = []
@@ -191,7 +237,7 @@ class OnlineLearner:
             c = self.calendar_fn(instance.t + i)
             if target is not None:
                 if prev is not None:
-                    u_s = np.array([1.0, prev])
+                    u_s = (1.0, prev)
                     self._update_channel("s", c, u_s, target, self.hp.lambda_s)
                 if obs is not None:
                     u_r = self.encoder.encode(obs)
@@ -212,7 +258,7 @@ class OnlineLearner:
         self.tracker = tracker
         self._pending = pending if pending is not None else {}
 
-    def _update_channel(self, kind: str, c: int, u: np.ndarray, s_value: float, lam: float) -> None:
+    def _update_channel(self, kind: str, c: int, u: tuple[float, ...], s_value: float, lam: float) -> None:
         params = self.model.s_channels if kind == "s" else self.model.r_channels
         states = self.state.s_states if kind == "s" else self.state.r_states
         idx = c - 1

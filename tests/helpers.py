@@ -1,4 +1,5 @@
-"""Shared test fixtures: feature encoders, random model builders, and the discounted log-likelihood."""
+"""Shared test fixtures: feature encoders, random model builders, the discounted log-likelihood,
+and the matrix form of the channel update."""
 
 from __future__ import annotations
 
@@ -32,6 +33,23 @@ def weighted_log_likelihood(samples, eta, sigma: float, lam: float) -> float:
         resid = s - float(np.asarray(u, dtype=float) @ eta)
         terms.append(lam ** (n - 1 - j) * (-resid * resid * inv_two_var - log_norm))
     return math.fsum(terms)
+
+
+def reference_channel_update(p, gamma: float, eta, sigma: float, u, s: float, lam: float):
+    """The channel update in numpy matrix form: (P, gamma, eta, sigma) after sample (u, s).
+
+    The same algebra as recursive_learner.channel_update, written with
+    matrix products and re-symmetrised by averaging P with its transpose.
+    """
+    p, eta, u = (np.asarray(x, dtype=float) for x in (p, eta, u))
+    pu = p @ u
+    gain_denom = lam + float(u @ pu)
+    p_new = (p - np.outer(pu, pu) / gain_denom) / lam
+    p_new = (p_new + p_new.T) / 2.0
+    gamma_new = 1.0 + lam * gamma
+    innovation = s - float(u @ eta)
+    radicand = sigma**2 - (sigma**2 - lam * innovation**2 / gain_denom) / gamma_new
+    return p_new, gamma_new, eta + pu * (innovation / gain_denom), math.sqrt(max(radicand, 0.0))
 
 
 class PassthroughEncoder:

@@ -50,15 +50,15 @@ def test_calendar_type_image_is_exactly_1_to_48():
 
 
 def test_encode_hot_upward_shift():
-    assert encode_observations(85.0, 60.0, HP).tolist() == [1.0, 1.0, 0.0]
+    assert list(encode_observations(85.0, 60.0, HP)) == [1.0, 1.0, 0.0]
 
 
 def test_encode_zero_shift():
-    assert encode_observations(70.0, 70.0, HP).tolist() == [1.0, 0.0, 0.0]
+    assert list(encode_observations(70.0, 70.0, HP)) == [1.0, 0.0, 0.0]
 
 
 def test_encode_cold_downward_shift():
-    assert encode_observations(10.0, 35.0, HP).tolist() == [1.0, 0.0, 1.0]
+    assert list(encode_observations(10.0, 35.0, HP)) == [1.0, 0.0, 1.0]
 
 
 def _case_rule(w, w_bar, hp):
@@ -85,7 +85,7 @@ def test_encode_brute_force_truth_table():
         (50.0, 50.0),   # no shift, mild
     ]
     for w, w_bar in cases:
-        assert encode_observations(w, w_bar, HP).tolist() == _case_rule(w, w_bar, HP)
+        assert list(encode_observations(w, w_bar, HP)) == _case_rule(w, w_bar, HP)
 
 
 @given(
@@ -95,14 +95,14 @@ def test_encode_brute_force_truth_table():
 def test_encode_output_shape_and_exclusivity(w, w_bar):
     vec = encode_observations(w, w_bar, HP)
     assert vec[0] == 1.0
-    assert set(vec.tolist()) <= {0.0, 1.0}
+    assert set(vec) <= {0.0, 1.0}
     assert vec[1] * vec[2] == 0.0
 
 
 def test_encoder_wraps_observation_vectors():
     enc = TemperatureShiftEncoder(HP)
-    assert enc.encode(ObservationVector(w=85.0, w_bar=60.0)).tolist() == [1.0, 1.0, 0.0]
-    assert enc.missing().tolist() == [1.0, 0.0, 0.0]
+    assert list(enc.encode(ObservationVector(w=85.0, w_bar=60.0))) == [1.0, 1.0, 0.0]
+    assert list(enc.missing()) == [1.0, 0.0, 0.0]
     assert enc.r_dim == 3
 
 

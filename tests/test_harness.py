@@ -325,8 +325,10 @@ def test_v1_snapshot_resaves_byte_identically(tmp_path):
     lambda p: p["pending_batch"]["r:1"][0][0].pop(),
     lambda p: p["pending_batch"].update({"r:3": []}),
     lambda p: p["hyper_params"].update(n_calendar_types=48),
+    lambda p: p["state"]["r_states"][1]["P"][0].__setitem__(2, 0.5),
 ], ids=["short-s-channels", "short-r-eta", "3x3-P-on-K2", "extra-r-state", "short-tracker-counts",
-        "long-tracker-sums", "short-pending-vector", "pending-type-out-of-range", "hyper-params-types"])
+        "long-tracker-sums", "short-pending-vector", "pending-type-out-of-range", "hyper-params-types",
+        "asymmetric-P"])
 def test_snapshot_contradicting_its_header_is_corrupt(tmp_path, edit):
     bad = _rewrite_payload(SNAPSHOT_V1, tmp_path / "bad.snapshot", edit)
     with pytest.raises(CorruptSnapshot):
@@ -596,6 +598,20 @@ def test_cli_run_and_metrics(tmp_path, data_csv, capsys, extra):
     expected = report_lines((out_dir / "report.txt").read_text())
     assert len(expected) == len(REPORT_KEYS)
     assert report_lines(capsys.readouterr().out) == expected
+
+
+@pytest.mark.parametrize("mean, std", [
+    ("nan", "0.1"), ("inf", "0.1"), ("-inf", "0.1"), ("1.5", "nan"), ("1.5", "inf"), ("1.5", "-0.1"),
+])
+def test_cli_metrics_rejects_bad_forecast_rows(tmp_path, data_csv, capsys, mean, std):
+    forecasts = tmp_path / "forecasts.csv"
+    forecasts.write_text(
+        "timestamp,horizon,mean,std\n"
+        "2021-03-01T01:00:00+00:00,1,1.5,0.1\n"
+        f"2021-03-01T02:00:00+00:00,2,{mean},{std}\n"
+    )
+    assert cli_main(["metrics", "--forecasts", str(forecasts), "--actuals", str(data_csv)]) == 2
+    assert f"{forecasts}:3: mean must be finite" in capsys.readouterr().err
 
 
 def test_cli_resume_matches_full_run(tmp_path, data_csv):

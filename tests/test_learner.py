@@ -5,7 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from helpers import LinearObsEncoder, NonPositiveSigma, PassthroughEncoder, weighted_log_likelihood
+from helpers import (
+    LinearObsEncoder,
+    NonPositiveSigma,
+    PassthroughEncoder,
+    reference_channel_update,
+    weighted_log_likelihood,
+)
 
 from aplf.features import ObservationVector, TemperatureShiftEncoder
 from aplf.forecaster import InstanceVector
@@ -53,6 +59,62 @@ def test_degenerate_update_on_corrupted_state():
     params = GaussianChannelParams(eta=np.zeros(2), sigma=1.0)
     with pytest.raises(DegenerateUpdate):
         channel_update(state, params, np.array([1.0, 1.0]), 1.0, 0.5)
+    with pytest.raises(DegenerateUpdate):
+        channel_update(ChannelState(P=[[math.nan, 0.0], [0.0, 1.0]], gamma=1.0), params, (1.0, 1.0), 1.0, 0.5)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("lam", [0.2, 0.7, 0.9])
+def test_unexcited_updates_raise_before_any_value_turns_non_finite(k, lam):
+    # Only the first regressor is ever excited, so P grows by 1/lam per
+    # update in the other directions until it overflows.
+    state, params = fresh_channel(k)
+    u = (1.0,) + (0.0,) * (k - 1)
+    with pytest.raises(DegenerateUpdate):
+        for _ in range(50_000):
+            state, params = channel_update(state, params, u, 1.0, lam)
+            assert all(math.isfinite(x) for row in state.P for x in row)
+            assert all(math.isfinite(x) for x in params.eta)
+            assert math.isfinite(params.sigma) and math.isfinite(state.gamma)
+
+
+def random_spd(rng, k):
+    a = rng.normal(size=(k, k))
+    m = a @ a.T + 0.1 * np.eye(k)
+    return (m + m.T) / 2.0  # exactly symmetric
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("lam", [0.2, 0.5, 0.7, 0.9, 0.99])
+@pytest.mark.parametrize("as_u", [tuple, list, np.array], ids=["tuple", "list", "ndarray"])
+def test_closed_form_update_matches_the_matrix_form(k, lam, as_u):
+    rng = np.random.default_rng([k, int(lam * 100)])
+    for _ in range(25):
+        p, eta = random_spd(rng, k), rng.normal(size=k)
+        gamma, sigma = float(rng.uniform(0.0, 5.0)), float(rng.uniform(0.1, 2.0))
+        u = as_u([1.0] + rng.normal(size=k - 1).tolist())
+        s = float(rng.normal(scale=2.0))
+        state, params = channel_update(ChannelState(P=p.tolist(), gamma=gamma),
+                                       GaussianChannelParams(eta=eta.tolist(), sigma=sigma), u, s, lam)
+        p_ref, gamma_ref, eta_ref, sigma_ref = reference_channel_update(p, gamma, eta, sigma, u, s, lam)
+        p_new = np.array(state.P)
+        assert np.array_equal(p_new, p_new.T)
+        assert np.max(np.abs(p_new - p_ref)) <= 1e-12 * np.max(np.abs(p_ref))
+        assert np.max(np.abs(np.array(params.eta) - eta_ref)) <= 1e-12 * np.max(np.abs(eta_ref))
+        assert math.isclose(params.sigma, sigma_ref, rel_tol=1e-12)
+        assert state.gamma == gamma_ref
+
+
+def test_closed_form_update_keeps_plain_float_records():
+    state, params = channel_update(ChannelState.identity(3), GaussianChannelParams.zeros(3), (1.0, 0.5, 0.0), 2.0, 0.7)
+    assert all(type(x) is float for x in params.eta) and type(params.sigma) is float
+    assert all(type(row) is list and all(type(x) is float for x in row) for row in state.P)
+
+
+@pytest.mark.parametrize("k", [1, 4])
+def test_channel_update_rejects_other_shapes(k):
+    with pytest.raises(ValueError):
+        channel_update(ChannelState.identity(k), GaussianChannelParams.zeros(k), (1.0,) * k, 1.0, 0.5)
 
 
 def test_trace_reset_examples():
