@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import mul
 from statistics import NormalDist
 
 from .features import neighbour_types
@@ -82,10 +83,10 @@ def forecast_step(
     denom = obs_var + prop_var
     if denom <= 0.0:
         raise DegenerateVariances("both channel variances and the propagated variance are zero")
-    obs_mean = sum(u * e for u, e in zip(u_r, r_params.eta))
+    obs_mean = sum(map(mul, u_r, r_params.eta))
     mean = (trans_mean * obs_var + obs_mean * prop_var) / denom
     std = math.sqrt(obs_var * prop_var / denom)
-    return ForecastPoint(mean=mean, std=std, t=prev.t + 1)
+    return ForecastPoint(mean, std, prev.t + 1)
 
 
 def predict(
@@ -105,19 +106,28 @@ def predict(
     """
     if instance.anchor_load is None:
         raise ValueError("prediction requires an anchoring load")
-    if not instance.observations:
+    observations = instance.observations
+    if not observations:
         raise ValueError("instance has no observation slots")
+    s_channels, r_channels = model.s_channels, model.r_channels
+    n = len(s_channels)
+    s_states = state.s_states if state is not None else None
+    encode, missing = encoder.encode, encoder.missing()
     points: list[ForecastPoint] = []
     substitutions: list[tuple[int, int]] = []
-    prev = ForecastPoint(mean=float(instance.anchor_load), std=0.0, t=instance.t)
-    for obs in instance.observations:
-        c = calendar_fn(prev.t + 1)
+    prev = ForecastPoint(float(instance.anchor_load), 0.0, instance.t)
+    t = instance.t
+    for obs in observations:
+        t += 1
+        c = calendar_fn(t)
+        if not 1 <= c <= n:
+            raise IndexError(f"calendar type {c} outside 1..{n}")
         used = c
-        if state is not None and state.s_state(c).gamma == 0.0:
-            used = _nearest_trained(state, c, model.n_calendar_types)
+        if s_states is not None and s_states[c - 1].gamma == 0.0:
+            used = _nearest_trained(state, c, n)
             substitutions.append((c, used))
-        u_r = encoder.encode(obs) if obs is not None else encoder.missing()
-        prev = forecast_step(prev, model.s_channel(used), model.r_channel(used), u_r)
+        prev = forecast_step(prev, s_channels[used - 1], r_channels[used - 1],
+                             missing if obs is None else encode(obs))
         points.append(prev)
     return ForecastPath(points=tuple(points), cold_start_substitutions=tuple(substitutions))
 

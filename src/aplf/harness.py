@@ -238,6 +238,7 @@ def ingest_csv(path: Path | str, config: RunConfig):
     records: list[SeriesRecord] = []
     gaps: list[dict] = []
     convert = config.temperature_unit == "C"
+    step = config.step
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -282,15 +283,15 @@ def ingest_csv(path: Path | str, config: RunConfig):
                         temp = _c_to_f(temp)
             if prev_ts is not None:
                 delta = ts - prev_ts
-                if delta <= timedelta(0):
-                    raise NonMonotoneTimestamps(f"{path}:{lineno}: timestamp {ts.isoformat()} not after previous")
-                steps, rem = divmod(delta, config.step)
-                if rem:
-                    raise ParseError(f"{path}:{lineno}: timestamp {ts.isoformat()} off the {config.step} grid")
-                if steps > 1:
-                    gaps.append({"after": prev_ts, "missing_steps": int(steps) - 1})
+                if delta != step:
+                    if delta <= timedelta(0):
+                        raise NonMonotoneTimestamps(f"{path}:{lineno}: timestamp {ts.isoformat()} not after previous")
+                    steps, rem = divmod(delta, step)
+                    if rem:
+                        raise ParseError(f"{path}:{lineno}: timestamp {ts.isoformat()} off the {step} grid")
+                    gaps.append({"after": prev_ts, "missing_steps": steps - 1})
             prev_ts = ts
-            records.append(SeriesRecord(timestamp=ts, load=load, temperature=temp))
+            records.append(SeriesRecord(ts, load, temp))
     return records, gaps
 
 
@@ -319,7 +320,10 @@ def _pending_from_dict(d: dict, n_calendar_types: int, r_dim: int) -> dict:
         if kind not in ("s", "r") or not 1 <= c <= n_calendar_types:
             raise ValueError(f"pending_batch key {key!r} names no channel")
         shape = (S_DIM,) if kind == "s" else (r_dim,)
-        out[(kind, c)] = [(tuple(_checked_array(u, shape).tolist()), float(s)) for u, s in buf]
+        samples = [(tuple(_checked_array(u, shape)), float(s)) for u, s in buf]
+        if not all(math.isfinite(s) for _, s in samples):
+            raise ValueError(f"pending_batch {key!r} holds a non-finite load")
+        out[(kind, c)] = samples
     return out
 
 
@@ -352,7 +356,10 @@ def snapshot_load(path: Path | str, *, expect_calendar_types: int | None = None,
     """Load a snapshot, verifying version, checksum, and model dimensions.
 
     Every list and array in the payload must have the length or shape its
-    own n_calendar_types and r_dim declare; otherwise CorruptSnapshot.
+    own n_calendar_types and r_dim declare, and hold values a run can
+    write: finite eta, sigma and gamma finite and >= 0, P symmetric
+    positive definite, tracker counts integers >= 0, and finite tracker
+    sums and pending samples. Otherwise CorruptSnapshot.
     """
     try:
         doc = json.loads(Path(path).read_text())
@@ -378,8 +385,12 @@ def snapshot_load(path: Path | str, *, expect_calendar_types: int | None = None,
         model = ModelParams.from_dict(payload["model"], n_c, r_dim)
         state = LearnerState.from_dict(payload["state"], n_c, r_dim)
         tracker = TemperatureTracker(n_c)
-        tracker.counts = [int(v) for v in _checked_list(payload["tracker"]["counts"], n_c)]
+        tracker.counts = _checked_list(payload["tracker"]["counts"], n_c)
+        if not all(type(v) is int and v >= 0 for v in tracker.counts):
+            raise ValueError("tracker counts must be integers >= 0")
         tracker.sums = [float(v) for v in _checked_list(payload["tracker"]["sums"], n_c)]
+        if not all(map(math.isfinite, tracker.sums)):
+            raise ValueError("tracker sums must be finite")
         hp = HyperParams(**payload["hyper_params"])
         if hp.n_calendar_types != n_c:
             raise ValueError(f"hyper_params.n_calendar_types {hp.n_calendar_types} contradicts n_calendar_types {n_c}")
@@ -399,10 +410,6 @@ class RunResult:
     eval_samples: list
     notes: dict
     forecast_header: str
-
-
-def _format_float(x: float) -> str:
-    return repr(float(x))
 
 
 def run_online_evaluation(records: list[SeriesRecord], config: RunConfig, *,
@@ -485,6 +492,8 @@ def run_online_evaluation(records: list[SeriesRecord], config: RunConfig, *,
     skipped_days = 0
     cold_starts = 0
     processed = cursor
+    train_end, emit_quantiles = config.train_end, config.emit_quantiles
+    tracker_mean = learner.tracker.mean
 
     for anchor_ts, t_idx, horizon in anchors:
         if cursor is not None and anchor_ts <= cursor:
@@ -497,20 +506,21 @@ def run_online_evaluation(records: list[SeriesRecord], config: RunConfig, *,
             if w is None:
                 observations.append(None)
             else:
-                mean_temp = learner.tracker.mean(types[j])
-                observations.append(ObservationVector(w=w, w_bar=mean_temp if mean_temp is not None else w))
-        instance = InstanceVector(anchor_load=anchor_load, observations=tuple(observations), t=t_idx)
+                mean_temp = tracker_mean(types[j])
+                observations.append(ObservationVector(w, w if mean_temp is None else mean_temp))
+        instance = InstanceVector(anchor_load, tuple(observations), t_idx)
 
-        if config.train_end <= anchor_ts:
+        if train_end <= anchor_ts:
             if anchor_load is None:
                 skipped_days += 1
             else:
                 path = predict(learner.model, instance, cal, encoder, state=learner.state)
                 cold_starts += len(path.cold_start_substitutions)
                 for i, (pt, actual) in enumerate(zip(path.points, targets), start=1):
-                    row = f"{(anchor_ts + i * step).isoformat()},{i},{_format_float(pt.mean)},{_format_float(pt.std)}"
-                    if config.emit_quantiles:
-                        row += "," + ",".join(_format_float(pt.mean + pt.std * z) for z in QUANTILE_Z)
+                    mean, std = float(pt.mean), float(pt.std)
+                    row = f"{(anchor_ts + i * step).isoformat()},{i},{mean!r},{std!r}"
+                    if emit_quantiles:
+                        row += "," + ",".join([repr(mean + std * z) for z in QUANTILE_Z])
                     forecast_rows.append(row)
                     if actual is not None:
                         eval_samples.append((actual, pt))

@@ -67,27 +67,37 @@ QUANTILE_Z = tuple(standard_normal_quantile(q) for q in QUANTILE_LEVELS)
 _LEVELS = np.array(QUANTILE_LEVELS)
 _Z = np.array(QUANTILE_Z)
 
+# Rows of the (N, 99) quantile table scored at a time; each block's
+# temporaries take about 1.6 MB whatever N is.
+_BLOCK_ROWS = 2048
 
-def _quantile_table(samples):
-    """Actual loads and the (N, 99) Gaussian forecast quantiles of (actual, ForecastPoint) pairs."""
-    if not samples:
+
+def _scores(samples):
+    """Per-sample pinball means over QUANTILE_LEVELS, and per-level coverage counts.
+
+    samples are (actual, ForecastPoint) pairs. The Gaussian forecast
+    quantiles are scored block by block; a row's mean and an integer count
+    do not depend on the blocking.
+    """
+    n = len(samples)
+    if not n:
         raise EmptyInput("evaluation needs at least one sample")
-    actual = np.array([s for s, _ in samples], dtype=float)
-    means = np.array([f.mean for _, f in samples], dtype=float)
-    stds = np.array([f.std for _, f in samples], dtype=float)
-    return actual, means[:, None] + stds[:, None] * _Z
+    actual = np.fromiter((s for s, _ in samples), float, n)
+    means = np.fromiter((f.mean for _, f in samples), float, n)
+    stds = np.fromiter((f.std for _, f in samples), float, n)
+    per_sample = np.empty(n)
+    counts = np.zeros(len(QUANTILE_LEVELS), dtype=np.int64)
+    for lo in range(0, n, _BLOCK_ROWS):
+        block = slice(lo, lo + _BLOCK_ROWS)
+        a = actual[block, None]
+        table = means[block, None] + stds[block, None] * _Z
+        diff = a - table
+        per_sample[block] = (np.where(diff >= 0.0, _LEVELS, _LEVELS - 1.0) * diff).mean(axis=1)
+        counts += (a <= table).sum(axis=0)
+    return per_sample, counts
 
 
-def _pinball_of(actual, table) -> float:
-    diff = actual[:, None] - table
-    loss = np.where(diff >= 0.0, _LEVELS, _LEVELS - 1.0) * diff
-    per_sample = loss.mean(axis=1)
-    return math.fsum(per_sample) / len(per_sample)
-
-
-def _calibration_of(actual, table):
-    counts = (actual[:, None] <= table).sum(axis=0)
-    n = len(actual)
+def _calibration(counts, n: int):
     curve = tuple((q, int(k) / n) for q, k in zip(QUANTILE_LEVELS, counts))
     ece = math.fsum(abs(q - c) for q, c in curve) / len(curve)
     return curve, ece
@@ -99,7 +109,8 @@ def mean_pinball(samples) -> float:
     samples are (actual, ForecastPoint) pairs; forecast quantiles are read
     from the Gaussian forecast.
     """
-    return _pinball_of(*_quantile_table(samples))
+    per_sample, _ = _scores(samples)
+    return math.fsum(per_sample) / len(per_sample)
 
 
 def calibration_and_ece(samples):
@@ -109,7 +120,8 @@ def calibration_and_ece(samples):
     samples whose actual load is at or below the q-quantile forecast; the
     ECE is the mean absolute deviation of C(q) from q over the grid.
     """
-    return _calibration_of(*_quantile_table(samples))
+    _, counts = _scores(samples)
+    return _calibration(counts, len(samples))
 
 
 @dataclass(frozen=True)
@@ -137,14 +149,14 @@ class EvalReport:
 
 def evaluate_forecasts(samples) -> EvalReport:
     """Full evaluation of (actual, ForecastPoint) samples on QUANTILE_LEVELS."""
-    actual, table = _quantile_table(samples)
+    per_sample, counts = _scores(samples)
     point_pairs = [(s, f.mean) for s, f in samples]
     mape_value, excluded = mape(point_pairs)
-    curve, ece = _calibration_of(actual, table)
+    curve, ece = _calibration(counts, len(samples))
     return EvalReport(
         rmse=rmse(point_pairs),
         mape=mape_value,
-        mean_pinball=_pinball_of(actual, table),
+        mean_pinball=math.fsum(per_sample) / len(per_sample),
         calibration_curve=curve,
         ece=ece,
         n_points=len(samples),

@@ -10,6 +10,7 @@ weighted Gram matrix P and effective weighted sample count gamma).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from functools import cache
 
@@ -100,16 +101,11 @@ def _identity_rows(k: int) -> tuple[tuple[float, ...], ...]:
     return tuple(tuple(float(i == j) for j in range(k)) for i in range(k))
 
 
-def _check_calendar_index(c: int, n: int) -> int:
-    if not 1 <= c <= n:
-        raise IndexError(f"calendar type {c} outside 1..{n}")
-    return c - 1
-
-
 # Snapshot codec (format v1): the one place that turns channel records into
 # JSON values and back. Reading checks every list length and array shape
-# against the dimensions the snapshot declares, so a payload that
-# contradicts its own header is rejected before it reaches a run.
+# against the dimensions the snapshot declares, and every value against what
+# a run can write: finite eta, finite sigma and gamma >= 0, and a symmetric
+# positive definite P. A payload that fails is rejected before it reaches a run.
 
 
 def _records_to_json(records: list) -> list[dict]:
@@ -118,10 +114,18 @@ def _records_to_json(records: list) -> list[dict]:
 
 
 def _records_from_json(record_cls, items, n: int, shape: tuple[int, ...]) -> list:
-    """n records of record_cls, whose fields are a (nested) float list of the given shape and a float."""
+    """n records of record_cls, whose fields are a (nested) float list of the given shape and a float.
+
+    The float is a channel's sigma or gamma, so it must be finite and >= 0.
+    """
     array_field, float_field = (f.name for f in fields(record_cls))
-    return [record_cls(_checked_array(item[array_field], shape).tolist(), float(item[float_field]))
-            for item in _checked_list(items, n)]
+    records = []
+    for item in _checked_list(items, n):
+        value = float(item[float_field])
+        if not 0.0 <= value < math.inf:
+            raise ValueError(f"{float_field} must be finite and >= 0, got {value}")
+        records.append(record_cls(_checked_array(item[array_field], shape), value))
+    return records
 
 
 def _checked_list(items, n: int) -> list:
@@ -132,24 +136,50 @@ def _checked_list(items, n: int) -> list:
     return items
 
 
-def _checked_array(value, shape: tuple[int, ...]) -> np.ndarray:
-    """value as a float array of exactly the given shape; ValueError otherwise.
+def _checked_array(value, shape: tuple[int, ...]) -> list:
+    """value as a (nested) list of finite floats of exactly the given shape; ValueError otherwise.
 
-    A square matrix (the only one is a channel's P) must also equal its
-    transpose exactly, as every P the learner writes does: the update reads
-    only its upper triangle.
+    A square matrix (the only one is a channel's P) must also be symmetric
+    positive definite, as every P the learner writes is: the update reads
+    only its upper triangle and keeps P positive definite.
     """
-    a = np.asarray(value, dtype=float)
-    if a.shape != shape:
-        raise ValueError(f"expected an array of shape {shape}, got {a.shape}")
-    if a.ndim == 2 and not np.array_equal(a, a.T):
+    if len(shape) == 1:
+        return _finite_floats(value, shape[0])
+    rows = [_finite_floats(row, shape[1]) for row in _checked_list(value, shape[0])]
+    if any(rows[i][j] != rows[j][i] for i in range(len(rows)) for j in range(i)):
         raise ValueError("P is not symmetric")
-    return a
+    if not _positive_definite(rows):
+        raise ValueError("P is not positive definite")
+    return rows
+
+
+def _finite_floats(items, n: int) -> list:
+    values = [float(v) for v in _checked_list(items, n)]
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"expected finite values, got {values}")
+    return values
+
+
+def _positive_definite(p: list) -> bool:
+    """Whether the symmetric matrix p is positive definite.
+
+    Sylvester's criterion, written out for the two channel shapes K = 2
+    and K = 3: every leading principal minor is positive.
+    """
+    k = len(p)
+    if k == 2:
+        (a, b), (_, d) = p
+        return a > 0.0 and a * d - b * b > 0.0
+    if k == 3:
+        (a, b, c), (_, d, e), (_, _, f) = p
+        det = a * (d * f - e * e) - b * (b * f - c * e) + c * (b * e - c * d)
+        return a > 0.0 and a * d - b * b > 0.0 and det > 0.0
+    return bool(np.linalg.eigvalsh(p)[0] > 0.0)
 
 
 @dataclass
 class ModelParams:
-    """Per-calendar-type channel parameters, indexable by calendar type in O(1)."""
+    """Per-calendar-type channel parameters; calendar type c owns entry c - 1 of each list."""
 
     s_channels: list[GaussianChannelParams]
     r_channels: list[GaussianChannelParams]
@@ -169,18 +199,13 @@ class ModelParams:
     def r_dim(self) -> int:
         return len(self.r_channels[0].eta)
 
-    def s_channel(self, c: int) -> GaussianChannelParams:
-        return self.s_channels[_check_calendar_index(c, len(self.s_channels))]
-
-    def r_channel(self, c: int) -> GaussianChannelParams:
-        return self.r_channels[_check_calendar_index(c, len(self.r_channels))]
-
     def to_dict(self) -> dict:
         return {"s_channels": _records_to_json(self.s_channels), "r_channels": _records_to_json(self.r_channels)}
 
     @classmethod
     def from_dict(cls, d: dict, n_calendar_types: int, r_dim: int) -> "ModelParams":
-        """Inverse of to_dict; ValueError unless every list and eta has the given dimensions."""
+        """Inverse of to_dict; ValueError unless every list and eta has the given dimensions
+        and every value is one a run can write."""
         return cls(
             s_channels=_records_from_json(GaussianChannelParams, d["s_channels"], n_calendar_types, (S_DIM,)),
             r_channels=_records_from_json(GaussianChannelParams, d["r_channels"], n_calendar_types, (r_dim,)),
@@ -201,15 +226,13 @@ class LearnerState:
             r_states=[ChannelState.identity(r_dim) for _ in range(n_calendar_types)],
         )
 
-    def s_state(self, c: int) -> ChannelState:
-        return self.s_states[_check_calendar_index(c, len(self.s_states))]
-
     def to_dict(self) -> dict:
         return {"s_states": _records_to_json(self.s_states), "r_states": _records_to_json(self.r_states)}
 
     @classmethod
     def from_dict(cls, d: dict, n_calendar_types: int, r_dim: int) -> "LearnerState":
-        """Inverse of to_dict; ValueError unless every list and P has the given dimensions."""
+        """Inverse of to_dict; ValueError unless every list and P has the given dimensions
+        and every value is one a run can write."""
         return cls(
             s_states=_records_from_json(ChannelState, d["s_states"], n_calendar_types, (S_DIM, S_DIM)),
             r_states=_records_from_json(ChannelState, d["r_states"], n_calendar_types, (r_dim, r_dim)),

@@ -138,7 +138,7 @@ def channel_update(
     if not (finite and isfinite(sigma_new)):
         raise DegenerateUpdate("update produced a non-finite P, eta or sigma")
 
-    return ChannelState(P=p_new, gamma=gamma_new), GaussianChannelParams(eta=eta_new, sigma=sigma_new)
+    return ChannelState(p_new, gamma_new), GaussianChannelParams(eta_new, sigma_new)
 
 
 def trace_reset(state: ChannelState, hp: HyperParams) -> ChannelState:
@@ -228,22 +228,30 @@ class OnlineLearner:
         step; targets carries the revealed loads (None for gaps). Each
         step updates the transition channel from the actual previous
         load, the observation channel from the encoded observation, and
-        the temperature tracker from the raw temperature.
+        the temperature tracker from the raw temperature. A calendar type
+        outside 1..n_calendar_types raises IndexError.
         """
-        if len(targets) != len(instance.observations):
+        observations = instance.observations
+        if len(targets) != len(observations):
             raise ValueError("targets and observations must have equal length")
+        calendar_fn, encode, track = self.calendar_fn, self.encoder.encode, self.tracker.add
+        hp = self.hp
+        lambda_s, lambda_r, n = hp.lambda_s, hp.lambda_r, hp.n_calendar_types
+        update = self._update_channel
         prev = instance.anchor_load
-        for i, (obs, target) in enumerate(zip(instance.observations, targets), start=1):
-            c = self.calendar_fn(instance.t + i)
+        t = instance.t
+        for obs, target in zip(observations, targets):
+            t += 1
+            c = calendar_fn(t)
+            if not 1 <= c <= n:
+                raise IndexError(f"calendar type {c} outside 1..{n}")
             if target is not None:
                 if prev is not None:
-                    u_s = (1.0, prev)
-                    self._update_channel("s", c, u_s, target, self.hp.lambda_s)
+                    update("s", c, (1.0, prev), target, lambda_s)
                 if obs is not None:
-                    u_r = self.encoder.encode(obs)
-                    self._update_channel("r", c, u_r, target, self.hp.lambda_r)
+                    update("r", c, encode(obs), target, lambda_r)
             if isinstance(obs, ObservationVector):
-                self.tracker.add(c, obs.w)
+                track(c, obs.w)
             prev = target
 
     @property
@@ -259,13 +267,17 @@ class OnlineLearner:
         self._pending = pending if pending is not None else {}
 
     def _update_channel(self, kind: str, c: int, u: tuple[float, ...], s_value: float, lam: float) -> None:
-        params = self.model.s_channels if kind == "s" else self.model.r_channels
-        states = self.state.s_states if kind == "s" else self.state.r_states
+        if kind == "s":
+            params, states = self.model.s_channels, self.state.s_states
+        else:
+            params, states = self.model.r_channels, self.state.r_states
         idx = c - 1
+        diagnostics = self.diagnostics
 
-        key = (kind, c)
-        buf = self._pending.get(key)
-        if buf is not None:
+        buf = self._pending.get((kind, c)) if self._pending else None
+        if buf is None:
+            new_state, new_params = channel_update(states[idx], params[idx], u, s_value, lam, diagnostics)
+        else:
             buf.append((u, s_value))
             try:
                 new_state, new_params = batch_initialize(buf, lam)
@@ -277,22 +289,16 @@ class OnlineLearner:
                 new_state = ChannelState.identity(len(u))
                 new_params = GaussianChannelParams.zeros(len(u), self.sigma0)
                 for u_j, s_j in buf:
-                    new_state, new_params = channel_update(
-                        new_state, new_params, u_j, s_j, lam, self.diagnostics
-                    )
-                    new_state = self._apply_trace_reset(new_state)
-                self.diagnostics.batch_init_fallbacks += 1
-            del self._pending[key]
-            states[idx] = self._apply_trace_reset(new_state)
-            params[idx] = new_params
-            return
+                    new_state, new_params = channel_update(new_state, new_params, u_j, s_j, lam, diagnostics)
+                    after = trace_reset(new_state, self.hp)
+                    if after is not new_state:
+                        diagnostics.trace_resets += 1
+                    new_state = after
+                diagnostics.batch_init_fallbacks += 1
+            del self._pending[(kind, c)]
 
-        new_state, new_params = channel_update(states[idx], params[idx], u, s_value, lam, self.diagnostics)
-        states[idx] = self._apply_trace_reset(new_state)
+        after = trace_reset(new_state, self.hp)
+        if after is not new_state:
+            diagnostics.trace_resets += 1
+        states[idx] = after
         params[idx] = new_params
-
-    def _apply_trace_reset(self, state: ChannelState) -> ChannelState:
-        after = trace_reset(state, self.hp)
-        if after is not state:
-            self.diagnostics.trace_resets += 1
-        return after

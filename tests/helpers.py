@@ -1,5 +1,5 @@
 """Shared test fixtures: feature encoders, random model builders, the discounted log-likelihood,
-and the matrix form of the channel update."""
+the matrix form of the channel update, and whole-table quantile scoring."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 
+from aplf.metrics import QUANTILE_LEVELS, QUANTILE_Z
 from aplf.model_types import GaussianChannelParams, LearnerState, ModelParams
 
 
@@ -132,3 +133,20 @@ def trained_state_like(model):
     for s in state.r_states:
         s.gamma = 1.0
     return state
+
+
+def whole_table_scores(samples):
+    """Calibration curve, ECE and mean pinball of (actual, ForecastPoint) samples from one (N, 99) table.
+
+    The same arithmetic as aplf.metrics, with every sample's quantiles held
+    at once instead of block by block.
+    """
+    levels, z = np.array(QUANTILE_LEVELS), np.array(QUANTILE_Z)
+    actual = np.array([s for s, _ in samples], dtype=float)
+    table = np.array([f.mean for _, f in samples])[:, None] + np.array([f.std for _, f in samples])[:, None] * z
+    diff = actual[:, None] - table
+    per_sample = (np.where(diff >= 0.0, levels, levels - 1.0) * diff).mean(axis=1)
+    counts = (actual[:, None] <= table).sum(axis=0)
+    curve = tuple((q, int(k) / len(samples)) for q, k in zip(QUANTILE_LEVELS, counts))
+    ece = math.fsum(abs(q - c) for q, c in curve) / len(curve)
+    return curve, ece, math.fsum(per_sample) / len(per_sample)

@@ -194,7 +194,7 @@ def test_forecaster_equals_exact_filtering():
         instance = InstanceVector(anchor_load=anchor, observations=tuple(u_vectors), t=0)
         path = predict(model, instance, cal, encoder)
         steps = [
-            (model.s_channel(cal(i)), model.r_channel(cal(i)), u)
+            (model.s_channels[cal(i) - 1], model.r_channels[cal(i) - 1], u)
             for i, u in enumerate(u_vectors, start=1)
         ]
         expected = exact_filter_oracle(anchor, steps)

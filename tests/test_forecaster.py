@@ -122,7 +122,7 @@ def test_predict_matches_filter_oracle_on_multi_type_paths():
         cal = lambda t: (t % 6) + 1
         path = predict(model, instance, cal, encoder)
         steps = [
-            (model.s_channel(cal(i)), model.r_channel(cal(i)), u)
+            (model.s_channels[cal(i) - 1], model.r_channels[cal(i) - 1], u)
             for i, u in enumerate(u_vectors, start=1)
         ]
         expected = exact_filter_oracle(anchor, steps)

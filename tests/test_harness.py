@@ -3,6 +3,7 @@
 import copy
 import hashlib
 import json
+import math
 from datetime import date, datetime, time, timedelta, timezone
 from pathlib import Path
 
@@ -326,9 +327,27 @@ def test_v1_snapshot_resaves_byte_identically(tmp_path):
     lambda p: p["pending_batch"].update({"r:3": []}),
     lambda p: p["hyper_params"].update(n_calendar_types=48),
     lambda p: p["state"]["r_states"][1]["P"][0].__setitem__(2, 0.5),
+    lambda p: p["model"]["s_channels"][0]["eta"].__setitem__(1, math.nan),
+    lambda p: p["model"]["s_channels"][1].update(sigma=-1.0),
+    lambda p: p["model"]["r_channels"][0].update(sigma=math.inf),
+    lambda p: p["state"]["s_states"][0].update(gamma=-5.0),
+    lambda p: p["state"]["r_states"][1].update(gamma=math.nan),
+    lambda p: p["state"]["s_states"][1].update(P=[[-3.0, 0.0], [0.0, -3.0]]),
+    lambda p: p["state"]["s_states"][0].update(P=[[1.0, 2.0], [2.0, 1.0]]),
+    lambda p: p["state"]["r_states"][0].update(P=[[-3.0, 0.0, 0.0], [0.0, -3.0, 0.0], [0.0, 0.0, -3.0]]),
+    lambda p: p["state"]["r_states"][1].update(P=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, -1.0]]),
+    lambda p: p["state"]["s_states"][0].update(P=[[math.inf, 0.0], [0.0, 1.0]]),
+    lambda p: p["tracker"]["counts"].__setitem__(0, -4),
+    lambda p: p["tracker"]["counts"].__setitem__(1, 2.5),
+    lambda p: p["tracker"]["sums"].__setitem__(0, math.nan),
+    lambda p: p["pending_batch"]["r:2"][0][0].__setitem__(1, math.inf),
+    lambda p: p["pending_batch"]["r:1"][1].__setitem__(1, math.nan),
 ], ids=["short-s-channels", "short-r-eta", "3x3-P-on-K2", "extra-r-state", "short-tracker-counts",
         "long-tracker-sums", "short-pending-vector", "pending-type-out-of-range", "hyper-params-types",
-        "asymmetric-P"])
+        "asymmetric-P", "nan-eta", "negative-sigma", "inf-sigma", "negative-gamma", "nan-gamma",
+        "negative-definite-P-K2", "indefinite-P-K2", "negative-definite-P-K3", "indefinite-P-K3", "inf-P",
+        "negative-tracker-count", "fractional-tracker-count", "nan-tracker-sum", "inf-pending-vector",
+        "nan-pending-load"])
 def test_snapshot_contradicting_its_header_is_corrupt(tmp_path, edit):
     bad = _rewrite_payload(SNAPSHOT_V1, tmp_path / "bad.snapshot", edit)
     with pytest.raises(CorruptSnapshot):
@@ -357,6 +376,25 @@ def test_cli_resume_under_other_hyper_params_is_input_error(tmp_path, data_csv, 
 
 
 # --- the rolling loop --------------------------------------------------------
+
+
+# SHA-256 digests of `aplf run` on `scripts/make_synthetic.py --days 60
+# --switch-day 30` (paper defaults, zero init, quantile columns): its input,
+# forecasts.csv and --snapshot-out file. report.txt is left out, as numpy's
+# reductions may round differently on other CPUs.
+GOLDEN_60D = Path(__file__).parent / "data" / "golden_60d.json"
+
+
+def test_outputs_match_the_golden_digests(tmp_path):
+    golden = json.loads(GOLDEN_60D.read_text())
+    files = {"series.csv": tmp_path / "series.csv", "forecasts.csv": tmp_path / "out" / "forecasts.csv",
+             "snapshot.json": tmp_path / "snapshot.json"}
+    write_series_csv(files["series.csv"], make_hourly_series(60, switch_day=30))
+    (tmp_path / "run.cfg").write_text(golden["config"])
+    assert cli_main(["run", "--data", str(files["series.csv"]), "--config", str(tmp_path / "run.cfg"),
+                     "--output-dir", str(tmp_path / "out"), "--snapshot-out", str(files["snapshot.json"])]) == 0
+    digests = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in files.items()}
+    assert digests == golden["sha256"]
 
 
 def test_two_runs_are_byte_identical(tmp_path, data_csv):

@@ -14,7 +14,7 @@ from helpers import (
 )
 
 from aplf.features import ObservationVector, TemperatureShiftEncoder
-from aplf.forecaster import InstanceVector
+from aplf.forecaster import InstanceVector, predict
 from aplf.model_types import ChannelState, GaussianChannelParams, HyperParams
 from aplf.oracles import batch_ml_oracle
 from aplf.recursive_learner import (
@@ -340,3 +340,19 @@ def test_learner_requires_calendar_fn_for_many_types():
     hp = HyperParams(n_calendar_types=48)
     with pytest.raises(ValueError):
         OnlineLearner(hp, encoder=PassthroughEncoder())
+
+
+@pytest.mark.parametrize("bad_type", [0, 3])
+def test_learn_step_rejects_a_calendar_type_outside_1_to_n(bad_type):
+    hp = HyperParams(n_calendar_types=2)
+    encoder = TemperatureShiftEncoder(hp)
+    learner = OnlineLearner(hp, encoder, calendar_fn=lambda t: bad_type)
+    obs = (ObservationVector(w=60.0, w_bar=60.0),) * 2
+    instance = InstanceVector(anchor_load=1.0, observations=obs, t=0)
+    with pytest.raises(IndexError, match="outside 1..2"):
+        predict(learner.model, instance, learner.calendar_fn, encoder)
+    with pytest.raises(IndexError, match="outside 1..2"):
+        learner.learn_step(instance, [1.0, 1.0])
+    # Nothing was learned, in any type's channels or tracker slot.
+    assert [s.gamma for s in learner.state.s_states + learner.state.r_states] == [0.0] * 4
+    assert learner.tracker.counts == [0, 0]

@@ -8,6 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import whole_table_scores
+
+from aplf import metrics
 from aplf.forecaster import standard_normal_quantile
 from aplf.metrics import (
     QUANTILE_LEVELS,
@@ -161,3 +164,17 @@ def test_evaluate_forecasts_assembles_report():
     assert report.n_mape_excluded == 0
     text = "\n".join(report.lines())
     assert "rmse = " in text and "ece = " in text
+
+
+@pytest.mark.parametrize("n", [1, metrics._BLOCK_ROWS - 1, metrics._BLOCK_ROWS, metrics._BLOCK_ROWS + 1,
+                               2 * metrics._BLOCK_ROWS + 7])
+def test_block_wise_scores_equal_the_whole_table(n):
+    rng = np.random.default_rng(n)
+    means = rng.uniform(1.0, 3.0, n)
+    stds = np.where(rng.uniform(size=n) < 0.1, 0.0, rng.uniform(0.0, 0.2, n))  # some degenerate forecasts
+    actual = means + rng.normal(scale=0.15, size=n)
+    actual[::5] = means[::5]  # ties with the median quantile, and with every quantile where std = 0
+    samples = [(float(a), ForecastPoint(mean=float(m), std=float(s), t=i))
+               for i, (a, m, s) in enumerate(zip(actual, means, stds))]
+    report = evaluate_forecasts(samples)
+    assert (report.calibration_curve, report.ece, report.mean_pinball) == whole_table_scores(samples)
