@@ -66,7 +66,7 @@ def neighbour_types(c: int, n: int) -> list[int]:
     return order
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ObservationVector:
     """One raw observation: temperature w and mean past temperature w_bar, both deg F."""
 

@@ -44,7 +44,7 @@ class QOutOfRange(Exception):
     """Quantile level must lie strictly inside (0, 1)."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class InstanceVector:
     """Prediction input: anchoring load s_t, one observation slot per step, and
     the absolute step index t of the anchor. Missing observations are None."""

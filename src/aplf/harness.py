@@ -77,7 +77,7 @@ class CorruptSnapshot(Exception):
     """Snapshot is unreadable or fails its checksum."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SeriesRecord:
     """One observation: timestamp, load (None for a gap row), temperature in deg F."""
 
@@ -282,7 +282,11 @@ def ingest_csv(path: Path | str, config: RunConfig):
                     if convert:
                         temp = _c_to_f(temp)
             if prev_ts is not None:
-                delta = ts - prev_ts
+                try:
+                    delta = ts - prev_ts
+                except TypeError:
+                    raise ParseError(f"{path}:{lineno}: timestamp {ts.isoformat()} mixes naive and "
+                                     f"offset-aware timestamps") from None
                 if delta != step:
                     if delta <= timedelta(0):
                         raise NonMonotoneTimestamps(f"{path}:{lineno}: timestamp {ts.isoformat()} not after previous")
@@ -342,13 +346,12 @@ def snapshot_save(path: Path | str, model: ModelParams, state: LearnerState,
         "pending_batch": _pending_to_dict(pending or {}),
     }
     body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    doc = {
-        "format": SNAPSHOT_FORMAT,
-        "version": SNAPSHOT_VERSION,
-        "checksum": hashlib.sha256(body.encode()).hexdigest(),
-        "payload": payload,
-    }
-    Path(path).write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+    checksum = hashlib.sha256(body.encode()).hexdigest()
+    # The document is {"checksum", "format", "payload", "version"} in the
+    # sorted, compact encoding that snapshot_load re-checks; the payload's
+    # encoding is spliced in rather than encoded a second time.
+    Path(path).write_text(f'{{"checksum":"{checksum}","format":"{SNAPSHOT_FORMAT}",'
+                          f'"payload":{body},"version":{SNAPSHOT_VERSION}}}')
 
 
 def snapshot_load(path: Path | str, *, expect_calendar_types: int | None = None,
@@ -425,6 +428,9 @@ def run_online_evaluation(records: list[SeriesRecord], config: RunConfig, *,
     With frozen_after set, learning stops at that instant (offline-style
     ablation). Forecast rows are emitted for every predicted step; the
     evaluation pools every horizon step that has an actual load.
+    train_end, test_end, frozen_after and a resumed cursor that are naive
+    where the data's timestamps are offset-aware, or the reverse, raise
+    ParseError.
     """
     if not records:
         raise EmptySpan("no records")
@@ -435,6 +441,9 @@ def run_online_evaluation(records: list[SeriesRecord], config: RunConfig, *,
         raise ParseError(f"the built-in calendar mapping requires calendar_types = {CALENDAR_TYPES}")
     base = records[0].timestamp
     last_ts = records[-1].timestamp
+    _check_comparable("train_end", config.train_end, base)
+    _check_comparable("test_end", config.test_end, base)
+    _check_comparable("frozen_after", frozen_after, base)
     if not base <= config.train_end <= last_ts:
         raise ParseError("train_end must lie inside the data span")
     step = config.step
@@ -480,6 +489,7 @@ def run_online_evaluation(records: list[SeriesRecord], config: RunConfig, *,
         if differ:
             raise ShapeMismatch(f"{resume}: snapshot hyper-parameters differ from the config: "
                                 f"{', '.join(differ)}")
+        _check_comparable(f"{resume}: snapshot cursor", snap.cursor, base)
         learner.restore(snap.model, snap.state, snap.tracker, snap.pending)
         cursor = snap.cursor
 
@@ -551,6 +561,14 @@ def run_online_evaluation(records: list[SeriesRecord], config: RunConfig, *,
         _write_outputs(Path(output_dir), header, forecast_rows, report, notes)
     return RunResult(report=report, forecast_rows=forecast_rows, eval_samples=eval_samples,
                      notes=notes, forecast_header=header)
+
+
+def _check_comparable(name: str, value: datetime | None, base: datetime) -> None:
+    """ParseError naming the setting unless value is None or, like the data's first
+    timestamp base, naive or offset-aware."""
+    if value is not None and (value.utcoffset() is None) != (base.utcoffset() is None):
+        kind, data_kind = ("naive", "offset-aware") if value.utcoffset() is None else ("offset-aware", "naive")
+        raise ParseError(f"{name} {value.isoformat()} is {kind}, but the data timestamps are {data_kind}")
 
 
 def _write_outputs(output_dir: Path, header: str, forecast_rows: list[str],

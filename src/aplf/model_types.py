@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import cache
 
 import numpy as np
 
@@ -65,7 +64,7 @@ class HyperParams:
             raise ValueError("trace_reset_threshold must be > 0")
 
 
-@dataclass
+@dataclass(slots=True)
 class GaussianChannelParams:
     """Coefficients eta (a list of K floats) and standard deviation sigma >= 0 of one channel."""
 
@@ -77,7 +76,7 @@ class GaussianChannelParams:
         return cls(eta=[0.0] * k, sigma=float(sigma0))
 
 
-@dataclass
+@dataclass(slots=True)
 class ChannelState:
     """Recursive-update state of one channel.
 
@@ -92,13 +91,12 @@ class ChannelState:
 
     @classmethod
     def identity(cls, k: int, gamma: float = 0.0) -> "ChannelState":
-        """P = I (fresh lists, copied from a cached template), with the given gamma."""
-        return cls(P=list(map(list, _identity_rows(k))), gamma=gamma)
-
-
-@cache
-def _identity_rows(k: int) -> tuple[tuple[float, ...], ...]:
-    return tuple(tuple(float(i == j) for j in range(k)) for i in range(k))
+        """P = I as fresh lists, with the given gamma."""
+        if k == 2:
+            return cls([[1.0, 0.0], [0.0, 1.0]], gamma)
+        if k == 3:
+            return cls([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], gamma)
+        return cls([[float(i == j) for j in range(k)] for i in range(k)], gamma)
 
 
 # Snapshot codec (format v1): the one place that turns channel records into
@@ -110,7 +108,12 @@ def _identity_rows(k: int) -> tuple[tuple[float, ...], ...]:
 
 def _records_to_json(records: list) -> list[dict]:
     """Each record's fields as JSON values: lists stay (nested) lists of floats, scalars become floats."""
-    return [{k: v if isinstance(v, list) else float(v) for k, v in vars(r).items()} for r in records]
+    names = [f.name for f in fields(records[0])] if records else []
+    return [{k: _json_value(getattr(r, k)) for k in names} for r in records]
+
+
+def _json_value(v):
+    return v if isinstance(v, list) else float(v)
 
 
 def _records_from_json(record_cls, items, n: int, shape: tuple[int, ...]) -> list:
@@ -239,7 +242,7 @@ class LearnerState:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ForecastPoint:
     """Gaussian predictive distribution for one step: mean, std >= 0, time index t."""
 

@@ -147,11 +147,17 @@ def trace_reset(state: ChannelState, hp: HyperParams) -> ChannelState:
     gamma is preserved; the same object is returned when no reset fires.
     """
     p = state.P
-    trace = 0.0
-    for i, row in enumerate(p):
-        trace += row[i]
+    k = len(p)
+    if k == 2:
+        trace = p[0][0] + p[1][1]
+    elif k == 3:
+        trace = p[0][0] + p[1][1] + p[2][2]
+    else:
+        trace = 0.0
+        for i, row in enumerate(p):
+            trace += row[i]
     if trace > hp.trace_reset_threshold:
-        return ChannelState.identity(len(p), state.gamma)
+        return ChannelState.identity(k, state.gamma)
     return state
 
 
@@ -228,8 +234,9 @@ class OnlineLearner:
         step; targets carries the revealed loads (None for gaps). Each
         step updates the transition channel from the actual previous
         load, the observation channel from the encoded observation, and
-        the temperature tracker from the raw temperature. A calendar type
-        outside 1..n_calendar_types raises IndexError.
+        the temperature tracker from the raw temperature. A channel still
+        awaiting batch initialization buffers its sample instead. A
+        calendar type outside 1..n_calendar_types raises IndexError.
         """
         observations = instance.observations
         if len(targets) != len(observations):
@@ -237,7 +244,9 @@ class OnlineLearner:
         calendar_fn, encode, track = self.calendar_fn, self.encoder.encode, self.tracker.add
         hp = self.hp
         lambda_s, lambda_r, n = hp.lambda_s, hp.lambda_r, hp.n_calendar_types
-        update = self._update_channel
+        s_params, r_params = self.model.s_channels, self.model.r_channels
+        s_states, r_states = self.state.s_states, self.state.r_states
+        diagnostics, pending = self.diagnostics, self._pending
         prev = instance.anchor_load
         t = instance.t
         for obs, target in zip(observations, targets):
@@ -246,10 +255,27 @@ class OnlineLearner:
             if not 1 <= c <= n:
                 raise IndexError(f"calendar type {c} outside 1..{n}")
             if target is not None:
+                i = c - 1
                 if prev is not None:
-                    update("s", c, (1.0, prev), target, lambda_s)
+                    u = (1.0, prev)
+                    if pending and ("s", c) in pending:
+                        self._update_pending("s", c, u, target, lambda_s)
+                    else:
+                        state, s_params[i] = channel_update(s_states[i], s_params[i], u, target, lambda_s,
+                                                            diagnostics)
+                        s_states[i] = after = trace_reset(state, hp)
+                        if after is not state:
+                            diagnostics.trace_resets += 1
                 if obs is not None:
-                    update("r", c, encode(obs), target, lambda_r)
+                    u = encode(obs)
+                    if pending and ("r", c) in pending:
+                        self._update_pending("r", c, u, target, lambda_r)
+                    else:
+                        state, r_params[i] = channel_update(r_states[i], r_params[i], u, target, lambda_r,
+                                                            diagnostics)
+                        r_states[i] = after = trace_reset(state, hp)
+                        if after is not state:
+                            diagnostics.trace_resets += 1
             if isinstance(obs, ObservationVector):
                 track(c, obs.w)
             prev = target
@@ -266,39 +292,35 @@ class OnlineLearner:
         self.tracker = tracker
         self._pending = pending if pending is not None else {}
 
-    def _update_channel(self, kind: str, c: int, u: tuple[float, ...], s_value: float, lam: float) -> None:
+    def _update_pending(self, kind: str, c: int, u: tuple[float, ...], s_value: float, lam: float) -> None:
+        """Add a sample to a channel awaiting batch initialization, and initialize it once its
+        buffer is solvable; after BATCH_INIT_MAX_BUFFER unsolvable samples, replay the buffer
+        from the zero start instead, so no sample is lost."""
         if kind == "s":
             params, states = self.model.s_channels, self.state.s_states
         else:
             params, states = self.model.r_channels, self.state.r_states
-        idx = c - 1
         diagnostics = self.diagnostics
-
-        buf = self._pending.get((kind, c)) if self._pending else None
-        if buf is None:
-            new_state, new_params = channel_update(states[idx], params[idx], u, s_value, lam, diagnostics)
-        else:
-            buf.append((u, s_value))
-            try:
-                new_state, new_params = batch_initialize(buf, lam)
-            except SingularGram:
-                if len(buf) < BATCH_INIT_MAX_BUFFER:
-                    return
-                # Give up on batch initialization: replay the buffer from
-                # the zero start so no sample is lost.
-                new_state = ChannelState.identity(len(u))
-                new_params = GaussianChannelParams.zeros(len(u), self.sigma0)
-                for u_j, s_j in buf:
-                    new_state, new_params = channel_update(new_state, new_params, u_j, s_j, lam, diagnostics)
-                    after = trace_reset(new_state, self.hp)
-                    if after is not new_state:
-                        diagnostics.trace_resets += 1
-                    new_state = after
-                diagnostics.batch_init_fallbacks += 1
-            del self._pending[(kind, c)]
+        buf = self._pending[(kind, c)]
+        buf.append((u, s_value))
+        try:
+            new_state, new_params = batch_initialize(buf, lam)
+        except SingularGram:
+            if len(buf) < BATCH_INIT_MAX_BUFFER:
+                return
+            new_state = ChannelState.identity(len(u))
+            new_params = GaussianChannelParams.zeros(len(u), self.sigma0)
+            for u_j, s_j in buf:
+                new_state, new_params = channel_update(new_state, new_params, u_j, s_j, lam, diagnostics)
+                after = trace_reset(new_state, self.hp)
+                if after is not new_state:
+                    diagnostics.trace_resets += 1
+                new_state = after
+            diagnostics.batch_init_fallbacks += 1
+        del self._pending[(kind, c)]
 
         after = trace_reset(new_state, self.hp)
         if after is not new_state:
             diagnostics.trace_resets += 1
-        states[idx] = after
-        params[idx] = new_params
+        states[c - 1] = after
+        params[c - 1] = new_params

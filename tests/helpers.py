@@ -1,5 +1,6 @@
 """Shared test fixtures: feature encoders, random model builders, the discounted log-likelihood,
-the matrix form of the channel update, and whole-table quantile scoring."""
+the matrix form of the channel update, a one-sample-at-a-time learn step, and whole-table
+quantile scoring."""
 
 from __future__ import annotations
 
@@ -7,8 +8,10 @@ import math
 
 import numpy as np
 
+from aplf.features import ObservationVector
 from aplf.metrics import QUANTILE_LEVELS, QUANTILE_Z
-from aplf.model_types import GaussianChannelParams, LearnerState, ModelParams
+from aplf.model_types import ChannelState, GaussianChannelParams, LearnerState, ModelParams
+from aplf.recursive_learner import BATCH_INIT_MAX_BUFFER, SingularGram, batch_initialize, channel_update, trace_reset
 
 
 class NonPositiveSigma(Exception):
@@ -51,6 +54,59 @@ def reference_channel_update(p, gamma: float, eta, sigma: float, u, s: float, la
     innovation = s - float(u @ eta)
     radicand = sigma**2 - (sigma**2 - lam * innovation**2 / gain_denom) / gamma_new
     return p_new, gamma_new, eta + pu * (innovation / gain_denom), math.sqrt(max(radicand, 0.0))
+
+
+def reference_learn_step(learner, instance, targets) -> None:
+    """OnlineLearner.learn_step, one sample at a time on the learner's own model and state.
+
+    Each revealed load gives the transition channel the sample ((1, previous load), load)
+    and the observation channel the sample (encoded observation, load), in that order. A
+    sample either goes to the channel's batch buffer, while one is pending, or is fed to
+    channel_update followed by trace_reset.
+    """
+    hp, diagnostics, pending = learner.hp, learner.diagnostics, learner.pending_batch
+    channels = {"s": (learner.model.s_channels, learner.state.s_states, hp.lambda_s),
+                "r": (learner.model.r_channels, learner.state.r_states, hp.lambda_r)}
+
+    def reset(state):
+        after = trace_reset(state, hp)
+        if after is not state:
+            diagnostics.trace_resets += 1
+        return after
+
+    prev, t = instance.anchor_load, instance.t
+    for obs, target in zip(instance.observations, targets):
+        t += 1
+        c = learner.calendar_fn(t)
+        samples = []
+        if target is not None and prev is not None:
+            samples.append(("s", (1.0, prev)))
+        if target is not None and obs is not None:
+            samples.append(("r", learner.encoder.encode(obs)))
+        for kind, u in samples:
+            params, states, lam = channels[kind]
+            if (kind, c) not in pending:
+                state, params[c - 1] = channel_update(states[c - 1], params[c - 1], u, target, lam, diagnostics)
+                states[c - 1] = reset(state)
+                continue
+            buf = pending[(kind, c)]
+            buf.append((u, target))
+            try:
+                state, params[c - 1] = batch_initialize(buf, lam)
+            except SingularGram:
+                if len(buf) < BATCH_INIT_MAX_BUFFER:
+                    continue
+                state, fresh = ChannelState.identity(len(u)), GaussianChannelParams.zeros(len(u), learner.sigma0)
+                for u_j, s_j in buf:
+                    state, fresh = channel_update(state, fresh, u_j, s_j, lam, diagnostics)
+                    state = reset(state)
+                params[c - 1] = fresh
+                diagnostics.batch_init_fallbacks += 1
+            del pending[(kind, c)]
+            states[c - 1] = reset(state)
+        if isinstance(obs, ObservationVector):
+            learner.tracker.add(c, obs.w)
+        prev = target
 
 
 class PassthroughEncoder:

@@ -178,6 +178,17 @@ def test_ingest_rejects_off_grid_timestamp(tmp_path):
         ingest_csv(path, base_config())
 
 
+def test_ingest_rejects_naive_and_offset_aware_timestamps_mixed(tmp_path):
+    path = tmp_path / "mixed.csv"
+    path.write_text(
+        "timestamp,load\n"
+        "2021-03-01T00:00:00+00:00,1.5\n"
+        "2021-03-01T01:00:00,1.6\n"
+    )
+    with pytest.raises(ParseError, match=":3: .* mixes naive and offset-aware"):
+        ingest_csv(path, base_config())
+
+
 def test_ingest_requires_load_unit(tmp_path):
     path = tmp_path / "x.csv"
     path.write_text("timestamp,load\n2021-03-01T00:00:00+00:00,1.0\n")
@@ -383,18 +394,48 @@ def test_cli_resume_under_other_hyper_params_is_input_error(tmp_path, data_csv, 
 # forecasts.csv and --snapshot-out file. report.txt is left out, as numpy's
 # reductions may round differently on other CPUs.
 GOLDEN_60D = Path(__file__).parent / "data" / "golden_60d.json"
+# The same digests for the batch-init path: write_batch_init_series below,
+# in Celsius with holidays, blank cells and temperature events, under
+# init_mode = batch.
+GOLDEN_60D_BATCH = Path(__file__).parent / "data" / "golden_60d_batch.json"
+
+
+def golden_digests(tmp_path, golden: dict, write_input) -> dict:
+    """SHA-256 of the input, forecasts.csv and snapshot of one `aplf run` under golden's config."""
+    files = {"series.csv": tmp_path / "series.csv", "forecasts.csv": tmp_path / "out" / "forecasts.csv",
+             "snapshot.json": tmp_path / "snapshot.json"}
+    write_input(files["series.csv"])
+    (tmp_path / "run.cfg").write_text(golden["config"])
+    assert cli_main(["run", "--data", str(files["series.csv"]), "--config", str(tmp_path / "run.cfg"),
+                     "--output-dir", str(tmp_path / "out"), "--snapshot-out", str(files["snapshot.json"])]) == 0
+    return {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in files.items()}
+
+
+def write_batch_init_series(path: Path) -> None:
+    """make_hourly_series(60, switch_day=30, seed=7) written in Celsius, with about 2% blank
+    load cells and 2% blank temperature cells, a 3-day heat wave (+40 F) from day 25 and a
+    3-day cold snap (-45 F) from day 45, so that both temperature flags fire."""
+    rng = np.random.default_rng(7)
+    lines = ["timestamp,load,temperature"]
+    for i, (ts, load, temp) in enumerate(make_hourly_series(60, switch_day=30, seed=7)):
+        day = i // 24
+        temp += 40.0 if 25 <= day < 28 else -45.0 if 45 <= day < 48 else 0.0
+        load_cell = "" if rng.random() < 0.02 else repr(load)
+        temp_cell = "" if rng.random() < 0.02 else repr((temp - 32.0) * 5.0 / 9.0)
+        lines.append(f"{ts.isoformat()},{load_cell},{temp_cell}")
+    path.write_text("".join(line + "\n" for line in lines))
 
 
 def test_outputs_match_the_golden_digests(tmp_path):
     golden = json.loads(GOLDEN_60D.read_text())
-    files = {"series.csv": tmp_path / "series.csv", "forecasts.csv": tmp_path / "out" / "forecasts.csv",
-             "snapshot.json": tmp_path / "snapshot.json"}
-    write_series_csv(files["series.csv"], make_hourly_series(60, switch_day=30))
-    (tmp_path / "run.cfg").write_text(golden["config"])
-    assert cli_main(["run", "--data", str(files["series.csv"]), "--config", str(tmp_path / "run.cfg"),
-                     "--output-dir", str(tmp_path / "out"), "--snapshot-out", str(files["snapshot.json"])]) == 0
-    digests = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in files.items()}
+    digests = golden_digests(tmp_path, golden,
+                             lambda path: write_series_csv(path, make_hourly_series(60, switch_day=30)))
     assert digests == golden["sha256"]
+
+
+def test_batch_init_outputs_match_the_golden_digests(tmp_path):
+    golden = json.loads(GOLDEN_60D_BATCH.read_text())
+    assert golden_digests(tmp_path, golden, write_batch_init_series) == golden["sha256"]
 
 
 def test_two_runs_are_byte_identical(tmp_path, data_csv):
@@ -673,6 +714,44 @@ def test_cli_resume_matches_full_run(tmp_path, data_csv):
     first_rows = (out_first / "forecasts.csv").read_text().splitlines()
     second_rows = (out_second / "forecasts.csv").read_text().splitlines()
     assert first_rows[1:] + second_rows[1:] == full_rows[1:]
+
+
+def series_40d_csv(path: Path, aware: bool) -> Path:
+    """`scripts/make_synthetic.py --days 40`, whose timestamps end in +00:00, or those timestamps naive."""
+    rows = make_hourly_series(40)
+    if not aware:
+        rows = [(ts.replace(tzinfo=None), load, temp) for ts, load, temp in rows]
+    return write_small_csv(path, rows)
+
+
+@pytest.mark.parametrize("setting", ["train_end", "test_end", "frozen_after"])
+@pytest.mark.parametrize("data_aware", [True, False], ids=["naive-setting", "aware-setting"])
+def test_cli_setting_naive_where_the_data_is_aware_or_back_is_input_error(tmp_path, capsys, setting, data_aware):
+    data = series_40d_csv(tmp_path / "series.csv", data_aware)
+    values = {"train_end": "2021-03-21T00:00:00", "test_end": "2021-04-05T00:00:00",
+              "frozen_after": "2021-03-28T00:00:00"}
+    # Every setting matches the data but the one under test, which has the other awareness.
+    values = {k: v + ("+00:00" if (k == setting) != data_aware else "") for k, v in values.items()}
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"load_unit = GW\ntrain_end = {values['train_end']}\ntest_end = {values['test_end']}\n")
+    argv = ["run", "--data", str(data), "--config", str(cfg), "--frozen-after", values["frozen_after"]]
+    assert cli_main(argv) == 2
+    kind = ("naive", "offset-aware") if data_aware else ("offset-aware", "naive")
+    assert f"{setting} {values[setting]} is {kind[0]}, but the data timestamps are {kind[1]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("data_aware", [True, False], ids=["naive-cursor", "aware-cursor"])
+def test_cli_resume_with_a_cursor_naive_where_the_data_is_aware_or_back_is_input_error(tmp_path, capsys, data_aware):
+    def run(aware: bool, *args: str) -> int:
+        data = series_40d_csv(tmp_path / f"series_{aware}.csv", aware)
+        cfg = tmp_path / f"run_{aware}.cfg"
+        cfg.write_text(f"load_unit = GW\ntrain_end = 2021-03-21T00:00:00{'+00:00' if aware else ''}\n")
+        return cli_main(["run", "--data", str(data), "--config", str(cfg), *args])
+
+    snap = tmp_path / "first.snapshot"
+    assert run(not data_aware, "--snapshot-out", str(snap)) == 0
+    assert run(data_aware, "--resume", str(snap)) == 2
+    assert "snapshot cursor" in capsys.readouterr().err
 
 
 def test_cli_missing_file_is_input_error(tmp_path):

@@ -4,18 +4,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     LinearObsEncoder,
     NonPositiveSigma,
     PassthroughEncoder,
     reference_channel_update,
+    reference_learn_step,
     weighted_log_likelihood,
 )
 
 from aplf.features import ObservationVector, TemperatureShiftEncoder
 from aplf.forecaster import InstanceVector, predict
-from aplf.model_types import ChannelState, GaussianChannelParams, HyperParams
+from aplf.model_types import ChannelState, GaussianChannelParams, HyperParams, _positive_definite
 from aplf.oracles import batch_ml_oracle
 from aplf.recursive_learner import (
     BATCH_INIT_MAX_BUFFER,
@@ -76,6 +79,72 @@ def test_unexcited_updates_raise_before_any_value_turns_non_finite(k, lam):
             assert all(math.isfinite(x) for row in state.P for x in row)
             assert all(math.isfinite(x) for x in params.eta)
             assert math.isfinite(params.sigma) and math.isfinite(state.gamma)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("lam", [0.2, 0.7, 0.9])
+@settings(max_examples=2, deadline=None)
+@given(level=st.floats(-10.0, 10.0), regressors=st.lists(st.floats(-5.0, 5.0), min_size=2, max_size=2),
+       seed=st.integers(0, 2**32 - 1))
+def test_unexcited_updates_with_the_trace_reset_never_degenerate(k, lam, level, regressors, seed):
+    # A constant u excites one direction only; the reset must keep P bounded
+    # and positive definite over 1e5 updates, so no update can degenerate.
+    hp = HyperParams()
+    u = (1.0, *regressors[:k - 1])
+    state, params = fresh_channel(k)
+    resets = 0
+    for s in (level + np.random.default_rng(seed).standard_normal(100_000)).tolist():
+        state, params = channel_update(state, params, u, s, lam)
+        after = trace_reset(state, hp)
+        resets += after is not state
+        state = after
+        p = state.P
+        assert all(p[i][j] == p[j][i] for i in range(k) for j in range(i))
+        assert _positive_definite(p)
+        assert sum(p[i][i] for i in range(k)) <= hp.trace_reset_threshold
+    assert resets > 0
+
+
+@st.composite
+def learner_runs(draw):
+    """Learner settings, a calendar cycle, an init mode and a run of (instance, targets) pairs."""
+    n = draw(st.integers(1, 3))
+    horizon = draw(st.integers(2, 6))
+    lambdas = st.sampled_from([0.2, 0.7, 0.9, 0.99])
+    hp = HyperParams(n_calendar_types=n, horizon=horizon, lambda_s=draw(lambdas), lambda_r=draw(lambdas))
+    # A calendar cycle shorter than the horizon visits some type twice within one instance.
+    cycle = draw(st.lists(st.integers(1, n), min_size=1, max_size=horizon - 1))
+    load = st.floats(0.0, 5.0)
+    obs = st.builds(ObservationVector, st.floats(-10.0, 110.0), st.floats(20.0, 80.0))
+    if draw(st.booleans()):
+        # Unflagged observations only: the observation channels' Gram stays
+        # singular, so batch initialization falls back once a buffer is full.
+        obs = st.just(ObservationVector(60.0, 60.0))
+    if draw(st.booleans()):
+        load, obs = st.none() | load, st.none() | obs
+    instances = []
+    for j in range(draw(st.integers(1, 20))):
+        observations = tuple(draw(st.lists(obs, min_size=horizon, max_size=horizon)))
+        targets = draw(st.lists(load, min_size=horizon, max_size=horizon))
+        instances.append((InstanceVector(draw(load), observations, j * horizon), targets))
+    return hp, cycle, draw(st.sampled_from(["zero", "batch"])), instances
+
+
+@settings(max_examples=300, deadline=None)
+@given(run=learner_runs())
+def test_learn_step_equals_the_one_sample_at_a_time_reference(run):
+    hp, cycle, init_mode, instances = run
+    calendar_fn = lambda t: cycle[t % len(cycle)]
+    learner, reference = (OnlineLearner(hp, TemperatureShiftEncoder(hp), calendar_fn, init_mode=init_mode)
+                          for _ in range(2))
+    for instance, targets in instances:
+        learner.learn_step(instance, targets)
+        reference_learn_step(reference, instance, targets)
+        assert learner.model == reference.model
+        assert learner.state == reference.state
+        assert learner.diagnostics == reference.diagnostics
+        assert learner.pending_batch == reference.pending_batch
+        assert (learner.tracker.counts, learner.tracker.sums) == (reference.tracker.counts, reference.tracker.sums)
 
 
 def random_spd(rng, k):
