@@ -21,8 +21,8 @@ from aplf.synthetic import make_hourly_series, write_series_csv
 
 
 def tail_rmse(result, base, step, cutoff):
-    pairs = [(s, pt.mean) for s, pt in result.eval_samples if base + pt.t * step >= cutoff]
-    return rmse(pairs)
+    tail = [i for i, t in enumerate(result.t) if base + t * step >= cutoff]
+    return rmse([result.actual[i] for i in tail], [result.mean[i] for i in tail])
 
 
 def main() -> None:

@@ -6,8 +6,8 @@ Gaussian forecasts with calibrated uncertainty.
 """
 
 from .features import ObservationVector, TemperatureShiftEncoder, TemperatureTracker, calendar_type, encode_observations
-from .forecaster import ForecastPath, InstanceVector, forecast_step, predict, quantile
-from .metrics import EvalReport, calibration_and_ece, evaluate_forecasts, mape, mean_pinball, pinball, rmse
+from .forecaster import ForecastPath, InstanceVector, forecast_step, predict
+from .metrics import EvalReport, evaluate_forecasts, mape, pinball, rmse
 from .model_types import (
     ChannelState,
     ForecastPoint,

@@ -15,9 +15,8 @@ from datetime import datetime, timedelta
 from pathlib import Path
 
 from . import harness
-from .forecaster import ColdStart, DegenerateVariances, QOutOfRange
+from .forecaster import ColdStart, DegenerateVariances
 from .metrics import EmptyInput, evaluate_forecasts
-from .model_types import ForecastPoint
 from .oracles import self_check
 from .recursive_learner import DegenerateUpdate, SingularGram
 
@@ -39,7 +38,6 @@ _NUMERIC_ERRORS = (
     DegenerateVariances,
     SingularGram,
     ColdStart,
-    QOutOfRange,
 )
 
 
@@ -72,7 +70,7 @@ def _cmd_self_check(args) -> int:
 
 
 def _read_forecasts(path: Path) -> list:
-    """Every (timestamp, ForecastPoint) row of a forecasts.csv, in file order.
+    """Every (timestamp, mean, std) row of a forecasts.csv, in file order.
 
     A row whose mean or std is not finite, or whose std is negative, is a
     ParseError naming its line.
@@ -93,7 +91,7 @@ def _read_forecasts(path: Path) -> list:
             if not (math.isfinite(mean) and math.isfinite(std) and std >= 0.0):
                 raise harness.ParseError(f"{path}:{lineno}: mean must be finite and std finite and >= 0, "
                                          f"got mean {row[2]}, std {row[3]}")
-            out.append((ts, ForecastPoint(mean=mean, std=std, t=lineno)))
+            out.append((ts, mean, std))
     return out
 
 
@@ -104,10 +102,10 @@ def _cmd_metrics(args) -> int:
     config = harness.RunConfig(load_unit="MW", step=timedelta(minutes=1))
     records, _ = harness.ingest_csv(args.actuals, config)
     actuals = {rec.timestamp: rec.load for rec in records if rec.load is not None}
-    samples = [(actuals[ts], pt) for ts, pt in forecasts if ts in actuals]
-    if not samples:
+    rows = [(actuals[ts], mean, std) for ts, mean, std in forecasts if ts in actuals]
+    if not rows:
         raise harness.EmptySpan("no overlapping (forecast, actual) timestamps")
-    report = evaluate_forecasts(samples)
+    report = evaluate_forecasts(*zip(*rows))
     for line in report.lines():
         print(line)
     return 0

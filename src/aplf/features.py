@@ -122,9 +122,6 @@ class TemperatureTracker:
         self.counts[c - 1] += 1
         self.sums[c - 1] += w
 
-    def count(self, c: int) -> int:
-        return self.counts[c - 1]
-
     def mean(self, c: int) -> float | None:
         """Mean past temperature for type c, or None while no ingests yet."""
         n = self.counts[c - 1]

@@ -12,7 +12,6 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import mul
-from statistics import NormalDist
 
 from .features import neighbour_types
 from .model_types import ForecastPoint, GaussianChannelParams, LearnerState, ModelParams
@@ -20,16 +19,11 @@ from .model_types import ForecastPoint, GaussianChannelParams, LearnerState, Mod
 __all__ = [
     "DegenerateVariances",
     "ColdStart",
-    "QOutOfRange",
     "InstanceVector",
     "ForecastPath",
     "forecast_step",
     "predict",
-    "quantile",
-    "standard_normal_quantile",
 ]
-
-_STD_NORMAL = NormalDist()
 
 
 class DegenerateVariances(Exception):
@@ -38,10 +32,6 @@ class DegenerateVariances(Exception):
 
 class ColdStart(Exception):
     """A visited calendar type was never trained and no trained fallback exists."""
-
-
-class QOutOfRange(Exception):
-    """Quantile level must lie strictly inside (0, 1)."""
 
 
 @dataclass(slots=True)
@@ -138,15 +128,3 @@ def _nearest_trained(state: LearnerState, c: int, n: int) -> int:
         if state.s_states[cc - 1].gamma > 0.0:
             return cc
     raise ColdStart(f"no trained calendar type available as fallback for {c}")
-
-
-def standard_normal_quantile(q: float) -> float:
-    """Inverse standard normal CDF (rational approximation, |error| well below 1e-9)."""
-    if not 0.0 < q < 1.0:
-        raise QOutOfRange(f"quantile level must be in (0, 1), got {q}")
-    return _STD_NORMAL.inv_cdf(q)
-
-
-def quantile(point: ForecastPoint, q: float) -> float:
-    """q-quantile of the Gaussian forecast; degenerate (std 0) forecasts return the mean."""
-    return point.mean + point.std * standard_normal_quantile(q)

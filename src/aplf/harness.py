@@ -358,6 +358,7 @@ def snapshot_load(path: Path | str, *, expect_calendar_types: int | None = None,
                   expect_r_dim: int | None = None) -> Snapshot:
     """Load a snapshot, verifying version, checksum, and model dimensions.
 
+    r_dim must be 2 or 3, the observation channel shapes the model has.
     Every list and array in the payload must have the length or shape its
     own n_calendar_types and r_dim declare, and hold values a run can
     write: finite eta, sigma and gamma finite and >= 0, P symmetric
@@ -381,6 +382,8 @@ def snapshot_load(path: Path | str, *, expect_calendar_types: int | None = None,
     try:
         n_c = int(payload["n_calendar_types"])
         r_dim = int(payload["r_dim"])
+        if r_dim not in (2, 3):
+            raise ValueError(f"r_dim must be 2 or 3, got {r_dim}")
         if expect_calendar_types is not None and n_c != expect_calendar_types:
             raise ShapeMismatch(f"{path}: snapshot has {n_c} calendar types, config expects {expect_calendar_types}")
         if expect_r_dim is not None and r_dim != expect_r_dim:
@@ -408,9 +411,15 @@ def snapshot_load(path: Path | str, *, expect_calendar_types: int | None = None,
 
 @dataclass
 class RunResult:
+    """A run's report, forecast rows and notes, and its evaluated steps as parallel
+    columns: step index t, actual load, and the forecast's mean and std."""
+
     report: EvalReport | None
     forecast_rows: list[str]
-    eval_samples: list
+    t: list[int]
+    actual: list[float]
+    mean: list[float]
+    std: list[float]
     notes: dict
     forecast_header: str
 
@@ -498,7 +507,10 @@ def run_online_evaluation(records: list[SeriesRecord], config: RunConfig, *,
         header += "," + ",".join(f"q{int(round(q * 100)):02d}" for q in QUANTILE_LEVELS)
 
     forecast_rows: list[str] = []
-    eval_samples: list = []
+    eval_t: list[int] = []
+    eval_actual: list[float] = []
+    eval_mean: list[float] = []
+    eval_std: list[float] = []
     skipped_days = 0
     cold_starts = 0
     processed = cursor
@@ -533,18 +545,21 @@ def run_online_evaluation(records: list[SeriesRecord], config: RunConfig, *,
                         row += "," + ",".join([repr(mean + std * z) for z in QUANTILE_Z])
                     forecast_rows.append(row)
                     if actual is not None:
-                        eval_samples.append((actual, pt))
+                        eval_t.append(pt.t)
+                        eval_actual.append(actual)
+                        eval_mean.append(mean)
+                        eval_std.append(std)
 
         if frozen_after is None or anchor_ts < frozen_after:
             learner.learn_step(instance, targets)
         processed = anchor_ts
 
-    report = evaluate_forecasts(eval_samples) if eval_samples else None
+    report = evaluate_forecasts(eval_actual, eval_mean, eval_std) if eval_actual else None
     max_slope = max(abs(float(p.eta[1])) for p in learner.model.s_channels)
     notes = {
         "load_unit": config.load_unit,
         "n_forecast_rows": len(forecast_rows),
-        "n_eval_points": len(eval_samples),
+        "n_eval_points": len(eval_actual),
         "skipped_days": skipped_days,
         "cold_start_substitutions": cold_starts,
         "sigma_clamps": learner.diagnostics.sigma_clamps,
@@ -559,8 +574,8 @@ def run_online_evaluation(records: list[SeriesRecord], config: RunConfig, *,
                       cursor=processed, pending=learner.pending_batch)
     if output_dir is not None:
         _write_outputs(Path(output_dir), header, forecast_rows, report, notes)
-    return RunResult(report=report, forecast_rows=forecast_rows, eval_samples=eval_samples,
-                     notes=notes, forecast_header=header)
+    return RunResult(report=report, forecast_rows=forecast_rows, t=eval_t, actual=eval_actual,
+                     mean=eval_mean, std=eval_std, notes=notes, forecast_header=header)
 
 
 def _check_comparable(name: str, value: datetime | None, base: datetime) -> None:

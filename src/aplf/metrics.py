@@ -10,20 +10,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-
-from .forecaster import standard_normal_quantile
 
 __all__ = [
     "EmptyInput",
     "EvalReport",
     "QUANTILE_LEVELS",
     "QUANTILE_Z",
-    "calibration_and_ece",
     "evaluate_forecasts",
     "mape",
-    "mean_pinball",
     "pinball",
     "rmse",
 ]
@@ -33,24 +30,34 @@ class EmptyInput(Exception):
     """The metric has no usable samples."""
 
 
-def rmse(pairs) -> float:
-    """Root mean squared error over (actual, forecast) pairs."""
-    if not pairs:
-        raise EmptyInput("rmse needs at least one pair")
-    return math.sqrt(math.fsum((s - s_hat) ** 2 for s, s_hat in pairs) / len(pairs))
+def _length(actual, *forecast) -> int:
+    """The common length of the columns; ValueError unless they have one, EmptyInput if it is 0."""
+    n = len(actual)
+    if any(len(column) != n for column in forecast):
+        raise ValueError(f"columns of unequal length: {[n, *map(len, forecast)]}")
+    if not n:
+        raise EmptyInput("evaluation needs at least one sample")
+    return n
 
 
-def mape(pairs) -> tuple[float, int]:
-    """Mean absolute percentage error and the count of excluded zero-load pairs.
+def rmse(actual, point) -> float:
+    """Root mean squared error of the point forecasts against the actual loads."""
+    n = _length(actual, point)
+    return math.sqrt(math.fsum((s - s_hat) ** 2 for s, s_hat in zip(actual, point)) / n)
 
-    Pairs with actual load exactly 0 are excluded from the mean (division
-    guard) and counted; an input with no usable pair raises EmptyInput.
+
+def mape(actual, point) -> tuple[float, int]:
+    """Mean absolute percentage error and the count of excluded zero-load samples.
+
+    Samples with actual load exactly 0 are excluded from the mean (division
+    guard) and counted; when every actual load is 0 the mean is nan.
     """
-    usable = [(s, s_hat) for s, s_hat in pairs if s != 0]
+    n = _length(actual, point)
+    usable = [(s, s_hat) for s, s_hat in zip(actual, point) if s != 0]
     if not usable:
-        raise EmptyInput("mape needs at least one pair with non-zero actual")
+        return math.nan, n
     value = 100.0 * math.fsum(abs(s - s_hat) / s for s, s_hat in usable) / len(usable)
-    return value, len(pairs) - len(usable)
+    return value, n - len(usable)
 
 
 def pinball(s: float, s_hat_q: float, q: float) -> float:
@@ -63,7 +70,7 @@ def pinball(s: float, s_hat_q: float, q: float) -> float:
 # The fixed grid of quantile levels 0.01..0.99 that pinball loss and
 # calibration are scored on, and their standard normal quantiles.
 QUANTILE_LEVELS = tuple(i / 100.0 for i in range(1, 100))
-QUANTILE_Z = tuple(standard_normal_quantile(q) for q in QUANTILE_LEVELS)
+QUANTILE_Z = tuple(NormalDist().inv_cdf(q) for q in QUANTILE_LEVELS)
 _LEVELS = np.array(QUANTILE_LEVELS)
 _Z = np.array(QUANTILE_Z)
 
@@ -72,19 +79,14 @@ _Z = np.array(QUANTILE_Z)
 _BLOCK_ROWS = 2048
 
 
-def _scores(samples):
+def _scores(actual, mean, std):
     """Per-sample pinball means over QUANTILE_LEVELS, and per-level coverage counts.
 
-    samples are (actual, ForecastPoint) pairs. The Gaussian forecast
-    quantiles are scored block by block; a row's mean and an integer count
-    do not depend on the blocking.
+    The Gaussian forecast quantiles are scored block by block; a row's mean
+    and an integer count do not depend on the blocking.
     """
-    n = len(samples)
-    if not n:
-        raise EmptyInput("evaluation needs at least one sample")
-    actual = np.fromiter((s for s, _ in samples), float, n)
-    means = np.fromiter((f.mean for _, f in samples), float, n)
-    stds = np.fromiter((f.std for _, f in samples), float, n)
+    actual, means, stds = (np.asarray(column, dtype=float) for column in (actual, mean, std))
+    n = len(actual)
     per_sample = np.empty(n)
     counts = np.zeros(len(QUANTILE_LEVELS), dtype=np.int64)
     for lo in range(0, n, _BLOCK_ROWS):
@@ -95,33 +97,6 @@ def _scores(samples):
         per_sample[block] = (np.where(diff >= 0.0, _LEVELS, _LEVELS - 1.0) * diff).mean(axis=1)
         counts += (a <= table).sum(axis=0)
     return per_sample, counts
-
-
-def _calibration(counts, n: int):
-    curve = tuple((q, int(k) / n) for q, k in zip(QUANTILE_LEVELS, counts))
-    ece = math.fsum(abs(q - c) for q, c in curve) / len(curve)
-    return curve, ece
-
-
-def mean_pinball(samples) -> float:
-    """Pinball loss averaged over all samples and all QUANTILE_LEVELS.
-
-    samples are (actual, ForecastPoint) pairs; forecast quantiles are read
-    from the Gaussian forecast.
-    """
-    per_sample, _ = _scores(samples)
-    return math.fsum(per_sample) / len(per_sample)
-
-
-def calibration_and_ece(samples):
-    """Empirical calibration curve and expected calibration error.
-
-    For each level q of QUANTILE_LEVELS, coverage C(q) is the fraction of
-    samples whose actual load is at or below the q-quantile forecast; the
-    ECE is the mean absolute deviation of C(q) from q over the grid.
-    """
-    _, counts = _scores(samples)
-    return _calibration(counts, len(samples))
 
 
 @dataclass(frozen=True)
@@ -147,18 +122,24 @@ class EvalReport:
         ]
 
 
-def evaluate_forecasts(samples) -> EvalReport:
-    """Full evaluation of (actual, ForecastPoint) samples on QUANTILE_LEVELS."""
-    per_sample, counts = _scores(samples)
-    point_pairs = [(s, f.mean) for s, f in samples]
-    mape_value, excluded = mape(point_pairs)
-    curve, ece = _calibration(counts, len(samples))
+def evaluate_forecasts(actual, mean, std) -> EvalReport:
+    """Full evaluation of Gaussian forecasts (mean, std) against actual loads on QUANTILE_LEVELS.
+
+    The three columns are equal-length sequences of floats, one entry per
+    evaluated step. For each level q, coverage C(q) is the fraction of
+    steps whose actual load is at or below the q-quantile forecast; the
+    ECE is the mean absolute deviation of C(q) from q over the grid.
+    """
+    n = _length(actual, mean, std)
+    per_sample, counts = _scores(actual, mean, std)
+    mape_value, excluded = mape(actual, mean)
+    curve = tuple((q, int(k) / n) for q, k in zip(QUANTILE_LEVELS, counts))
     return EvalReport(
-        rmse=rmse(point_pairs),
+        rmse=rmse(actual, mean),
         mape=mape_value,
-        mean_pinball=math.fsum(per_sample) / len(per_sample),
+        mean_pinball=math.fsum(per_sample) / n,
         calibration_curve=curve,
-        ece=ece,
-        n_points=len(samples),
+        ece=math.fsum(abs(q - c) for q, c in curve) / len(curve),
+        n_points=n,
         n_mape_excluded=excluded,
     )

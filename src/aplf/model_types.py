@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-import numpy as np
-
 __all__ = [
     "S_DIM",
     "HyperParams",
@@ -91,12 +89,12 @@ class ChannelState:
 
     @classmethod
     def identity(cls, k: int, gamma: float = 0.0) -> "ChannelState":
-        """P = I as fresh lists, with the given gamma."""
+        """P = I as fresh lists, with the given gamma; ValueError unless K is 2 or 3."""
         if k == 2:
             return cls([[1.0, 0.0], [0.0, 1.0]], gamma)
         if k == 3:
             return cls([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], gamma)
-        return cls([[float(i == j) for j in range(k)] for i in range(k)], gamma)
+        raise ValueError(f"a channel has K = 2 or 3 regressors, got {k}")
 
 
 # Snapshot codec (format v1): the one place that turns channel records into
@@ -169,15 +167,12 @@ def _positive_definite(p: list) -> bool:
     Sylvester's criterion, written out for the two channel shapes K = 2
     and K = 3: every leading principal minor is positive.
     """
-    k = len(p)
-    if k == 2:
+    if len(p) == 2:
         (a, b), (_, d) = p
         return a > 0.0 and a * d - b * b > 0.0
-    if k == 3:
-        (a, b, c), (_, d, e), (_, _, f) = p
-        det = a * (d * f - e * e) - b * (b * f - c * e) + c * (b * e - c * d)
-        return a > 0.0 and a * d - b * b > 0.0 and det > 0.0
-    return bool(np.linalg.eigvalsh(p)[0] > 0.0)
+    (a, b, c), (_, d, e), (_, _, f) = p
+    det = a * (d * f - e * e) - b * (b * f - c * e) + c * (b * e - c * d)
+    return a > 0.0 and a * d - b * b > 0.0 and det > 0.0
 
 
 @dataclass

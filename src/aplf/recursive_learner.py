@@ -150,12 +150,8 @@ def trace_reset(state: ChannelState, hp: HyperParams) -> ChannelState:
     k = len(p)
     if k == 2:
         trace = p[0][0] + p[1][1]
-    elif k == 3:
-        trace = p[0][0] + p[1][1] + p[2][2]
     else:
-        trace = 0.0
-        for i, row in enumerate(p):
-            trace += row[i]
+        trace = p[0][0] + p[1][1] + p[2][2]
     if trace > hp.trace_reset_threshold:
         return ChannelState.identity(k, state.gamma)
     return state
@@ -196,7 +192,9 @@ class OnlineLearner:
     """Single-writer owner of the model, state, and temperature tracker.
 
     Exactly one logical thread calls learn_step. calendar_fn maps an
-    absolute step index to a calendar type in 1..n_calendar_types.
+    absolute step index to a calendar type in 1..n_calendar_types. The
+    encoder's r_dim must be 2 or 3, the channel shapes channel_update
+    supports; the initial state raises ValueError for any other.
     """
 
     def __init__(

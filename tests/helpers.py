@@ -191,18 +191,18 @@ def trained_state_like(model):
     return state
 
 
-def whole_table_scores(samples):
-    """Calibration curve, ECE and mean pinball of (actual, ForecastPoint) samples from one (N, 99) table.
+def whole_table_scores(actual, mean, std):
+    """Calibration curve, ECE and mean pinball of the (actual, mean, std) columns from one (N, 99) table.
 
     The same arithmetic as aplf.metrics, with every sample's quantiles held
     at once instead of block by block.
     """
     levels, z = np.array(QUANTILE_LEVELS), np.array(QUANTILE_Z)
-    actual = np.array([s for s, _ in samples], dtype=float)
-    table = np.array([f.mean for _, f in samples])[:, None] + np.array([f.std for _, f in samples])[:, None] * z
+    actual = np.array(actual, dtype=float)
+    table = np.array(mean, dtype=float)[:, None] + np.array(std, dtype=float)[:, None] * z
     diff = actual[:, None] - table
     per_sample = (np.where(diff >= 0.0, levels, levels - 1.0) * diff).mean(axis=1)
     counts = (actual[:, None] <= table).sum(axis=0)
-    curve = tuple((q, int(k) / len(samples)) for q, k in zip(QUANTILE_LEVELS, counts))
+    curve = tuple((q, int(k) / len(actual)) for q, k in zip(QUANTILE_LEVELS, counts))
     ece = math.fsum(abs(q - c) for q, c in curve) / len(curve)
     return curve, ece, math.fsum(per_sample) / len(per_sample)

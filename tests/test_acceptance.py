@@ -18,8 +18,8 @@ from helpers import LinearObsEncoder, PassthroughEncoder, consistent_chain_steps
 
 from aplf.forecaster import InstanceVector, predict
 from aplf.harness import RunConfig, ingest_csv, run_online_evaluation
-from aplf.metrics import calibration_and_ece, mape, pinball, rmse
-from aplf.model_types import ChannelState, ForecastPoint, GaussianChannelParams, HyperParams
+from aplf.metrics import evaluate_forecasts, mape, pinball, rmse
+from aplf.model_types import ChannelState, GaussianChannelParams, HyperParams
 from aplf.oracles import batch_ml_oracle, exact_filter_oracle, quadrature_filter_moments
 from aplf.recursive_learner import OnlineLearner, SingularGram, batch_initialize, channel_update
 from aplf.synthetic import make_hourly_series, write_series_csv
@@ -253,7 +253,7 @@ def test_calibration_soundness_on_model_generated_data():
     assert abs(s_ch.eta[1] - 1.0) < 0.05 and abs(s_ch.sigma - 1.0) < 0.1
     assert abs(r_ch.eta[1] - 1.0) < 0.05 and abs(r_ch.sigma - 1.0) < 0.1
 
-    samples = []
+    actual, mean, std = [], [], []
     n_instances = 20_000
     for _ in range(n_instances):
         futures = []
@@ -265,19 +265,21 @@ def test_calibration_soundness_on_model_generated_data():
             observations.append(cur + float(rng.normal()))
         instance = InstanceVector(anchor_load=load, observations=tuple(observations), t=t)
         path = predict(learner.model, instance, lambda tt: 1, encoder, state=learner.state)
-        for pt, actual in zip(path.points, futures):
-            samples.append((actual, pt))
+        for pt, s in zip(path.points, futures):
+            actual.append(s)
+            mean.append(pt.mean)
+            std.append(pt.std)
         learner.learn_step(instance, futures)
         load = futures[-1]
         t += horizon
 
-    _, ece = calibration_and_ece(samples)
+    ece = evaluate_forecasts(actual, mean, std).ece
     elapsed = time_mod.perf_counter() - start
-    ok = ece < 0.02 and len(samples) == n_instances * horizon and elapsed < 60.0
+    ok = ece < 0.02 and len(actual) == n_instances * horizon and elapsed < 60.0
     _criterion(
         "calibration-soundness",
         ok,
-        f"ece {ece:.4f} over {len(samples)} forecast points, {elapsed:.1f}s",
+        f"ece {ece:.4f} over {len(actual)} forecast points, {elapsed:.1f}s",
     )
 
 
@@ -303,8 +305,8 @@ def test_adaptation_to_a_pattern_switch(tmp_path):
     step = records[1].timestamp - base
 
     def tail_rmse(result):
-        pairs = [(s, pt.mean) for s, pt in result.eval_samples if base + pt.t * step >= last_third]
-        return rmse(pairs)
+        tail = [i for i, t in enumerate(result.t) if base + t * step >= last_third]
+        return rmse([result.actual[i] for i in tail], [result.mean[i] for i in tail])
 
     online_rmse = tail_rmse(online)
     frozen_rmse = tail_rmse(frozen)
@@ -366,11 +368,8 @@ def test_metric_identities():
 
     # Coverage is monotone in q for random forecast sets.
     for _ in range(20):
-        samples = [
-            (float(rng.normal(scale=3.0)), ForecastPoint(mean=float(rng.normal()), std=float(rng.uniform(0.1, 3.0)), t=i))
-            for i in range(200)
-        ]
-        curve, _ = calibration_and_ece(samples)
+        rows = [(float(rng.normal(scale=3.0)), float(rng.normal()), float(rng.uniform(0.1, 3.0))) for _ in range(200)]
+        curve = evaluate_forecasts(*zip(*rows)).calibration_curve
         coverages = [c for _, c in curve]
         assert all(a <= b for a, b in zip(coverages, coverages[1:]))
 
@@ -383,8 +382,8 @@ def test_metric_identities():
                 mpmath.fsum((mpmath.mpf(s) - mpmath.mpf(sh)) ** 2 for s, sh in pairs) / len(pairs)))
             ref_mape = float(100 * mpmath.fsum(
                 abs(mpmath.mpf(s) - mpmath.mpf(sh)) / mpmath.mpf(s) for s, sh in pairs) / len(pairs))
-            value, _ = mape(pairs)
-            worst = max(worst, abs(rmse(pairs) - ref_rmse) / ref_rmse, abs(value - ref_mape) / ref_mape)
+            value, _ = mape(*zip(*pairs))
+            worst = max(worst, abs(rmse(*zip(*pairs)) - ref_rmse) / ref_rmse, abs(value - ref_mape) / ref_mape)
     ok = worst <= 1e-12
     _criterion("metric-identities", ok, f"worst rel deviation from reference {worst:.3e}")
 

@@ -110,7 +110,7 @@ def test_tracker_first_ingest():
     tracker = TemperatureTracker(48)
     assert tracker.mean(7) is None
     tracker.add(7, 50.0)
-    assert tracker.count(7) == 1
+    assert tracker.counts[7 - 1] == 1
     assert tracker.mean(7) == 50.0
 
 

@@ -1,11 +1,9 @@
-"""Forward forecast recursion, the oracle's Gaussian product split, quantiles, cold start."""
+"""Forward forecast recursion, the oracle's Gaussian product split, cold start."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from helpers import LinearObsEncoder, PassthroughEncoder, random_model, trained_state_like
 
@@ -14,10 +12,8 @@ from aplf.forecaster import (
     DegenerateVariances,
     ForecastPath,
     InstanceVector,
-    QOutOfRange,
     forecast_step,
     predict,
-    quantile,
 )
 from aplf.model_types import ForecastPoint, GaussianChannelParams, HyperParams, LearnerState, ModelParams
 from aplf.oracles import _lemma_split, exact_filter_oracle
@@ -184,27 +180,3 @@ def test_trained_types_are_used_directly():
     assert path.cold_start_substitutions == ()
     assert len(path.points) == 2
 
-
-def test_quantile_examples():
-    assert quantile(ForecastPoint(mean=10.0, std=0.0, t=0), 0.99) == 10.0
-    assert quantile(ForecastPoint(mean=0.0, std=1.0, t=0), 0.5) == 0.0
-    assert math.isclose(quantile(ForecastPoint(mean=0.0, std=1.0, t=0), 0.975), 1.959964, abs_tol=5e-7)
-
-
-def test_quantile_out_of_range():
-    with pytest.raises(QOutOfRange):
-        quantile(ForecastPoint(mean=0.0, std=1.0, t=0), 0.0)
-    with pytest.raises(QOutOfRange):
-        quantile(ForecastPoint(mean=0.0, std=1.0, t=0), 1.0)
-
-
-@given(
-    q1=st.floats(min_value=0.001, max_value=0.999),
-    q2=st.floats(min_value=0.001, max_value=0.999),
-    mean=st.floats(min_value=-50, max_value=50),
-    std=st.floats(min_value=0.0, max_value=10.0),
-)
-def test_quantile_monotone(q1, q2, mean, std):
-    lo, hi = sorted((q1, q2))
-    point = ForecastPoint(mean=mean, std=std, t=0)
-    assert quantile(point, lo) <= quantile(point, hi)

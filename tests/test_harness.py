@@ -27,6 +27,7 @@ from aplf.harness import (
     snapshot_load,
     snapshot_save,
 )
+from aplf.metrics import evaluate_forecasts
 from aplf.model_types import HyperParams
 from aplf.synthetic import make_hourly_series, write_series_csv
 
@@ -327,6 +328,18 @@ def test_v1_snapshot_resaves_byte_identically(tmp_path):
     assert (tmp_path / "again.snapshot").read_bytes() == SNAPSHOT_V1.read_bytes()
 
 
+def _widen_observation_channels(p):
+    """Make the payload a consistent r_dim = 4 model: every observation-channel eta, P and pending vector grows."""
+    p["r_dim"] = 4
+    for channel in p["model"]["r_channels"]:
+        channel["eta"].append(0.0)
+    for state in p["state"]["r_states"]:
+        state["P"] = [row + [0.0] for row in state["P"]] + [[0.0, 0.0, 0.0, 1.0]]
+    for buf in p["pending_batch"].values():
+        for u, _ in buf:
+            u.append(0.0)
+
+
 @pytest.mark.parametrize("edit", [
     lambda p: p["model"]["s_channels"].pop(),
     lambda p: p["model"]["r_channels"][1]["eta"].pop(),
@@ -353,12 +366,13 @@ def test_v1_snapshot_resaves_byte_identically(tmp_path):
     lambda p: p["tracker"]["sums"].__setitem__(0, math.nan),
     lambda p: p["pending_batch"]["r:2"][0][0].__setitem__(1, math.inf),
     lambda p: p["pending_batch"]["r:1"][1].__setitem__(1, math.nan),
+    _widen_observation_channels,
 ], ids=["short-s-channels", "short-r-eta", "3x3-P-on-K2", "extra-r-state", "short-tracker-counts",
         "long-tracker-sums", "short-pending-vector", "pending-type-out-of-range", "hyper-params-types",
         "asymmetric-P", "nan-eta", "negative-sigma", "inf-sigma", "negative-gamma", "nan-gamma",
         "negative-definite-P-K2", "indefinite-P-K2", "negative-definite-P-K3", "indefinite-P-K3", "inf-P",
         "negative-tracker-count", "fractional-tracker-count", "nan-tracker-sum", "inf-pending-vector",
-        "nan-pending-load"])
+        "nan-pending-load", "r_dim-4"])
 def test_snapshot_contradicting_its_header_is_corrupt(tmp_path, edit):
     bad = _rewrite_payload(SNAPSHOT_V1, tmp_path / "bad.snapshot", edit)
     with pytest.raises(CorruptSnapshot):
@@ -612,7 +626,11 @@ def test_report_written(tmp_path, data_csv):
     records, _ = ingest_csv(data_csv, config)
     out = tmp_path / "outs"
     result = run_online_evaluation(records, config, output_dir=out)
-    assert result.report is not None
+    assert result.report == evaluate_forecasts(result.actual, result.mean, result.std)
+    base, step = records[0].timestamp, config.step
+    rows = {datetime.fromisoformat(ts): (float(mean), float(std))
+            for ts, _, mean, std in (row.split(",") for row in result.forecast_rows)}
+    assert [rows[base + t * step] for t in result.t] == list(zip(result.mean, result.std))
     report_text = (out / "report.txt").read_text()
     assert "rmse = " in report_text
     assert "skipped_days = 0" in report_text
@@ -677,6 +695,25 @@ def test_cli_run_and_metrics(tmp_path, data_csv, capsys, extra):
     expected = report_lines((out_dir / "report.txt").read_text())
     assert len(expected) == len(REPORT_KEYS)
     assert report_lines(capsys.readouterr().out) == expected
+
+
+def test_cli_run_whose_test_loads_are_all_zero_reports_nan_mape(tmp_path, capsys):
+    train_end = datetime(2021, 3, 21, tzinfo=UTC)
+    rows = [(ts, 0.0 if ts >= train_end else load, temp) for ts, load, temp in make_hourly_series(40)]
+    data = write_small_csv(tmp_path / "series.csv", rows)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"load_unit = GW\ntrain_end = {train_end.isoformat()}\n")
+    out, snap = tmp_path / "out", tmp_path / "run.snapshot"
+    assert cli_main(["run", "--data", str(data), "--config", str(cfg), "--output-dir", str(out),
+                     "--snapshot-out", str(snap)]) == 0
+    assert snap.is_file()
+    report_lines = (out / "report.txt").read_text().splitlines()[:6]
+    report = dict(line.split(" = ", 1) for line in report_lines)
+    assert report["mape_percent"] == "nan"
+    assert report["n_mape_excluded"] == report["n_points"] != "0"
+    capsys.readouterr()
+    assert cli_main(["metrics", "--forecasts", str(out / "forecasts.csv"), "--actuals", str(data)]) == 0
+    assert capsys.readouterr().out.splitlines() == report_lines
 
 
 @pytest.mark.parametrize("mean, std", [

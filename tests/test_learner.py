@@ -182,8 +182,15 @@ def test_closed_form_update_keeps_plain_float_records():
 
 @pytest.mark.parametrize("k", [1, 4])
 def test_channel_update_rejects_other_shapes(k):
+    state = ChannelState([[float(i == j) for j in range(k)] for i in range(k)], 0.0)
     with pytest.raises(ValueError):
-        channel_update(ChannelState.identity(k), GaussianChannelParams.zeros(k), (1.0,) * k, 1.0, 0.5)
+        channel_update(state, GaussianChannelParams.zeros(k), (1.0,) * k, 1.0, 0.5)
+
+
+@pytest.mark.parametrize("r_dim", [1, 4])
+def test_learner_rejects_an_encoder_of_another_shape(r_dim):
+    with pytest.raises(ValueError):
+        OnlineLearner(HyperParams(n_calendar_types=1), encoder=PassthroughEncoder(r_dim))
 
 
 def test_trace_reset_examples():
@@ -340,7 +347,7 @@ def test_learn_step_missing_temperature_updates_only_s_channel():
     learner.learn_step(instance, [2.0, 3.0])
     assert learner.state.s_states[0].gamma > 0.0
     assert learner.state.r_states[0].gamma == 1.0  # only the second step updated the r channel
-    assert learner.tracker.count(1) == 1
+    assert learner.tracker.counts[1 - 1] == 1
 
 
 def test_learn_step_missing_target_breaks_the_previous_load_chain():
