@@ -11,7 +11,7 @@ Example:
 
 import argparse
 import tempfile
-from datetime import timedelta, timezone
+from datetime import timedelta
 from pathlib import Path
 
 from aplf.harness import RunConfig, ingest_csv, run_online_evaluation

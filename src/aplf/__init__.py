@@ -7,7 +7,7 @@ Gaussian forecasts with calibrated uncertainty.
 
 from .features import ObservationVector, TemperatureShiftEncoder, TemperatureTracker, calendar_type, encode_observations
 from .forecaster import ForecastPath, InstanceVector, forecast_step, predict
-from .metrics import EvalReport, evaluate_forecasts, mape, pinball, rmse
+from .metrics import EvalReport, evaluate_forecasts, mape, rmse
 from .model_types import (
     ChannelState,
     ForecastPoint,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import sys
 from datetime import datetime, timedelta
@@ -111,7 +112,9 @@ def _cmd_metrics(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="aplf", description="Online probabilistic load forecasting")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -132,8 +135,11 @@ def main(argv=None) -> int:
     metrics_p.add_argument("--forecasts", required=True)
     metrics_p.add_argument("--actuals", required=True)
     metrics_p.set_defaults(func=_cmd_metrics)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except _NUMERIC_ERRORS as exc:

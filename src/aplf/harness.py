@@ -16,6 +16,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field, fields
 from datetime import date, datetime, time, timedelta
+from itertools import accumulate, repeat
 from pathlib import Path
 
 from .features import CALENDAR_TYPES, ObservationVector, TemperatureShiftEncoder, TemperatureTracker, calendar_type
@@ -485,7 +486,10 @@ def run_online_evaluation(records: list[SeriesRecord], config: RunConfig, *,
         i = (r.timestamp - base) // step
         loads[i] = r.load
         temps[i] = r.temperature
-    types = [calendar_type(base + i * step, config.holidays) for i in range(n_steps)]
+    # The grid's instants are stepped by addition, equal to base + i * step
+    # for every i and cheaper than the product.
+    holidays = config.holidays
+    types = [calendar_type(ts, holidays) for ts in accumulate(repeat(step, n_steps - 1), initial=base)]
     cal = types.__getitem__
 
     encoder = TemperatureShiftEncoder(hp)
@@ -538,9 +542,11 @@ def run_online_evaluation(records: list[SeriesRecord], config: RunConfig, *,
             else:
                 path = predict(learner.model, instance, cal, encoder, state=learner.state)
                 cold_starts += len(path.cold_start_substitutions)
+                ts = anchor_ts
                 for i, (pt, actual) in enumerate(zip(path.points, targets), start=1):
+                    ts += step
                     mean, std = float(pt.mean), float(pt.std)
-                    row = f"{(anchor_ts + i * step).isoformat()},{i},{mean!r},{std!r}"
+                    row = f"{ts.isoformat()},{i},{mean!r},{std!r}"
                     if emit_quantiles:
                         row += "," + ",".join([repr(mean + std * z) for z in QUANTILE_Z])
                     forecast_rows.append(row)

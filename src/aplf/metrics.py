@@ -21,7 +21,6 @@ __all__ = [
     "QUANTILE_Z",
     "evaluate_forecasts",
     "mape",
-    "pinball",
     "rmse",
 ]
 
@@ -60,13 +59,6 @@ def mape(actual, point) -> tuple[float, int]:
     return value, n - len(usable)
 
 
-def pinball(s: float, s_hat_q: float, q: float) -> float:
-    """Pinball loss of the q-quantile forecast s_hat_q against the actual s."""
-    if s >= s_hat_q:
-        return q * (s - s_hat_q)
-    return (1.0 - q) * (s_hat_q - s)
-
-
 # The fixed grid of quantile levels 0.01..0.99 that pinball loss and
 # calibration are scored on, and their standard normal quantiles.
 QUANTILE_LEVELS = tuple(i / 100.0 for i in range(1, 100))
@@ -75,8 +67,9 @@ _LEVELS = np.array(QUANTILE_LEVELS)
 _Z = np.array(QUANTILE_Z)
 
 # Rows of the (N, 99) quantile table scored at a time; each block's
-# temporaries take about 1.6 MB whatever N is.
-_BLOCK_ROWS = 2048
+# temporaries take about 0.8 MB whatever N is. On 25.5k rows, 1024-row
+# blocks score faster than 2048-row ones.
+_BLOCK_ROWS = 1024
 
 
 def _scores(actual, mean, std):

@@ -247,7 +247,7 @@ def self_check(seed: int = 0, verbose: bool = True) -> bool:
         if i0 is None:
             continue
         for i in range(i0 + 1, n + 1):
-            state, params = channel_update(state, params, *samples[i - 1], lam)
+            channel_update(state, params, *samples[i - 1], lam)
             eta_star, sigma_star = batch_ml_oracle(samples[:i], lam)
             worst = max(worst, float(np.max(np.abs(params.eta - eta_star))),
                         abs(params.sigma - sigma_star))

@@ -70,8 +70,8 @@ def channel_update(
     s: float,
     lam: float,
     diagnostics: LearnDiagnostics | None = None,
-) -> tuple[ChannelState, GaussianChannelParams]:
-    """One recursive update of a channel from sample (u, s).
+) -> None:
+    """One recursive update of a channel from sample (u, s), in place.
 
     u is any sequence of K = 2 or K = 3 floats, the model's two channel
     shapes. Order matches the learning algorithm: P, gamma, sigma, eta.
@@ -83,12 +83,20 @@ def channel_update(
     radicand (finite-precision only) is clamped to 0 and counted. A gain
     denominator that is not a positive finite number, or a new P entry,
     eta or sigma that is not finite, raises DegenerateUpdate.
+
+    The new P, gamma, eta and sigma are written into state and params,
+    whose P rows and eta list are updated element by element. Every new
+    value is computed and checked before any is written, so a
+    DegenerateUpdate leaves the channel as it was.
     """
     k = len(u)
+    p, eta = state.P, params.eta
     if k == 2:
         u0, u1 = u
-        (p00, p01), (_, p11) = state.P
-        eta0, eta1 = params.eta
+        row0, row1 = p
+        p00, p01 = row0
+        p11 = row1[1]
+        eta0, eta1 = eta
         pu0 = p00 * u0 + p01 * u1
         pu1 = p01 * u0 + p11 * u1
         gain_denom = lam + (u0 * pu0 + u1 * pu1)
@@ -100,12 +108,14 @@ def channel_update(
         innovation = s - (u0 * eta0 + u1 * eta1)
         g = innovation / gain_denom
         e0, e1 = eta0 + pu0 * g, eta1 + pu1 * g
-        p_new, eta_new = [[q00, q01], [q01, q11]], [e0, e1]
         finite = isfinite(q00) and isfinite(q01) and isfinite(q11) and isfinite(e0) and isfinite(e1)
     elif k == 3:
         u0, u1, u2 = u
-        (p00, p01, p02), (_, p11, p12), (_, _, p22) = state.P
-        eta0, eta1, eta2 = params.eta
+        row0, row1, row2 = p
+        p00, p01, p02 = row0
+        _, p11, p12 = row1
+        p22 = row2[2]
+        eta0, eta1, eta2 = eta
         pu0 = p00 * u0 + p01 * u1 + p02 * u2
         pu1 = p01 * u0 + p11 * u1 + p12 * u2
         pu2 = p02 * u0 + p12 * u1 + p22 * u2
@@ -121,7 +131,6 @@ def channel_update(
         innovation = s - (u0 * eta0 + u1 * eta1 + u2 * eta2)
         g = innovation / gain_denom
         e0, e1, e2 = eta0 + pu0 * g, eta1 + pu1 * g, eta2 + pu2 * g
-        p_new, eta_new = [[q00, q01, q02], [q01, q11, q12], [q02, q12, q22]], [e0, e1, e2]
         finite = (isfinite(q00) and isfinite(q01) and isfinite(q02) and isfinite(q11) and isfinite(q12)
                   and isfinite(q22) and isfinite(e0) and isfinite(e1) and isfinite(e2))
     else:
@@ -138,13 +147,32 @@ def channel_update(
     if not (finite and isfinite(sigma_new)):
         raise DegenerateUpdate("update produced a non-finite P, eta or sigma")
 
-    return ChannelState(p_new, gamma_new), GaussianChannelParams(eta_new, sigma_new)
+    if k == 2:
+        row0[0] = q00
+        row0[1] = row1[0] = q01
+        row1[1] = q11
+        eta[0] = e0
+        eta[1] = e1
+    else:
+        row0[0] = q00
+        row0[1] = row1[0] = q01
+        row0[2] = row2[0] = q02
+        row1[1] = q11
+        row1[2] = row2[1] = q12
+        row2[2] = q22
+        eta[0] = e0
+        eta[1] = e1
+        eta[2] = e2
+    state.gamma = gamma_new
+    params.sigma = sigma_new
 
 
 def trace_reset(state: ChannelState, hp: HyperParams) -> ChannelState:
     """Reset P to the identity when its trace exceeds the threshold.
 
-    gamma is preserved; the same object is returned when no reset fires.
+    A reset returns a fresh ChannelState, P = I with gamma preserved, which
+    the caller stores in place of the old record; the same object is
+    returned when no reset fires.
     """
     p = state.P
     k = len(p)
@@ -259,20 +287,22 @@ class OnlineLearner:
                     if pending and ("s", c) in pending:
                         self._update_pending("s", c, u, target, lambda_s)
                     else:
-                        state, s_params[i] = channel_update(s_states[i], s_params[i], u, target, lambda_s,
-                                                            diagnostics)
-                        s_states[i] = after = trace_reset(state, hp)
+                        state = s_states[i]
+                        channel_update(state, s_params[i], u, target, lambda_s, diagnostics)
+                        after = trace_reset(state, hp)
                         if after is not state:
+                            s_states[i] = after
                             diagnostics.trace_resets += 1
                 if obs is not None:
                     u = encode(obs)
                     if pending and ("r", c) in pending:
                         self._update_pending("r", c, u, target, lambda_r)
                     else:
-                        state, r_params[i] = channel_update(r_states[i], r_params[i], u, target, lambda_r,
-                                                            diagnostics)
-                        r_states[i] = after = trace_reset(state, hp)
+                        state = r_states[i]
+                        channel_update(state, r_params[i], u, target, lambda_r, diagnostics)
+                        after = trace_reset(state, hp)
                         if after is not state:
+                            r_states[i] = after
                             diagnostics.trace_resets += 1
             if isinstance(obs, ObservationVector):
                 track(c, obs.w)
@@ -309,11 +339,11 @@ class OnlineLearner:
             new_state = ChannelState.identity(len(u))
             new_params = GaussianChannelParams.zeros(len(u), self.sigma0)
             for u_j, s_j in buf:
-                new_state, new_params = channel_update(new_state, new_params, u_j, s_j, lam, diagnostics)
+                channel_update(new_state, new_params, u_j, s_j, lam, diagnostics)
                 after = trace_reset(new_state, self.hp)
                 if after is not new_state:
                     diagnostics.trace_resets += 1
-                new_state = after
+                    new_state = after
             diagnostics.batch_init_fallbacks += 1
         del self._pending[(kind, c)]
 

@@ -1,6 +1,6 @@
 """Shared test fixtures: feature encoders, random model builders, the discounted log-likelihood,
-the matrix form of the channel update, a one-sample-at-a-time learn step, and whole-table
-quantile scoring."""
+the matrix form of the channel update, a one-sample-at-a-time learn step, the scalar pinball
+loss, and whole-table quantile scoring."""
 
 from __future__ import annotations
 
@@ -62,7 +62,7 @@ def reference_learn_step(learner, instance, targets) -> None:
     Each revealed load gives the transition channel the sample ((1, previous load), load)
     and the observation channel the sample (encoded observation, load), in that order. A
     sample either goes to the channel's batch buffer, while one is pending, or is fed to
-    channel_update followed by trace_reset.
+    channel_update, which updates the channel's records in place, followed by trace_reset.
     """
     hp, diagnostics, pending = learner.hp, learner.diagnostics, learner.pending_batch
     channels = {"s": (learner.model.s_channels, learner.state.s_states, hp.lambda_s),
@@ -86,8 +86,8 @@ def reference_learn_step(learner, instance, targets) -> None:
         for kind, u in samples:
             params, states, lam = channels[kind]
             if (kind, c) not in pending:
-                state, params[c - 1] = channel_update(states[c - 1], params[c - 1], u, target, lam, diagnostics)
-                states[c - 1] = reset(state)
+                channel_update(states[c - 1], params[c - 1], u, target, lam, diagnostics)
+                states[c - 1] = reset(states[c - 1])
                 continue
             buf = pending[(kind, c)]
             buf.append((u, target))
@@ -98,7 +98,7 @@ def reference_learn_step(learner, instance, targets) -> None:
                     continue
                 state, fresh = ChannelState.identity(len(u)), GaussianChannelParams.zeros(len(u), learner.sigma0)
                 for u_j, s_j in buf:
-                    state, fresh = channel_update(state, fresh, u_j, s_j, lam, diagnostics)
+                    channel_update(state, fresh, u_j, s_j, lam, diagnostics)
                     state = reset(state)
                 params[c - 1] = fresh
                 diagnostics.batch_init_fallbacks += 1
@@ -189,6 +189,22 @@ def trained_state_like(model):
     for s in state.r_states:
         s.gamma = 1.0
     return state
+
+
+def pinball(s: float, s_hat_q: float, q: float) -> float:
+    """Pinball loss of the q-quantile forecast s_hat_q against the actual s: the scalar definition."""
+    if s >= s_hat_q:
+        return q * (s - s_hat_q)
+    return (1.0 - q) * (s_hat_q - s)
+
+
+def grid_pinball(s: float, mean: float, std: float) -> float:
+    """Mean pinball loss of the Gaussian forecast (mean, std) against s over QUANTILE_LEVELS.
+
+    The scalar definition at each level's quantile mean + std * z, averaged
+    by numpy as aplf.metrics averages a row of its quantile table.
+    """
+    return float(np.mean([pinball(s, mean + std * z, q) for q, z in zip(QUANTILE_LEVELS, QUANTILE_Z)]))
 
 
 def whole_table_scores(actual, mean, std):

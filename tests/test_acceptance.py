@@ -14,11 +14,19 @@ import mpmath
 import numpy as np
 import pytest
 
-from helpers import LinearObsEncoder, PassthroughEncoder, consistent_chain_steps, random_model, weighted_log_likelihood
+from helpers import (
+    LinearObsEncoder,
+    PassthroughEncoder,
+    consistent_chain_steps,
+    grid_pinball,
+    random_model,
+    weighted_log_likelihood,
+)
 
+from aplf import metrics
 from aplf.forecaster import InstanceVector, predict
 from aplf.harness import RunConfig, ingest_csv, run_online_evaluation
-from aplf.metrics import evaluate_forecasts, mape, pinball, rmse
+from aplf.metrics import evaluate_forecasts, mape, rmse
 from aplf.model_types import ChannelState, GaussianChannelParams, HyperParams
 from aplf.oracles import batch_ml_oracle, exact_filter_oracle, quadrature_filter_moments
 from aplf.recursive_learner import OnlineLearner, SingularGram, batch_initialize, channel_update
@@ -75,7 +83,7 @@ def test_recursion_matches_batch_oracle_at_every_step():
         for i in range(i0, n + 1):
             if i > i0:
                 u, s = samples[i - 1]
-                state, params = channel_update(state, params, u, s, lam)
+                channel_update(state, params, u, s, lam)
             try:
                 eta_star, sigma_star = batch_ml_oracle(samples[:i], lam)
             except SingularGram:
@@ -136,7 +144,7 @@ def test_zero_init_gap_is_bounded():
         per_step = []
         for i in range(1, n + 1):
             u, s = samples[i - 1]
-            state, params = channel_update(state, params, u, s, lam)
+            channel_update(state, params, u, s, lam)
             per_step.append((params.eta.copy(), params.sigma))
         solutions = {}
         m_density = 0.0
@@ -360,11 +368,15 @@ def test_learn_step_time_is_constant_over_a_long_run():
 
 def test_metric_identities():
     rng = np.random.default_rng(707)
-    # Median pinball is exactly half the absolute error.
-    for _ in range(1000):
-        s = float(rng.normal(scale=10.0))
-        s_hat = float(rng.normal(scale=10.0))
-        assert pinball(s, s_hat, 0.5) == abs(s - s_hat) / 2.0
+    # The scorer's per-sample pinball is exactly the scalar definition
+    # averaged over the grid; for a point forecast that is half the
+    # absolute error, as the grid is symmetric about the median.
+    actual = rng.normal(scale=10.0, size=1000).tolist()
+    mean = rng.normal(scale=10.0, size=1000).tolist()
+    per_sample = metrics._scores(actual, mean, [0.0] * 1000)[0].tolist()
+    for s, s_hat, loss in zip(actual, mean, per_sample):
+        assert loss == grid_pinball(s, s_hat, 0.0)
+        assert math.isclose(loss, abs(s - s_hat) / 2.0, rel_tol=1e-14)
 
     # Coverage is monotone in q for random forecast sets.
     for _ in range(20):

@@ -2,8 +2,6 @@
 
 from datetime import date, datetime
 
-import numpy as np
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 

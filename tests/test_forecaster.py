@@ -10,7 +10,6 @@ from helpers import LinearObsEncoder, PassthroughEncoder, random_model, trained_
 from aplf.forecaster import (
     ColdStart,
     DegenerateVariances,
-    ForecastPath,
     InstanceVector,
     forecast_step,
     predict,

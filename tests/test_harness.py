@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from aplf import harness
+from aplf import cli, harness
 from aplf.cli import main as cli_main
 from aplf.harness import (
     CorruptSnapshot,
@@ -639,7 +639,61 @@ def test_report_written(tmp_path, data_csv):
     assert len(cal_lines) == 100
 
 
+# The series are typed and their forecast rows stamped on the step grid off
+# UTC too: naive timestamps, a fixed -05:00 offset, and a half-hourly step
+# with scheduled horizons above 24 steps, the last one reaching past the data.
+OFF_UTC_GRIDS = {
+    "naive": (None, 60, {}),
+    "fixed-05:00": (timezone(timedelta(hours=-5)), 60, {}),
+    "half-hourly-long-horizons": (UTC, 30, {date(2021, 3, 10): (time(9, 30), 30),
+                                            date(2021, 3, 14): (time(20, 0), 40)}),
+}
+
+
+@pytest.mark.parametrize("tz, minutes, schedule", OFF_UTC_GRIDS.values(), ids=OFF_UTC_GRIDS)
+def test_forecast_timestamps_and_calendar_types_follow_the_step_grid(monkeypatch, tz, minutes, schedule):
+    step, base = timedelta(minutes=minutes), datetime(2021, 3, 1, tzinfo=tz)
+    rng = np.random.default_rng(minutes)
+    records = []
+    for i in range(14 * 24 * 60 // minutes):
+        ts = base + i * step
+        load = 2.0 + 0.5 * math.sin(2.0 * math.pi * (ts.hour + ts.minute / 60.0) / 24.0) + rng.normal(scale=0.01)
+        records.append(harness.SeriesRecord(ts, float(load), 55.0))
+    config = base_config(train_end=datetime(2021, 3, 8, tzinfo=tz), step=step, schedule=schedule)
+    typed = []
+    calendar_type = harness.calendar_type
+
+    def recording_calendar_type(ts, holidays=()):
+        typed.append(ts)
+        return calendar_type(ts, holidays)
+
+    monkeypatch.setattr(harness, "calendar_type", recording_calendar_type)
+    result = run_online_evaluation(records, config)
+
+    expected_rows = []
+    for day in range(14):
+        at, horizon = schedule.get(date(2021, 3, 1 + day), (config.prediction_time, config.hp.horizon))
+        anchor = datetime.combine(date(2021, 3, 1 + day), at, tzinfo=tz)
+        if config.train_end <= anchor:
+            expected_rows += [f"{(anchor + i * step).isoformat()},{i}" for i in range(1, horizon + 1)]
+    assert [",".join(row.split(",")[:2]) for row in result.forecast_rows] == expected_rows
+    assert [ts.isoformat() for ts in typed] == [(base + i * step).isoformat() for i in range(len(typed))]
+    assert typed[-1] == datetime.fromisoformat(expected_rows[-1].split(",")[0]) > records[-1].timestamp
+
+
 # --- command line ------------------------------------------------------------
+
+
+def test_cli_parser_is_built_once_and_keeps_nothing_between_calls():
+    parser = cli._parser()
+    assert cli._parser() is parser
+    assert parser.parse_args(["self-check", "--seed", "3"]).seed == 3
+    later = parser.parse_args(["metrics", "--forecasts", "f.csv", "--actuals", "a.csv"])
+    assert later.command == "metrics" and not hasattr(later, "seed")
+    assert parser.parse_args(["self-check"]).seed == 0
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["run", "--data", "series.csv"])
+    assert exc.value.code == 2
 
 
 def write_cli_config(tmp_path, **extra) -> Path:

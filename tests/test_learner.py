@@ -1,5 +1,6 @@
 """Recursive channel updates: worked values, consistency identities, learn steps."""
 
+import copy
 import math
 
 import numpy as np
@@ -18,7 +19,15 @@ from helpers import (
 
 from aplf.features import ObservationVector, TemperatureShiftEncoder
 from aplf.forecaster import InstanceVector, predict
-from aplf.model_types import ChannelState, GaussianChannelParams, HyperParams, _positive_definite
+from aplf.harness import snapshot_load, snapshot_save
+from aplf.model_types import (
+    ChannelState,
+    GaussianChannelParams,
+    HyperParams,
+    LearnerState,
+    ModelParams,
+    _positive_definite,
+)
 from aplf.oracles import batch_ml_oracle
 from aplf.recursive_learner import (
     BATCH_INIT_MAX_BUFFER,
@@ -38,7 +47,7 @@ def fresh_channel(k=2, sigma0=1.0):
 
 def test_single_update_worked_values():
     state, params = fresh_channel()
-    state, params = channel_update(state, params, np.array([1.0, 0.0]), 1.0, 0.5)
+    channel_update(state, params, np.array([1.0, 0.0]), 1.0, 0.5)
     assert np.allclose(state.P, np.diag([2.0 / 3.0, 2.0]), atol=1e-15)
     assert state.gamma == 1.0
     assert math.isclose(params.sigma, math.sqrt(1.0 / 3.0), rel_tol=1e-15)
@@ -51,10 +60,11 @@ def test_zero_innovation_leaves_eta_and_shrinks_sigma():
     u = np.array([1.0, 3.0])
     s = float(u @ params.eta)
     lam = 0.9
-    new_state, new_params = channel_update(state, params, u, s, lam)
-    assert np.array_equal(new_params.eta, params.eta)
-    gamma_new = 1.0 + lam * state.gamma
-    assert math.isclose(new_params.sigma, params.sigma * math.sqrt(1.0 - 1.0 / gamma_new), rel_tol=1e-15)
+    gamma, eta, sigma = state.gamma, params.eta.copy(), params.sigma
+    channel_update(state, params, u, s, lam)
+    assert np.array_equal(params.eta, eta)
+    gamma_new = 1.0 + lam * gamma
+    assert math.isclose(params.sigma, sigma * math.sqrt(1.0 - 1.0 / gamma_new), rel_tol=1e-15)
 
 
 def test_degenerate_update_on_corrupted_state():
@@ -75,7 +85,7 @@ def test_unexcited_updates_raise_before_any_value_turns_non_finite(k, lam):
     u = (1.0,) + (0.0,) * (k - 1)
     with pytest.raises(DegenerateUpdate):
         for _ in range(50_000):
-            state, params = channel_update(state, params, u, 1.0, lam)
+            channel_update(state, params, u, 1.0, lam)
             assert all(math.isfinite(x) for row in state.P for x in row)
             assert all(math.isfinite(x) for x in params.eta)
             assert math.isfinite(params.sigma) and math.isfinite(state.gamma)
@@ -94,7 +104,7 @@ def test_unexcited_updates_with_the_trace_reset_never_degenerate(k, lam, level, 
     state, params = fresh_channel(k)
     resets = 0
     for s in (level + np.random.default_rng(seed).standard_normal(100_000)).tolist():
-        state, params = channel_update(state, params, u, s, lam)
+        channel_update(state, params, u, s, lam)
         after = trace_reset(state, hp)
         resets += after is not state
         state = after
@@ -163,8 +173,8 @@ def test_closed_form_update_matches_the_matrix_form(k, lam, as_u):
         gamma, sigma = float(rng.uniform(0.0, 5.0)), float(rng.uniform(0.1, 2.0))
         u = as_u([1.0] + rng.normal(size=k - 1).tolist())
         s = float(rng.normal(scale=2.0))
-        state, params = channel_update(ChannelState(P=p.tolist(), gamma=gamma),
-                                       GaussianChannelParams(eta=eta.tolist(), sigma=sigma), u, s, lam)
+        state, params = ChannelState(P=p.tolist(), gamma=gamma), GaussianChannelParams(eta=eta.tolist(), sigma=sigma)
+        channel_update(state, params, u, s, lam)
         p_ref, gamma_ref, eta_ref, sigma_ref = reference_channel_update(p, gamma, eta, sigma, u, s, lam)
         p_new = np.array(state.P)
         assert np.array_equal(p_new, p_new.T)
@@ -175,7 +185,8 @@ def test_closed_form_update_matches_the_matrix_form(k, lam, as_u):
 
 
 def test_closed_form_update_keeps_plain_float_records():
-    state, params = channel_update(ChannelState.identity(3), GaussianChannelParams.zeros(3), (1.0, 0.5, 0.0), 2.0, 0.7)
+    state, params = fresh_channel(3)
+    assert channel_update(state, params, (1.0, 0.5, 0.0), 2.0, 0.7) is None
     assert all(type(x) is float for x in params.eta) and type(params.sigma) is float
     assert all(type(row) is list and all(type(x) is float for x in row) for row in state.P)
 
@@ -247,7 +258,7 @@ def test_recursion_after_exact_init_tracks_batch_maximizer():
     assert i0 is not None
     for i in range(i0 + 1, len(samples) + 1):
         u, s = samples[i - 1]
-        state, params = channel_update(state, params, u, s, lam)
+        channel_update(state, params, u, s, lam)
         eta_star, sigma_star = batch_ml_oracle(samples[:i], lam)
         assert np.max(np.abs(params.eta - eta_star)) / max(1.0, np.max(np.abs(eta_star))) <= 1e-8
         assert abs(params.sigma - sigma_star) / max(1.0, sigma_star) <= 1e-8
@@ -262,7 +273,7 @@ def test_p_inverse_consistency_from_zero_init():
         u = np.array([1.0, rng.normal()])
         s = float(rng.normal())
         gram_terms.append(np.outer(u, u))
-        state, params = channel_update(state, params, u, s, lam)
+        channel_update(state, params, u, s, lam)
         expected_inv = lam**i * np.eye(2) + sum(
             lam ** (i - j) * g for j, g in enumerate(gram_terms, start=1)
         )
@@ -274,11 +285,11 @@ def test_gamma_closed_form():
     # exact in binary floating point.
     state, params = fresh_channel()
     for i in range(1, 40):
-        state, params = channel_update(state, params, np.array([1.0, 0.5]), 1.0, 0.5)
+        channel_update(state, params, np.array([1.0, 0.5]), 1.0, 0.5)
         assert state.gamma == (1.0 - 0.5**i) / (1.0 - 0.5)
     state, params = fresh_channel()
     for i in range(1, 40):
-        state, params = channel_update(state, params, np.array([1.0, 0.5]), 1.0, 0.7)
+        channel_update(state, params, np.array([1.0, 0.5]), 1.0, 0.7)
         assert math.isclose(state.gamma, (1.0 - 0.7**i) / (1.0 - 0.7), rel_tol=1e-12)
 
 
@@ -289,7 +300,7 @@ def test_final_eta_depends_on_sample_order():
     def run(ordered):
         state, params = fresh_channel()
         for u, s in ordered:
-            state, params = channel_update(state, params, u, s, 0.5)
+            channel_update(state, params, u, s, 0.5)
         return params.eta
 
     assert not np.allclose(run(samples), run(samples[::-1]))
@@ -302,7 +313,7 @@ def test_no_sigma_clamps_on_well_conditioned_runs():
     for _ in range(2000):
         u = np.array([1.0, rng.normal()])
         s = 0.5 + 0.8 * u[1] + rng.normal()
-        state, params = channel_update(state, params, u, s, 0.9, diagnostics)
+        channel_update(state, params, u, s, 0.9, diagnostics)
     assert diagnostics.sigma_clamps == 0
 
 
@@ -432,3 +443,71 @@ def test_learn_step_rejects_a_calendar_type_outside_1_to_n(bad_type):
     # Nothing was learned, in any type's channels or tracker slot.
     assert [s.gamma for s in learner.state.s_states + learner.state.r_states] == [0.0] * 4
     assert learner.tracker.counts == [0, 0]
+
+
+# --- in-place updates ----------------------------------------------------------
+
+
+def degenerate_channel(k, path):
+    """A channel record whose next update with u = (1, 1, ...) raises DegenerateUpdate on the given path:
+    a gain denominator below 0 (P = -I), an overflowing P, or an overflowing sigma."""
+    diagonal = {"gain": -1.0, "p-overflow": 1e300, "sigma-overflow": 1.0}[path]
+    p = [[diagonal if i == j else 0.0 for j in range(k)] for i in range(k)]
+    return ChannelState(p, 2.0), GaussianChannelParams([0.5] * k, 1e200 if path == "sigma-overflow" else 1.0)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("path, message", [("gain", "gain denominator"), ("p-overflow", "non-finite"),
+                                           ("sigma-overflow", "non-finite")])
+def test_a_degenerate_update_leaves_the_channel_as_it_was(k, path, message):
+    state, params = degenerate_channel(k, path)
+    rows, eta = list(state.P), params.eta
+    before = (copy.deepcopy(state.P), state.gamma, list(params.eta), params.sigma)
+    with pytest.raises(DegenerateUpdate, match=message):
+        channel_update(state, params, (1.0,) * k, 3.0, 0.7)
+    assert (state.P, state.gamma, params.eta, params.sigma) == before
+    assert all(a is b for a, b in zip(state.P, rows)) and params.eta is eta
+
+
+def assert_no_shared_lists(model, state):
+    """No two channels of the model and state share a P, a P row or an eta list."""
+    lists = [p.eta for p in model.s_channels + model.r_channels]
+    for s in state.s_states + state.r_states:
+        lists += [s.P, *s.P]
+    assert len({id(x) for x in lists}) == len(lists)
+
+
+def batch_learner(observation):
+    """A batch-initialized learner over 2 calendar types fed 40 two-step instances of a noisy load,
+    with observations drawn by observation(rng)."""
+    hp = HyperParams(n_calendar_types=2, horizon=2)
+    learner = OnlineLearner(hp, TemperatureShiftEncoder(hp), calendar_fn=lambda t: 1 + t % 2, init_mode="batch")
+    rng = np.random.default_rng(41)
+    load = 1.0
+    for t in range(0, 80, 2):
+        targets = [1.0 + 0.5 * load + float(rng.normal(scale=0.1)) for _ in range(2)]
+        learner.learn_step(InstanceVector(load, (observation(rng),) * 2, t), targets)
+        load = targets[-1]
+    return learner
+
+
+def test_no_two_channels_share_a_list_after_initial_batch_fallback_or_load(tmp_path):
+    hp = HyperParams(n_calendar_types=3)
+    assert_no_shared_lists(ModelParams.initial(3, 3), LearnerState.initial(3, 3))
+    learner = OnlineLearner(hp, TemperatureShiftEncoder(hp), lambda t: 1)
+    assert_no_shared_lists(learner.model, learner.state)
+    # Flagged observations make the observation channels solvable, so both
+    # channels of every type come from batch_initialize.
+    solvable = batch_learner(lambda rng: ObservationVector(float(rng.choice([10.0, 60.0, 95.0])), 55.0))
+    assert not solvable.pending_batch and solvable.diagnostics.batch_init_fallbacks == 0
+    assert_no_shared_lists(solvable.model, solvable.state)
+    # Unflagged observations keep the observation Gram singular, so those
+    # channels come from the zero-start replay of the full buffer.
+    fallback = batch_learner(lambda rng: ObservationVector(60.0, 60.0))
+    assert not fallback.pending_batch and fallback.diagnostics.batch_init_fallbacks == 2
+    assert_no_shared_lists(fallback.model, fallback.state)
+    path = tmp_path / "snap.json"
+    snapshot_save(path, fallback.model, fallback.state, fallback.tracker, fallback.hp)
+    snap = snapshot_load(path)
+    assert snap.model == fallback.model and snap.state == fallback.state
+    assert_no_shared_lists(snap.model, snap.state)

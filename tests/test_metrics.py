@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import whole_table_scores
+from helpers import grid_pinball, whole_table_scores
 
 from aplf import metrics
-from aplf.metrics import QUANTILE_LEVELS, QUANTILE_Z, EmptyInput, evaluate_forecasts, mape, pinball, rmse
+from aplf.metrics import QUANTILE_LEVELS, QUANTILE_Z, EmptyInput, evaluate_forecasts, mape, rmse
 
 
 def test_rmse_values():
@@ -52,25 +52,36 @@ def test_mape_matches_high_precision_oracle():
         assert abs(value - float(expected)) <= 1e-12 * float(expected)
 
 
+def per_sample_pinball(actual, mean, std) -> list[float]:
+    """The per-sample pinball means that the scorer computes."""
+    return metrics._scores(actual, mean, std)[0].tolist()
+
+
 def test_pinball_values():
-    assert pinball(10.0, 8.0, 0.5) == 1.0
-    assert pinball(6.5, 6.5, 0.37) == 0.0
-    assert math.isclose(pinball(5.0, 8.0, 0.9), 0.3, rel_tol=1e-12)
+    # Point forecasts (std 0): every level's quantile is the mean, and the
+    # grid's levels average to 0.5.
+    per_sample = per_sample_pinball([10.0, 6.5, 5.0], [8.0, 6.5, 8.0], [0.0] * 3)
+    assert per_sample == [grid_pinball(10.0, 8.0, 0.0), grid_pinball(6.5, 6.5, 0.0), grid_pinball(5.0, 8.0, 0.0)]
+    assert per_sample[0] == 1.0
+    assert per_sample[1] == 0.0
+    assert math.isclose(per_sample[2], 1.5, rel_tol=1e-12)
 
 
 def test_pinball_median_is_half_absolute_error():
     rng = np.random.default_rng(9)
-    for _ in range(200):
-        s = float(rng.normal(scale=10.0))
-        s_hat = float(rng.normal(scale=10.0))
-        assert pinball(s, s_hat, 0.5) == abs(s - s_hat) / 2.0
+    actual = rng.normal(scale=10.0, size=200).tolist()
+    mean = rng.normal(scale=10.0, size=200).tolist()
+    for s, s_hat, loss in zip(actual, mean, per_sample_pinball(actual, mean, [0.0] * 200)):
+        assert loss == grid_pinball(s, s_hat, 0.0)
+        # The grid is symmetric about the median, so a point forecast's
+        # mean loss is half its absolute error up to rounding.
+        assert math.isclose(loss, abs(s - s_hat) / 2.0, rel_tol=1e-14)
 
 
 def test_pinball_both_branches_brute_force():
     for s, s_hat in [(1.0, 2.0), (2.0, 1.0), (3.0, 3.0)]:
-        for q in (0.1, 0.5, 0.9):
-            expected = q * (s - s_hat) if s >= s_hat else (1 - q) * (s_hat - s)
-            assert pinball(s, s_hat, q) == expected
+        for std in (0.0, 0.1, 0.5, 0.9):
+            assert per_sample_pinball([s], [s_hat], [std]) == [grid_pinball(s, s_hat, std)]
 
 
 def test_quantile_grid_default():
