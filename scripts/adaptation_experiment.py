@@ -41,14 +41,13 @@ def main() -> None:
         write_series_csv(csv_path, rows)
         config = RunConfig(hp=HyperParams(), load_unit="GW",
                            train_end=rows[0][0] + timedelta(days=args.train_days))
-        records, gaps = ingest_csv(csv_path, config)
-        online = run_online_evaluation(records, config, gaps=gaps,
+        series, gaps = ingest_csv(csv_path, config)
+        online = run_online_evaluation(series, config, gaps=gaps,
                                        output_dir=args.output_dir)
-        frozen = run_online_evaluation(records, config, gaps=gaps,
+        frozen = run_online_evaluation(series, config, gaps=gaps,
                                        frozen_after=config.train_end)
 
-    base = records[0].timestamp
-    step = timedelta(hours=1)
+    base, step = series.start, series.step
     switch_ts = base + timedelta(days=args.switch_day)
     print(f"series: {args.days} days, pattern switch at day {args.switch_day} ({switch_ts.date()})")
     print(f"online  rmse = {online.report.rmse:.4f} GW  (post-switch {tail_rmse(online, base, step, switch_ts):.4f})")

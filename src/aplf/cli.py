@@ -12,6 +12,7 @@ import csv
 import functools
 import math
 import sys
+from bisect import bisect_left
 from datetime import datetime, timedelta
 from pathlib import Path
 
@@ -44,11 +45,11 @@ _NUMERIC_ERRORS = (
 
 def _cmd_run(args) -> int:
     config = harness.load_config(args.config)
-    records, gaps = harness.ingest_csv(args.data, config)
+    series, gaps = harness.ingest_csv(args.data, config)
     frozen_after = datetime.fromisoformat(args.frozen_after) if args.frozen_after else None
     output_dir = Path(args.output_dir) if args.output_dir else config.output_dir
     result = harness.run_online_evaluation(
-        records,
+        series,
         config,
         frozen_after=frozen_after,
         resume=args.resume,
@@ -73,37 +74,50 @@ def _cmd_self_check(args) -> int:
 def _read_forecasts(path: Path) -> list:
     """Every (timestamp, mean, std) row of a forecasts.csv, in file order.
 
-    A row whose mean or std is not finite, or whose std is negative, is a
-    ParseError naming its line.
+    A row whose mean or std is not finite, or whose std is negative, and a
+    row the csv module cannot read, are ParseErrors naming their line.
     """
     out = []
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[:4] != ["timestamp", "horizon", "mean", "std"]:
-            raise harness.ParseError(f"{path}:1: expected forecasts.csv header timestamp,horizon,mean,std")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                ts, mean, std = datetime.fromisoformat(row[0]), float(row[2]), float(row[3])
-            except (ValueError, IndexError) as exc:
-                raise harness.ParseError(f"{path}:{lineno}: {exc}") from exc
-            if not (math.isfinite(mean) and math.isfinite(std) and std >= 0.0):
-                raise harness.ParseError(f"{path}:{lineno}: mean must be finite and std finite and >= 0, "
-                                         f"got mean {row[2]}, std {row[3]}")
-            out.append((ts, mean, std))
+        try:
+            header = next(reader, None)
+            if header is None or header[:4] != ["timestamp", "horizon", "mean", "std"]:
+                raise harness.ParseError(f"{path}:1: expected forecasts.csv header timestamp,horizon,mean,std")
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                try:
+                    ts, mean, std = datetime.fromisoformat(row[0]), float(row[2]), float(row[3])
+                except (ValueError, IndexError) as exc:
+                    raise harness.ParseError(f"{path}:{lineno}: {exc}") from exc
+                if not (math.isfinite(mean) and math.isfinite(std) and std >= 0.0):
+                    raise harness.ParseError(f"{path}:{lineno}: mean must be finite and std finite and >= 0, "
+                                             f"got mean {row[2]}, std {row[3]}")
+                out.append((ts, mean, std))
+        except csv.Error as exc:
+            raise harness.ParseError(f"{path}:{reader.line_num}: {exc}") from None
     return out
 
 
 def _cmd_metrics(args) -> int:
     forecasts = _read_forecasts(Path(args.forecasts))
     # One minute is the finest step a run accepts, so this grid admits the
-    # actuals of any run.
-    config = harness.RunConfig(load_unit="MW", step=timedelta(minutes=1))
-    records, _ = harness.ingest_csv(args.actuals, config)
-    actuals = {rec.timestamp: rec.load for rec in records if rec.load is not None}
-    rows = [(actuals[ts], mean, std) for ts, mean, std in forecasts if ts in actuals]
+    # actuals of any run. A forecast row is scored against the actual row at
+    # its own instant, found by its step index in the series' sorted index
+    # column; a row off the grid, outside the series or with the other
+    # awareness (naive or offset-aware) has none.
+    step = timedelta(minutes=1)
+    series = harness.read_series(args.actuals, harness.RunConfig(load_unit="MW", step=step))
+    rows = []
+    for ts, mean, std in forecasts:
+        try:
+            i, rem = divmod(ts - series.start, step)
+        except TypeError:
+            continue
+        k = bisect_left(series.index, i)
+        if not rem and k < len(series) and series.index[k] == i and series.load[k] is not None:
+            rows.append((series.load[k], mean, std))
     if not rows:
         raise harness.EmptySpan("no overlapping (forecast, actual) timestamps")
     report = evaluate_forecasts(*zip(*rows))

@@ -16,7 +16,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field, fields
 from datetime import date, datetime, time, timedelta
-from itertools import accumulate, repeat
+from itertools import accumulate, pairwise, repeat
 from pathlib import Path
 
 from .features import CALENDAR_TYPES, ObservationVector, TemperatureShiftEncoder, TemperatureTracker, calendar_type
@@ -32,13 +32,14 @@ __all__ = [
     "ParseError",
     "RunConfig",
     "RunResult",
-    "SeriesRecord",
+    "Series",
     "ShapeMismatch",
     "Snapshot",
     "UnitMissing",
     "VersionMismatch",
     "ingest_csv",
     "load_config",
+    "read_series",
     "run_online_evaluation",
     "snapshot_load",
     "snapshot_save",
@@ -79,12 +80,20 @@ class CorruptSnapshot(Exception):
 
 
 @dataclass(slots=True)
-class SeriesRecord:
-    """One observation: timestamp, load (None for a gap row), temperature in deg F."""
+class Series:
+    """A series as read_series parsed it, in three parallel columns, one entry per row
+    read: the row's step index i on the grid (its instant is start + i * step), its
+    load and its temperature in deg F (None for a blank cell). len() is the number of
+    rows read; start is the first row's instant, None when there is no row."""
 
-    timestamp: datetime
-    load: float | None
-    temperature: float | None
+    start: datetime | None
+    step: timedelta
+    index: list[int]
+    load: list[float | None]
+    temperature: list[float | None]
+
+    def __len__(self) -> int:
+        return len(self.index)
 
 
 @dataclass
@@ -224,80 +233,104 @@ def _c_to_f(value: float) -> float:
     return value * 9.0 / 5.0 + 32.0
 
 
-def ingest_csv(path: Path | str, config: RunConfig):
-    """Parse and validate a series CSV; returns (records, gap_report).
+def read_series(path: Path | str, config: RunConfig) -> Series:
+    """Parse and validate a series CSV into a Series on the configured step grid.
 
     The header must be timestamp,load[,temperature]; timestamps must be
-    strictly increasing on the configured step grid. Missing steps are
-    reported as gaps, not errors. A load must be finite and >= 0, a
-    temperature finite; a blank cell is missing. Temperatures declared in
-    Celsius are converted to Fahrenheit here.
+    strictly increasing on the step grid, and either all naive or all
+    offset-aware. Missing steps are not errors. A load must be finite and
+    >= 0, a temperature finite; a blank cell is missing. Temperatures
+    declared in Celsius are converted to Fahrenheit here. A ParseError
+    names the file and line; so does one for a row the csv module cannot
+    read, such as a field over csv.field_size_limit().
     """
     if config.load_unit is None:
         raise UnitMissing("config does not declare load_unit")
     path = Path(path)
-    records: list[SeriesRecord] = []
-    gaps: list[dict] = []
     convert = config.temperature_unit == "C"
     step = config.step
+    start = None
+    index: list[int] = []
+    loads: list[float | None] = []
+    temps: list[float | None] = []
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}:1: empty file") from None
-        header = [h.strip() for h in header]
-        if header not in (["timestamp", "load"], ["timestamp", "load", "temperature"]):
-            raise ParseError(f"{path}:1: header must be timestamp,load[,temperature], got {header}")
-        has_temp = len(header) == 3
-        prev_ts = None
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ParseError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-            try:
-                ts = datetime.fromisoformat(row[0].strip())
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: bad timestamp {row[0]!r}: {exc}") from exc
-            load_field = row[1].strip()
-            if load_field == "":
-                load = None
-            else:
+            header = next(reader, None)
+            if header is None:
+                raise ParseError(f"{path}:1: empty file")
+            header = [h.strip() for h in header]
+            if header not in (["timestamp", "load"], ["timestamp", "load", "temperature"]):
+                raise ParseError(f"{path}:1: header must be timestamp,load[,temperature], got {header}")
+            has_temp = len(header) == 3
+            prev_ts = None
+            i = 0
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise ParseError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
                 try:
-                    load = float(load_field)
+                    ts = datetime.fromisoformat(row[0].strip())
                 except ValueError as exc:
-                    raise ParseError(f"{path}:{lineno}: bad load {row[1]!r}") from exc
-                if not math.isfinite(load) or load < 0:
-                    raise ParseError(f"{path}:{lineno}: load must be finite and >= 0, got {load}")
-            temp = None
-            if has_temp:
-                temp_field = row[2].strip()
-                if temp_field != "":
-                    try:
-                        temp = float(temp_field)
-                    except ValueError as exc:
-                        raise ParseError(f"{path}:{lineno}: bad temperature {row[2]!r}") from exc
-                    if not math.isfinite(temp):
-                        raise ParseError(f"{path}:{lineno}: temperature must be finite, got {temp}")
-                    if convert:
-                        temp = _c_to_f(temp)
-            if prev_ts is not None:
+                    raise ParseError(f"{path}:{lineno}: bad timestamp {row[0]!r}: {exc}") from exc
                 try:
-                    delta = ts - prev_ts
-                except TypeError:
-                    raise ParseError(f"{path}:{lineno}: timestamp {ts.isoformat()} mixes naive and "
-                                     f"offset-aware timestamps") from None
-                if delta != step:
-                    if delta <= timedelta(0):
+                    load = float(row[1])
+                except ValueError as exc:
+                    if row[1].strip():
+                        raise ParseError(f"{path}:{lineno}: bad load {row[1]!r}") from exc
+                    load = None
+                else:
+                    if not 0.0 <= load < math.inf:
+                        raise ParseError(f"{path}:{lineno}: load must be finite and >= 0, got {load}")
+                temp = None
+                if has_temp:
+                    try:
+                        temp = float(row[2])
+                    except ValueError as exc:
+                        if row[2].strip():
+                            raise ParseError(f"{path}:{lineno}: bad temperature {row[2]!r}") from exc
+                    else:
+                        if not -math.inf < temp < math.inf:
+                            raise ParseError(f"{path}:{lineno}: temperature must be finite, got {temp}")
+                        if convert:
+                            temp = _c_to_f(temp)
+                if prev_ts is None:
+                    start = ts
+                else:
+                    try:
+                        delta = ts - prev_ts
+                    except TypeError:
+                        raise ParseError(f"{path}:{lineno}: timestamp {ts.isoformat()} mixes naive and "
+                                         f"offset-aware timestamps") from None
+                    if delta == step:
+                        i += 1
+                    elif delta <= timedelta(0):
                         raise NonMonotoneTimestamps(f"{path}:{lineno}: timestamp {ts.isoformat()} not after previous")
-                    steps, rem = divmod(delta, step)
-                    if rem:
-                        raise ParseError(f"{path}:{lineno}: timestamp {ts.isoformat()} off the {step} grid")
-                    gaps.append({"after": prev_ts, "missing_steps": steps - 1})
-            prev_ts = ts
-            records.append(SeriesRecord(ts, load, temp))
-    return records, gaps
+                    else:
+                        steps, rem = divmod(delta, step)
+                        if rem:
+                            raise ParseError(f"{path}:{lineno}: timestamp {ts.isoformat()} off the {step} grid")
+                        i += steps
+                prev_ts = ts
+                index.append(i)
+                loads.append(load)
+                temps.append(temp)
+        except csv.Error as exc:
+            raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
+    return Series(start, step, index, loads, temps)
+
+
+def ingest_csv(path: Path | str, config: RunConfig) -> tuple[Series, list[dict]]:
+    """read_series, plus the series' gaps: one {"after": instant, "missing_steps": n}
+    per run of n missing grid steps, after the instant of the row before it."""
+    series = read_series(path, config)
+    index = series.index
+    if not index or index[-1] + 1 == len(index):
+        return series, []
+    start, step = series.start, series.step
+    return series, [{"after": start + prev * step, "missing_steps": i - prev - 1}
+                    for prev, i in pairwise(index) if i != prev + 1]
 
 
 @dataclass(frozen=True)
@@ -425,7 +458,7 @@ class RunResult:
     forecast_header: str
 
 
-def run_online_evaluation(records: list[SeriesRecord], config: RunConfig, *,
+def run_online_evaluation(series: Series, config: RunConfig, *,
                           frozen_after: datetime | None = None,
                           resume: Path | str | None = None,
                           snapshot_out: Path | str | None = None,
@@ -433,8 +466,9 @@ def run_online_evaluation(records: list[SeriesRecord], config: RunConfig, *,
                           gaps: list | None = None) -> RunResult:
     """Run the rolling learn/predict loop and evaluate the test span.
 
-    Warm-up anchors (before train_end) only learn; test anchors predict
-    with the latest model first and learn from the revealed loads after.
+    The series' own grid (start, step) is the run's grid. Warm-up anchors
+    (before train_end) only learn; test anchors predict with the latest
+    model first and learn from the revealed loads after.
     With frozen_after set, learning stops at that instant (offline-style
     ablation). Forecast rows are emitted for every predicted step; the
     evaluation pools every horizon step that has an actual load.
@@ -442,21 +476,20 @@ def run_online_evaluation(records: list[SeriesRecord], config: RunConfig, *,
     where the data's timestamps are offset-aware, or the reverse, raise
     ParseError.
     """
-    if not records:
-        raise EmptySpan("no records")
+    if not series:
+        raise EmptySpan("no rows")
     if config.train_end is None:
         raise ParseError("config must set train_end for a run")
     hp = config.hp
     if hp.n_calendar_types != CALENDAR_TYPES:
         raise ParseError(f"the built-in calendar mapping requires calendar_types = {CALENDAR_TYPES}")
-    base = records[0].timestamp
-    last_ts = records[-1].timestamp
+    base, step = series.start, series.step
+    last_ts = base + series.index[-1] * step
     _check_comparable("train_end", config.train_end, base)
     _check_comparable("test_end", config.test_end, base)
     _check_comparable("frozen_after", frozen_after, base)
     if not base <= config.train_end <= last_ts:
         raise ParseError("train_end must lie inside the data span")
-    step = config.step
 
     # One anchor per day before test_end (the split boundary: resumed runs
     # continue from there): its instant, its step index and its horizon.
@@ -476,16 +509,14 @@ def run_online_evaluation(records: list[SeriesRecord], config: RunConfig, *,
     if not any(config.train_end <= ts for ts, _, _ in anchors):
         raise EmptySpan("no prediction days inside the test span")
 
-    # The series on its step grid, from the first record through the last
-    # record or the last step any anchor predicts, whichever is later.
-    # Records come from ingest_csv, so each lies on the grid.
-    n_steps = max((last_ts - base) // step, max(t + h for _, t, h in anchors)) + 1
+    # The series on its step grid, from the first row through the last row
+    # or the last step any anchor predicts, whichever is later.
+    n_steps = max(series.index[-1], max(t + h for _, t, h in anchors)) + 1
     loads: list[float | None] = [None] * n_steps
     temps: list[float | None] = [None] * n_steps
-    for r in records:
-        i = (r.timestamp - base) // step
-        loads[i] = r.load
-        temps[i] = r.temperature
+    for i, load, temp in zip(series.index, series.load, series.temperature):
+        loads[i] = load
+        temps[i] = temp
     # The grid's instants are stepped by addition, equal to base + i * step
     # for every i and cheaper than the product.
     holidays = config.holidays
@@ -507,6 +538,11 @@ def run_online_evaluation(records: list[SeriesRecord], config: RunConfig, *,
         cursor = snap.cursor
 
     header = "timestamp,horizon,mean,std"
+    # Forecast rows are stamped in the data's wall-clock time: naive instants
+    # stepped by addition, then the data's UTC offset as isoformat writes it.
+    # Every offset-aware timestamp read_series returns has a fixed-offset
+    # timezone, so this suffix is the same on every row.
+    offset_suffix = base.isoformat()[len(base.replace(tzinfo=None).isoformat()):]
     if config.emit_quantiles:
         header += "," + ",".join(f"q{int(round(q * 100)):02d}" for q in QUANTILE_LEVELS)
 
@@ -542,11 +578,11 @@ def run_online_evaluation(records: list[SeriesRecord], config: RunConfig, *,
             else:
                 path = predict(learner.model, instance, cal, encoder, state=learner.state)
                 cold_starts += len(path.cold_start_substitutions)
-                ts = anchor_ts
+                ts = anchor_ts.replace(tzinfo=None)
                 for i, (pt, actual) in enumerate(zip(path.points, targets), start=1):
                     ts += step
-                    mean, std = float(pt.mean), float(pt.std)
-                    row = f"{ts.isoformat()},{i},{mean!r},{std!r}"
+                    mean, std = pt.mean, pt.std
+                    row = f"{ts.isoformat()}{offset_suffix},{i},{mean!r},{std!r}"
                     if emit_quantiles:
                         row += "," + ",".join([repr(mean + std * z) for z in QUANTILE_Z])
                     forecast_rows.append(row)
@@ -595,7 +631,7 @@ def _check_comparable(name: str, value: datetime | None, base: datetime) -> None
 def _write_outputs(output_dir: Path, header: str, forecast_rows: list[str],
                    report: EvalReport | None, notes: dict) -> None:
     output_dir.mkdir(parents=True, exist_ok=True)
-    (output_dir / "forecasts.csv").write_text(header + "\n" + "".join(r + "\n" for r in forecast_rows))
+    (output_dir / "forecasts.csv").write_text("\n".join([header, *forecast_rows]) + "\n")
     lines = []
     if report is not None:
         lines.extend(report.lines())

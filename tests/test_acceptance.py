@@ -301,16 +301,15 @@ def test_adaptation_to_a_pattern_switch(tmp_path):
     write_series_csv(path, rows)
     config = RunConfig(hp=HyperParams(), load_unit="GW",
                        train_end=datetime(2021, 3, 31, tzinfo=UTC))
-    records, _ = ingest_csv(path, config)
+    series, _ = ingest_csv(path, config)
 
-    online = run_online_evaluation(records, config)
-    frozen = run_online_evaluation(records, config, frozen_after=config.train_end)
+    online = run_online_evaluation(series, config)
+    frozen = run_online_evaluation(series, config, frozen_after=config.train_end)
 
+    base, step = series.start, series.step
     test_start = config.train_end
-    test_finish = records[-1].timestamp
+    test_finish = base + series.index[-1] * step
     last_third = test_finish - (test_finish - test_start) / 3
-    base = records[0].timestamp
-    step = records[1].timestamp - base
 
     def tail_rmse(result):
         tail = [i for i, t in enumerate(result.t) if base + t * step >= last_third]
@@ -407,10 +406,10 @@ def test_dataset_replay_end_to_end():
     # produce a monotone calibration curve; no numeric target is asserted.
     path = os.environ["APLF_DATASET_CSV"]
     config = RunConfig(hp=HyperParams(), load_unit=os.environ.get("APLF_LOAD_UNIT", "MW"))
-    records, gaps = ingest_csv(path, config)
-    span = records[-1].timestamp - records[0].timestamp
-    config.train_end = records[0].timestamp + span * 3 / 5
-    result = run_online_evaluation(records, config, gaps=gaps)
+    series, gaps = ingest_csv(path, config)
+    span = series.index[-1] * series.step
+    config.train_end = series.start + span * 3 / 5
+    result = run_online_evaluation(series, config, gaps=gaps)
     assert result.report is not None
     coverages = [c for _, c in result.report.calibration_curve]
     ok = all(a <= b for a, b in zip(coverages, coverages[1:]))

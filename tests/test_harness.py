@@ -139,10 +139,13 @@ def test_ingest_well_formed_file(tmp_path):
         "2021-03-01T01:00:00+00:00,1.6,41.0\n"
         "2021-03-01T02:00:00+00:00,1.7,\n"
     )
-    records, gaps = ingest_csv(path, base_config())
-    assert len(records) == 3
+    series, gaps = ingest_csv(path, base_config())
+    assert len(series) == 3
     assert gaps == []
-    assert records[2].temperature is None
+    assert series.start == datetime(2021, 3, 1, tzinfo=UTC) and series.step == timedelta(hours=1)
+    assert series.index == [0, 1, 2]
+    assert series.load == [1.5, 1.6, 1.7]
+    assert series.temperature == [40.0, 41.0, None]
 
 
 def test_ingest_out_of_order_rows_name_the_line(tmp_path):
@@ -160,12 +163,41 @@ def test_ingest_reports_gaps(tmp_path):
     path = tmp_path / "gap.csv"
     path.write_text(
         "timestamp,load\n"
-        "2021-03-01T00:00:00+00:00,1.5\n"
-        "2021-03-01T02:00:00+00:00,1.6\n"
+        "2021-03-01T00:30:00-05:00,1.5\n"
+        "2021-03-01T03:30:00-05:00,\n"
+        "2021-03-01T04:30:00-05:00,1.7\n"
+        "2021-03-01T06:30:00-05:00,1.8\n"
     )
-    records, gaps = ingest_csv(path, base_config())
-    assert len(records) == 2
-    assert gaps == [{"after": datetime(2021, 3, 1, tzinfo=UTC), "missing_steps": 1}]
+    series, gaps = ingest_csv(path, base_config())
+    assert len(series) == 4
+    assert series.index == [0, 3, 4, 6]
+    assert series.load == [1.5, None, 1.7, 1.8]
+    offset = timezone(timedelta(hours=-5))
+    assert gaps == [{"after": datetime(2021, 3, 1, 0, 30, tzinfo=offset), "missing_steps": 2},
+                    {"after": datetime(2021, 3, 1, 4, 30, tzinfo=offset), "missing_steps": 1}]
+
+
+def test_ingest_of_a_header_only_file_has_no_rows(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("timestamp,load\n")
+    series, gaps = ingest_csv(path, base_config())
+    assert len(series) == 0 and series.start is None and gaps == []
+    with pytest.raises(EmptySpan):
+        run_online_evaluation(series, base_config(train_end=datetime(2021, 3, 1, tzinfo=UTC)))
+
+
+# A field longer than csv.field_size_limit() makes the csv module raise
+# csv.Error; it is an input error naming the file and line, exit 2.
+OVERSIZED_FIELD = "9" * 200_000
+
+
+def test_ingest_oversized_field_is_a_parse_error_naming_the_line(tmp_path, capsys):
+    path = tmp_path / "huge.csv"
+    path.write_text(f"timestamp,load\n2021-03-01T00:00:00+00:00,1.5\n2021-03-01T01:00:00+00:00,{OVERSIZED_FIELD}\n")
+    with pytest.raises(ParseError, match=r"huge\.csv:3: field larger than field limit"):
+        ingest_csv(path, base_config())
+    assert cli_main(["run", "--data", str(path), "--config", str(write_cli_config(tmp_path))]) == 2
+    assert f"{path}:3: field larger than field limit" in capsys.readouterr().err
 
 
 def test_ingest_rejects_off_grid_timestamp(tmp_path):
@@ -223,8 +255,8 @@ def test_ingest_rejects_non_finite_cells(tmp_path, capsys, column, value):
 def test_ingest_converts_celsius(tmp_path):
     path = tmp_path / "c.csv"
     path.write_text("timestamp,load,temperature\n2021-03-01T00:00:00+00:00,1.0,10.0\n")
-    records, _ = ingest_csv(path, base_config(temperature_unit="C"))
-    assert records[0].temperature == 50.0
+    series, _ = ingest_csv(path, base_config(temperature_unit="C"))
+    assert series.temperature == [50.0]
 
 
 def test_ingest_rejects_unknown_header(tmp_path):
@@ -239,9 +271,9 @@ def test_ingest_rejects_unknown_header(tmp_path):
 
 def test_snapshot_round_trip_is_bit_identical(tmp_path, data_csv):
     config = base_config(train_end=datetime(2021, 3, 11, tzinfo=UTC))
-    records, _ = ingest_csv(data_csv, config)
+    series, _ = ingest_csv(data_csv, config)
     snap_path = tmp_path / "model.snapshot"
-    run_online_evaluation(records, config, snapshot_out=snap_path)
+    run_online_evaluation(series, config, snapshot_out=snap_path)
     snap = snapshot_load(snap_path)
     snapshot_save(tmp_path / "again.snapshot", snap.model, snap.state, snap.tracker, snap.hp,
                   cursor=snap.cursor, pending=snap.pending)
@@ -260,9 +292,9 @@ def test_snapshot_round_trip_is_bit_identical(tmp_path, data_csv):
 
 def test_snapshot_shape_mismatch(tmp_path, data_csv):
     config = base_config(train_end=datetime(2021, 3, 11, tzinfo=UTC))
-    records, _ = ingest_csv(data_csv, config)
+    series, _ = ingest_csv(data_csv, config)
     snap_path = tmp_path / "model.snapshot"
-    run_online_evaluation(records, config, snapshot_out=snap_path)
+    run_online_evaluation(series, config, snapshot_out=snap_path)
     with pytest.raises(ShapeMismatch):
         snapshot_load(snap_path, expect_r_dim=4)
     with pytest.raises(ShapeMismatch):
@@ -271,9 +303,9 @@ def test_snapshot_shape_mismatch(tmp_path, data_csv):
 
 def test_snapshot_truncated_file_is_corrupt(tmp_path, data_csv):
     config = base_config(train_end=datetime(2021, 3, 11, tzinfo=UTC))
-    records, _ = ingest_csv(data_csv, config)
+    series, _ = ingest_csv(data_csv, config)
     snap_path = tmp_path / "model.snapshot"
-    run_online_evaluation(records, config, snapshot_out=snap_path)
+    run_online_evaluation(series, config, snapshot_out=snap_path)
     clipped = tmp_path / "clipped.snapshot"
     clipped.write_text(snap_path.read_text()[:200])
     with pytest.raises(CorruptSnapshot):
@@ -282,9 +314,9 @@ def test_snapshot_truncated_file_is_corrupt(tmp_path, data_csv):
 
 def test_snapshot_tampered_payload_is_corrupt(tmp_path, data_csv):
     config = base_config(train_end=datetime(2021, 3, 11, tzinfo=UTC))
-    records, _ = ingest_csv(data_csv, config)
+    series, _ = ingest_csv(data_csv, config)
     snap_path = tmp_path / "model.snapshot"
-    run_online_evaluation(records, config, snapshot_out=snap_path)
+    run_online_evaluation(series, config, snapshot_out=snap_path)
     doc = json.loads(snap_path.read_text())
     doc["payload"]["r_dim"] = 9
     snap_path.write_text(json.dumps(doc))
@@ -294,9 +326,9 @@ def test_snapshot_tampered_payload_is_corrupt(tmp_path, data_csv):
 
 def test_snapshot_version_mismatch(tmp_path, data_csv):
     config = base_config(train_end=datetime(2021, 3, 11, tzinfo=UTC))
-    records, _ = ingest_csv(data_csv, config)
+    series, _ = ingest_csv(data_csv, config)
     snap_path = tmp_path / "model.snapshot"
-    run_online_evaluation(records, config, snapshot_out=snap_path)
+    run_online_evaluation(series, config, snapshot_out=snap_path)
     doc = json.loads(snap_path.read_text())
     doc["version"] = 99
     snap_path.write_text(json.dumps(doc))
@@ -412,6 +444,9 @@ GOLDEN_60D = Path(__file__).parent / "data" / "golden_60d.json"
 # in Celsius with holidays, blank cells and temperature events, under
 # init_mode = batch.
 GOLDEN_60D_BATCH = Path(__file__).parent / "data" / "golden_60d_batch.json"
+# The same digests for write_offset_series_with_gaps below: a fixed -05:00
+# offset and deleted rows, with quantile columns.
+GOLDEN_60D_OFFSET = Path(__file__).parent / "data" / "golden_60d_offset.json"
 
 
 def golden_digests(tmp_path, golden: dict, write_input) -> dict:
@@ -440,6 +475,22 @@ def write_batch_init_series(path: Path) -> None:
     path.write_text("".join(line + "\n" for line in lines))
 
 
+# Local wall-clock instants deleted from the offset golden's series: one in
+# the warm-up, one test-day anchor (a skipped day), two adjacent forecast
+# targets, and one more target.
+OFFSET_SERIES_DELETED = ("2021-03-05T03:00", "2021-03-25T11:00", "2021-04-10T15:00",
+                         "2021-04-10T16:00", "2021-04-20T23:00")
+
+
+def write_offset_series_with_gaps(path: Path) -> None:
+    """`scripts/make_synthetic.py --days 60 --switch-day 30` with every timestamp's wall
+    clock kept and its offset set to -05:00, less the rows at OFFSET_SERIES_DELETED."""
+    offset = timezone(timedelta(hours=-5))
+    rows = [(ts.replace(tzinfo=offset), load, temp) for ts, load, temp in make_hourly_series(60, switch_day=30)]
+    deleted = {datetime.fromisoformat(t).replace(tzinfo=offset) for t in OFFSET_SERIES_DELETED}
+    write_series_csv(path, [row for row in rows if row[0] not in deleted])
+
+
 def test_outputs_match_the_golden_digests(tmp_path):
     golden = json.loads(GOLDEN_60D.read_text())
     digests = golden_digests(tmp_path, golden,
@@ -452,33 +503,44 @@ def test_batch_init_outputs_match_the_golden_digests(tmp_path):
     assert golden_digests(tmp_path, golden, write_batch_init_series) == golden["sha256"]
 
 
+def test_offset_series_with_gaps_matches_the_golden_digests(tmp_path, capsys):
+    golden = json.loads(GOLDEN_60D_OFFSET.read_text())
+    assert golden_digests(tmp_path, golden, write_offset_series_with_gaps) == golden["sha256"]
+    report = (tmp_path / "out" / "report.txt").read_text().splitlines()
+    assert "skipped_days = 1" in report and "n_gap_steps = 5" in report
+    capsys.readouterr()
+    assert cli_main(["metrics", "--forecasts", str(tmp_path / "out" / "forecasts.csv"),
+                     "--actuals", str(tmp_path / "series.csv")]) == 0
+    assert capsys.readouterr().out.splitlines() == report[:6]
+
+
 def test_two_runs_are_byte_identical(tmp_path, data_csv):
     config = base_config(train_end=datetime(2021, 3, 11, tzinfo=UTC))
-    records, _ = ingest_csv(data_csv, config)
+    series, _ = ingest_csv(data_csv, config)
     out1 = tmp_path / "run1"
     out2 = tmp_path / "run2"
-    run_online_evaluation(records, config, output_dir=out1)
-    run_online_evaluation(records, config, output_dir=out2)
+    run_online_evaluation(series, config, output_dir=out1)
+    run_online_evaluation(series, config, output_dir=out2)
     assert (out1 / "forecasts.csv").read_bytes() == (out2 / "forecasts.csv").read_bytes()
     assert (out1 / "calibration.csv").read_bytes() == (out2 / "calibration.csv").read_bytes()
 
 
 def test_split_run_resumes_byte_identically(tmp_path, data_csv):
     config = base_config(train_end=datetime(2021, 3, 11, tzinfo=UTC))
-    records, _ = ingest_csv(data_csv, config)
-    full = run_online_evaluation(records, config)
+    series, _ = ingest_csv(data_csv, config)
+    full = run_online_evaluation(series, config)
 
     split_at = datetime(2021, 3, 13, tzinfo=UTC)
     config_first = base_config(train_end=config.train_end, test_end=split_at)
     snap_path = tmp_path / "split.snapshot"
-    first = run_online_evaluation(records, config_first, snapshot_out=snap_path)
-    second = run_online_evaluation(records, config, resume=snap_path)
+    first = run_online_evaluation(series, config_first, snapshot_out=snap_path)
+    second = run_online_evaluation(series, config, resume=snap_path)
     assert first.forecast_rows + second.forecast_rows == full.forecast_rows
 
 
 def test_parameters_never_see_loads_after_the_prediction_time(data_csv, tmp_path, monkeypatch):
     config = base_config(train_end=datetime(2021, 3, 11, tzinfo=UTC))
-    records, _ = ingest_csv(data_csv, config)
+    series, _ = ingest_csv(data_csv, config)
 
     captured = {}
     real_predict = harness.predict
@@ -488,17 +550,21 @@ def test_parameters_never_see_loads_after_the_prediction_time(data_csv, tmp_path
         return real_predict(model, instance, calendar_fn, encoder, state=state)
 
     monkeypatch.setattr(harness, "predict", spy)
-    base = records[0].timestamp
-    run_online_evaluation(records, config)
+    run_online_evaluation(series, config)
     monkeypatch.setattr(harness, "predict", real_predict)
     assert captured
 
+    header, *rows = data_csv.read_text().splitlines()
     for t_idx, seen_model in list(captured.items())[:2]:
-        anchor_ts = base + t_idx * timedelta(hours=1)
-        visible = [r for r in records if r.timestamp <= anchor_ts]
+        anchor_ts = series.start + t_idx * series.step
+        visible = tmp_path / f"visible_{t_idx}.csv"
+        kept = [row for row in rows if datetime.fromisoformat(row.split(",")[0]) <= anchor_ts]
+        visible.write_text("".join(line + "\n" for line in [header, *kept]))
         snap_path = tmp_path / f"replay_{t_idx}.snapshot"
         replay_config = base_config(train_end=config.train_end)
-        run_online_evaluation(visible, replay_config, snapshot_out=snap_path)
+        visible_series, _ = ingest_csv(visible, replay_config)
+        assert len(visible_series) == t_idx + 1
+        run_online_evaluation(visible_series, replay_config, snapshot_out=snap_path)
         replayed = snapshot_load(snap_path).model
         for a, b in zip(seen_model.s_channels + seen_model.r_channels,
                         replayed.s_channels + replayed.r_channels):
@@ -511,9 +577,9 @@ def test_zero_length_test_span_raises(data_csv):
         train_end=datetime(2021, 3, 11, tzinfo=UTC),
         test_end=datetime(2021, 3, 11, tzinfo=UTC),
     )
-    records, _ = ingest_csv(data_csv, config)
+    series, _ = ingest_csv(data_csv, config)
     with pytest.raises(EmptySpan):
-        run_online_evaluation(records, config)
+        run_online_evaluation(series, config)
 
 
 def test_missing_anchor_day_is_skipped_and_counted(tmp_path, series_14d):
@@ -521,9 +587,9 @@ def test_missing_anchor_day_is_skipped_and_counted(tmp_path, series_14d):
     path = tmp_path / "holes.csv"
     write_series_csv(path, rows)
     config = base_config(train_end=datetime(2021, 3, 11, tzinfo=UTC))
-    records, gaps = ingest_csv(path, config)
+    series, gaps = ingest_csv(path, config)
     assert gaps
-    result = run_online_evaluation(records, config, gaps=gaps)
+    result = run_online_evaluation(series, config, gaps=gaps)
     assert result.notes["skipped_days"] == 1
     assert result.notes["n_gap_steps"] == 1
 
@@ -536,7 +602,7 @@ def test_missing_anchor_day_is_skipped_and_counted(tmp_path, series_14d):
 ])
 def test_each_grid_step_is_typed_once(data_csv, monkeypatch, test_end, steps_past_records):
     config = base_config(train_end=datetime(2021, 3, 11, tzinfo=UTC), test_end=test_end)
-    records, _ = ingest_csv(data_csv, config)
+    series, _ = ingest_csv(data_csv, config)
     typed = []
     real_calendar_type = harness.calendar_type
 
@@ -545,16 +611,20 @@ def test_each_grid_step_is_typed_once(data_csv, monkeypatch, test_end, steps_pas
         return real_calendar_type(ts, holidays)
 
     monkeypatch.setattr(harness, "calendar_type", spy)
-    run_online_evaluation(records, config)
-    assert len(typed) == len(set(typed)) == len(records) + steps_past_records
+    run_online_evaluation(series, config)
+    assert len(typed) == len(set(typed)) == len(series) + steps_past_records
 
 
 def test_dropped_row_equals_blank_row(tmp_path, data_csv):
     config = base_config(train_end=datetime(2021, 3, 11, tzinfo=UTC))
-    records, _ = ingest_csv(data_csv, config)
-    k = next(i for i, r in enumerate(records) if r.timestamp == datetime(2021, 3, 12, 15, tzinfo=UTC))
-    dropped = records[:k] + records[k + 1:]
-    blanked = records[:k] + [harness.SeriesRecord(records[k].timestamp, None, None)] + records[k + 1:]
+    lines = data_csv.read_text().splitlines()
+    k = next(i for i, line in enumerate(lines) if line.startswith("2021-03-12T15:00:00+00:00,"))
+    (tmp_path / "dropped.csv").write_text("".join(line + "\n" for line in lines[:k] + lines[k + 1:]))
+    (tmp_path / "blanked.csv").write_text(
+        "".join(line + "\n" for line in lines[:k] + ["2021-03-12T15:00:00+00:00,,"] + lines[k + 1:]))
+    dropped, dropped_gaps = ingest_csv(tmp_path / "dropped.csv", config)
+    blanked, blanked_gaps = ingest_csv(tmp_path / "blanked.csv", config)
+    assert (len(dropped), len(blanked), len(dropped_gaps), blanked_gaps) == (len(lines) - 2, len(lines) - 1, 1, [])
     a = run_online_evaluation(dropped, config, snapshot_out=tmp_path / "dropped.snapshot")
     b = run_online_evaluation(blanked, config, snapshot_out=tmp_path / "blanked.snapshot")
     assert a.forecast_rows == b.forecast_rows
@@ -568,17 +638,17 @@ def test_short_last_horizon_with_records_past_it(tmp_path, data_csv):
     cfg = tmp_path / "sched.cfg"
     cfg.write_text(f"load_unit = GW\ntrain_end = 2021-03-11T00:00:00+00:00\nschedule_file = {schedule}\n")
     config = load_config(cfg)
-    records, _ = ingest_csv(data_csv, config)
-    result = run_online_evaluation(records, config)
+    series, _ = ingest_csv(data_csv, config)
+    result = run_online_evaluation(series, config)
     assert result.forecast_rows[-1].startswith("2021-03-14T08:00:00+00:00,2,")
-    assert records[-1].timestamp == datetime(2021, 3, 14, 23, tzinfo=UTC)
+    assert series.start + series.index[-1] * series.step == datetime(2021, 3, 14, 23, tzinfo=UTC)
 
 
 def test_quantile_emission_adds_columns(tmp_path, data_csv):
     config = base_config(train_end=datetime(2021, 3, 11, tzinfo=UTC), emit_quantiles=True)
-    records, _ = ingest_csv(data_csv, config)
+    series, _ = ingest_csv(data_csv, config)
     out = tmp_path / "qrun"
-    result = run_online_evaluation(records, config, output_dir=out)
+    result = run_online_evaluation(series, config, output_dir=out)
     header = (out / "forecasts.csv").read_text().splitlines()[0]
     assert header.startswith("timestamp,horizon,mean,std,q01,")
     assert header.endswith(",q99")
@@ -591,9 +661,9 @@ def test_quantile_emission_adds_columns(tmp_path, data_csv):
 
 def test_frozen_after_stops_learning(data_csv):
     config = base_config(train_end=datetime(2021, 3, 11, tzinfo=UTC))
-    records, _ = ingest_csv(data_csv, config)
-    online = run_online_evaluation(records, config)
-    frozen = run_online_evaluation(records, config, frozen_after=config.train_end)
+    series, _ = ingest_csv(data_csv, config)
+    online = run_online_evaluation(series, config)
+    frozen = run_online_evaluation(series, config, frozen_after=config.train_end)
     assert online.forecast_rows != frozen.forecast_rows
 
 
@@ -607,8 +677,8 @@ def test_schedule_file_overrides_time_and_horizon(tmp_path, data_csv):
         f"schedule_file = {schedule}\n"
     )
     config = load_config(cfg)
-    records, _ = ingest_csv(data_csv, config)
-    result = run_online_evaluation(records, config)
+    series, _ = ingest_csv(data_csv, config)
+    result = run_online_evaluation(series, config)
     rows_by_anchor = {}
     for row in result.forecast_rows:
         ts_field, horizon_field = row.split(",")[:2]
@@ -623,11 +693,11 @@ def test_schedule_file_overrides_time_and_horizon(tmp_path, data_csv):
 
 def test_report_written(tmp_path, data_csv):
     config = base_config(train_end=datetime(2021, 3, 11, tzinfo=UTC))
-    records, _ = ingest_csv(data_csv, config)
+    series, _ = ingest_csv(data_csv, config)
     out = tmp_path / "outs"
-    result = run_online_evaluation(records, config, output_dir=out)
+    result = run_online_evaluation(series, config, output_dir=out)
     assert result.report == evaluate_forecasts(result.actual, result.mean, result.std)
-    base, step = records[0].timestamp, config.step
+    base, step = series.start, series.step
     rows = {datetime.fromisoformat(ts): (float(mean), float(std))
             for ts, _, mean, std in (row.split(",") for row in result.forecast_rows)}
     assert [rows[base + t * step] for t in result.t] == list(zip(result.mean, result.std))
@@ -640,26 +710,35 @@ def test_report_written(tmp_path, data_csv):
 
 
 # The series are typed and their forecast rows stamped on the step grid off
-# UTC too: naive timestamps, a fixed -05:00 offset, and a half-hourly step
-# with scheduled horizons above 24 steps, the last one reaching past the data.
+# UTC too: naive timestamps, a fixed -05:00 offset, a half-hourly step with
+# scheduled horizons above 24 steps, the last one reaching past the data, and
+# an offset that carries seconds with instants that carry seconds and
+# microseconds. Each entry: zone, step in minutes, the first row's time of
+# day (the prediction time has the same minutes, seconds and microseconds),
+# and the schedule.
 OFF_UTC_GRIDS = {
-    "naive": (None, 60, {}),
-    "fixed-05:00": (timezone(timedelta(hours=-5)), 60, {}),
-    "half-hourly-long-horizons": (UTC, 30, {date(2021, 3, 10): (time(9, 30), 30),
-                                            date(2021, 3, 14): (time(20, 0), 40)}),
+    "naive": (None, 60, time(0), {}),
+    "fixed-05:00": (timezone(timedelta(hours=-5)), 60, time(0), {}),
+    "half-hourly-long-horizons": (UTC, 30, time(0), {date(2021, 3, 10): (time(9, 30), 30),
+                                                     date(2021, 3, 14): (time(20, 0), 40)}),
+    "offset-and-instants-with-seconds": (timezone(timedelta(hours=5, minutes=30, seconds=15)), 60,
+                                         time(0, 0, 15, 250000), {}),
 }
 
 
-@pytest.mark.parametrize("tz, minutes, schedule", OFF_UTC_GRIDS.values(), ids=OFF_UTC_GRIDS)
-def test_forecast_timestamps_and_calendar_types_follow_the_step_grid(monkeypatch, tz, minutes, schedule):
-    step, base = timedelta(minutes=minutes), datetime(2021, 3, 1, tzinfo=tz)
+@pytest.mark.parametrize("tz, minutes, first, schedule", OFF_UTC_GRIDS.values(), ids=OFF_UTC_GRIDS)
+def test_forecast_timestamps_and_calendar_types_follow_the_step_grid(tmp_path, monkeypatch, tz, minutes, first,
+                                                                     schedule):
+    step, base = timedelta(minutes=minutes), datetime.combine(date(2021, 3, 1), first, tzinfo=tz)
     rng = np.random.default_rng(minutes)
-    records = []
+    rows = []
     for i in range(14 * 24 * 60 // minutes):
         ts = base + i * step
         load = 2.0 + 0.5 * math.sin(2.0 * math.pi * (ts.hour + ts.minute / 60.0) / 24.0) + rng.normal(scale=0.01)
-        records.append(harness.SeriesRecord(ts, float(load), 55.0))
-    config = base_config(train_end=datetime(2021, 3, 8, tzinfo=tz), step=step, schedule=schedule)
+        rows.append((ts, load, 55.0))
+    config = base_config(train_end=datetime(2021, 3, 8, tzinfo=tz), step=step, schedule=schedule,
+                         prediction_time=first.replace(hour=11))
+    series, _ = ingest_csv(write_small_csv(tmp_path / "series.csv", rows), config)
     typed = []
     calendar_type = harness.calendar_type
 
@@ -668,7 +747,7 @@ def test_forecast_timestamps_and_calendar_types_follow_the_step_grid(monkeypatch
         return calendar_type(ts, holidays)
 
     monkeypatch.setattr(harness, "calendar_type", recording_calendar_type)
-    result = run_online_evaluation(records, config)
+    result = run_online_evaluation(series, config)
 
     expected_rows = []
     for day in range(14):
@@ -678,7 +757,7 @@ def test_forecast_timestamps_and_calendar_types_follow_the_step_grid(monkeypatch
             expected_rows += [f"{(anchor + i * step).isoformat()},{i}" for i in range(1, horizon + 1)]
     assert [",".join(row.split(",")[:2]) for row in result.forecast_rows] == expected_rows
     assert [ts.isoformat() for ts in typed] == [(base + i * step).isoformat() for i in range(len(typed))]
-    assert typed[-1] == datetime.fromisoformat(expected_rows[-1].split(",")[0]) > records[-1].timestamp
+    assert typed[-1] == datetime.fromisoformat(expected_rows[-1].split(",")[0]) > rows[-1][0]
 
 
 # --- command line ------------------------------------------------------------
@@ -768,6 +847,93 @@ def test_cli_run_whose_test_loads_are_all_zero_reports_nan_mape(tmp_path, capsys
     capsys.readouterr()
     assert cli_main(["metrics", "--forecasts", str(out / "forecasts.csv"), "--actuals", str(data)]) == 0
     assert capsys.readouterr().out.splitlines() == report_lines
+
+
+def write_lines(path: Path, lines) -> Path:
+    path.write_text("".join(line + "\n" for line in lines))
+    return path
+
+
+def metrics_by_instant(forecast_lines, actual_lines) -> list[str]:
+    """The metrics report of forecast rows scored against the actual load at the equal
+    instant, matched by datetime equality: naive and offset-aware never match."""
+    actuals = {datetime.fromisoformat(ts): float(load)
+               for ts, load, *_ in (line.split(",") for line in actual_lines[1:]) if load}
+    rows = [(actuals[ts], float(mean), float(std))
+            for ts, mean, std in ((datetime.fromisoformat(f[0]), f[2], f[3])
+                                  for f in (line.split(",") for line in forecast_lines[1:]))
+            if ts in actuals]
+    return evaluate_forecasts(*zip(*rows)).lines()
+
+
+def naive(ts: str) -> str:
+    return datetime.fromisoformat(ts).replace(tzinfo=None).isoformat()
+
+
+def shifted(ts: str, **delta) -> str:
+    return (datetime.fromisoformat(ts) + timedelta(**delta)).isoformat()
+
+
+# Each case: (forecast timestamp edit by row number k, actual row filter by row
+# number k), applied to one-step forecasts of every actual from day 2 on.
+AWKWARD_ACTUALS = {
+    "actuals-with-missing-rows": (lambda k, ts: ts, lambda k: k % 7 != 3),
+    "forecasts-off-the-grid": (lambda k, ts: shifted(ts, minutes=30) if k % 5 == 0 else
+                               shifted(ts, seconds=30) if k % 5 == 1 else ts, lambda k: True),
+    "forecasts-outside-the-span": (lambda k, ts: shifted(ts, days=-20) if k % 4 == 0 else
+                                   shifted(ts, days=20) if k % 4 == 1 else ts, lambda k: k % 11 != 0),
+    "naive-forecasts-among-aware": (lambda k, ts: naive(ts) if k % 3 == 0 else ts, lambda k: True),
+    "another-offset-for-the-same-instant": (
+        lambda k, ts: datetime.fromisoformat(ts).astimezone(timezone(timedelta(hours=-5))).isoformat(),
+        lambda k: k % 9 != 0),
+}
+
+
+@pytest.mark.parametrize("edit_forecast, keep_actual", AWKWARD_ACTUALS.values(), ids=AWKWARD_ACTUALS)
+def test_cli_metrics_scores_each_forecast_against_the_actual_at_its_instant(tmp_path, data_csv, capsys,
+                                                                            edit_forecast, keep_actual):
+    header, *rows = data_csv.read_text().splitlines()
+    actual_lines = [header] + [row for k, row in enumerate(rows) if keep_actual(k)]
+    rng = np.random.default_rng(3)
+    forecast_lines = ["timestamp,horizon,mean,std"] + [
+        f"{edit_forecast(k, ts)},1,{float(load) + rng.normal(scale=0.05)!r},{0.05 + 0.01 * (k % 4)!r}"
+        for k, (ts, load, _) in enumerate(row.split(",") for row in rows[48:])]
+    forecasts = write_lines(tmp_path / "forecasts.csv", forecast_lines)
+    actuals = write_lines(tmp_path / "actuals.csv", actual_lines)
+    expected = metrics_by_instant(forecast_lines, actual_lines)
+    assert 100 < int(expected[0].split(" = ")[1]) < len(rows) - 48
+    assert cli_main(["metrics", "--forecasts", str(forecasts), "--actuals", str(actuals)]) == 0
+    assert capsys.readouterr().out.splitlines() == expected
+
+
+@pytest.mark.parametrize("case", ["naive-forecasts-for-aware-actuals", "aware-forecasts-for-naive-actuals",
+                                  "no-actual-rows", "only-blank-actual-loads", "forecasts-before-the-actuals"])
+def test_cli_metrics_with_no_overlap_is_an_empty_span(tmp_path, data_csv, capsys, case):
+    header, *rows = data_csv.read_text().splitlines()
+    stamps = [row.split(",")[0] for row in rows]
+    if case == "naive-forecasts-for-aware-actuals":
+        stamps = [naive(ts) for ts in stamps]
+    elif case == "aware-forecasts-for-naive-actuals":
+        rows = [naive(row.split(",", 1)[0]) + "," + row.split(",", 1)[1] for row in rows]
+    elif case == "no-actual-rows":
+        rows = []
+    elif case == "only-blank-actual-loads":
+        rows = [f"{ts},,55.0" for ts in stamps]
+    else:
+        stamps = [shifted(ts, days=-30) for ts in stamps]
+    forecasts = write_lines(tmp_path / "forecasts.csv", ["timestamp,horizon,mean,std"] +
+                            [f"{ts},1,2.0,0.1" for ts in stamps])
+    actuals = write_lines(tmp_path / "actuals.csv", [header] + rows)
+    assert cli_main(["metrics", "--forecasts", str(forecasts), "--actuals", str(actuals)]) == 2
+    assert "no overlapping (forecast, actual) timestamps" in capsys.readouterr().err
+
+
+def test_cli_metrics_oversized_forecast_field_is_a_parse_error_naming_the_line(tmp_path, data_csv, capsys):
+    forecasts = write_lines(tmp_path / "forecasts.csv", ["timestamp,horizon,mean,std",
+                                                         "2021-03-01T01:00:00+00:00,1,1.5,0.1",
+                                                         f"2021-03-01T02:00:00+00:00,2,{OVERSIZED_FIELD},0.1"])
+    assert cli_main(["metrics", "--forecasts", str(forecasts), "--actuals", str(data_csv)]) == 2
+    assert f"{forecasts}:3: field larger than field limit" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("mean, std", [
