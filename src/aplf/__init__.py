@@ -5,7 +5,7 @@ and a sequential forward recursion that turns the latest parameters into
 Gaussian forecasts with calibrated uncertainty.
 """
 
-from .features import ObservationVector, TemperatureShiftEncoder, TemperatureTracker, calendar_type, encode_observations
+from .features import TemperatureShiftEncoder, TemperatureTracker, calendar_type
 from .forecaster import ForecastPath, InstanceVector, forecast_step, predict
 from .metrics import EvalReport, evaluate_forecasts, mape, rmse
 from .model_types import (

@@ -75,7 +75,8 @@ def _read_forecasts(path: Path) -> list:
     """Every (timestamp, mean, std) row of a forecasts.csv, in file order.
 
     A row whose mean or std is not finite, or whose std is negative, and a
-    row the csv module cannot read, are ParseErrors naming their line.
+    row the csv module cannot read, are ParseErrors naming the row's last
+    line (a quoted field may span lines).
     """
     out = []
     with path.open(newline="") as fh:
@@ -84,16 +85,16 @@ def _read_forecasts(path: Path) -> list:
             header = next(reader, None)
             if header is None or header[:4] != ["timestamp", "horizon", "mean", "std"]:
                 raise harness.ParseError(f"{path}:1: expected forecasts.csv header timestamp,horizon,mean,std")
-            for lineno, row in enumerate(reader, start=2):
+            for row in reader:
                 if not row:
                     continue
                 try:
                     ts, mean, std = datetime.fromisoformat(row[0]), float(row[2]), float(row[3])
                 except (ValueError, IndexError) as exc:
-                    raise harness.ParseError(f"{path}:{lineno}: {exc}") from exc
+                    raise harness.ParseError(f"{path}:{reader.line_num}: {exc}") from exc
                 if not (math.isfinite(mean) and math.isfinite(std) and std >= 0.0):
-                    raise harness.ParseError(f"{path}:{lineno}: mean must be finite and std finite and >= 0, "
-                                             f"got mean {row[2]}, std {row[3]}")
+                    raise harness.ParseError(f"{path}:{reader.line_num}: mean must be finite and std finite "
+                                             f"and >= 0, got mean {row[2]}, std {row[3]}")
                 out.append((ts, mean, std))
         except csv.Error as exc:
             raise harness.ParseError(f"{path}:{reader.line_num}: {exc}") from None

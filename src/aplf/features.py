@@ -1,14 +1,13 @@
 """Calendar typing and observation encoding.
 
 Timestamps map to one of 48 calendar types (hour of day, split by
-weekday vs. weekend/holiday). Raw observations are (temperature, mean
-past temperature for the calendar type) pairs, encoded into a binary
-feature vector that flags extreme temperature shifts.
+weekday vs. weekend/holiday). A temperature and the mean past temperature
+of its calendar type are encoded into the observation channel's
+regressor, a binary vector that flags extreme temperature shifts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from datetime import date, datetime
 from typing import Iterable
 
@@ -17,11 +16,9 @@ from .model_types import HyperParams
 __all__ = [
     "CALENDAR_TYPES",
     "HOURS_PER_DAY",
-    "ObservationVector",
     "TemperatureTracker",
     "TemperatureShiftEncoder",
     "calendar_type",
-    "encode_observations",
     "neighbour_types",
 ]
 
@@ -66,45 +63,33 @@ def neighbour_types(c: int, n: int) -> list[int]:
     return order
 
 
-@dataclass(slots=True)
-class ObservationVector:
-    """One raw observation: temperature w and mean past temperature w_bar, both deg F."""
-
-    w: float
-    w_bar: float
-
-
-def encode_observations(w: float, w_bar: float, hp: HyperParams) -> tuple[float, float, float]:
-    """Encode a temperature observation as (1, a1, a2).
-
-    a1 flags an upward shift (w - w_bar > w1), a2 a downward shift
-    (w - w_bar < -w1); either flag also requires an extreme temperature
-    (w > w2 or w < w3). At most one flag is set.
-    """
-    extreme = w > hp.w2 or w < hp.w3
-    shift = w - w_bar
-    a1 = 1.0 if (shift > hp.w1 and extreme) else 0.0
-    a2 = 1.0 if (shift < -hp.w1 and extreme) else 0.0
-    return (1.0, a1, a2)
+# The four regressors (1, a1, a2), indexed by a1 + 2 * a2. Encoding returns
+# one of these shared tuples, so a run's instances hold references and
+# allocate nothing per observation.
+_ENCODED = ((1.0, 0.0, 0.0), (1.0, 1.0, 0.0), (1.0, 0.0, 1.0), (1.0, 1.0, 1.0))
 
 
 class TemperatureShiftEncoder:
-    """Feature encoder for the observation channel (r_dim = 3).
-
-    Encodes ObservationVector pairs via encode_observations; a missing
-    observation falls back to the neutral vector (1, 0, 0).
-    """
+    """Regressor of the observation channel (r_dim = 3)."""
 
     r_dim = 3
 
     def __init__(self, hp: HyperParams):
         self.hp = hp
 
-    def encode(self, obs: ObservationVector) -> tuple[float, float, float]:
-        return encode_observations(obs.w, obs.w_bar, self.hp)
+    def encode(self, w: float, w_bar: float) -> tuple[float, float, float]:
+        """Encode temperature w, given the mean past temperature w_bar of its calendar
+        type (both deg F), as (1, a1, a2).
 
-    def missing(self) -> tuple[float, float, float]:
-        return (1.0, 0.0, 0.0)
+        a1 flags an upward shift (w - w_bar > w1), a2 a downward shift
+        (w - w_bar < -w1); either flag also requires an extreme temperature
+        (w > w2 or w < w3). With w1 >= 0 at most one flag is set.
+        """
+        hp = self.hp
+        if not (w > hp.w2 or w < hp.w3):
+            return _ENCODED[0]
+        shift = w - w_bar
+        return _ENCODED[(shift > hp.w1) + 2 * (shift < -hp.w1)]
 
 
 class TemperatureTracker:

@@ -36,8 +36,9 @@ class ColdStart(Exception):
 
 @dataclass(slots=True)
 class InstanceVector:
-    """Prediction input: anchoring load s_t, one observation slot per step, and
-    the absolute step index t of the anchor. Missing observations are None."""
+    """Prediction input: anchoring load s_t, one encoded observation-channel
+    regressor per step (None where the observation is missing), and the
+    absolute step index t of the anchor."""
 
     anchor_load: float | None
     observations: tuple
@@ -83,16 +84,16 @@ def predict(
     model: ModelParams,
     instance: InstanceVector,
     calendar_fn,
-    encoder,
     state: LearnerState | None = None,
 ) -> ForecastPath:
     """Forecast one point per observation slot of the instance.
 
-    The calendar type is re-resolved per step; a missing observation is
-    encoded as the encoder's neutral vector. When a learner state is
-    supplied, a never-trained calendar type (gamma = 0 on the transition
-    channel) borrows parameters from the nearest trained type; the
-    substitution is reported on the returned path.
+    The calendar type is re-resolved per step; a missing observation
+    takes the neutral regressor (1, 0, ..., 0) of length model.r_dim.
+    When a learner state is supplied, a never-trained calendar type
+    (gamma = 0 on the transition channel) borrows parameters from the
+    nearest trained type; the substitution is reported on the returned
+    path.
     """
     if instance.anchor_load is None:
         raise ValueError("prediction requires an anchoring load")
@@ -102,7 +103,7 @@ def predict(
     s_channels, r_channels = model.s_channels, model.r_channels
     n = len(s_channels)
     s_states = state.s_states if state is not None else None
-    encode, missing = encoder.encode, encoder.missing()
+    neutral = (1.0,) + (0.0,) * (model.r_dim - 1)
     points: list[ForecastPoint] = []
     substitutions: list[tuple[int, int]] = []
     prev = ForecastPoint(float(instance.anchor_load), 0.0, instance.t)
@@ -117,7 +118,7 @@ def predict(
             used = _nearest_trained(state, c, n)
             substitutions.append((c, used))
         prev = forecast_step(prev, s_channels[used - 1], r_channels[used - 1],
-                             missing if obs is None else encode(obs))
+                             neutral if obs is None else obs)
         points.append(prev)
     return ForecastPath(points=tuple(points), cold_start_substitutions=tuple(substitutions))
 

@@ -2,7 +2,7 @@
 
 The loop warms the learner over the training span, then for each test
 day at the configured prediction time builds an instance from the latest
-actual load and the recorded temperatures, predicts with the current
+actual load and the encoded temperatures, predicts with the current
 model, and only afterwards learns from that day's revealed loads. Model
 snapshots are versioned, checksummed JSON documents that round-trip the
 learner bit-identically.
@@ -19,7 +19,7 @@ from datetime import date, datetime, time, timedelta
 from itertools import accumulate, pairwise, repeat
 from pathlib import Path
 
-from .features import CALENDAR_TYPES, ObservationVector, TemperatureShiftEncoder, TemperatureTracker, calendar_type
+from .features import CALENDAR_TYPES, TemperatureShiftEncoder, TemperatureTracker, calendar_type
 from .forecaster import InstanceVector, predict
 from .metrics import QUANTILE_LEVELS, QUANTILE_Z, EvalReport, evaluate_forecasts
 from .model_types import S_DIM, HyperParams, LearnerState, ModelParams, _checked_array, _checked_list
@@ -152,9 +152,10 @@ def _hyper_param(name: str, convert):
 
 # Config-file key -> (field name, parser). A parser raises ValueError on a
 # bad value, and load_config adds the file and line to the message.
+# n_calendar_types is no key: a run requires CALENDAR_TYPES, its default.
 _HP_FIELDS = {
-    ("calendar_types" if f.name == "n_calendar_types" else f.name): (f.name, _hyper_param(f.name, type(f.default)))
-    for f in fields(HyperParams)
+    f.name: (f.name, _hyper_param(f.name, type(f.default)))
+    for f in fields(HyperParams) if f.name != "n_calendar_types"
 }
 _CONFIG_FIELDS = {
     "load_unit": ("load_unit", _one_of(*LOAD_UNITS)),
@@ -174,7 +175,7 @@ _CONFIG_FIELDS = {
 def load_config(path: Path | str) -> RunConfig:
     """Parse a flat `key = value` configuration file.
 
-    Keys: lambda_s, lambda_r, w1, w2, w3, calendar_types, horizon,
+    Keys: lambda_s, lambda_r, w1, w2, w3, horizon,
     trace_reset_threshold, load_unit (kW|MW|GW), temperature_unit (F|C),
     prediction_time (HH:MM), train_end / test_end (ISO-8601), holidays
     (comma-separated ISO dates), init_mode (zero|batch), emit_quantiles,
@@ -241,8 +242,9 @@ def read_series(path: Path | str, config: RunConfig) -> Series:
     offset-aware. Missing steps are not errors. A load must be finite and
     >= 0, a temperature finite; a blank cell is missing. Temperatures
     declared in Celsius are converted to Fahrenheit here. A ParseError
-    names the file and line; so does one for a row the csv module cannot
-    read, such as a field over csv.field_size_limit().
+    names the file and the row's last line (a quoted field may span
+    lines); so does one for a row the csv module cannot read, such as a
+    field over csv.field_size_limit().
     """
     if config.load_unit is None:
         raise UnitMissing("config does not declare load_unit")
@@ -265,34 +267,34 @@ def read_series(path: Path | str, config: RunConfig) -> Series:
             has_temp = len(header) == 3
             prev_ts = None
             i = 0
-            for lineno, row in enumerate(reader, start=2):
+            for row in reader:
                 if not row:
                     continue
                 if len(row) != len(header):
-                    raise ParseError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
+                    raise ParseError(f"{path}:{reader.line_num}: expected {len(header)} fields, got {len(row)}")
                 try:
                     ts = datetime.fromisoformat(row[0].strip())
                 except ValueError as exc:
-                    raise ParseError(f"{path}:{lineno}: bad timestamp {row[0]!r}: {exc}") from exc
+                    raise ParseError(f"{path}:{reader.line_num}: bad timestamp {row[0]!r}: {exc}") from exc
                 try:
                     load = float(row[1])
                 except ValueError as exc:
                     if row[1].strip():
-                        raise ParseError(f"{path}:{lineno}: bad load {row[1]!r}") from exc
+                        raise ParseError(f"{path}:{reader.line_num}: bad load {row[1]!r}") from exc
                     load = None
                 else:
                     if not 0.0 <= load < math.inf:
-                        raise ParseError(f"{path}:{lineno}: load must be finite and >= 0, got {load}")
+                        raise ParseError(f"{path}:{reader.line_num}: load must be finite and >= 0, got {load}")
                 temp = None
                 if has_temp:
                     try:
                         temp = float(row[2])
                     except ValueError as exc:
                         if row[2].strip():
-                            raise ParseError(f"{path}:{lineno}: bad temperature {row[2]!r}") from exc
+                            raise ParseError(f"{path}:{reader.line_num}: bad temperature {row[2]!r}") from exc
                     else:
                         if not -math.inf < temp < math.inf:
-                            raise ParseError(f"{path}:{lineno}: temperature must be finite, got {temp}")
+                            raise ParseError(f"{path}:{reader.line_num}: temperature must be finite, got {temp}")
                         if convert:
                             temp = _c_to_f(temp)
                 if prev_ts is None:
@@ -301,16 +303,18 @@ def read_series(path: Path | str, config: RunConfig) -> Series:
                     try:
                         delta = ts - prev_ts
                     except TypeError:
-                        raise ParseError(f"{path}:{lineno}: timestamp {ts.isoformat()} mixes naive and "
+                        raise ParseError(f"{path}:{reader.line_num}: timestamp {ts.isoformat()} mixes naive and "
                                          f"offset-aware timestamps") from None
                     if delta == step:
                         i += 1
                     elif delta <= timedelta(0):
-                        raise NonMonotoneTimestamps(f"{path}:{lineno}: timestamp {ts.isoformat()} not after previous")
+                        raise NonMonotoneTimestamps(f"{path}:{reader.line_num}: timestamp {ts.isoformat()} "
+                                                    f"not after previous")
                     else:
                         steps, rem = divmod(delta, step)
                         if rem:
-                            raise ParseError(f"{path}:{lineno}: timestamp {ts.isoformat()} off the {step} grid")
+                            raise ParseError(f"{path}:{reader.line_num}: timestamp {ts.isoformat()} "
+                                             f"off the {step} grid")
                         i += steps
                 prev_ts = ts
                 index.append(i)
@@ -482,7 +486,7 @@ def run_online_evaluation(series: Series, config: RunConfig, *,
         raise ParseError("config must set train_end for a run")
     hp = config.hp
     if hp.n_calendar_types != CALENDAR_TYPES:
-        raise ParseError(f"the built-in calendar mapping requires calendar_types = {CALENDAR_TYPES}")
+        raise ParseError(f"the built-in calendar mapping requires n_calendar_types = {CALENDAR_TYPES}")
     base, step = series.start, series.step
     last_ts = base + series.index[-1] * step
     _check_comparable("train_end", config.train_end, base)
@@ -524,7 +528,8 @@ def run_online_evaluation(series: Series, config: RunConfig, *,
     cal = types.__getitem__
 
     encoder = TemperatureShiftEncoder(hp)
-    learner = OnlineLearner(hp, encoder=encoder, calendar_fn=cal, init_mode=config.init_mode)
+    learner = OnlineLearner(hp, encoder.r_dim, cal, init_mode=config.init_mode)
+    tracker = TemperatureTracker(hp.n_calendar_types)
     cursor = None
     if resume is not None:
         snap = snapshot_load(resume, expect_calendar_types=hp.n_calendar_types,
@@ -534,7 +539,8 @@ def run_online_evaluation(series: Series, config: RunConfig, *,
             raise ShapeMismatch(f"{resume}: snapshot hyper-parameters differ from the config: "
                                 f"{', '.join(differ)}")
         _check_comparable(f"{resume}: snapshot cursor", snap.cursor, base)
-        learner.restore(snap.model, snap.state, snap.tracker, snap.pending)
+        learner.restore(snap.model, snap.state, snap.pending)
+        tracker = snap.tracker
         cursor = snap.cursor
 
     header = "timestamp,horizon,mean,std"
@@ -555,28 +561,31 @@ def run_online_evaluation(series: Series, config: RunConfig, *,
     cold_starts = 0
     processed = cursor
     train_end, emit_quantiles = config.train_end, config.emit_quantiles
-    tracker_mean = learner.tracker.mean
+    # Each temperature of a window is encoded once, against the mean past
+    # temperature of its calendar type (itself, before the type's first),
+    # and added to the tracker only after the window is learned.
+    encode, tracker_mean, track = encoder.encode, tracker.mean, tracker.add
 
     for anchor_ts, t_idx, horizon in anchors:
         if cursor is not None and anchor_ts <= cursor:
             continue
         anchor_load = loads[t_idx]
-        targets = loads[t_idx + 1:t_idx + horizon + 1]
+        window = slice(t_idx + 1, t_idx + horizon + 1)
+        targets, window_types, window_temps = loads[window], types[window], temps[window]
         observations = []
-        for j in range(t_idx + 1, t_idx + horizon + 1):
-            w = temps[j]
+        for c, w in zip(window_types, window_temps):
             if w is None:
                 observations.append(None)
             else:
-                mean_temp = tracker_mean(types[j])
-                observations.append(ObservationVector(w, w if mean_temp is None else mean_temp))
+                w_bar = tracker_mean(c)
+                observations.append(encode(w, w if w_bar is None else w_bar))
         instance = InstanceVector(anchor_load, tuple(observations), t_idx)
 
         if train_end <= anchor_ts:
             if anchor_load is None:
                 skipped_days += 1
             else:
-                path = predict(learner.model, instance, cal, encoder, state=learner.state)
+                path = predict(learner.model, instance, cal, state=learner.state)
                 cold_starts += len(path.cold_start_substitutions)
                 ts = anchor_ts.replace(tzinfo=None)
                 for i, (pt, actual) in enumerate(zip(path.points, targets), start=1):
@@ -594,6 +603,9 @@ def run_online_evaluation(series: Series, config: RunConfig, *,
 
         if frozen_after is None or anchor_ts < frozen_after:
             learner.learn_step(instance, targets)
+            for c, w in zip(window_types, window_temps):
+                if w is not None:
+                    track(c, w)
         processed = anchor_ts
 
     report = evaluate_forecasts(eval_actual, eval_mean, eval_std) if eval_actual else None
@@ -612,7 +624,7 @@ def run_online_evaluation(series: Series, config: RunConfig, *,
     }
 
     if snapshot_out is not None:
-        snapshot_save(snapshot_out, learner.model, learner.state, learner.tracker, hp,
+        snapshot_save(snapshot_out, learner.model, learner.state, tracker, hp,
                       cursor=processed, pending=learner.pending_batch)
     if output_dir is not None:
         _write_outputs(Path(output_dir), header, forecast_rows, report, notes)

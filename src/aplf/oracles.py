@@ -254,15 +254,6 @@ def self_check(seed: int = 0, verbose: bool = True) -> bool:
     report("recursion-vs-batch", worst <= 1e-8, f"max |diff| = {worst:.3e}")
 
     # The forecaster equals sequential Gaussian conditioning.
-    class _PassThrough:
-        r_dim = 3
-
-        def encode(self, obs):
-            return np.asarray(obs, dtype=float)
-
-        def missing(self):
-            return np.array([1.0, 0.0, 0.0])
-
     worst = 0.0
     for _ in range(20):
         s_params = GaussianChannelParams(
@@ -272,7 +263,7 @@ def self_check(seed: int = 0, verbose: bool = True) -> bool:
         anchor = float(rng.normal())
         model = ModelParams(s_channels=[s_params], r_channels=[r_params])
         instance = InstanceVector(anchor_load=anchor, observations=tuple(u_vectors), t=0)
-        path = predict(model, instance, lambda t: 1, _PassThrough())
+        path = predict(model, instance, lambda t: 1)
         reference = exact_filter_oracle(anchor, [(s_params, r_params, u) for u in u_vectors])
         for pt, (m, s) in zip(path.points, reference):
             worst = max(worst, abs(pt.mean - m), abs(pt.std - s))

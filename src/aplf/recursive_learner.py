@@ -18,7 +18,6 @@ from math import isfinite
 
 import numpy as np
 
-from .features import ObservationVector, TemperatureTracker
 from .model_types import (
     GaussianChannelParams,
     ChannelState,
@@ -217,18 +216,19 @@ def batch_initialize(
 
 
 class OnlineLearner:
-    """Single-writer owner of the model, state, and temperature tracker.
+    """Single-writer owner of the model and learner state.
 
     Exactly one logical thread calls learn_step. calendar_fn maps an
-    absolute step index to a calendar type in 1..n_calendar_types. The
-    encoder's r_dim must be 2 or 3, the channel shapes channel_update
-    supports; the initial state raises ValueError for any other.
+    absolute step index to a calendar type in 1..n_calendar_types. r_dim,
+    the length of the observation channel's regressor, must be 2 or 3,
+    the channel shapes channel_update supports; the initial state raises
+    ValueError for any other.
     """
 
     def __init__(
         self,
         hp: HyperParams,
-        encoder,
+        r_dim: int,
         calendar_fn=None,
         sigma0: float = 1.0,
         init_mode: str = "zero",
@@ -240,12 +240,10 @@ class OnlineLearner:
                 raise ValueError("calendar_fn is required when n_calendar_types > 1")
             calendar_fn = lambda t: 1
         self.hp = hp
-        self.encoder = encoder
         self.calendar_fn = calendar_fn
         self.sigma0 = float(sigma0)
-        self.model = ModelParams.initial(hp.n_calendar_types, encoder.r_dim, sigma0)
-        self.state = LearnerState.initial(hp.n_calendar_types, encoder.r_dim)
-        self.tracker = TemperatureTracker(hp.n_calendar_types)
+        self.model = ModelParams.initial(hp.n_calendar_types, r_dim, sigma0)
+        self.state = LearnerState.initial(hp.n_calendar_types, r_dim)
         self.diagnostics = LearnDiagnostics()
         self._pending: dict[tuple[str, int], list[tuple[tuple[float, ...], float]]] = {}
         if init_mode == "batch":
@@ -256,18 +254,19 @@ class OnlineLearner:
     def learn_step(self, instance, targets) -> None:
         """Consume one (instance, targets) pair.
 
-        instance carries the anchoring load and one observation slot per
-        step; targets carries the revealed loads (None for gaps). Each
-        step updates the transition channel from the actual previous
-        load, the observation channel from the encoded observation, and
-        the temperature tracker from the raw temperature. A channel still
-        awaiting batch initialization buffers its sample instead. A
-        calendar type outside 1..n_calendar_types raises IndexError.
+        instance carries the anchoring load and one encoded observation
+        (None if missing) per step; targets carries the revealed loads
+        (None for gaps). Each step with a revealed load updates the
+        transition channel from the actual previous load and the
+        observation channel from the encoded observation, where each is
+        known. A channel still awaiting batch initialization buffers its
+        sample instead. A calendar type outside 1..n_calendar_types
+        raises IndexError.
         """
         observations = instance.observations
         if len(targets) != len(observations):
             raise ValueError("targets and observations must have equal length")
-        calendar_fn, encode, track = self.calendar_fn, self.encoder.encode, self.tracker.add
+        calendar_fn = self.calendar_fn
         hp = self.hp
         lambda_s, lambda_r, n = hp.lambda_s, hp.lambda_r, hp.n_calendar_types
         s_params, r_params = self.model.s_channels, self.model.r_channels
@@ -294,18 +293,15 @@ class OnlineLearner:
                             s_states[i] = after
                             diagnostics.trace_resets += 1
                 if obs is not None:
-                    u = encode(obs)
                     if pending and ("r", c) in pending:
-                        self._update_pending("r", c, u, target, lambda_r)
+                        self._update_pending("r", c, obs, target, lambda_r)
                     else:
                         state = r_states[i]
-                        channel_update(state, r_params[i], u, target, lambda_r, diagnostics)
+                        channel_update(state, r_params[i], obs, target, lambda_r, diagnostics)
                         after = trace_reset(state, hp)
                         if after is not state:
                             r_states[i] = after
                             diagnostics.trace_resets += 1
-            if isinstance(obs, ObservationVector):
-                track(c, obs.w)
             prev = target
 
     @property
@@ -313,11 +309,9 @@ class OnlineLearner:
         """Per-channel sample buffers still awaiting batch initialization."""
         return self._pending
 
-    def restore(self, model: ModelParams, state: LearnerState, tracker: TemperatureTracker,
-                pending: dict | None = None) -> None:
+    def restore(self, model: ModelParams, state: LearnerState, pending: dict | None = None) -> None:
         self.model = model
         self.state = state
-        self.tracker = tracker
         self._pending = pending if pending is not None else {}
 
     def _update_pending(self, kind: str, c: int, u: tuple[float, ...], s_value: float, lam: float) -> None:

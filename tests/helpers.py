@@ -1,4 +1,4 @@
-"""Shared test fixtures: feature encoders, random model builders, the discounted log-likelihood,
+"""Shared test fixtures: random model builders, the discounted log-likelihood,
 the matrix form of the channel update, a one-sample-at-a-time learn step, the scalar pinball
 loss, and whole-table quantile scoring."""
 
@@ -8,7 +8,6 @@ import math
 
 import numpy as np
 
-from aplf.features import ObservationVector
 from aplf.metrics import QUANTILE_LEVELS, QUANTILE_Z
 from aplf.model_types import ChannelState, GaussianChannelParams, LearnerState, ModelParams
 from aplf.recursive_learner import BATCH_INIT_MAX_BUFFER, SingularGram, batch_initialize, channel_update, trace_reset
@@ -60,9 +59,10 @@ def reference_learn_step(learner, instance, targets) -> None:
     """OnlineLearner.learn_step, one sample at a time on the learner's own model and state.
 
     Each revealed load gives the transition channel the sample ((1, previous load), load)
-    and the observation channel the sample (encoded observation, load), in that order. A
-    sample either goes to the channel's batch buffer, while one is pending, or is fed to
-    channel_update, which updates the channel's records in place, followed by trace_reset.
+    and the observation channel the sample (encoded observation, load), where each is known,
+    in that order. A sample either goes to the channel's batch buffer, while one is pending,
+    or is fed to channel_update, which updates the channel's records in place, followed by
+    trace_reset.
     """
     hp, diagnostics, pending = learner.hp, learner.diagnostics, learner.pending_batch
     channels = {"s": (learner.model.s_channels, learner.state.s_states, hp.lambda_s),
@@ -82,7 +82,7 @@ def reference_learn_step(learner, instance, targets) -> None:
         if target is not None and prev is not None:
             samples.append(("s", (1.0, prev)))
         if target is not None and obs is not None:
-            samples.append(("r", learner.encoder.encode(obs)))
+            samples.append(("r", obs))
         for kind, u in samples:
             params, states, lam = channels[kind]
             if (kind, c) not in pending:
@@ -104,36 +104,7 @@ def reference_learn_step(learner, instance, targets) -> None:
                 diagnostics.batch_init_fallbacks += 1
             del pending[(kind, c)]
             states[c - 1] = reset(state)
-        if isinstance(obs, ObservationVector):
-            learner.tracker.add(c, obs.w)
         prev = target
-
-
-class PassthroughEncoder:
-    """Observations are already feature vectors; missing maps to [1, 0, ...]."""
-
-    def __init__(self, r_dim=3):
-        self.r_dim = r_dim
-
-    def encode(self, obs):
-        return np.asarray(obs, dtype=float)
-
-    def missing(self):
-        v = np.zeros(self.r_dim)
-        v[0] = 1.0
-        return v
-
-
-class LinearObsEncoder:
-    """Scalar observation o mapped to [1, o] (r_dim = 2)."""
-
-    r_dim = 2
-
-    def encode(self, obs):
-        return np.array([1.0, float(obs)])
-
-    def missing(self):
-        return np.array([1.0, 0.0])
 
 
 def random_model(rng, n_calendar_types, r_dim=3, sigma_range=(0.3, 2.5), slope_range=1.1):

@@ -15,8 +15,6 @@ import numpy as np
 import pytest
 
 from helpers import (
-    LinearObsEncoder,
-    PassthroughEncoder,
     consistent_chain_steps,
     grid_pinball,
     random_model,
@@ -191,7 +189,6 @@ def test_forecaster_equals_exact_filtering():
     # itself must match quadrature to 1e-6 on 20 instances.
     start = time_mod.perf_counter()
     rng = np.random.default_rng(303)
-    encoder = PassthroughEncoder()
     cal = lambda t: (t % 6) + 1
     worst_predict = 0.0
     for _ in range(500):
@@ -200,7 +197,7 @@ def test_forecaster_equals_exact_filtering():
         u_vectors = [rng.normal(size=3) for _ in range(horizon)]
         anchor = float(rng.normal(scale=2.0))
         instance = InstanceVector(anchor_load=anchor, observations=tuple(u_vectors), t=0)
-        path = predict(model, instance, cal, encoder)
+        path = predict(model, instance, cal)
         steps = [
             (model.s_channels[cal(i) - 1], model.r_channels[cal(i) - 1], u)
             for i, u in enumerate(u_vectors, start=1)
@@ -244,15 +241,14 @@ def test_calibration_soundness_on_model_generated_data():
     lam = 0.9995
     horizon = 5
     hp = HyperParams(n_calendar_types=1, horizon=horizon, lambda_s=lam, lambda_r=lam)
-    encoder = LinearObsEncoder()
-    learner = OnlineLearner(hp, encoder=encoder)
+    learner = OnlineLearner(hp, 2)
 
     load = 0.0
     t = 0
     for _ in range(20_000):
         nxt = load + float(rng.normal())
         obs = nxt + float(rng.normal())
-        learner.learn_step(InstanceVector(anchor_load=load, observations=(obs,), t=t), [nxt])
+        learner.learn_step(InstanceVector(anchor_load=load, observations=((1.0, obs),), t=t), [nxt])
         load = nxt
         t += 1
 
@@ -270,9 +266,9 @@ def test_calibration_soundness_on_model_generated_data():
         for _ in range(horizon):
             cur = cur + float(rng.normal())
             futures.append(cur)
-            observations.append(cur + float(rng.normal()))
+            observations.append((1.0, cur + float(rng.normal())))
         instance = InstanceVector(anchor_load=load, observations=tuple(observations), t=t)
-        path = predict(learner.model, instance, lambda tt: 1, encoder, state=learner.state)
+        path = predict(learner.model, instance, lambda tt: 1, state=learner.state)
         for pt, s in zip(path.points, futures):
             actual.append(s)
             mean.append(pt.mean)
@@ -332,7 +328,7 @@ def test_learn_step_time_is_constant_over_a_long_run():
     # stay within 2x of the first decile (no growth with history length).
     rng = np.random.default_rng(606)
     hp = HyperParams(n_calendar_types=4, horizon=1)
-    learner = OnlineLearner(hp, encoder=PassthroughEncoder(), calendar_fn=lambda t: (t % 4) + 1)
+    learner = OnlineLearner(hp, 3, calendar_fn=lambda t: (t % 4) + 1)
     n_steps = 100_000
     timings = np.empty(n_steps)
     load = 0.0

@@ -1,4 +1,4 @@
-"""The unused-import check in scripts/check_imports.py."""
+"""The unused-import and stale-export checks in scripts/check_imports.py."""
 
 import importlib.util
 from pathlib import Path
@@ -33,3 +33,25 @@ def test_init_modules_are_exempt_and_the_exit_code_counts_findings(tmp_path, cap
     (package / "other.py").write_text("import math\n")
     assert check_imports.main([str(package)]) == 1
     assert capsys.readouterr().out == f"{package / 'other.py'}:1: 'math' imported but unused\n"
+
+
+def test_all_entries_the_module_never_binds_are_reported(tmp_path, capsys):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "from math import pi as tau\n"
+        "LIMIT: int = 1\n"
+        "if LIMIT:\n"
+        "    def f():\n"
+        "        local = 1\n"
+        "class C:\n"
+        "    attribute = 1\n"
+        "__all__ = ['tau', 'LIMIT', 'f', 'C',\n"
+        "           'pi', 'local', 'attribute']\n"
+    )
+    assert check_imports.stale_exports(module) == [("pi", 9), ("local", 9), ("attribute", 9)]
+    (tmp_path / "__init__.py").write_text("__all__ = ['gone']\n")
+    assert check_imports.main([str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert f"{tmp_path / '__init__.py'}:1: 'gone' in __all__ but never bound\n" in out
+    module.write_text("from math import *\n__all__ = ['pi']\n")
+    assert check_imports.stale_exports(module) == []

@@ -5,17 +5,12 @@ from datetime import date, datetime
 from hypothesis import given
 from hypothesis import strategies as st
 
-from aplf.features import (
-    ObservationVector,
-    TemperatureShiftEncoder,
-    TemperatureTracker,
-    calendar_type,
-    encode_observations,
-)
+from aplf.features import TemperatureShiftEncoder, TemperatureTracker, calendar_type
 from aplf.harness import snapshot_load, snapshot_save
 from aplf.model_types import HyperParams, LearnerState, ModelParams
 
 HP = HyperParams()
+ENCODER = TemperatureShiftEncoder(HP)
 
 # 2021-03-02 is a Tuesday, 2021-03-07 a Sunday.
 TUESDAY = date(2021, 3, 2)
@@ -48,15 +43,15 @@ def test_calendar_type_image_is_exactly_1_to_48():
 
 
 def test_encode_hot_upward_shift():
-    assert list(encode_observations(85.0, 60.0, HP)) == [1.0, 1.0, 0.0]
+    assert list(ENCODER.encode(85.0, 60.0)) == [1.0, 1.0, 0.0]
 
 
 def test_encode_zero_shift():
-    assert list(encode_observations(70.0, 70.0, HP)) == [1.0, 0.0, 0.0]
+    assert list(ENCODER.encode(70.0, 70.0)) == [1.0, 0.0, 0.0]
 
 
 def test_encode_cold_downward_shift():
-    assert list(encode_observations(10.0, 35.0, HP)) == [1.0, 0.0, 1.0]
+    assert list(ENCODER.encode(10.0, 35.0)) == [1.0, 0.0, 1.0]
 
 
 def _case_rule(w, w_bar, hp):
@@ -83,7 +78,7 @@ def test_encode_brute_force_truth_table():
         (50.0, 50.0),   # no shift, mild
     ]
     for w, w_bar in cases:
-        assert list(encode_observations(w, w_bar, HP)) == _case_rule(w, w_bar, HP)
+        assert list(ENCODER.encode(w, w_bar)) == _case_rule(w, w_bar, HP)
 
 
 @given(
@@ -91,17 +86,29 @@ def test_encode_brute_force_truth_table():
     w_bar=st.floats(min_value=-60.0, max_value=130.0),
 )
 def test_encode_output_shape_and_exclusivity(w, w_bar):
-    vec = encode_observations(w, w_bar, HP)
+    vec = ENCODER.encode(w, w_bar)
     assert vec[0] == 1.0
     assert set(vec) <= {0.0, 1.0}
     assert vec[1] * vec[2] == 0.0
 
 
-def test_encoder_wraps_observation_vectors():
-    enc = TemperatureShiftEncoder(HP)
-    assert list(enc.encode(ObservationVector(w=85.0, w_bar=60.0))) == [1.0, 1.0, 0.0]
-    assert list(enc.missing()) == [1.0, 0.0, 0.0]
-    assert enc.r_dim == 3
+@given(
+    w=st.floats(min_value=-60.0, max_value=130.0),
+    w_bar=st.floats(min_value=-60.0, max_value=130.0),
+    w1=st.floats(min_value=-30.0, max_value=30.0),
+)
+def test_encode_sets_each_flag_by_its_own_rule(w, w_bar, w1):
+    # Each flag is its shift test AND the extreme test, even where a negative
+    # w1 lets both shift tests hold.
+    hp = HyperParams(w1=w1)
+    extreme = w > hp.w2 or w < hp.w3
+    expected = (1.0, float(extreme and w - w_bar > w1), float(extreme and w - w_bar < -w1))
+    assert TemperatureShiftEncoder(hp).encode(w, w_bar) == expected
+
+
+def test_encoder_output_has_the_observation_channel_shape():
+    assert ENCODER.r_dim == 3
+    assert ENCODER.encode(85.0, 60.0) == (1.0, 1.0, 0.0)
 
 
 def test_tracker_first_ingest():

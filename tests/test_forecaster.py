@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import LinearObsEncoder, PassthroughEncoder, random_model, trained_state_like
+from helpers import random_model, trained_state_like
 
 from aplf.forecaster import (
     ColdStart,
@@ -98,7 +98,7 @@ def test_predict_single_step_path():
         r_channels=[GaussianChannelParams(eta=np.array([4.0, 0.0, 0.0]), sigma=1.0)],
     )
     instance = InstanceVector(anchor_load=7.0, observations=(np.array([1.0, 0.0, 0.0]),), t=5)
-    path = predict(model, instance, lambda t: 1, PassthroughEncoder())
+    path = predict(model, instance, lambda t: 1)
     assert len(path.points) == 1
     assert path.points[0].mean == 3.0
     assert math.isclose(path.points[0].std, math.sqrt(0.5), rel_tol=1e-15)
@@ -108,14 +108,13 @@ def test_predict_single_step_path():
 
 def test_predict_matches_filter_oracle_on_multi_type_paths():
     rng = np.random.default_rng(13)
-    encoder = PassthroughEncoder()
     for _ in range(25):
         model = random_model(rng, 6)
         anchor = float(rng.normal())
         u_vectors = [rng.normal(size=3) for _ in range(24)]
         instance = InstanceVector(anchor_load=anchor, observations=tuple(u_vectors), t=0)
         cal = lambda t: (t % 6) + 1
-        path = predict(model, instance, cal, encoder)
+        path = predict(model, instance, cal)
         steps = [
             (model.s_channels[cal(i) - 1], model.r_channels[cal(i) - 1], u)
             for i, u in enumerate(u_vectors, start=1)
@@ -128,13 +127,13 @@ def test_predict_matches_filter_oracle_on_multi_type_paths():
 
 def test_converged_noiseless_identity_pattern_reproduces_the_constant():
     hp = HyperParams(n_calendar_types=1, horizon=1, lambda_s=0.5, lambda_r=0.5)
-    learner = OnlineLearner(hp, encoder=LinearObsEncoder())
+    learner = OnlineLearner(hp, 2)
     value = 3.25
     for t in range(60):
-        instance = InstanceVector(anchor_load=value, observations=(value,), t=t)
+        instance = InstanceVector(anchor_load=value, observations=((1.0, value),), t=t)
         learner.learn_step(instance, [value])
-    instance = InstanceVector(anchor_load=value, observations=(value,) * 1, t=100)
-    path = predict(learner.model, instance, lambda t: 1, LinearObsEncoder(), state=learner.state)
+    instance = InstanceVector(anchor_load=value, observations=((1.0, value),), t=100)
+    path = predict(learner.model, instance, lambda t: 1, state=learner.state)
     assert math.isclose(path.points[0].mean, value, rel_tol=1e-9)
     assert path.points[0].std < 1e-6
 
@@ -143,10 +142,10 @@ def test_predict_requires_anchor_and_observation_slots():
     model = random_model(np.random.default_rng(0), 1)
     with pytest.raises(ValueError):
         predict(model, InstanceVector(anchor_load=None, observations=(None,), t=0),
-                lambda t: 1, PassthroughEncoder())
+                lambda t: 1)
     with pytest.raises(ValueError):
         predict(model, InstanceVector(anchor_load=1.0, observations=(), t=0),
-                lambda t: 1, PassthroughEncoder())
+                lambda t: 1)
 
 
 def test_cold_start_borrows_same_hour_other_day_class_first():
@@ -157,7 +156,7 @@ def test_cold_start_borrows_same_hour_other_day_class_first():
     state.s_states[38 - 1].gamma = 5.0
     state.s_states[2].gamma = 5.0
     instance = InstanceVector(anchor_load=1.0, observations=(np.array([1.0, 0.0, 0.0]),), t=0)
-    path = predict(model, instance, lambda t: 14, PassthroughEncoder(), state=state)
+    path = predict(model, instance, lambda t: 14, state=state)
     assert path.cold_start_substitutions == ((14, 38),)
 
 
@@ -167,7 +166,7 @@ def test_cold_start_without_any_trained_type_raises():
     state = LearnerState.initial(4, 3)
     instance = InstanceVector(anchor_load=1.0, observations=(np.array([1.0, 0.0, 0.0]),), t=0)
     with pytest.raises(ColdStart):
-        predict(model, instance, lambda t: 2, PassthroughEncoder(), state=state)
+        predict(model, instance, lambda t: 2, state=state)
 
 
 def test_trained_types_are_used_directly():
@@ -175,7 +174,17 @@ def test_trained_types_are_used_directly():
     model = random_model(rng, 4)
     state = trained_state_like(model)
     instance = InstanceVector(anchor_load=1.0, observations=(None, None), t=0)
-    path = predict(model, instance, lambda t: (t % 4) + 1, PassthroughEncoder(), state=state)
+    path = predict(model, instance, lambda t: (t % 4) + 1, state=state)
     assert path.cold_start_substitutions == ()
     assert len(path.points) == 2
 
+
+
+@pytest.mark.parametrize("r_dim", [2, 3])
+def test_a_missing_observation_takes_the_neutral_regressor(r_dim):
+    model = random_model(np.random.default_rng(24), 2, r_dim=r_dim)
+    neutral = (1.0,) + (0.0,) * (r_dim - 1)
+    cal = lambda t: (t % 2) + 1
+    missing = predict(model, InstanceVector(anchor_load=1.0, observations=(None, None, None), t=0), cal)
+    given = predict(model, InstanceVector(anchor_load=1.0, observations=(neutral,) * 3, t=0), cal)
+    assert missing.points == given.points

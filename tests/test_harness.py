@@ -27,6 +27,7 @@ from aplf.harness import (
     snapshot_load,
     snapshot_save,
 )
+from aplf.features import TemperatureShiftEncoder
 from aplf.metrics import evaluate_forecasts
 from aplf.model_types import HyperParams
 from aplf.synthetic import make_hourly_series, write_series_csv
@@ -105,7 +106,6 @@ def test_load_config_rejects_bad_unit(tmp_path):
     "emit_quantiles = maybe",
     "lambda_s = abc",
     "lambda_s = 1.5",
-    "calendar_types = 0",
     "horizon = -1",
     "prediction_time = 25:00",
     "init_mode = lazy",
@@ -116,6 +116,15 @@ def test_load_config_errors_name_the_line(tmp_path, bad_line):
     cfg.write_text(f"# line 1\nload_unit = GW\n{bad_line}\n")
     with pytest.raises(ParseError, match=r"bad\.cfg:3: "):
         load_config(cfg)
+
+
+def test_calendar_types_is_an_unknown_key(tmp_path, data_csv, capsys):
+    # A run requires the built-in 48 types, so the key has no legal value left to set.
+    cfg = write_cli_config(tmp_path, calendar_types=48)
+    with pytest.raises(ParseError, match=r"run\.cfg:3: unknown key 'calendar_types'"):
+        load_config(cfg)
+    assert cli_main(["run", "--data", str(data_csv), "--config", str(cfg)]) == 2
+    assert "unknown key 'calendar_types'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("horizon", ["0", "-3"])
@@ -156,6 +165,18 @@ def test_ingest_out_of_order_rows_name_the_line(tmp_path):
         "2021-03-01T02:00:00+00:00,1.6\n"
     )
     with pytest.raises(NonMonotoneTimestamps, match=":3:"):
+        ingest_csv(path, base_config())
+
+
+def test_ingest_errors_name_the_line_after_a_quoted_field_spanning_lines(tmp_path):
+    path = tmp_path / "ml.csv"
+    path.write_text(
+        "timestamp,load,temperature\n"
+        '2021-03-01T00:00:00+00:00,1.5,"40.0\n"\n'
+        "2021-03-01T01:00:00+00:00,-1.0,41.0\n"
+        "2021-03-01T02:00:00+00:00,1.7,42.0\n"
+    )
+    with pytest.raises(ParseError, match=r"ml\.csv:4: load must be finite and >= 0"):
         ingest_csv(path, base_config())
 
 
@@ -545,9 +566,9 @@ def test_parameters_never_see_loads_after_the_prediction_time(data_csv, tmp_path
     captured = {}
     real_predict = harness.predict
 
-    def spy(model, instance, calendar_fn, encoder, state=None):
+    def spy(model, instance, calendar_fn, state=None):
         captured[instance.t] = copy.deepcopy(model)
-        return real_predict(model, instance, calendar_fn, encoder, state=state)
+        return real_predict(model, instance, calendar_fn, state=state)
 
     monkeypatch.setattr(harness, "predict", spy)
     run_online_evaluation(series, config)
@@ -657,6 +678,50 @@ def test_quantile_emission_adds_columns(tmp_path, data_csv):
     # Emitted quantile columns are non-decreasing across the grid.
     values = [float(v) for v in first_row.split(",")[4:]]
     assert all(a <= b for a, b in zip(values, values[1:]))
+
+
+def test_each_temperature_of_a_processed_window_is_encoded_once(tmp_path, monkeypatch):
+    path = tmp_path / "series.csv"
+    write_batch_init_series(path)
+    config = base_config(temperature_unit="C", train_end=datetime(2021, 3, 11, tzinfo=UTC))
+    series, _ = ingest_csv(path, config)
+    # Every day's 11:00 anchor is processed; its window is the next horizon steps.
+    known = {i for i, w in zip(series.index, series.temperature) if w is not None}
+    expected = sum(t + j in known for t in range(11, series.index[-1] + 1, 24)
+                   for j in range(1, config.hp.horizon + 1))
+    calls = []
+    real_encode = TemperatureShiftEncoder.encode
+
+    def counting(self, w, w_bar):
+        calls.append(w)
+        return real_encode(self, w, w_bar)
+
+    monkeypatch.setattr(TemperatureShiftEncoder, "encode", counting)
+    result = run_online_evaluation(series, config)
+    assert result.notes["n_eval_points"] > 0
+    assert len(calls) == expected
+
+
+def test_the_tracker_learns_only_on_learned_days(tmp_path):
+    path = tmp_path / "series.csv"
+    write_batch_init_series(path)
+    freeze = datetime(2021, 4, 10, 11, tzinfo=UTC)
+    config = base_config(temperature_unit="C", train_end=datetime(2021, 3, 21, tzinfo=UTC))
+    series, _ = ingest_csv(path, config)
+    run_online_evaluation(series, config, frozen_after=freeze, snapshot_out=tmp_path / "frozen.snapshot")
+    run_online_evaluation(series, config, snapshot_out=tmp_path / "online.snapshot")
+    # The same data through the freeze: the last anchor, at the freeze, has no
+    # temperature in its window.
+    lines = path.read_text().splitlines(keepends=True)
+    upto = tmp_path / "upto.csv"
+    upto.write_text("".join(line for line in lines
+                            if line.startswith("timestamp") or datetime.fromisoformat(line[:25]) <= freeze))
+    truncated, _ = ingest_csv(upto, config)
+    run_online_evaluation(truncated, config, snapshot_out=tmp_path / "upto.snapshot")
+    frozen, online, upto = (snapshot_load(tmp_path / f"{name}.snapshot").tracker
+                            for name in ("frozen", "online", "upto"))
+    assert (frozen.counts, frozen.sums) == (upto.counts, upto.sums)
+    assert sum(frozen.counts) < sum(online.counts)
 
 
 def test_frozen_after_stops_learning(data_csv):
@@ -934,6 +999,17 @@ def test_cli_metrics_oversized_forecast_field_is_a_parse_error_naming_the_line(t
                                                          f"2021-03-01T02:00:00+00:00,2,{OVERSIZED_FIELD},0.1"])
     assert cli_main(["metrics", "--forecasts", str(forecasts), "--actuals", str(data_csv)]) == 2
     assert f"{forecasts}:3: field larger than field limit" in capsys.readouterr().err
+
+
+def test_cli_metrics_errors_name_the_line_after_a_quoted_field_spanning_lines(tmp_path, data_csv, capsys):
+    forecasts = tmp_path / "forecasts.csv"
+    forecasts.write_text(
+        "timestamp,horizon,mean,std\n"
+        '2021-03-01T01:00:00+00:00,1,1.5,"0.1\n"\n'
+        "2021-03-01T02:00:00+00:00,2,nan,0.1\n"
+    )
+    assert cli_main(["metrics", "--forecasts", str(forecasts), "--actuals", str(data_csv)]) == 2
+    assert f"{forecasts}:4: mean must be finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("mean, std", [

@@ -9,15 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
-    LinearObsEncoder,
     NonPositiveSigma,
-    PassthroughEncoder,
     reference_channel_update,
     reference_learn_step,
     weighted_log_likelihood,
 )
 
-from aplf.features import ObservationVector, TemperatureShiftEncoder
+from aplf.features import TemperatureShiftEncoder, TemperatureTracker
 from aplf.forecaster import InstanceVector, predict
 from aplf.harness import snapshot_load, snapshot_save
 from aplf.model_types import (
@@ -125,11 +123,11 @@ def learner_runs(draw):
     # A calendar cycle shorter than the horizon visits some type twice within one instance.
     cycle = draw(st.lists(st.integers(1, n), min_size=1, max_size=horizon - 1))
     load = st.floats(0.0, 5.0)
-    obs = st.builds(ObservationVector, st.floats(-10.0, 110.0), st.floats(20.0, 80.0))
+    obs = st.sampled_from([(1.0, 0.0, 0.0), (1.0, 1.0, 0.0), (1.0, 0.0, 1.0)])
     if draw(st.booleans()):
         # Unflagged observations only: the observation channels' Gram stays
         # singular, so batch initialization falls back once a buffer is full.
-        obs = st.just(ObservationVector(60.0, 60.0))
+        obs = st.just((1.0, 0.0, 0.0))
     if draw(st.booleans()):
         load, obs = st.none() | load, st.none() | obs
     instances = []
@@ -145,8 +143,7 @@ def learner_runs(draw):
 def test_learn_step_equals_the_one_sample_at_a_time_reference(run):
     hp, cycle, init_mode, instances = run
     calendar_fn = lambda t: cycle[t % len(cycle)]
-    learner, reference = (OnlineLearner(hp, TemperatureShiftEncoder(hp), calendar_fn, init_mode=init_mode)
-                          for _ in range(2))
+    learner, reference = (OnlineLearner(hp, 3, calendar_fn, init_mode=init_mode) for _ in range(2))
     for instance, targets in instances:
         learner.learn_step(instance, targets)
         reference_learn_step(reference, instance, targets)
@@ -154,7 +151,6 @@ def test_learn_step_equals_the_one_sample_at_a_time_reference(run):
         assert learner.state == reference.state
         assert learner.diagnostics == reference.diagnostics
         assert learner.pending_batch == reference.pending_batch
-        assert (learner.tracker.counts, learner.tracker.sums) == (reference.tracker.counts, reference.tracker.sums)
 
 
 def random_spd(rng, k):
@@ -199,9 +195,9 @@ def test_channel_update_rejects_other_shapes(k):
 
 
 @pytest.mark.parametrize("r_dim", [1, 4])
-def test_learner_rejects_an_encoder_of_another_shape(r_dim):
+def test_learner_rejects_an_r_dim_other_than_2_or_3(r_dim):
     with pytest.raises(ValueError):
-        OnlineLearner(HyperParams(n_calendar_types=1), encoder=PassthroughEncoder(r_dim))
+        OnlineLearner(HyperParams(n_calendar_types=1), r_dim)
 
 
 def test_trace_reset_examples():
@@ -329,7 +325,7 @@ def test_weighted_log_likelihood_values():
 
 def test_learn_step_single_window_worked_values():
     hp = HyperParams(n_calendar_types=1, horizon=1)
-    learner = OnlineLearner(hp, encoder=PassthroughEncoder())
+    learner = OnlineLearner(hp, 3)
     instance = InstanceVector(anchor_load=1.0, observations=(np.array([1.0, 0.0, 0.0]),), t=0)
     learner.learn_step(instance, [2.0])
     assert np.allclose(learner.model.s_channels[0].eta, [2.0 / 2.2, 2.0 / 2.2], atol=1e-15)
@@ -340,11 +336,11 @@ def test_learn_step_single_window_worked_values():
 
 def test_learn_step_zero_innovation_keeps_eta():
     hp = HyperParams(n_calendar_types=1, horizon=2)
-    learner = OnlineLearner(hp, encoder=LinearObsEncoder())
+    learner = OnlineLearner(hp, 2)
     # Perfect model of the constant sequence 5, 5, ...
     learner.model.s_channels[0].eta = np.array([0.0, 1.0])
     learner.model.r_channels[0].eta = np.array([5.0, 0.0])
-    instance = InstanceVector(anchor_load=5.0, observations=(0.0, 0.0), t=0)
+    instance = InstanceVector(anchor_load=5.0, observations=((1.0, 0.0),) * 2, t=0)
     learner.learn_step(instance, [5.0, 5.0])
     assert np.array_equal(learner.model.s_channels[0].eta, [0.0, 1.0])
     assert np.array_equal(learner.model.r_channels[0].eta, [5.0, 0.0])
@@ -352,19 +348,17 @@ def test_learn_step_zero_innovation_keeps_eta():
 
 def test_learn_step_missing_temperature_updates_only_s_channel():
     hp = HyperParams(n_calendar_types=1, horizon=2)
-    learner = OnlineLearner(hp, encoder=TemperatureShiftEncoder(hp))
-    obs = (None, ObservationVector(w=70.0, w_bar=70.0))
-    instance = InstanceVector(anchor_load=1.0, observations=obs, t=0)
+    learner = OnlineLearner(hp, 3)
+    instance = InstanceVector(anchor_load=1.0, observations=(None, (1.0, 0.0, 0.0)), t=0)
     learner.learn_step(instance, [2.0, 3.0])
     assert learner.state.s_states[0].gamma > 0.0
     assert learner.state.r_states[0].gamma == 1.0  # only the second step updated the r channel
-    assert learner.tracker.counts[1 - 1] == 1
 
 
 def test_learn_step_missing_target_breaks_the_previous_load_chain():
     hp = HyperParams(n_calendar_types=1, horizon=3)
-    learner = OnlineLearner(hp, encoder=LinearObsEncoder())
-    instance = InstanceVector(anchor_load=1.0, observations=(0.0, 0.0, 0.0), t=0)
+    learner = OnlineLearner(hp, 2)
+    instance = InstanceVector(anchor_load=1.0, observations=((1.0, 0.0),) * 3, t=0)
     learner.learn_step(instance, [2.0, None, 4.0])
     # Updates at i=1 (prev=anchor) and none at i=2; at i=3 prev is unknown,
     # so only the observation channel learns there.
@@ -374,7 +368,7 @@ def test_learn_step_missing_target_breaks_the_previous_load_chain():
 
 def test_trace_stays_bounded_over_a_long_sweep():
     hp = HyperParams(n_calendar_types=1, horizon=1, lambda_r=0.7)
-    learner = OnlineLearner(hp, encoder=PassthroughEncoder())
+    learner = OnlineLearner(hp, 3)
     rng = np.random.default_rng(23)
     # Constant observation vector never excites two feature directions, so
     # P grows along them until the reset rule fires.
@@ -390,14 +384,14 @@ def test_trace_stays_bounded_over_a_long_sweep():
 
 def test_batch_init_mode_matches_batch_solution():
     hp = HyperParams(n_calendar_types=1, horizon=1, lambda_s=0.9, lambda_r=0.9)
-    learner = OnlineLearner(hp, encoder=LinearObsEncoder(), init_mode="batch")
+    learner = OnlineLearner(hp, 2, init_mode="batch")
     rng = np.random.default_rng(29)
     seen = []
     prev = 0.0
     for t in range(6):
         obs = float(rng.normal())
         target = 1.0 + 0.5 * prev + float(rng.normal(scale=0.1))
-        learner.learn_step(InstanceVector(anchor_load=prev, observations=(obs,), t=t), [target])
+        learner.learn_step(InstanceVector(anchor_load=prev, observations=((1.0, obs),), t=t), [target])
         seen.append((np.array([1.0, prev]), target))
         prev = target
     # The transition channel initialized from its first non-singular window
@@ -409,7 +403,7 @@ def test_batch_init_mode_matches_batch_solution():
 
 def test_batch_init_mode_falls_back_after_buffer_cap():
     hp = HyperParams(n_calendar_types=1, horizon=1, lambda_r=0.7)
-    learner = OnlineLearner(hp, encoder=PassthroughEncoder(), init_mode="batch")
+    learner = OnlineLearner(hp, 3, init_mode="batch")
     rng = np.random.default_rng(31)
     # Constant encoded vector keeps the observation Gram rank deficient
     # forever; after the buffer cap the learner must replay with zero init.
@@ -426,23 +420,20 @@ def test_batch_init_mode_falls_back_after_buffer_cap():
 def test_learner_requires_calendar_fn_for_many_types():
     hp = HyperParams(n_calendar_types=48)
     with pytest.raises(ValueError):
-        OnlineLearner(hp, encoder=PassthroughEncoder())
+        OnlineLearner(hp, 3)
 
 
 @pytest.mark.parametrize("bad_type", [0, 3])
 def test_learn_step_rejects_a_calendar_type_outside_1_to_n(bad_type):
     hp = HyperParams(n_calendar_types=2)
-    encoder = TemperatureShiftEncoder(hp)
-    learner = OnlineLearner(hp, encoder, calendar_fn=lambda t: bad_type)
-    obs = (ObservationVector(w=60.0, w_bar=60.0),) * 2
-    instance = InstanceVector(anchor_load=1.0, observations=obs, t=0)
+    learner = OnlineLearner(hp, 3, calendar_fn=lambda t: bad_type)
+    instance = InstanceVector(anchor_load=1.0, observations=((1.0, 0.0, 0.0),) * 2, t=0)
     with pytest.raises(IndexError, match="outside 1..2"):
-        predict(learner.model, instance, learner.calendar_fn, encoder)
+        predict(learner.model, instance, learner.calendar_fn)
     with pytest.raises(IndexError, match="outside 1..2"):
         learner.learn_step(instance, [1.0, 1.0])
-    # Nothing was learned, in any type's channels or tracker slot.
+    # Nothing was learned, in any type's channels.
     assert [s.gamma for s in learner.state.s_states + learner.state.r_states] == [0.0] * 4
-    assert learner.tracker.counts == [0, 0]
 
 
 # --- in-place updates ----------------------------------------------------------
@@ -479,9 +470,9 @@ def assert_no_shared_lists(model, state):
 
 def batch_learner(observation):
     """A batch-initialized learner over 2 calendar types fed 40 two-step instances of a noisy load,
-    with observations drawn by observation(rng)."""
+    with encoded observations drawn by observation(rng)."""
     hp = HyperParams(n_calendar_types=2, horizon=2)
-    learner = OnlineLearner(hp, TemperatureShiftEncoder(hp), calendar_fn=lambda t: 1 + t % 2, init_mode="batch")
+    learner = OnlineLearner(hp, 3, calendar_fn=lambda t: 1 + t % 2, init_mode="batch")
     rng = np.random.default_rng(41)
     load = 1.0
     for t in range(0, 80, 2):
@@ -494,20 +485,21 @@ def batch_learner(observation):
 def test_no_two_channels_share_a_list_after_initial_batch_fallback_or_load(tmp_path):
     hp = HyperParams(n_calendar_types=3)
     assert_no_shared_lists(ModelParams.initial(3, 3), LearnerState.initial(3, 3))
-    learner = OnlineLearner(hp, TemperatureShiftEncoder(hp), lambda t: 1)
+    learner = OnlineLearner(hp, 3, lambda t: 1)
     assert_no_shared_lists(learner.model, learner.state)
     # Flagged observations make the observation channels solvable, so both
     # channels of every type come from batch_initialize.
-    solvable = batch_learner(lambda rng: ObservationVector(float(rng.choice([10.0, 60.0, 95.0])), 55.0))
+    encode = TemperatureShiftEncoder(hp).encode
+    solvable = batch_learner(lambda rng: encode(float(rng.choice([10.0, 60.0, 95.0])), 55.0))
     assert not solvable.pending_batch and solvable.diagnostics.batch_init_fallbacks == 0
     assert_no_shared_lists(solvable.model, solvable.state)
     # Unflagged observations keep the observation Gram singular, so those
     # channels come from the zero-start replay of the full buffer.
-    fallback = batch_learner(lambda rng: ObservationVector(60.0, 60.0))
+    fallback = batch_learner(lambda rng: (1.0, 0.0, 0.0))
     assert not fallback.pending_batch and fallback.diagnostics.batch_init_fallbacks == 2
     assert_no_shared_lists(fallback.model, fallback.state)
     path = tmp_path / "snap.json"
-    snapshot_save(path, fallback.model, fallback.state, fallback.tracker, fallback.hp)
+    snapshot_save(path, fallback.model, fallback.state, TemperatureTracker(2), fallback.hp)
     snap = snapshot_load(path)
     assert snap.model == fallback.model and snap.state == fallback.state
     assert_no_shared_lists(snap.model, snap.state)
