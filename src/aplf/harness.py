@@ -22,7 +22,7 @@ from pathlib import Path
 from .features import CALENDAR_TYPES, TemperatureShiftEncoder, TemperatureTracker, calendar_type
 from .forecaster import InstanceVector, predict
 from .metrics import QUANTILE_LEVELS, QUANTILE_Z, EvalReport, evaluate_forecasts
-from .model_types import S_DIM, HyperParams, LearnerState, ModelParams, _checked_array, _checked_list
+from .model_types import S_DIM, HyperParams, LearnerState, ModelParams, _checked_list, _finite_floats
 from .recursive_learner import OnlineLearner
 
 __all__ = [
@@ -209,7 +209,7 @@ def load_config(path: Path | str) -> RunConfig:
 
 
 def _load_schedule(path: Path) -> dict:
-    """Per-day prediction overrides: lines `YYYY-MM-DD,HH:MM[,horizon]`, horizon >= 1."""
+    """Per-day prediction overrides: lines `YYYY-MM-DD,HH:MM[,horizon]`, horizon >= 1, one per day."""
     schedule = {}
     for lineno, raw_line in enumerate(path.read_text().splitlines(), start=1):
         line = raw_line.strip()
@@ -226,6 +226,8 @@ def _load_schedule(path: Path) -> dict:
             raise ParseError(f"{path}:{lineno}: {exc}") from exc
         if horizon is not None and horizon < 1:
             raise ParseError(f"{path}:{lineno}: horizon must be at least 1, got {horizon}")
+        if day in schedule:
+            raise ParseError(f"{path}:{lineno}: duplicate day {day.isoformat()}")
         schedule[day] = (at, horizon)
     return schedule
 
@@ -361,12 +363,32 @@ def _pending_from_dict(d: dict, n_calendar_types: int, r_dim: int) -> dict:
         c = int(c)
         if kind not in ("s", "r") or not 1 <= c <= n_calendar_types:
             raise ValueError(f"pending_batch key {key!r} names no channel")
-        shape = (S_DIM,) if kind == "s" else (r_dim,)
-        samples = [(tuple(_checked_array(u, shape)), float(s)) for u, s in buf]
+        k = S_DIM if kind == "s" else r_dim
+        samples = [(tuple(_finite_floats(u, k)), float(s)) for u, s in buf]
         if not all(math.isfinite(s) for _, s in samples):
             raise ValueError(f"pending_batch {key!r} holds a non-finite load")
         out[(kind, c)] = samples
     return out
+
+
+# The layout snapshot_save writes: _HEAD, the payload's SHA-256 in hex,
+# _MID, the payload, _TAIL.
+_HEAD = '{"checksum":"'
+_MID = f'","format":"{SNAPSHOT_FORMAT}","payload":'
+_TAIL = f',"version":{SNAPSHOT_VERSION}}}'
+_BODY_AT = len(_HEAD) + 64 + len(_MID)
+
+
+def _as_written(text: str) -> dict | None:
+    """The document, if text has snapshot_save's layout and its payload text hashes to its
+    checksum; None otherwise. Only the payload text is parsed: the rest is fixed."""
+    if not (text.startswith(_HEAD) and text.startswith(_MID, _BODY_AT - len(_MID)) and text.endswith(_TAIL)):
+        return None
+    checksum, body = text[len(_HEAD):_BODY_AT - len(_MID)], text[_BODY_AT:len(text) - len(_TAIL)]
+    if hashlib.sha256(body.encode()).hexdigest() != checksum:
+        return None
+    return {"checksum": checksum, "format": SNAPSHOT_FORMAT, "payload": json.loads(body),
+            "version": SNAPSHOT_VERSION}
 
 
 def snapshot_save(path: Path | str, model: ModelParams, state: LearnerState,
@@ -386,17 +408,21 @@ def snapshot_save(path: Path | str, model: ModelParams, state: LearnerState,
     body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     checksum = hashlib.sha256(body.encode()).hexdigest()
     # The document is {"checksum", "format", "payload", "version"} in the
-    # sorted, compact encoding that snapshot_load re-checks; the payload's
-    # encoding is spliced in rather than encoded a second time.
-    Path(path).write_text(f'{{"checksum":"{checksum}","format":"{SNAPSHOT_FORMAT}",'
-                          f'"payload":{body},"version":{SNAPSHOT_VERSION}}}')
+    # sorted, compact encoding; the payload's encoding is spliced in rather
+    # than encoded a second time, and snapshot_load hashes it as written.
+    Path(path).write_text(f"{_HEAD}{checksum}{_MID}{body}{_TAIL}")
 
 
 def snapshot_load(path: Path | str, *, expect_calendar_types: int | None = None,
                   expect_r_dim: int | None = None) -> Snapshot:
     """Load a snapshot, verifying version, checksum, and model dimensions.
 
-    r_dim must be 2 or 3, the observation channel shapes the model has.
+    The checksum is the SHA-256 of the payload text as snapshot_save wrote
+    it or, for a document another tool re-serialized, of the payload's
+    canonical encoding. version must be the JSON integer 1, or
+    VersionMismatch. n_calendar_types and r_dim must be JSON integers,
+    cursor null or a non-empty ISO-8601 string, and r_dim 2 or 3, the
+    observation channel shapes the model has.
     Every list and array in the payload must have the length or shape its
     own n_calendar_types and r_dim declare, and hold values a run can
     write: finite eta, sigma and gamma finite and >= 0, P symmetric
@@ -404,22 +430,29 @@ def snapshot_load(path: Path | str, *, expect_calendar_types: int | None = None,
     sums and pending samples. Otherwise CorruptSnapshot.
     """
     try:
-        doc = json.loads(Path(path).read_text())
+        text = Path(path).read_text()
+        doc = _as_written(text)
+        checked = doc is not None
+        if not checked:
+            doc = json.loads(text)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CorruptSnapshot(f"{path}: not a parseable snapshot: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != SNAPSHOT_FORMAT:
         raise CorruptSnapshot(f"{path}: missing snapshot format marker")
-    if doc.get("version") != SNAPSHOT_VERSION:
-        raise VersionMismatch(f"{path}: snapshot version {doc.get('version')!r}, expected {SNAPSHOT_VERSION}")
+    version = doc.get("version")
+    if type(version) is not int or version != SNAPSHOT_VERSION:
+        raise VersionMismatch(f"{path}: snapshot version {version!r}, expected {SNAPSHOT_VERSION}")
     payload = doc.get("payload")
     if payload is None or "checksum" not in doc:
         raise CorruptSnapshot(f"{path}: missing payload or checksum")
-    body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    if hashlib.sha256(body.encode()).hexdigest() != doc["checksum"]:
-        raise CorruptSnapshot(f"{path}: checksum mismatch")
+    if not checked:
+        body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        if hashlib.sha256(body.encode()).hexdigest() != doc["checksum"]:
+            raise CorruptSnapshot(f"{path}: checksum mismatch")
     try:
-        n_c = int(payload["n_calendar_types"])
-        r_dim = int(payload["r_dim"])
+        n_c, r_dim, cursor = payload["n_calendar_types"], payload["r_dim"], payload["cursor"]
+        if type(n_c) is not int or type(r_dim) is not int:
+            raise ValueError(f"n_calendar_types and r_dim must be integers, got {n_c!r} and {r_dim!r}")
         if r_dim not in (2, 3):
             raise ValueError(f"r_dim must be 2 or 3, got {r_dim}")
         if expect_calendar_types is not None and n_c != expect_calendar_types:
@@ -438,7 +471,10 @@ def snapshot_load(path: Path | str, *, expect_calendar_types: int | None = None,
         hp = HyperParams(**payload["hyper_params"])
         if hp.n_calendar_types != n_c:
             raise ValueError(f"hyper_params.n_calendar_types {hp.n_calendar_types} contradicts n_calendar_types {n_c}")
-        cursor = datetime.fromisoformat(payload["cursor"]) if payload["cursor"] else None
+        if cursor is not None:
+            if type(cursor) is not str or not cursor:
+                raise ValueError(f"cursor must be null or a non-empty ISO-8601 string, got {cursor!r}")
+            cursor = datetime.fromisoformat(cursor)
         pending = _pending_from_dict(payload.get("pending_batch", {}), n_c, r_dim)
     except ShapeMismatch:
         raise
@@ -528,10 +564,11 @@ def run_online_evaluation(series: Series, config: RunConfig, *,
     cal = types.__getitem__
 
     encoder = TemperatureShiftEncoder(hp)
-    learner = OnlineLearner(hp, encoder.r_dim, cal, init_mode=config.init_mode)
-    tracker = TemperatureTracker(hp.n_calendar_types)
-    cursor = None
-    if resume is not None:
+    if resume is None:
+        learner = OnlineLearner(hp, encoder.r_dim, cal, init_mode=config.init_mode)
+        tracker = TemperatureTracker(hp.n_calendar_types)
+        cursor = None
+    else:
         snap = snapshot_load(resume, expect_calendar_types=hp.n_calendar_types,
                              expect_r_dim=encoder.r_dim)
         differ = [k for k, v in asdict(hp).items() if getattr(snap.hp, k) != v]
@@ -539,9 +576,9 @@ def run_online_evaluation(series: Series, config: RunConfig, *,
             raise ShapeMismatch(f"{resume}: snapshot hyper-parameters differ from the config: "
                                 f"{', '.join(differ)}")
         _check_comparable(f"{resume}: snapshot cursor", snap.cursor, base)
-        learner.restore(snap.model, snap.state, snap.pending)
-        tracker = snap.tracker
-        cursor = snap.cursor
+        learner = OnlineLearner(hp, encoder.r_dim, cal, init_mode=config.init_mode,
+                                model=snap.model, state=snap.state, pending=snap.pending)
+        tracker, cursor = snap.tracker, snap.cursor
 
     header = "timestamp,horizon,mean,std"
     # Forecast rows are stamped in the data's wall-clock time: naive instants

@@ -104,28 +104,33 @@ class ChannelState:
 # positive definite P. A payload that fails is rejected before it reaches a run.
 
 
-def _records_to_json(records: list) -> list[dict]:
-    """Each record's fields as JSON values: lists stay (nested) lists of floats, scalars become floats."""
-    names = [f.name for f in fields(records[0])] if records else []
-    return [{k: _json_value(getattr(r, k)) for k in names} for r in records]
+def _records_from_json(record_cls, items, n: int, k: int) -> list:
+    """n records of record_cls from their JSON values, in one pass per record.
 
-
-def _json_value(v):
-    return v if isinstance(v, list) else float(v)
-
-
-def _records_from_json(record_cls, items, n: int, shape: tuple[int, ...]) -> list:
-    """n records of record_cls, whose fields are a (nested) float list of the given shape and a float.
-
-    The float is a channel's sigma or gamma, so it must be finite and >= 0.
+    A record's first field is a channel's eta, a list of k finite floats,
+    or its P, a k x k matrix of them that must be symmetric positive
+    definite, as every P the learner writes is: the update reads only its
+    upper triangle and keeps P positive definite. Its second field is a
+    channel's sigma or gamma, so it must be finite and >= 0. ValueError
+    otherwise.
     """
     array_field, float_field = (f.name for f in fields(record_cls))
+    square = record_cls is ChannelState
     records = []
     for item in _checked_list(items, n):
         value = float(item[float_field])
         if not 0.0 <= value < math.inf:
             raise ValueError(f"{float_field} must be finite and >= 0, got {value}")
-        records.append(record_cls(_checked_array(item[array_field], shape), value))
+        array = item[array_field]
+        if square:
+            array = [_finite_floats(row, k) for row in _checked_list(array, k)]
+            if not _symmetric(array):
+                raise ValueError("P is not symmetric")
+            if not _positive_definite(array):
+                raise ValueError("P is not positive definite")
+        else:
+            array = _finite_floats(array, k)
+        records.append(record_cls(array, value))
     return records
 
 
@@ -137,28 +142,21 @@ def _checked_list(items, n: int) -> list:
     return items
 
 
-def _checked_array(value, shape: tuple[int, ...]) -> list:
-    """value as a (nested) list of finite floats of exactly the given shape; ValueError otherwise.
-
-    A square matrix (the only one is a channel's P) must also be symmetric
-    positive definite, as every P the learner writes is: the update reads
-    only its upper triangle and keeps P positive definite.
-    """
-    if len(shape) == 1:
-        return _finite_floats(value, shape[0])
-    rows = [_finite_floats(row, shape[1]) for row in _checked_list(value, shape[0])]
-    if any(rows[i][j] != rows[j][i] for i in range(len(rows)) for j in range(i)):
-        raise ValueError("P is not symmetric")
-    if not _positive_definite(rows):
-        raise ValueError("P is not positive definite")
-    return rows
-
-
-def _finite_floats(items, n: int) -> list:
-    values = [float(v) for v in _checked_list(items, n)]
-    if not all(map(math.isfinite, values)):
+def _finite_floats(items, n: int) -> list[float]:
+    """items as a new list of n finite floats; ValueError otherwise."""
+    values = list(map(float, _checked_list(items, n)))
+    # A finite sum proves every value finite; only an overflowing sum of
+    # finite values needs the value-by-value check.
+    if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
         raise ValueError(f"expected finite values, got {values}")
     return values
+
+
+def _symmetric(p: list) -> bool:
+    """Whether the K x K matrix p (K = 2 or 3) is exactly symmetric."""
+    if len(p) == 2:
+        return p[0][1] == p[1][0]
+    return p[0][1] == p[1][0] and p[0][2] == p[2][0] and p[1][2] == p[2][1]
 
 
 def _positive_definite(p: list) -> bool:
@@ -198,15 +196,17 @@ class ModelParams:
         return len(self.r_channels[0].eta)
 
     def to_dict(self) -> dict:
-        return {"s_channels": _records_to_json(self.s_channels), "r_channels": _records_to_json(self.r_channels)}
+        """Every channel as {"eta": [...], "sigma": float}; eta lists are shared, not copied."""
+        return {"s_channels": [{"eta": c.eta, "sigma": float(c.sigma)} for c in self.s_channels],
+                "r_channels": [{"eta": c.eta, "sigma": float(c.sigma)} for c in self.r_channels]}
 
     @classmethod
     def from_dict(cls, d: dict, n_calendar_types: int, r_dim: int) -> "ModelParams":
         """Inverse of to_dict; ValueError unless every list and eta has the given dimensions
         and every value is one a run can write."""
         return cls(
-            s_channels=_records_from_json(GaussianChannelParams, d["s_channels"], n_calendar_types, (S_DIM,)),
-            r_channels=_records_from_json(GaussianChannelParams, d["r_channels"], n_calendar_types, (r_dim,)),
+            s_channels=_records_from_json(GaussianChannelParams, d["s_channels"], n_calendar_types, S_DIM),
+            r_channels=_records_from_json(GaussianChannelParams, d["r_channels"], n_calendar_types, r_dim),
         )
 
 
@@ -225,15 +225,17 @@ class LearnerState:
         )
 
     def to_dict(self) -> dict:
-        return {"s_states": _records_to_json(self.s_states), "r_states": _records_to_json(self.r_states)}
+        """Every channel state as {"P": [[...]], "gamma": float}; P lists are shared, not copied."""
+        return {"s_states": [{"P": c.P, "gamma": float(c.gamma)} for c in self.s_states],
+                "r_states": [{"P": c.P, "gamma": float(c.gamma)} for c in self.r_states]}
 
     @classmethod
     def from_dict(cls, d: dict, n_calendar_types: int, r_dim: int) -> "LearnerState":
         """Inverse of to_dict; ValueError unless every list and P has the given dimensions
         and every value is one a run can write."""
         return cls(
-            s_states=_records_from_json(ChannelState, d["s_states"], n_calendar_types, (S_DIM, S_DIM)),
-            r_states=_records_from_json(ChannelState, d["r_states"], n_calendar_types, (r_dim, r_dim)),
+            s_states=_records_from_json(ChannelState, d["s_states"], n_calendar_types, S_DIM),
+            r_states=_records_from_json(ChannelState, d["r_states"], n_calendar_types, r_dim),
         )
 
 

@@ -223,6 +223,13 @@ class OnlineLearner:
     the length of the observation channel's regressor, must be 2 or 3,
     the channel shapes channel_update supports; the initial state raises
     ValueError for any other.
+
+    A learner resumed from a snapshot takes the snapshot's model and
+    state, which it then owns, and pending, its per-channel sample
+    buffers still awaiting batch initialization (none if omitted); it
+    builds no initial state, and init_mode is only validated. model and
+    state, of hp's calendar types and this r_dim, must both be given, or
+    ValueError.
     """
 
     def __init__(
@@ -232,6 +239,10 @@ class OnlineLearner:
         calendar_fn=None,
         sigma0: float = 1.0,
         init_mode: str = "zero",
+        *,
+        model: ModelParams | None = None,
+        state: LearnerState | None = None,
+        pending: dict | None = None,
     ):
         if init_mode not in ("zero", "batch"):
             raise ValueError(f"init_mode must be 'zero' or 'batch', got {init_mode!r}")
@@ -242,14 +253,21 @@ class OnlineLearner:
         self.hp = hp
         self.calendar_fn = calendar_fn
         self.sigma0 = float(sigma0)
-        self.model = ModelParams.initial(hp.n_calendar_types, r_dim, sigma0)
-        self.state = LearnerState.initial(hp.n_calendar_types, r_dim)
         self.diagnostics = LearnDiagnostics()
         self._pending: dict[tuple[str, int], list[tuple[tuple[float, ...], float]]] = {}
-        if init_mode == "batch":
-            for c in range(1, hp.n_calendar_types + 1):
-                self._pending[("s", c)] = []
-                self._pending[("r", c)] = []
+        if model is None and state is None and pending is None:
+            self.model = ModelParams.initial(hp.n_calendar_types, r_dim, sigma0)
+            self.state = LearnerState.initial(hp.n_calendar_types, r_dim)
+            if init_mode == "batch":
+                for c in range(1, hp.n_calendar_types + 1):
+                    self._pending[("s", c)] = []
+                    self._pending[("r", c)] = []
+        elif model is None or state is None:
+            raise ValueError("a resumed learner needs both model and state")
+        else:
+            self.model, self.state = model, state
+            if pending is not None:
+                self._pending = pending
 
     def learn_step(self, instance, targets) -> None:
         """Consume one (instance, targets) pair.
@@ -308,11 +326,6 @@ class OnlineLearner:
     def pending_batch(self) -> dict:
         """Per-channel sample buffers still awaiting batch initialization."""
         return self._pending
-
-    def restore(self, model: ModelParams, state: LearnerState, pending: dict | None = None) -> None:
-        self.model = model
-        self.state = state
-        self._pending = pending if pending is not None else {}
 
     def _update_pending(self, kind: str, c: int, u: tuple[float, ...], s_value: float, lam: float) -> None:
         """Add a sample to a channel awaiting batch initialization, and initialize it once its

@@ -29,7 +29,7 @@ from aplf.harness import (
 )
 from aplf.features import TemperatureShiftEncoder
 from aplf.metrics import evaluate_forecasts
-from aplf.model_types import HyperParams
+from aplf.model_types import HyperParams, LearnerState, ModelParams
 from aplf.synthetic import make_hourly_series, write_series_csv
 
 UTC = timezone.utc
@@ -134,6 +134,15 @@ def test_schedule_horizon_below_one_names_the_line(tmp_path, horizon):
     cfg = tmp_path / "sched.cfg"
     cfg.write_text(f"load_unit = GW\nschedule_file = {schedule}\n")
     with pytest.raises(ParseError, match=r"schedule\.csv:2: horizon"):
+        load_config(cfg)
+
+
+def test_schedule_duplicate_day_names_the_second_line(tmp_path):
+    schedule = tmp_path / "schedule.csv"
+    schedule.write_text("# overrides\n2021-03-05,10:00,12\n2021-03-05,13:00\n")
+    cfg = tmp_path / "sched.cfg"
+    cfg.write_text(f"load_unit = GW\nschedule_file = {schedule}\n")
+    with pytest.raises(ParseError, match=r"schedule\.csv:3: duplicate day 2021-03-05"):
         load_config(cfg)
 
 
@@ -345,16 +354,102 @@ def test_snapshot_tampered_payload_is_corrupt(tmp_path, data_csv):
         snapshot_load(snap_path)
 
 
-def test_snapshot_version_mismatch(tmp_path, data_csv):
+@pytest.mark.parametrize("version", [99, True, 1.0])
+def test_snapshot_version_mismatch(tmp_path, data_csv, version):
+    # True and 1.0 equal 1 in Python, but only the JSON integer 1 is version 1.
     config = base_config(train_end=datetime(2021, 3, 11, tzinfo=UTC))
     series, _ = ingest_csv(data_csv, config)
     snap_path = tmp_path / "model.snapshot"
     run_online_evaluation(series, config, snapshot_out=snap_path)
     doc = json.loads(snap_path.read_text())
-    doc["version"] = 99
+    doc["version"] = version
     snap_path.write_text(json.dumps(doc))
     with pytest.raises(VersionMismatch):
         snapshot_load(snap_path)
+
+
+def _snapshot_of_a_run(tmp_path, data_csv) -> Path:
+    config = base_config(train_end=datetime(2021, 3, 11, tzinfo=UTC))
+    series, _ = ingest_csv(data_csv, config)
+    path = tmp_path / "model.snapshot"
+    run_online_evaluation(series, config, snapshot_out=path)
+    return path
+
+
+def test_a_saved_snapshot_loads_without_encoding_its_payload_again(tmp_path, data_csv, monkeypatch):
+    path = _snapshot_of_a_run(tmp_path, data_csv)
+    expected = snapshot_load(path)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.dumps called while loading")
+
+    monkeypatch.setattr(harness.json, "dumps", refuse)
+    snap = snapshot_load(path)
+    assert (snap.model, snap.state, snap.hp, snap.cursor) == (expected.model, expected.state, expected.hp,
+                                                              expected.cursor)
+    assert (snap.tracker.counts, snap.tracker.sums) == (expected.tracker.counts, expected.tracker.sums)
+
+
+def test_a_re_serialized_snapshot_loads_and_resaves_byte_identically(tmp_path):
+    indented = tmp_path / "indented.snapshot"
+    indented.write_text(json.dumps(json.loads(SNAPSHOT_V1.read_text()), indent=2))
+    snap = snapshot_load(indented, expect_calendar_types=2, expect_r_dim=3)
+    snapshot_save(tmp_path / "again.snapshot", snap.model, snap.state, snap.tracker, snap.hp,
+                  cursor=snap.cursor, pending=snap.pending)
+    assert (tmp_path / "again.snapshot").read_bytes() == SNAPSHOT_V1.read_bytes()
+
+
+@pytest.mark.parametrize("eta", [0.7897437996205573, math.nan], ids=["as-saved", "nan"])
+def test_a_hand_hashed_non_canonical_payload_is_checked_value_by_value(tmp_path, eta):
+    doc = json.loads(SNAPSHOT_V1.read_text())
+    doc["payload"]["model"]["s_channels"][0]["eta"][0] = eta
+    body = json.dumps(doc["payload"], indent=1)
+    path = tmp_path / "hand.snapshot"
+    path.write_text(f'{{"checksum":"{hashlib.sha256(body.encode()).hexdigest()}","format":"aplf-snapshot",'
+                    f'"payload":{body},"version":1}}')
+    if math.isnan(eta):
+        with pytest.raises(CorruptSnapshot, match="malformed payload"):
+            snapshot_load(path)
+    else:
+        assert snapshot_load(path).model == snapshot_load(SNAPSHOT_V1).model
+
+
+@pytest.mark.parametrize("layout", ["as-written", "indented"])
+def test_one_changed_digit_of_a_p_entry_fails_the_checksum(tmp_path, data_csv, layout):
+    path = _snapshot_of_a_run(tmp_path, data_csv)
+    text = path.read_text()
+    at = text.index('"P":[[') + len('"P":[[')
+    at += text[at:].index(".") + 2  # the first decimal of the first P entry
+    digit = text[at]
+    assert digit.isdigit()
+    text = text[:at] + str((int(digit) + 1) % 10) + text[at + 1:]
+    if layout == "indented":
+        text = json.dumps(json.loads(text), indent=2)
+    path.write_text(text)
+    with pytest.raises(CorruptSnapshot, match="checksum mismatch"):
+        snapshot_load(path)
+
+
+def test_a_resumed_run_builds_no_initial_model_or_state(tmp_path, data_csv, monkeypatch):
+    config = base_config(train_end=datetime(2021, 3, 11, tzinfo=UTC))
+    series, _ = ingest_csv(data_csv, config)
+    snap_path = tmp_path / "split.snapshot"
+    run_online_evaluation(series, base_config(train_end=config.train_end,
+                                              test_end=datetime(2021, 3, 13, tzinfo=UTC)),
+                          snapshot_out=snap_path)
+    built = []
+    for cls in (ModelParams, LearnerState):
+        initial = cls.initial.__func__
+
+        def spy(cls_, *args, _initial=initial, **kwargs):
+            built.append(cls_.__name__)
+            return _initial(cls_, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "initial", classmethod(spy))
+    run_online_evaluation(series, config, resume=snap_path)
+    assert built == []
+    run_online_evaluation(series, config)
+    assert built == ["ModelParams", "LearnerState"]
 
 
 # A 2-type snapshot written by format version 1 as first released: batch
@@ -420,12 +515,17 @@ def _widen_observation_channels(p):
     lambda p: p["pending_batch"]["r:2"][0][0].__setitem__(1, math.inf),
     lambda p: p["pending_batch"]["r:1"][1].__setitem__(1, math.nan),
     _widen_observation_channels,
+    lambda p: p.update(n_calendar_types="2"),
+    lambda p: p.update(r_dim=3.9),
+    lambda p: p.update(r_dim=3.0),
+    lambda p: p.update(cursor=""),
 ], ids=["short-s-channels", "short-r-eta", "3x3-P-on-K2", "extra-r-state", "short-tracker-counts",
         "long-tracker-sums", "short-pending-vector", "pending-type-out-of-range", "hyper-params-types",
         "asymmetric-P", "nan-eta", "negative-sigma", "inf-sigma", "negative-gamma", "nan-gamma",
         "negative-definite-P-K2", "indefinite-P-K2", "negative-definite-P-K3", "indefinite-P-K3", "inf-P",
         "negative-tracker-count", "fractional-tracker-count", "nan-tracker-sum", "inf-pending-vector",
-        "nan-pending-load", "r_dim-4"])
+        "nan-pending-load", "r_dim-4", "string-n_calendar_types", "fractional-r_dim", "float-r_dim",
+        "empty-cursor"])
 def test_snapshot_contradicting_its_header_is_corrupt(tmp_path, edit):
     bad = _rewrite_payload(SNAPSHOT_V1, tmp_path / "bad.snapshot", edit)
     with pytest.raises(CorruptSnapshot):

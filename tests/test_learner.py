@@ -200,6 +200,17 @@ def test_learner_rejects_an_r_dim_other_than_2_or_3(r_dim):
         OnlineLearner(HyperParams(n_calendar_types=1), r_dim)
 
 
+def test_a_resumed_learner_needs_a_model_and_a_state():
+    hp = HyperParams(n_calendar_types=2)
+    model, state = ModelParams.initial(2, 3), LearnerState.initial(2, 3)
+    with pytest.raises(ValueError, match="both model and state"):
+        OnlineLearner(hp, 3, lambda t: 1, model=model)
+    with pytest.raises(ValueError, match="both model and state"):
+        OnlineLearner(hp, 3, lambda t: 1, pending={})
+    learner = OnlineLearner(hp, 3, lambda t: 1, init_mode="batch", model=model, state=state)
+    assert learner.model is model and learner.state is state and learner.pending_batch == {}
+
+
 def test_trace_reset_examples():
     hp = HyperParams()
     reset = trace_reset(ChannelState(P=np.diag([12.0, 1.0]), gamma=2.0), hp)
