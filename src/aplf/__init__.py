@@ -10,7 +10,6 @@ from .forecaster import ForecastPath, InstanceVector, forecast_step, predict
 from .metrics import EvalReport, evaluate_forecasts, mape, rmse
 from .model_types import (
     ChannelState,
-    ForecastPoint,
     GaussianChannelParams,
     HyperParams,
     LearnerState,

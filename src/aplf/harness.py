@@ -508,7 +508,8 @@ def run_online_evaluation(series: Series, config: RunConfig, *,
 
     The series' own grid (start, step) is the run's grid. Warm-up anchors
     (before train_end) only learn; test anchors predict with the latest
-    model first and learn from the revealed loads after.
+    model first and learn from the revealed loads after. Each anchor
+    learns the steps through the next day's prediction instant.
     With frozen_after set, learning stops at that instant (offline-style
     ablation). Forecast rows are emitted for every predicted step; the
     evaluation pools every horizon step that has an actual load.
@@ -532,26 +533,33 @@ def run_online_evaluation(series: Series, config: RunConfig, *,
         raise ParseError("train_end must lie inside the data span")
 
     # One anchor per day before test_end (the split boundary: resumed runs
-    # continue from there): its instant, its step index and its horizon.
+    # continue from there): its instant, its step index, its horizon and the
+    # step of the next day's prediction instant, through which it learns.
+    # That day may lie past test_end or the data, so a split run learns what
+    # the single run learns.
     test_end = config.test_end
-    anchors: list[tuple[datetime, int, int]] = []
+
+    def instant(day: date) -> tuple[datetime, int | None]:
+        at, horizon = config.schedule.get(day, (config.prediction_time, None))
+        return datetime.combine(day, at, tzinfo=base.tzinfo), horizon
+
+    anchors: list[tuple[datetime, int, int, int]] = []
     day = base.date()
     while day <= last_ts.date():
-        at, horizon = config.schedule.get(day, (config.prediction_time, None))
-        ts = datetime.combine(day, at, tzinfo=base.tzinfo)
+        ts, horizon = instant(day)
+        day += timedelta(days=1)
         if base <= ts <= last_ts:
             t_idx, rem = divmod(ts - base, step)
             if rem:
                 raise ParseError(f"prediction time {ts.isoformat()} off the {step} grid")
             if test_end is None or ts < test_end:
-                anchors.append((ts, t_idx, horizon or hp.horizon))
-        day += timedelta(days=1)
-    if not any(config.train_end <= ts for ts, _, _ in anchors):
+                anchors.append((ts, t_idx, horizon or hp.horizon, (instant(day)[0] - base) // step))
+    if not any(config.train_end <= ts for ts, _, _, _ in anchors):
         raise EmptySpan("no prediction days inside the test span")
 
     # The series on its step grid, from the first row through the last row
     # or the last step any anchor predicts, whichever is later.
-    n_steps = max(series.index[-1], max(t + h for _, t, h in anchors)) + 1
+    n_steps = max(series.index[-1], max(t + h for _, t, h, _ in anchors)) + 1
     loads: list[float | None] = [None] * n_steps
     temps: list[float | None] = [None] * n_steps
     for i, load, temp in zip(series.index, series.load, series.temperature):
@@ -561,11 +569,10 @@ def run_online_evaluation(series: Series, config: RunConfig, *,
     # for every i and cheaper than the product.
     holidays = config.holidays
     types = [calendar_type(ts, holidays) for ts in accumulate(repeat(step, n_steps - 1), initial=base)]
-    cal = types.__getitem__
 
     encoder = TemperatureShiftEncoder(hp)
     if resume is None:
-        learner = OnlineLearner(hp, encoder.r_dim, cal, init_mode=config.init_mode)
+        learner = OnlineLearner(hp, encoder.r_dim, init_mode=config.init_mode)
         tracker = TemperatureTracker(hp.n_calendar_types)
         cursor = None
     else:
@@ -576,7 +583,7 @@ def run_online_evaluation(series: Series, config: RunConfig, *,
             raise ShapeMismatch(f"{resume}: snapshot hyper-parameters differ from the config: "
                                 f"{', '.join(differ)}")
         _check_comparable(f"{resume}: snapshot cursor", snap.cursor, base)
-        learner = OnlineLearner(hp, encoder.r_dim, cal, init_mode=config.init_mode,
+        learner = OnlineLearner(hp, encoder.r_dim, init_mode=config.init_mode,
                                 model=snap.model, state=snap.state, pending=snap.pending)
         tracker, cursor = snap.tracker, snap.cursor
 
@@ -598,49 +605,53 @@ def run_online_evaluation(series: Series, config: RunConfig, *,
     cold_starts = 0
     processed = cursor
     train_end, emit_quantiles = config.train_end, config.emit_quantiles
-    # Each temperature of a window is encoded once, against the mean past
-    # temperature of its calendar type (itself, before the type's first),
-    # and added to the tracker only after the window is learned.
+    # An anchor forecasts the horizon steps after it and learns the steps on
+    # the grid through the next anchor, so each step is learned once, after
+    # every forecast of it. Each temperature of the two spans is encoded once,
+    # against the mean past temperature of its calendar type (itself, before
+    # the type's first), and added to the tracker only once its step is learned.
     encode, tracker_mean, track = encoder.encode, tracker.mean, tracker.add
 
-    for anchor_ts, t_idx, horizon in anchors:
+    for anchor_ts, t_idx, horizon, t_next in anchors:
         if cursor is not None and anchor_ts <= cursor:
             continue
         anchor_load = loads[t_idx]
-        window = slice(t_idx + 1, t_idx + horizon + 1)
-        targets, window_types, window_temps = loads[window], types[window], temps[window]
+        span = slice(t_idx + 1, max(t_idx + horizon, t_next) + 1)
+        span_loads, span_types, span_temps = loads[span], types[span], temps[span]
         observations = []
-        for c, w in zip(window_types, window_temps):
+        for c, w in zip(span_types, span_temps):
             if w is None:
                 observations.append(None)
             else:
                 w_bar = tracker_mean(c)
                 observations.append(encode(w, w if w_bar is None else w_bar))
-        instance = InstanceVector(anchor_load, tuple(observations), t_idx)
 
         if train_end <= anchor_ts:
             if anchor_load is None:
                 skipped_days += 1
             else:
-                path = predict(learner.model, instance, cal, state=learner.state)
+                instance = InstanceVector(anchor_load, tuple(observations[:horizon]), span_types[:horizon], t_idx)
+                path = predict(learner.model, instance, state=learner.state)
                 cold_starts += len(path.cold_start_substitutions)
                 ts = anchor_ts.replace(tzinfo=None)
-                for i, (pt, actual) in enumerate(zip(path.points, targets), start=1):
+                for i, (mean, std, actual) in enumerate(zip(path.mean, path.std, span_loads), start=1):
                     ts += step
-                    mean, std = pt.mean, pt.std
                     row = f"{ts.isoformat()}{offset_suffix},{i},{mean!r},{std!r}"
                     if emit_quantiles:
                         row += "," + ",".join([repr(mean + std * z) for z in QUANTILE_Z])
                     forecast_rows.append(row)
                     if actual is not None:
-                        eval_t.append(pt.t)
+                        eval_t.append(t_idx + i)
                         eval_actual.append(actual)
                         eval_mean.append(mean)
                         eval_std.append(std)
 
         if frozen_after is None or anchor_ts < frozen_after:
-            learner.learn_step(instance, targets)
-            for c, w in zip(window_types, window_temps):
+            learned = t_next - t_idx
+            learn_types, learn_temps = span_types[:learned], span_temps[:learned]
+            learner.learn_step(InstanceVector(anchor_load, tuple(observations[:learned]), learn_types, t_idx),
+                               span_loads[:learned])
+            for c, w in zip(learn_types, learn_temps):
                 if w is not None:
                     track(c, w)
         processed = anchor_ts

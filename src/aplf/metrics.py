@@ -48,14 +48,15 @@ def rmse(actual, point) -> float:
 def mape(actual, point) -> tuple[float, int]:
     """Mean absolute percentage error and the count of excluded zero-load samples.
 
-    Samples with actual load exactly 0 are excluded from the mean (division
-    guard) and counted; when every actual load is 0 the mean is nan.
+    Each error is relative to |actual|. Samples with actual load exactly 0
+    are excluded from the mean (division guard) and counted; when every
+    actual load is 0 the mean is nan.
     """
     n = _length(actual, point)
     usable = [(s, s_hat) for s, s_hat in zip(actual, point) if s != 0]
     if not usable:
         return math.nan, n
-    value = 100.0 * math.fsum(abs(s - s_hat) / s for s, s_hat in usable) / len(usable)
+    value = 100.0 * math.fsum(abs((s - s_hat) / s) for s, s_hat in usable) / len(usable)
     return value, n - len(usable)
 
 

@@ -20,7 +20,6 @@ __all__ = [
     "ChannelState",
     "ModelParams",
     "LearnerState",
-    "ForecastPoint",
 ]
 
 # Transition-channel feature dimension is fixed by the model: [1, s_prev].
@@ -237,12 +236,3 @@ class LearnerState:
             s_states=_records_from_json(ChannelState, d["s_states"], n_calendar_types, S_DIM),
             r_states=_records_from_json(ChannelState, d["r_states"], n_calendar_types, r_dim),
         )
-
-
-@dataclass(slots=True)
-class ForecastPoint:
-    """Gaussian predictive distribution for one step: mean, std >= 0, time index t."""
-
-    mean: float
-    std: float
-    t: int

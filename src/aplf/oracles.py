@@ -262,11 +262,11 @@ def self_check(seed: int = 0, verbose: bool = True) -> bool:
         u_vectors = [rng.normal(size=3) for _ in range(8)]
         anchor = float(rng.normal())
         model = ModelParams(s_channels=[s_params], r_channels=[r_params])
-        instance = InstanceVector(anchor_load=anchor, observations=tuple(u_vectors), t=0)
-        path = predict(model, instance, lambda t: 1)
+        instance = InstanceVector(anchor_load=anchor, observations=tuple(u_vectors), types=(1,) * 8, t=0)
+        path = predict(model, instance)
         reference = exact_filter_oracle(anchor, [(s_params, r_params, u) for u in u_vectors])
-        for pt, (m, s) in zip(path.points, reference):
-            worst = max(worst, abs(pt.mean - m), abs(pt.std - s))
+        for mean, std, (m, s) in zip(path.mean, path.std, reference):
+            worst = max(worst, abs(mean - m), abs(std - s))
     report("forecaster-vs-filter", worst <= 1e-9, f"max |diff| = {worst:.3e}")
 
     # Sequential conditioning matches quadrature. The observation means

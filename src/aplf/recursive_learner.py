@@ -218,11 +218,10 @@ def batch_initialize(
 class OnlineLearner:
     """Single-writer owner of the model and learner state.
 
-    Exactly one logical thread calls learn_step. calendar_fn maps an
-    absolute step index to a calendar type in 1..n_calendar_types. r_dim,
-    the length of the observation channel's regressor, must be 2 or 3,
-    the channel shapes channel_update supports; the initial state raises
-    ValueError for any other.
+    Exactly one logical thread calls learn_step. r_dim, the length of the
+    observation channel's regressor, must be 2 or 3, the channel shapes
+    channel_update supports; the initial state raises ValueError for any
+    other.
 
     A learner resumed from a snapshot takes the snapshot's model and
     state, which it then owns, and pending, its per-channel sample
@@ -236,7 +235,6 @@ class OnlineLearner:
         self,
         hp: HyperParams,
         r_dim: int,
-        calendar_fn=None,
         sigma0: float = 1.0,
         init_mode: str = "zero",
         *,
@@ -246,12 +244,7 @@ class OnlineLearner:
     ):
         if init_mode not in ("zero", "batch"):
             raise ValueError(f"init_mode must be 'zero' or 'batch', got {init_mode!r}")
-        if calendar_fn is None:
-            if hp.n_calendar_types != 1:
-                raise ValueError("calendar_fn is required when n_calendar_types > 1")
-            calendar_fn = lambda t: 1
         self.hp = hp
-        self.calendar_fn = calendar_fn
         self.sigma0 = float(sigma0)
         self.diagnostics = LearnDiagnostics()
         self._pending: dict[tuple[str, int], list[tuple[tuple[float, ...], float]]] = {}
@@ -272,29 +265,27 @@ class OnlineLearner:
     def learn_step(self, instance, targets) -> None:
         """Consume one (instance, targets) pair.
 
-        instance carries the anchoring load and one encoded observation
-        (None if missing) per step; targets carries the revealed loads
-        (None for gaps). Each step with a revealed load updates the
-        transition channel from the actual previous load and the
-        observation channel from the encoded observation, where each is
-        known. A channel still awaiting batch initialization buffers its
-        sample instead. A calendar type outside 1..n_calendar_types
-        raises IndexError.
+        instance carries the anchoring load and, per step, one encoded
+        observation (None if missing) and its calendar type; targets
+        carries the revealed loads (None for gaps). Each step with a
+        revealed load updates its calendar type's transition channel from
+        the actual previous load and its observation channel from the
+        encoded observation, where each is known. A channel still awaiting
+        batch initialization buffers its sample instead. Targets, types
+        and observations of unequal length raise ValueError, and a
+        calendar type outside 1..n_calendar_types raises IndexError.
         """
-        observations = instance.observations
-        if len(targets) != len(observations):
-            raise ValueError("targets and observations must have equal length")
-        calendar_fn = self.calendar_fn
+        observations, types = instance.observations, instance.types
+        if not len(targets) == len(types) == len(observations):
+            raise ValueError(f"{len(targets)} targets, {len(types)} calendar types and "
+                             f"{len(observations)} observations must be equally many")
         hp = self.hp
         lambda_s, lambda_r, n = hp.lambda_s, hp.lambda_r, hp.n_calendar_types
         s_params, r_params = self.model.s_channels, self.model.r_channels
         s_states, r_states = self.state.s_states, self.state.r_states
         diagnostics, pending = self.diagnostics, self._pending
         prev = instance.anchor_load
-        t = instance.t
-        for obs, target in zip(observations, targets):
-            t += 1
-            c = calendar_fn(t)
+        for obs, c, target in zip(observations, types, targets):
             if not 1 <= c <= n:
                 raise IndexError(f"calendar type {c} outside 1..{n}")
             if target is not None:

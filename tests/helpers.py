@@ -74,10 +74,8 @@ def reference_learn_step(learner, instance, targets) -> None:
             diagnostics.trace_resets += 1
         return after
 
-    prev, t = instance.anchor_load, instance.t
-    for obs, target in zip(instance.observations, targets):
-        t += 1
-        c = learner.calendar_fn(t)
+    prev = instance.anchor_load
+    for obs, c, target in zip(instance.observations, instance.types, targets):
         samples = []
         if target is not None and prev is not None:
             samples.append(("s", (1.0, prev)))

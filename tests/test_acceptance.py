@@ -189,25 +189,22 @@ def test_forecaster_equals_exact_filtering():
     # itself must match quadrature to 1e-6 on 20 instances.
     start = time_mod.perf_counter()
     rng = np.random.default_rng(303)
-    cal = lambda t: (t % 6) + 1
     worst_predict = 0.0
     for _ in range(500):
         model = random_model(rng, 6)
         horizon = int(rng.integers(1, 25))
         u_vectors = [rng.normal(size=3) for _ in range(horizon)]
         anchor = float(rng.normal(scale=2.0))
-        instance = InstanceVector(anchor_load=anchor, observations=tuple(u_vectors), t=0)
-        path = predict(model, instance, cal)
-        steps = [
-            (model.s_channels[cal(i) - 1], model.r_channels[cal(i) - 1], u)
-            for i, u in enumerate(u_vectors, start=1)
-        ]
+        types = [(i % 6) + 1 for i in range(1, horizon + 1)]
+        instance = InstanceVector(anchor_load=anchor, observations=tuple(u_vectors), types=types, t=0)
+        path = predict(model, instance)
+        steps = [(model.s_channels[c - 1], model.r_channels[c - 1], u) for c, u in zip(types, u_vectors)]
         expected = exact_filter_oracle(anchor, steps)
-        for pt, (m, s) in zip(path.points, expected):
+        for mean, std, (m, s) in zip(path.mean, path.std, expected):
             worst_predict = max(
                 worst_predict,
-                abs(pt.mean - m) / max(1.0, abs(m)),
-                abs(pt.std - s) / max(1.0, s),
+                abs(mean - m) / max(1.0, abs(m)),
+                abs(std - s) / max(1.0, s),
             )
 
     worst_quad = 0.0
@@ -248,7 +245,7 @@ def test_calibration_soundness_on_model_generated_data():
     for _ in range(20_000):
         nxt = load + float(rng.normal())
         obs = nxt + float(rng.normal())
-        learner.learn_step(InstanceVector(anchor_load=load, observations=((1.0, obs),), t=t), [nxt])
+        learner.learn_step(InstanceVector(anchor_load=load, observations=((1.0, obs),), types=(1,), t=t), [nxt])
         load = nxt
         t += 1
 
@@ -267,12 +264,11 @@ def test_calibration_soundness_on_model_generated_data():
             cur = cur + float(rng.normal())
             futures.append(cur)
             observations.append((1.0, cur + float(rng.normal())))
-        instance = InstanceVector(anchor_load=load, observations=tuple(observations), t=t)
-        path = predict(learner.model, instance, lambda tt: 1, state=learner.state)
-        for pt, s in zip(path.points, futures):
-            actual.append(s)
-            mean.append(pt.mean)
-            std.append(pt.std)
+        instance = InstanceVector(anchor_load=load, observations=tuple(observations), types=(1,) * horizon, t=t)
+        path = predict(learner.model, instance, state=learner.state)
+        actual.extend(futures)
+        mean.extend(path.mean)
+        std.extend(path.std)
         learner.learn_step(instance, futures)
         load = futures[-1]
         t += horizon
@@ -328,7 +324,7 @@ def test_learn_step_time_is_constant_over_a_long_run():
     # stay within 2x of the first decile (no growth with history length).
     rng = np.random.default_rng(606)
     hp = HyperParams(n_calendar_types=4, horizon=1)
-    learner = OnlineLearner(hp, 3, calendar_fn=lambda t: (t % 4) + 1)
+    learner = OnlineLearner(hp, 3)
     n_steps = 100_000
     timings = np.empty(n_steps)
     load = 0.0
@@ -339,7 +335,7 @@ def test_learn_step_time_is_constant_over_a_long_run():
     try:
         for step in range(n_steps):
             instance = InstanceVector(
-                anchor_load=load, observations=(observations_pool[step % 64],), t=step
+                anchor_load=load, observations=(observations_pool[step % 64],), types=((step + 1) % 4 + 1,), t=step
             )
             target = float(targets_pool[step])
             tic = time_mod.perf_counter()

@@ -14,7 +14,7 @@ from aplf.forecaster import (
     forecast_step,
     predict,
 )
-from aplf.model_types import ForecastPoint, GaussianChannelParams, HyperParams, LearnerState, ModelParams
+from aplf.model_types import GaussianChannelParams, HyperParams, LearnerState, ModelParams
 from aplf.oracles import _lemma_split, exact_filter_oracle
 from aplf.recursive_learner import OnlineLearner
 
@@ -57,28 +57,26 @@ def test_product_split_preserves_the_density_product_pointwise():
 def test_forecast_step_symmetric_fusion():
     s_params = GaussianChannelParams(eta=np.array([2.0, 0.0]), sigma=1.0)
     r_params = GaussianChannelParams(eta=np.array([4.0]), sigma=1.0)
-    pt = forecast_step(ForecastPoint(mean=7.0, std=0.0, t=0), s_params, r_params, np.array([1.0]))
-    assert pt.mean == 3.0
-    assert math.isclose(pt.std, math.sqrt(0.5), rel_tol=1e-15)
-    assert pt.t == 1
+    mean, std = forecast_step(7.0, 0.0, s_params, r_params, np.array([1.0]))
+    assert mean == 3.0
+    assert math.isclose(std, math.sqrt(0.5), rel_tol=1e-15)
 
 
 def test_forecast_step_uninformative_observation_channel():
     s_params = GaussianChannelParams(eta=np.array([0.5, 0.8]), sigma=0.7)
     r_params = GaussianChannelParams(eta=np.array([100.0]), sigma=1e12)
-    prev = ForecastPoint(mean=2.0, std=0.4, t=3)
-    pt = forecast_step(prev, s_params, r_params, np.array([1.0]))
+    mean, std = forecast_step(2.0, 0.4, s_params, r_params, np.array([1.0]))
     trans_mean = 0.5 + 0.8 * 2.0
     prop_std = math.sqrt(0.7**2 + (0.8 * 0.4) ** 2)
-    assert math.isclose(pt.mean, trans_mean, rel_tol=1e-9)
-    assert math.isclose(pt.std, prop_std, rel_tol=1e-9)
+    assert math.isclose(mean, trans_mean, rel_tol=1e-9)
+    assert math.isclose(std, prop_std, rel_tol=1e-9)
 
 
 def test_forecast_step_degenerate_variances():
     s_params = GaussianChannelParams(eta=np.array([1.0, 0.5]), sigma=0.0)
     r_params = GaussianChannelParams(eta=np.array([1.0]), sigma=0.0)
     with pytest.raises(DegenerateVariances):
-        forecast_step(ForecastPoint(mean=1.0, std=0.0, t=0), s_params, r_params, np.array([1.0]))
+        forecast_step(1.0, 0.0, s_params, r_params, np.array([1.0]))
 
 
 def test_forecast_variance_is_bounded_by_observation_sigma():
@@ -86,10 +84,10 @@ def test_forecast_variance_is_bounded_by_observation_sigma():
     for _ in range(50):
         model = random_model(rng, 1)
         sigma_r = model.r_channels[0].sigma
-        prev = ForecastPoint(mean=float(rng.normal()), std=0.0, t=0)
+        mean, std = float(rng.normal()), 0.0
         for _ in range(12):
-            prev = forecast_step(prev, model.s_channels[0], model.r_channels[0], rng.normal(size=3))
-            assert prev.std <= sigma_r + 1e-12
+            mean, std = forecast_step(mean, std, model.s_channels[0], model.r_channels[0], rng.normal(size=3))
+            assert std <= sigma_r + 1e-12
 
 
 def test_predict_single_step_path():
@@ -97,12 +95,11 @@ def test_predict_single_step_path():
         s_channels=[GaussianChannelParams(eta=np.array([2.0, 0.0]), sigma=1.0)],
         r_channels=[GaussianChannelParams(eta=np.array([4.0, 0.0, 0.0]), sigma=1.0)],
     )
-    instance = InstanceVector(anchor_load=7.0, observations=(np.array([1.0, 0.0, 0.0]),), t=5)
-    path = predict(model, instance, lambda t: 1)
-    assert len(path.points) == 1
-    assert path.points[0].mean == 3.0
-    assert math.isclose(path.points[0].std, math.sqrt(0.5), rel_tol=1e-15)
-    assert path.points[0].t == 6
+    instance = InstanceVector(anchor_load=7.0, observations=(np.array([1.0, 0.0, 0.0]),), types=(1,), t=5)
+    path = predict(model, instance)
+    assert path.mean == [3.0]
+    assert len(path.std) == 1
+    assert math.isclose(path.std[0], math.sqrt(0.5), rel_tol=1e-15)
     assert path.cold_start_substitutions == ()
 
 
@@ -112,17 +109,15 @@ def test_predict_matches_filter_oracle_on_multi_type_paths():
         model = random_model(rng, 6)
         anchor = float(rng.normal())
         u_vectors = [rng.normal(size=3) for _ in range(24)]
-        instance = InstanceVector(anchor_load=anchor, observations=tuple(u_vectors), t=0)
-        cal = lambda t: (t % 6) + 1
-        path = predict(model, instance, cal)
-        steps = [
-            (model.s_channels[cal(i) - 1], model.r_channels[cal(i) - 1], u)
-            for i, u in enumerate(u_vectors, start=1)
-        ]
+        types = [(i % 6) + 1 for i in range(1, 25)]
+        instance = InstanceVector(anchor_load=anchor, observations=tuple(u_vectors), types=types, t=0)
+        path = predict(model, instance)
+        steps = [(model.s_channels[c - 1], model.r_channels[c - 1], u) for c, u in zip(types, u_vectors)]
         expected = exact_filter_oracle(anchor, steps)
-        for pt, (m, s) in zip(path.points, expected):
-            assert abs(pt.mean - m) <= 1e-9 * max(1.0, abs(m))
-            assert abs(pt.std - s) <= 1e-9 * max(1.0, s)
+        assert len(path.mean) == len(path.std) == len(expected)
+        for mean, std, (m, s) in zip(path.mean, path.std, expected):
+            assert abs(mean - m) <= 1e-9 * max(1.0, abs(m))
+            assert abs(std - s) <= 1e-9 * max(1.0, s)
 
 
 def test_converged_noiseless_identity_pattern_reproduces_the_constant():
@@ -130,22 +125,20 @@ def test_converged_noiseless_identity_pattern_reproduces_the_constant():
     learner = OnlineLearner(hp, 2)
     value = 3.25
     for t in range(60):
-        instance = InstanceVector(anchor_load=value, observations=((1.0, value),), t=t)
+        instance = InstanceVector(anchor_load=value, observations=((1.0, value),), types=(1,), t=t)
         learner.learn_step(instance, [value])
-    instance = InstanceVector(anchor_load=value, observations=((1.0, value),), t=100)
-    path = predict(learner.model, instance, lambda t: 1, state=learner.state)
-    assert math.isclose(path.points[0].mean, value, rel_tol=1e-9)
-    assert path.points[0].std < 1e-6
+    instance = InstanceVector(anchor_load=value, observations=((1.0, value),), types=(1,), t=100)
+    path = predict(learner.model, instance, state=learner.state)
+    assert math.isclose(path.mean[0], value, rel_tol=1e-9)
+    assert path.std[0] < 1e-6
 
 
 def test_predict_requires_anchor_and_observation_slots():
     model = random_model(np.random.default_rng(0), 1)
     with pytest.raises(ValueError):
-        predict(model, InstanceVector(anchor_load=None, observations=(None,), t=0),
-                lambda t: 1)
+        predict(model, InstanceVector(anchor_load=None, observations=(None,), types=(1,), t=0))
     with pytest.raises(ValueError):
-        predict(model, InstanceVector(anchor_load=1.0, observations=(), t=0),
-                lambda t: 1)
+        predict(model, InstanceVector(anchor_load=1.0, observations=(), types=(), t=0))
 
 
 def test_cold_start_borrows_same_hour_other_day_class_first():
@@ -155,8 +148,8 @@ def test_cold_start_borrows_same_hour_other_day_class_first():
     # Only the weekend twin of hour 13 (type 38) and one unrelated type are trained.
     state.s_states[38 - 1].gamma = 5.0
     state.s_states[2].gamma = 5.0
-    instance = InstanceVector(anchor_load=1.0, observations=(np.array([1.0, 0.0, 0.0]),), t=0)
-    path = predict(model, instance, lambda t: 14, state=state)
+    instance = InstanceVector(anchor_load=1.0, observations=(np.array([1.0, 0.0, 0.0]),), types=(14,), t=0)
+    path = predict(model, instance, state=state)
     assert path.cold_start_substitutions == ((14, 38),)
 
 
@@ -164,19 +157,19 @@ def test_cold_start_without_any_trained_type_raises():
     rng = np.random.default_rng(22)
     model = random_model(rng, 4)
     state = LearnerState.initial(4, 3)
-    instance = InstanceVector(anchor_load=1.0, observations=(np.array([1.0, 0.0, 0.0]),), t=0)
+    instance = InstanceVector(anchor_load=1.0, observations=(np.array([1.0, 0.0, 0.0]),), types=(2,), t=0)
     with pytest.raises(ColdStart):
-        predict(model, instance, lambda t: 2, state=state)
+        predict(model, instance, state=state)
 
 
 def test_trained_types_are_used_directly():
     rng = np.random.default_rng(23)
     model = random_model(rng, 4)
     state = trained_state_like(model)
-    instance = InstanceVector(anchor_load=1.0, observations=(None, None), t=0)
-    path = predict(model, instance, lambda t: (t % 4) + 1, state=state)
+    instance = InstanceVector(anchor_load=1.0, observations=(None, None), types=(2, 3), t=0)
+    path = predict(model, instance, state=state)
     assert path.cold_start_substitutions == ()
-    assert len(path.points) == 2
+    assert len(path.mean) == len(path.std) == 2
 
 
 
@@ -184,7 +177,7 @@ def test_trained_types_are_used_directly():
 def test_a_missing_observation_takes_the_neutral_regressor(r_dim):
     model = random_model(np.random.default_rng(24), 2, r_dim=r_dim)
     neutral = (1.0,) + (0.0,) * (r_dim - 1)
-    cal = lambda t: (t % 2) + 1
-    missing = predict(model, InstanceVector(anchor_load=1.0, observations=(None, None, None), t=0), cal)
-    given = predict(model, InstanceVector(anchor_load=1.0, observations=(neutral,) * 3, t=0), cal)
-    assert missing.points == given.points
+    types = (2, 1, 2)
+    missing = predict(model, InstanceVector(anchor_load=1.0, observations=(None, None, None), types=types, t=0))
+    given = predict(model, InstanceVector(anchor_load=1.0, observations=(neutral,) * 3, types=types, t=0))
+    assert (missing.mean, missing.std) == (given.mean, given.std)

@@ -646,29 +646,64 @@ def test_two_runs_are_byte_identical(tmp_path, data_csv):
     assert (out1 / "calibration.csv").read_bytes() == (out2 / "calibration.csv").read_bytes()
 
 
-def test_split_run_resumes_byte_identically(tmp_path, data_csv):
-    config = base_config(train_end=datetime(2021, 3, 11, tzinfo=UTC))
+# Step-grid layouts of the 14-day series: hourly with the default horizon,
+# whose daily windows tile the day; hourly with a horizon of 48, whose
+# forecasts overlap the next day's; and a 15-minute step, on which 24 steps
+# cover six hours of the day.
+LAYOUTS = ("hourly", "horizon-48", "15-minute-step")
+
+
+def layout_run(tmp_path, data_csv, layout: str, **overrides) -> tuple[Path, RunConfig]:
+    """The series' CSV and a run config for one of LAYOUTS, training through 2021-03-11."""
+    config = base_config(train_end=datetime(2021, 3, 11, tzinfo=UTC), **overrides)
+    if layout == "horizon-48":
+        config.hp = HyperParams(horizon=48)
+    elif layout == "15-minute-step":
+        config.step = timedelta(minutes=15)
+        data_csv = quarter_hourly_csv(tmp_path / "quarter.csv", 14)
+    return data_csv, config
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_split_run_resumes_byte_identically(tmp_path, data_csv, layout):
+    data_csv, config = layout_run(tmp_path, data_csv, layout)
     series, _ = ingest_csv(data_csv, config)
-    full = run_online_evaluation(series, config)
+    full = run_online_evaluation(series, config, snapshot_out=tmp_path / "full.snapshot")
 
     split_at = datetime(2021, 3, 13, tzinfo=UTC)
-    config_first = base_config(train_end=config.train_end, test_end=split_at)
+    _, config_first = layout_run(tmp_path, data_csv, layout, test_end=split_at)
     snap_path = tmp_path / "split.snapshot"
     first = run_online_evaluation(series, config_first, snapshot_out=snap_path)
-    second = run_online_evaluation(series, config, resume=snap_path)
+    second = run_online_evaluation(series, config, resume=snap_path, snapshot_out=tmp_path / "second.snapshot")
     assert first.forecast_rows + second.forecast_rows == full.forecast_rows
+    assert (tmp_path / "second.snapshot").read_bytes() == (tmp_path / "full.snapshot").read_bytes()
 
 
-def test_parameters_never_see_loads_after_the_prediction_time(data_csv, tmp_path, monkeypatch):
-    config = base_config(train_end=datetime(2021, 3, 11, tzinfo=UTC))
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_the_tracker_counts_each_known_temperature_of_the_learned_steps_once(tmp_path, data_csv, layout):
+    data_csv, config = layout_run(tmp_path, data_csv, layout)
+    series, _ = ingest_csv(data_csv, config)
+    run_online_evaluation(series, config, snapshot_out=tmp_path / "run.snapshot")
+    # Each anchor learns the steps after it through the next day's prediction
+    # instant, so the run learns every step after its first anchor, once.
+    first_anchor = (datetime.combine(series.start.date(), config.prediction_time, tzinfo=UTC)
+                    - series.start) // series.step
+    known = sum(w is not None for i, w in zip(series.index, series.temperature) if i > first_anchor)
+    assert known > 0
+    assert sum(snapshot_load(tmp_path / "run.snapshot").tracker.counts) == known
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_parameters_never_see_loads_after_the_prediction_time(data_csv, tmp_path, monkeypatch, layout):
+    data_csv, config = layout_run(tmp_path, data_csv, layout)
     series, _ = ingest_csv(data_csv, config)
 
     captured = {}
     real_predict = harness.predict
 
-    def spy(model, instance, calendar_fn, state=None):
+    def spy(model, instance, state=None):
         captured[instance.t] = copy.deepcopy(model)
-        return real_predict(model, instance, calendar_fn, state=state)
+        return real_predict(model, instance, state=state)
 
     monkeypatch.setattr(harness, "predict", spy)
     run_online_evaluation(series, config)
@@ -682,10 +717,9 @@ def test_parameters_never_see_loads_after_the_prediction_time(data_csv, tmp_path
         kept = [row for row in rows if datetime.fromisoformat(row.split(",")[0]) <= anchor_ts]
         visible.write_text("".join(line + "\n" for line in [header, *kept]))
         snap_path = tmp_path / f"replay_{t_idx}.snapshot"
-        replay_config = base_config(train_end=config.train_end)
-        visible_series, _ = ingest_csv(visible, replay_config)
+        visible_series, _ = ingest_csv(visible, config)
         assert len(visible_series) == t_idx + 1
-        run_online_evaluation(visible_series, replay_config, snapshot_out=snap_path)
+        run_online_evaluation(visible_series, config, snapshot_out=snap_path)
         replayed = snapshot_load(snap_path).model
         for a, b in zip(seen_model.s_channels + seen_model.r_channels,
                         replayed.s_channels + replayed.r_channels):

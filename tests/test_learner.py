@@ -115,13 +115,11 @@ def test_unexcited_updates_with_the_trace_reset_never_degenerate(k, lam, level, 
 
 @st.composite
 def learner_runs(draw):
-    """Learner settings, a calendar cycle, an init mode and a run of (instance, targets) pairs."""
+    """Learner settings, an init mode and a run of (instance, targets) pairs."""
     n = draw(st.integers(1, 3))
     horizon = draw(st.integers(2, 6))
     lambdas = st.sampled_from([0.2, 0.7, 0.9, 0.99])
     hp = HyperParams(n_calendar_types=n, horizon=horizon, lambda_s=draw(lambdas), lambda_r=draw(lambdas))
-    # A calendar cycle shorter than the horizon visits some type twice within one instance.
-    cycle = draw(st.lists(st.integers(1, n), min_size=1, max_size=horizon - 1))
     load = st.floats(0.0, 5.0)
     obs = st.sampled_from([(1.0, 0.0, 0.0), (1.0, 1.0, 0.0), (1.0, 0.0, 1.0)])
     if draw(st.booleans()):
@@ -133,17 +131,18 @@ def learner_runs(draw):
     instances = []
     for j in range(draw(st.integers(1, 20))):
         observations = tuple(draw(st.lists(obs, min_size=horizon, max_size=horizon)))
+        # An instance's types may visit one type more than once.
+        types = draw(st.lists(st.integers(1, n), min_size=horizon, max_size=horizon))
         targets = draw(st.lists(load, min_size=horizon, max_size=horizon))
-        instances.append((InstanceVector(draw(load), observations, j * horizon), targets))
-    return hp, cycle, draw(st.sampled_from(["zero", "batch"])), instances
+        instances.append((InstanceVector(draw(load), observations, types, j * horizon), targets))
+    return hp, draw(st.sampled_from(["zero", "batch"])), instances
 
 
 @settings(max_examples=300, deadline=None)
 @given(run=learner_runs())
 def test_learn_step_equals_the_one_sample_at_a_time_reference(run):
-    hp, cycle, init_mode, instances = run
-    calendar_fn = lambda t: cycle[t % len(cycle)]
-    learner, reference = (OnlineLearner(hp, 3, calendar_fn, init_mode=init_mode) for _ in range(2))
+    hp, init_mode, instances = run
+    learner, reference = (OnlineLearner(hp, 3, init_mode=init_mode) for _ in range(2))
     for instance, targets in instances:
         learner.learn_step(instance, targets)
         reference_learn_step(reference, instance, targets)
@@ -204,10 +203,10 @@ def test_a_resumed_learner_needs_a_model_and_a_state():
     hp = HyperParams(n_calendar_types=2)
     model, state = ModelParams.initial(2, 3), LearnerState.initial(2, 3)
     with pytest.raises(ValueError, match="both model and state"):
-        OnlineLearner(hp, 3, lambda t: 1, model=model)
+        OnlineLearner(hp, 3, model=model)
     with pytest.raises(ValueError, match="both model and state"):
-        OnlineLearner(hp, 3, lambda t: 1, pending={})
-    learner = OnlineLearner(hp, 3, lambda t: 1, init_mode="batch", model=model, state=state)
+        OnlineLearner(hp, 3, pending={})
+    learner = OnlineLearner(hp, 3, init_mode="batch", model=model, state=state)
     assert learner.model is model and learner.state is state and learner.pending_batch == {}
 
 
@@ -337,7 +336,7 @@ def test_weighted_log_likelihood_values():
 def test_learn_step_single_window_worked_values():
     hp = HyperParams(n_calendar_types=1, horizon=1)
     learner = OnlineLearner(hp, 3)
-    instance = InstanceVector(anchor_load=1.0, observations=(np.array([1.0, 0.0, 0.0]),), t=0)
+    instance = InstanceVector(anchor_load=1.0, observations=(np.array([1.0, 0.0, 0.0]),), types=(1,), t=0)
     learner.learn_step(instance, [2.0])
     assert np.allclose(learner.model.s_channels[0].eta, [2.0 / 2.2, 2.0 / 2.2], atol=1e-15)
     assert np.allclose(learner.model.r_channels[0].eta, [2.0 / 1.7, 0.0, 0.0], atol=1e-15)
@@ -351,7 +350,7 @@ def test_learn_step_zero_innovation_keeps_eta():
     # Perfect model of the constant sequence 5, 5, ...
     learner.model.s_channels[0].eta = np.array([0.0, 1.0])
     learner.model.r_channels[0].eta = np.array([5.0, 0.0])
-    instance = InstanceVector(anchor_load=5.0, observations=((1.0, 0.0),) * 2, t=0)
+    instance = InstanceVector(anchor_load=5.0, observations=((1.0, 0.0),) * 2, types=(1, 1), t=0)
     learner.learn_step(instance, [5.0, 5.0])
     assert np.array_equal(learner.model.s_channels[0].eta, [0.0, 1.0])
     assert np.array_equal(learner.model.r_channels[0].eta, [5.0, 0.0])
@@ -360,7 +359,7 @@ def test_learn_step_zero_innovation_keeps_eta():
 def test_learn_step_missing_temperature_updates_only_s_channel():
     hp = HyperParams(n_calendar_types=1, horizon=2)
     learner = OnlineLearner(hp, 3)
-    instance = InstanceVector(anchor_load=1.0, observations=(None, (1.0, 0.0, 0.0)), t=0)
+    instance = InstanceVector(anchor_load=1.0, observations=(None, (1.0, 0.0, 0.0)), types=(1, 1), t=0)
     learner.learn_step(instance, [2.0, 3.0])
     assert learner.state.s_states[0].gamma > 0.0
     assert learner.state.r_states[0].gamma == 1.0  # only the second step updated the r channel
@@ -369,7 +368,7 @@ def test_learn_step_missing_temperature_updates_only_s_channel():
 def test_learn_step_missing_target_breaks_the_previous_load_chain():
     hp = HyperParams(n_calendar_types=1, horizon=3)
     learner = OnlineLearner(hp, 2)
-    instance = InstanceVector(anchor_load=1.0, observations=((1.0, 0.0),) * 3, t=0)
+    instance = InstanceVector(anchor_load=1.0, observations=((1.0, 0.0),) * 3, types=(1, 1, 1), t=0)
     learner.learn_step(instance, [2.0, None, 4.0])
     # Updates at i=1 (prev=anchor) and none at i=2; at i=3 prev is unknown,
     # so only the observation channel learns there.
@@ -385,7 +384,7 @@ def test_trace_stays_bounded_over_a_long_sweep():
     # P grows along them until the reset rule fires.
     for t in range(10_000):
         instance = InstanceVector(
-            anchor_load=float(rng.normal()), observations=(np.array([1.0, 0.0, 0.0]),), t=t
+            anchor_load=float(rng.normal()), observations=(np.array([1.0, 0.0, 0.0]),), types=(1,), t=t
         )
         learner.learn_step(instance, [float(rng.normal())])
         assert np.trace(learner.state.s_states[0].P) <= hp.trace_reset_threshold
@@ -402,7 +401,7 @@ def test_batch_init_mode_matches_batch_solution():
     for t in range(6):
         obs = float(rng.normal())
         target = 1.0 + 0.5 * prev + float(rng.normal(scale=0.1))
-        learner.learn_step(InstanceVector(anchor_load=prev, observations=((1.0, obs),), t=t), [target])
+        learner.learn_step(InstanceVector(anchor_load=prev, observations=((1.0, obs),), types=(1,), t=t), [target])
         seen.append((np.array([1.0, prev]), target))
         prev = target
     # The transition channel initialized from its first non-singular window
@@ -422,28 +421,34 @@ def test_batch_init_mode_falls_back_after_buffer_cap():
     targets = [float(rng.normal()) for _ in range(BATCH_INIT_MAX_BUFFER + 5)]
     prev = 0.0
     for t, target in enumerate(targets):
-        learner.learn_step(InstanceVector(anchor_load=prev, observations=(u,), t=t), [target])
+        learner.learn_step(InstanceVector(anchor_load=prev, observations=(u,), types=(1,), t=t), [target])
         prev = target
     assert learner.diagnostics.batch_init_fallbacks >= 1
     assert learner.state.r_states[0].gamma > 0.0
 
 
-def test_learner_requires_calendar_fn_for_many_types():
-    hp = HyperParams(n_calendar_types=48)
-    with pytest.raises(ValueError):
-        OnlineLearner(hp, 3)
-
-
 @pytest.mark.parametrize("bad_type", [0, 3])
 def test_learn_step_rejects_a_calendar_type_outside_1_to_n(bad_type):
     hp = HyperParams(n_calendar_types=2)
-    learner = OnlineLearner(hp, 3, calendar_fn=lambda t: bad_type)
-    instance = InstanceVector(anchor_load=1.0, observations=((1.0, 0.0, 0.0),) * 2, t=0)
+    learner = OnlineLearner(hp, 3)
+    instance = InstanceVector(anchor_load=1.0, observations=((1.0, 0.0, 0.0),) * 2, types=(bad_type,) * 2, t=0)
     with pytest.raises(IndexError, match="outside 1..2"):
-        predict(learner.model, instance, learner.calendar_fn)
+        predict(learner.model, instance)
     with pytest.raises(IndexError, match="outside 1..2"):
         learner.learn_step(instance, [1.0, 1.0])
     # Nothing was learned, in any type's channels.
+    assert [s.gamma for s in learner.state.s_states + learner.state.r_states] == [0.0] * 4
+
+
+@pytest.mark.parametrize("types", [(1,), (1, 2, 1)])
+def test_learn_step_and_predict_reject_an_instance_without_one_type_per_slot(types):
+    hp = HyperParams(n_calendar_types=2)
+    learner = OnlineLearner(hp, 3)
+    instance = InstanceVector(anchor_load=1.0, observations=((1.0, 0.0, 0.0),) * 2, types=types, t=0)
+    with pytest.raises(ValueError, match="calendar types"):
+        predict(learner.model, instance)
+    with pytest.raises(ValueError, match="calendar types"):
+        learner.learn_step(instance, [1.0, 1.0])
     assert [s.gamma for s in learner.state.s_states + learner.state.r_states] == [0.0] * 4
 
 
@@ -483,12 +488,12 @@ def batch_learner(observation):
     """A batch-initialized learner over 2 calendar types fed 40 two-step instances of a noisy load,
     with encoded observations drawn by observation(rng)."""
     hp = HyperParams(n_calendar_types=2, horizon=2)
-    learner = OnlineLearner(hp, 3, calendar_fn=lambda t: 1 + t % 2, init_mode="batch")
+    learner = OnlineLearner(hp, 3, init_mode="batch")
     rng = np.random.default_rng(41)
     load = 1.0
     for t in range(0, 80, 2):
         targets = [1.0 + 0.5 * load + float(rng.normal(scale=0.1)) for _ in range(2)]
-        learner.learn_step(InstanceVector(load, (observation(rng),) * 2, t), targets)
+        learner.learn_step(InstanceVector(load, (observation(rng),) * 2, (2, 1), t), targets)
         load = targets[-1]
     return learner
 
@@ -496,7 +501,7 @@ def batch_learner(observation):
 def test_no_two_channels_share_a_list_after_initial_batch_fallback_or_load(tmp_path):
     hp = HyperParams(n_calendar_types=3)
     assert_no_shared_lists(ModelParams.initial(3, 3), LearnerState.initial(3, 3))
-    learner = OnlineLearner(hp, 3, lambda t: 1)
+    learner = OnlineLearner(hp, 3)
     assert_no_shared_lists(learner.model, learner.state)
     # Flagged observations make the observation channels solvable, so both
     # channels of every type come from batch_initialize.

@@ -41,6 +41,9 @@ def test_mape_values_and_exclusions():
     assert math.isnan(value) and excluded == 2
     with pytest.raises(EmptyInput):
         mape([], [])
+    # Relative to |actual|: errors of both signs add up, even where they overflow.
+    assert mape([-2.0, 2.0], [-1.0, 1.0]) == (50.0, 0)
+    assert mape([5e-324, -5e-324], [1.0, 1.0]) == (math.inf, 0)
 
 
 def test_mape_matches_high_precision_oracle():
