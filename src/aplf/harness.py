@@ -361,7 +361,7 @@ def _pending_from_dict(d: dict, n_calendar_types: int, r_dim: int) -> dict:
     for key, buf in d.items():
         kind, _, c = key.partition(":")
         c = int(c)
-        if kind not in ("s", "r") or not 1 <= c <= n_calendar_types:
+        if kind not in ("s", "r") or not 1 <= c <= n_calendar_types or key != f"{kind}:{c}":
             raise ValueError(f"pending_batch key {key!r} names no channel")
         k = S_DIM if kind == "s" else r_dim
         samples = [(tuple(_finite_floats(u, k)), float(s)) for u, s in buf]

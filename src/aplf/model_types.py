@@ -34,9 +34,9 @@ class HyperParams:
     observation channels. w1 is the minimum deviation from the running
     calendar-type mean temperature that counts as a shift; a shift is only
     flagged when the temperature is also extreme (above w2 or below w3,
-    degrees Fahrenheit). horizon is the number of steps predicted per
-    instance. trace_reset_threshold bounds trace(P) before the state
-    matrix is reinitialized.
+    degrees Fahrenheit); none of the three may be NaN. horizon is the
+    number of steps predicted per instance. trace_reset_threshold bounds
+    trace(P) before the state matrix is reinitialized.
     """
 
     lambda_s: float = 0.2
@@ -59,6 +59,9 @@ class HyperParams:
             raise ValueError("horizon must be >= 1")
         if not self.trace_reset_threshold > 0.0:
             raise ValueError("trace_reset_threshold must be > 0")
+        for name in ("w1", "w2", "w3"):
+            if math.isnan(getattr(self, name)):
+                raise ValueError(f"{name} must not be NaN")
 
 
 @dataclass(slots=True)

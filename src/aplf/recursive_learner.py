@@ -192,11 +192,15 @@ def batch_initialize(
     Returns (state, params) such that continuing with channel_update
     reproduces the batch maximizer at every later step. Raises
     SingularGram when the weighted Gram matrix has condition number at or
-    above GRAM_CONDITION_LIMIT.
+    above GRAM_CONDITION_LIMIT. A structurally singular buffer, with fewer
+    samples than regressors or a regressor that is 0 in every sample,
+    raises before any array is built or factorized.
     """
     n = len(samples)
     if n == 0:
         raise SingularGram("no samples")
+    if n < len(samples[0][0]) or not all(map(any, zip(*[u for u, _ in samples]))):
+        raise SingularGram("fewer samples than regressors, or a regressor that is 0 in every sample")
     u_mat = np.array([np.asarray(u, dtype=float) for u, _ in samples])
     s_vec = np.array([s for _, s in samples], dtype=float)
     weights = lam ** np.arange(n - 1, -1, -1, dtype=float)

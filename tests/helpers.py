@@ -1,6 +1,6 @@
 """Shared test fixtures: random model builders, the discounted log-likelihood,
-the matrix form of the channel update, a one-sample-at-a-time learn step, the scalar pinball
-loss, and whole-table quantile scoring."""
+the matrix form of the channel update, the factorizing batch solve, a one-sample-at-a-time
+learn step, the scalar pinball loss, and whole-table quantile scoring."""
 
 from __future__ import annotations
 
@@ -10,7 +10,14 @@ import numpy as np
 
 from aplf.metrics import QUANTILE_LEVELS, QUANTILE_Z
 from aplf.model_types import ChannelState, GaussianChannelParams, LearnerState, ModelParams
-from aplf.recursive_learner import BATCH_INIT_MAX_BUFFER, SingularGram, batch_initialize, channel_update, trace_reset
+from aplf.recursive_learner import (
+    BATCH_INIT_MAX_BUFFER,
+    GRAM_CONDITION_LIMIT,
+    SingularGram,
+    batch_initialize,
+    channel_update,
+    trace_reset,
+)
 
 
 class NonPositiveSigma(Exception):
@@ -53,6 +60,25 @@ def reference_channel_update(p, gamma: float, eta, sigma: float, u, s: float, la
     innovation = s - float(u @ eta)
     radicand = sigma**2 - (sigma**2 - lam * innovation**2 / gain_denom) / gamma_new
     return p_new, gamma_new, eta + pu * (innovation / gain_denom), math.sqrt(max(radicand, 0.0))
+
+
+def reference_batch_initialize(samples, lam: float):
+    """batch_initialize without its structural pre-check: the weighted Gram matrix's condition
+    number alone decides singularity for every buffer, and the solve is the same numpy algebra."""
+    n = len(samples)
+    u_mat = np.array([np.asarray(u, dtype=float) for u, _ in samples])
+    s_vec = np.array([s for _, s in samples], dtype=float)
+    weights = lam ** np.arange(n - 1, -1, -1, dtype=float)
+    gram = (u_mat * weights[:, None]).T @ u_mat
+    if not np.all(np.isfinite(gram)) or np.linalg.cond(gram) >= GRAM_CONDITION_LIMIT:
+        raise SingularGram("weighted Gram matrix is singular")
+    q = u_mat.T @ (weights * s_vec)
+    eta = np.linalg.solve(gram, q)
+    gamma = float(weights.sum())
+    p = np.linalg.inv(gram)
+    p = (p + p.T) / 2.0
+    sigma = math.sqrt(max((float(weights @ s_vec**2) - float(q @ eta)) / gamma, 0.0))
+    return ChannelState(P=p.tolist(), gamma=gamma), GaussianChannelParams(eta=eta.tolist(), sigma=sigma)
 
 
 def reference_learn_step(learner, instance, targets) -> None:

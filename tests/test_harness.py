@@ -110,12 +110,24 @@ def test_load_config_rejects_bad_unit(tmp_path):
     "prediction_time = 25:00",
     "init_mode = lazy",
     "holidays = 2021-02-30",
+    "w1 = nan",
+    "w2 = nan",
+    "w3 = nan",
 ])
 def test_load_config_errors_name_the_line(tmp_path, bad_line):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(f"# line 1\nload_unit = GW\n{bad_line}\n")
     with pytest.raises(ParseError, match=r"bad\.cfg:3: "):
         load_config(cfg)
+
+
+def test_temperature_thresholds_may_be_negative_or_infinite_but_not_nan(tmp_path, data_csv, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("w1 = -5\nw2 = inf\nw3 = -inf\n")
+    assert load_config(cfg).hp == HyperParams(w1=-5.0, w2=math.inf, w3=-math.inf)
+    nan_cfg = write_cli_config(tmp_path, w1="nan")
+    assert cli_main(["run", "--data", str(data_csv), "--config", str(nan_cfg)]) == 2
+    assert "w1: w1 must not be NaN" in capsys.readouterr().err
 
 
 def test_calendar_types_is_an_unknown_key(tmp_path, data_csv, capsys):
@@ -529,6 +541,19 @@ def _widen_observation_channels(p):
 def test_snapshot_contradicting_its_header_is_corrupt(tmp_path, edit):
     bad = _rewrite_payload(SNAPSHOT_V1, tmp_path / "bad.snapshot", edit)
     with pytest.raises(CorruptSnapshot):
+        snapshot_load(bad)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda pending: pending.update({"r:01": pending.pop("r:1")}),
+    lambda pending: pending.update({"r: 1": pending.pop("r:1")}),
+    lambda pending: pending.update({"r:+1": pending.pop("r:1")}),
+    # Read after r:1, this alias would silently empty r:1's buffer.
+    lambda pending: pending.update({"r:1 ": []}),
+], ids=["leading-zero", "space", "plus-sign", "duplicate"])
+def test_snapshot_pending_keys_must_name_their_channel_exactly(tmp_path, edit):
+    bad = _rewrite_payload(SNAPSHOT_V1, tmp_path / "bad.snapshot", lambda p: edit(p["pending_batch"]))
+    with pytest.raises(CorruptSnapshot, match="names no channel"):
         snapshot_load(bad)
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     NonPositiveSigma,
+    reference_batch_initialize,
     reference_channel_update,
     reference_learn_step,
     weighted_log_likelihood,
@@ -224,6 +225,43 @@ def test_trace_reset_examples():
 def test_batch_initialize_rank_deficient_raises():
     with pytest.raises(SingularGram):
         batch_initialize([(np.array([1.0, 0.0]), 1.0)], 0.5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_batch_initialize_raises_exactly_when_the_oracle_does(data):
+    # Small integer regressors and lam >= 0.8 keep every full-rank draw far below the
+    # condition limit, so the oracle's decision is never a rounding-level call.
+    k, n = data.draw(st.sampled_from([2, 3])), data.draw(st.integers(1, 40))
+    lam = data.draw(st.floats(0.8, 0.99))
+    rows = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=k, max_size=k), min_size=n, max_size=n))
+    zeroed = data.draw(st.sets(st.integers(0, k - 1)))
+    loads = data.draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n))
+    samples = [(tuple(0.0 if j in zeroed else float(x) for j, x in enumerate(row)), s)
+               for row, s in zip(rows, loads)]
+    try:
+        batch_ml_oracle(samples, lam)
+    except SingularGram:
+        with pytest.raises(SingularGram):
+            batch_initialize(samples, lam)
+        return
+    assert batch_initialize(samples, lam) == reference_batch_initialize(samples, lam)
+
+
+@pytest.mark.parametrize("samples", [
+    [((1.0, 2.0), 3.0)],
+    [((1.0, 2.0, -1.0), 3.0), ((1.0, 0.5, 4.0), 2.0)],
+    [((1.0, float(j % 5), 0.0), float(j)) for j in range(BATCH_INIT_MAX_BUFFER)],
+    [((0.0, float(j)), 1.0) for j in range(1, 4)],
+], ids=["one-sample-k2", "two-samples-k3", "zero-a2-full-buffer", "zero-intercept"])
+def test_a_structurally_singular_buffer_raises_without_a_factorization(monkeypatch, samples):
+    def factorization(*args, **kwargs):
+        raise AssertionError("a structurally singular buffer was factorized")
+
+    monkeypatch.setattr(np.linalg, "cond", factorization)
+    monkeypatch.setattr(np.linalg, "svd", factorization)
+    with pytest.raises(SingularGram):
+        batch_initialize(samples, 0.7)
 
 
 def test_batch_initialize_two_point_interpolation():
