@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Report imported names that a module never uses, and `__all__` entries it never binds.
 
-    python scripts/check_imports.py src tests scripts
+    python scripts/check_imports.py src tests scripts perfbench
 
 Reads every .py file under the given directories with the standard
 library's ast module and prints one `path:line: 'name' imported but

@@ -19,7 +19,6 @@ from pathlib import Path
 from . import harness
 from .forecaster import ColdStart, DegenerateVariances
 from .metrics import EmptyInput, evaluate_forecasts
-from .oracles import self_check
 from .recursive_learner import DegenerateUpdate, SingularGram
 
 _INPUT_ERRORS = (
@@ -68,6 +67,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_self_check(args) -> int:
+    # The oracles are loaded only here, so that no other command imports them.
+    from .oracles import self_check
+
     return 0 if self_check(seed=args.seed) else 3
 
 

@@ -50,6 +50,10 @@ SNAPSHOT_VERSION = 1
 
 LOAD_UNITS = ("kW", "MW", "GW")
 
+# The forecasts.csv header, and the columns emit_quantiles appends to it.
+_FORECAST_HEADER = "timestamp,horizon,mean,std"
+_QUANTILE_COLUMNS = "," + ",".join(f"q{int(round(q * 100)):02d}" for q in QUANTILE_LEVELS)
+
 
 class ParseError(Exception):
     """Malformed input file; the message names the offending line."""
@@ -587,14 +591,16 @@ def run_online_evaluation(series: Series, config: RunConfig, *,
                                 model=snap.model, state=snap.state, pending=snap.pending)
         tracker, cursor = snap.tracker, snap.cursor
 
-    header = "timestamp,horizon,mean,std"
+    header = _FORECAST_HEADER + (_QUANTILE_COLUMNS if config.emit_quantiles else "")
     # Forecast rows are stamped in the data's wall-clock time: naive instants
     # stepped by addition, then the data's UTC offset as isoformat writes it.
     # Every offset-aware timestamp read_series returns has a fixed-offset
-    # timezone, so this suffix is the same on every row.
+    # timezone, so this suffix is the same on every row. A stamp is its day's
+    # date prefix, formatted when the day changes, and its time of day's text
+    # with the suffix, formatted once per run for each time of day.
     offset_suffix = base.isoformat()[len(base.replace(tzinfo=None).isoformat()):]
-    if config.emit_quantiles:
-        header += "," + ",".join(f"q{int(round(q * 100)):02d}" for q in QUANTILE_LEVELS)
+    stamp_day, day_prefix = None, ""
+    clock: dict[time, str] = {}
 
     forecast_rows: list[str] = []
     eval_t: list[int] = []
@@ -636,7 +642,13 @@ def run_online_evaluation(series: Series, config: RunConfig, *,
                 ts = anchor_ts.replace(tzinfo=None)
                 for i, (mean, std, actual) in enumerate(zip(path.mean, path.std, span_loads), start=1):
                     ts += step
-                    row = f"{ts.isoformat()}{offset_suffix},{i},{mean!r},{std!r}"
+                    if ts.date() != stamp_day:
+                        stamp_day = ts.date()
+                        day_prefix = stamp_day.isoformat() + "T"
+                    clock_text = clock.get(ts.time())
+                    if clock_text is None:
+                        clock_text = clock[ts.time()] = ts.time().isoformat() + offset_suffix
+                    row = f"{day_prefix}{clock_text},{i},{mean!r},{std!r}"
                     if emit_quantiles:
                         row += "," + ",".join([repr(mean + std * z) for z in QUANTILE_Z])
                     forecast_rows.append(row)

@@ -4,15 +4,21 @@ Expectations in the metric definitions are realized as empirical means
 over the pooled evaluation population (every horizon step of every
 forecast day). Scalar accumulations use exactly rounded compensated
 summation, so results do not depend on sample order or partitioning.
+Pinball loss and calibration on the quantile grid take one pass and no
+table of quantiles: coverage counts are exact, and the pinball mean is a
+closed form equal to the per-level definition up to rounding. A negative
+or infinite std is a ValueError; NaN in any column covers no level and
+gives a NaN pinball.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import mul
 from statistics import NormalDist
-
-import numpy as np
 
 __all__ = [
     "EmptyInput",
@@ -64,33 +70,11 @@ def mape(actual, point) -> tuple[float, int]:
 # calibration are scored on, and their standard normal quantiles.
 QUANTILE_LEVELS = tuple(i / 100.0 for i in range(1, 100))
 QUANTILE_Z = tuple(NormalDist().inv_cdf(q) for q in QUANTILE_LEVELS)
-_LEVELS = np.array(QUANTILE_LEVELS)
-_Z = np.array(QUANTILE_Z)
+_K = len(QUANTILE_LEVELS)
 
-# Rows of the (N, 99) quantile table scored at a time; each block's
-# temporaries take about 0.8 MB whatever N is. On 25.5k rows, 1024-row
-# blocks score faster than 2048-row ones.
-_BLOCK_ROWS = 1024
-
-
-def _scores(actual, mean, std):
-    """Per-sample pinball means over QUANTILE_LEVELS, and per-level coverage counts.
-
-    The Gaussian forecast quantiles are scored block by block; a row's mean
-    and an integer count do not depend on the blocking.
-    """
-    actual, means, stds = (np.asarray(column, dtype=float) for column in (actual, mean, std))
-    n = len(actual)
-    per_sample = np.empty(n)
-    counts = np.zeros(len(QUANTILE_LEVELS), dtype=np.int64)
-    for lo in range(0, n, _BLOCK_ROWS):
-        block = slice(lo, lo + _BLOCK_ROWS)
-        a = actual[block, None]
-        table = means[block, None] + stds[block, None] * _Z
-        diff = a - table
-        per_sample[block] = (np.where(diff >= 0.0, _LEVELS, _LEVELS - 1.0) * diff).mean(axis=1)
-        counts += (a <= table).sum(axis=0)
-    return per_sample, counts
+# Grid pinball sum of (a, m, s) covered from level j on: (a - m)(sum L - K + j) + s (sum_{k>=j} z_k - sum L z).
+_D_COEF = tuple(math.fsum(QUANTILE_LEVELS) - _K + j for j in range(_K + 1))
+_S_COEF = tuple(math.fsum(QUANTILE_Z[j:]) - math.fsum(map(mul, QUANTILE_LEVELS, QUANTILE_Z)) for j in range(_K + 1))
 
 
 @dataclass(frozen=True)
@@ -123,11 +107,26 @@ def evaluate_forecasts(actual, mean, std) -> EvalReport:
     evaluated step. For each level q, coverage C(q) is the fraction of
     steps whose actual load is at or below the q-quantile forecast; the
     ECE is the mean absolute deviation of C(q) from q over the grid.
+    ValueError if a std is negative or infinite.
     """
     n = _length(actual, mean, std)
-    per_sample, counts = _scores(actual, mean, std)
+    # Quantiles do not decrease in q, so the levels covering the actual a run from a first level j,
+    # bisected from d/s (0 for a std of 0 or NaN) and settled by exact a <= m + s*z comparisons.
+    z, d_coef, s_coef, k_max, inf = QUANTILE_Z, _D_COEF, _S_COEF, _K, math.inf
+    per_sample, first_covered = [], [0] * (_K + 1)
+    for a, m, s in zip(actual, mean, std):
+        if s < 0.0 or s == inf:
+            raise ValueError(f"std must be >= 0 and not infinite, got {s!r}")
+        d = a - m
+        j = bisect_left(z, d / s) if s > 0.0 else 0
+        while j and a <= m + s * z[j - 1]:
+            j -= 1
+        while j < k_max and not a <= m + s * z[j]:
+            j += 1
+        first_covered[j] += 1
+        per_sample.append((d * d_coef[j] + s * s_coef[j]) / k_max)
     mape_value, excluded = mape(actual, mean)
-    curve = tuple((q, int(k) / n) for q, k in zip(QUANTILE_LEVELS, counts))
+    curve = tuple((q, k / n) for q, k in zip(QUANTILE_LEVELS, accumulate(first_covered)))
     return EvalReport(
         rmse=rmse(actual, mean),
         mape=mape_value,

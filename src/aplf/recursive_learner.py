@@ -16,8 +16,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from math import isfinite
 
-import numpy as np
-
 from .model_types import (
     GaussianChannelParams,
     ChannelState,
@@ -201,6 +199,9 @@ def batch_initialize(
         raise SingularGram("no samples")
     if n < len(samples[0][0]) or not all(map(any, zip(*[u for u, _ in samples]))):
         raise SingularGram("fewer samples than regressors, or a regressor that is 0 in every sample")
+    # numpy is loaded by the first factorisation, so a run that never makes one does not import it.
+    import numpy as np
+
     u_mat = np.array([np.asarray(u, dtype=float) for u, _ in samples])
     s_vec = np.array([s for _, s in samples], dtype=float)
     weights = lam ** np.arange(n - 1, -1, -1, dtype=float)

@@ -1,10 +1,13 @@
 """Shared test fixtures: random model builders, the discounted log-likelihood,
 the matrix form of the channel update, the factorizing batch solve, a one-sample-at-a-time
-learn step, the scalar pinball loss, and whole-table quantile scoring."""
+learn step, the scalar pinball loss, whole-table quantile scoring, and the environment of a
+subprocess that imports the package from this checkout."""
 
 from __future__ import annotations
 
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 
@@ -196,17 +199,31 @@ def pinball(s: float, s_hat_q: float, q: float) -> float:
 def grid_pinball(s: float, mean: float, std: float) -> float:
     """Mean pinball loss of the Gaussian forecast (mean, std) against s over QUANTILE_LEVELS.
 
-    The scalar definition at each level's quantile mean + std * z, averaged
-    by numpy as aplf.metrics averages a row of its quantile table.
+    The scalar definition at each level's quantile mean + std * z, averaged by numpy.
     """
     return float(np.mean([pinball(s, mean + std * z, q) for q, z in zip(QUANTILE_LEVELS, QUANTILE_Z)]))
+
+
+# aplf.metrics scores the grid pinball in closed form, so it equals grid_pinball
+# up to rounding: within this fraction of the sample's pinball_error_scale.
+PINBALL_REL_TOL = 1e-13
+
+
+def pinball_error_scale(s: float, mean: float, std: float) -> float:
+    """The distance |s - mean| plus the reach std * max|z| of the forecast's outermost quantile."""
+    return abs(s - mean) + std * max(map(abs, QUANTILE_Z))
+
+
+def assert_grid_pinball(loss: float, s: float, mean: float, std: float) -> None:
+    """loss is grid_pinball(s, mean, std) within PINBALL_REL_TOL of the sample's error scale."""
+    assert abs(loss - grid_pinball(s, mean, std)) <= PINBALL_REL_TOL * pinball_error_scale(s, mean, std)
 
 
 def whole_table_scores(actual, mean, std):
     """Calibration curve, ECE and mean pinball of the (actual, mean, std) columns from one (N, 99) table.
 
-    The same arithmetic as aplf.metrics, with every sample's quantiles held
-    at once instead of block by block.
+    The per-level definitions, with every sample's quantiles held at once:
+    a level covers a sample when its actual is at or below the quantile.
     """
     levels, z = np.array(QUANTILE_LEVELS), np.array(QUANTILE_Z)
     actual = np.array(actual, dtype=float)
@@ -217,3 +234,9 @@ def whole_table_scores(actual, mean, std):
     curve = tuple((q, int(k) / len(actual)) for q, k in zip(QUANTILE_LEVELS, counts))
     ece = math.fsum(abs(q - c) for q, c in curve) / len(curve)
     return curve, ece, math.fsum(per_sample) / len(per_sample)
+
+
+def src_path_env() -> dict:
+    """os.environ with this checkout's src directory first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

@@ -15,13 +15,12 @@ import numpy as np
 import pytest
 
 from helpers import (
+    assert_grid_pinball,
     consistent_chain_steps,
-    grid_pinball,
     random_model,
     weighted_log_likelihood,
 )
 
-from aplf import metrics
 from aplf.forecaster import InstanceVector, predict
 from aplf.harness import RunConfig, ingest_csv, run_online_evaluation
 from aplf.metrics import evaluate_forecasts, mape, rmse
@@ -359,14 +358,14 @@ def test_learn_step_time_is_constant_over_a_long_run():
 
 def test_metric_identities():
     rng = np.random.default_rng(707)
-    # The scorer's per-sample pinball is exactly the scalar definition
-    # averaged over the grid; for a point forecast that is half the
+    # The scorer's per-sample pinball is the scalar definition averaged
+    # over the grid, up to rounding; for a point forecast that is half the
     # absolute error, as the grid is symmetric about the median.
     actual = rng.normal(scale=10.0, size=1000).tolist()
     mean = rng.normal(scale=10.0, size=1000).tolist()
-    per_sample = metrics._scores(actual, mean, [0.0] * 1000)[0].tolist()
-    for s, s_hat, loss in zip(actual, mean, per_sample):
-        assert loss == grid_pinball(s, s_hat, 0.0)
+    for s, s_hat in zip(actual, mean):
+        loss = evaluate_forecasts([s], [s_hat], [0.0]).mean_pinball
+        assert_grid_pinball(loss, s, s_hat, 0.0)
         assert math.isclose(loss, abs(s - s_hat) / 2.0, rel_tol=1e-14)
 
     # Coverage is monotone in q for random forecast sets.

@@ -4,11 +4,15 @@ import copy
 import hashlib
 import json
 import math
+import subprocess
+import sys
 from datetime import date, datetime, time, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
 import pytest
+
+from helpers import src_path_env
 
 from aplf import cli, harness
 from aplf.cli import main as cli_main
@@ -704,6 +708,39 @@ def test_split_run_resumes_byte_identically(tmp_path, data_csv, layout):
     assert (tmp_path / "second.snapshot").read_bytes() == (tmp_path / "full.snapshot").read_bytes()
 
 
+def restamped_csv(path: Path, source: Path, tz) -> Path:
+    """source's rows with each timestamp's wall-clock time kept and its zone replaced by tz (naive if None)."""
+    header, *rows = source.read_text().splitlines()
+    restamped = [f"{datetime.fromisoformat(ts).replace(tzinfo=tz).isoformat()},{rest}"
+                 for ts, rest in (row.split(",", 1) for row in rows)]
+    path.write_text("".join(line + "\n" for line in [header, *restamped]))
+    return path
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("tz", [None, UTC, timezone(timedelta(hours=5, minutes=30)), timezone(timedelta(hours=-3))],
+                         ids=["naive", "utc", "+05:30", "-03:00"])
+@pytest.mark.parametrize("at", [time(11), time(23)], ids=["11:00", "23:00"])
+def test_each_forecast_row_is_stamped_with_its_own_instant(tmp_path, data_csv, layout, tz, at):
+    data_csv, config = layout_run(tmp_path, data_csv, layout, prediction_time=at)
+    data_csv = restamped_csv(tmp_path / "restamped.csv", data_csv, tz)
+    config.train_end = config.train_end.replace(tzinfo=tz)
+    series, _ = ingest_csv(data_csv, config)
+    result = run_online_evaluation(series, config)
+
+    # Every test day's prediction instant inside the data is an anchor, and its
+    # rows are stamped anchor + h * step for h = 1..horizon, with the data's
+    # offset. At 23:00 every window crosses midnight.
+    start, step, horizon = series.start, series.step, config.hp.horizon
+    last = start + series.index[-1] * step
+    days = (start.date() + timedelta(days=k) for k in range((last.date() - start.date()).days + 1))
+    anchors = [ts for ts in (datetime.combine(day, at, tzinfo=tz) for day in days)
+               if config.train_end <= ts <= last]
+    expected = [f"{(anchor + h * step).isoformat()},{h}" for anchor in anchors for h in range(1, horizon + 1)]
+    assert [",".join(row.split(",", 2)[:2]) for row in result.forecast_rows] == expected
+    assert anchors and (at != time(23) or all((a + horizon * step).date() > a.date() for a in anchors))
+
+
 @pytest.mark.parametrize("layout", LAYOUTS)
 def test_the_tracker_counts_each_known_temperature_of_the_learned_steps_once(tmp_path, data_csv, layout):
     data_csv, config = layout_run(tmp_path, data_csv, layout)
@@ -1260,3 +1297,14 @@ def test_cli_bad_header_is_input_error(tmp_path):
 
 def test_cli_self_check_passes():
     assert cli_main(["self-check"]) == 0
+
+
+def test_cli_run_loads_neither_the_oracles_nor_numpy(tmp_path, data_csv):
+    # Only self-check needs the oracles, and only a batch solve needs numpy:
+    # a zero-init run in a fresh interpreter imports neither.
+    cfg = write_cli_config(tmp_path)
+    code = ("import sys; from aplf import cli; "
+            f"rc = cli.main(['run', '--data', {str(data_csv)!r}, '--config', {str(cfg)!r}]); "
+            "sys.exit(rc or ' '.join(sorted({'aplf.oracles', 'numpy'} & set(sys.modules))) or None)")
+    done = subprocess.run([sys.executable, "-c", code], env=src_path_env(), capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

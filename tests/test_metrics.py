@@ -1,6 +1,8 @@
 """Point and probabilistic metric checks against independent accumulations."""
 
 import math
+import subprocess
+import sys
 from statistics import NormalDist
 
 import mpmath
@@ -9,9 +11,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import grid_pinball, whole_table_scores
+from helpers import PINBALL_REL_TOL, assert_grid_pinball, pinball_error_scale, src_path_env, whole_table_scores
 
-from aplf import metrics
 from aplf.metrics import QUANTILE_LEVELS, QUANTILE_Z, EmptyInput, evaluate_forecasts, mape, rmse
 
 
@@ -56,15 +57,16 @@ def test_mape_matches_high_precision_oracle():
 
 
 def per_sample_pinball(actual, mean, std) -> list[float]:
-    """The per-sample pinball means that the scorer computes."""
-    return metrics._scores(actual, mean, std)[0].tolist()
+    """The grid pinball mean of each (actual, mean, std) sample, scored on its own."""
+    return [evaluate_forecasts([a], [m], [s]).mean_pinball for a, m, s in zip(actual, mean, std)]
 
 
 def test_pinball_values():
     # Point forecasts (std 0): every level's quantile is the mean, and the
     # grid's levels average to 0.5.
     per_sample = per_sample_pinball([10.0, 6.5, 5.0], [8.0, 6.5, 8.0], [0.0] * 3)
-    assert per_sample == [grid_pinball(10.0, 8.0, 0.0), grid_pinball(6.5, 6.5, 0.0), grid_pinball(5.0, 8.0, 0.0)]
+    for loss, (s, s_hat) in zip(per_sample, [(10.0, 8.0), (6.5, 6.5), (5.0, 8.0)]):
+        assert_grid_pinball(loss, s, s_hat, 0.0)
     assert per_sample[0] == 1.0
     assert per_sample[1] == 0.0
     assert math.isclose(per_sample[2], 1.5, rel_tol=1e-12)
@@ -75,7 +77,7 @@ def test_pinball_median_is_half_absolute_error():
     actual = rng.normal(scale=10.0, size=200).tolist()
     mean = rng.normal(scale=10.0, size=200).tolist()
     for s, s_hat, loss in zip(actual, mean, per_sample_pinball(actual, mean, [0.0] * 200)):
-        assert loss == grid_pinball(s, s_hat, 0.0)
+        assert_grid_pinball(loss, s, s_hat, 0.0)
         # The grid is symmetric about the median, so a point forecast's
         # mean loss is half its absolute error up to rounding.
         assert math.isclose(loss, abs(s - s_hat) / 2.0, rel_tol=1e-14)
@@ -84,7 +86,7 @@ def test_pinball_median_is_half_absolute_error():
 def test_pinball_both_branches_brute_force():
     for s, s_hat in [(1.0, 2.0), (2.0, 1.0), (3.0, 3.0)]:
         for std in (0.0, 0.1, 0.5, 0.9):
-            assert per_sample_pinball([s], [s_hat], [std]) == [grid_pinball(s, s_hat, std)]
+            assert_grid_pinball(per_sample_pinball([s], [s_hat], [std])[0], s, s_hat, std)
 
 
 def test_quantile_grid_default():
@@ -167,22 +169,56 @@ def test_evaluate_forecasts_assembles_report():
     assert (report.mape, report.n_mape_excluded) == mape(actual, means)
     assert 0.0 <= report.ece <= 1.0
     assert len(report.calibration_curve) == 99
-    assert (report.calibration_curve, report.ece, report.mean_pinball) == whole_table_scores(actual, means, stds)
+    curve, ece, mean_pinball = whole_table_scores(actual, means, stds)
+    assert (report.calibration_curve, report.ece) == (curve, ece)
+    scale = math.fsum(map(pinball_error_scale, actual, means, stds)) / 500
+    assert abs(report.mean_pinball - mean_pinball) <= PINBALL_REL_TOL * scale
     assert report.n_mape_excluded == 0
     text = "\n".join(report.lines())
     assert "rmse = " in text and "ece = " in text
 
 
-@pytest.mark.parametrize("n", [1, metrics._BLOCK_ROWS - 1, metrics._BLOCK_ROWS, metrics._BLOCK_ROWS + 1,
-                               2 * metrics._BLOCK_ROWS + 7])
-def test_block_wise_scores_equal_the_whole_table(n):
-    rng = np.random.default_rng(n)
-    means = rng.uniform(1.0, 3.0, n)
-    stds = np.where(rng.uniform(size=n) < 0.1, 0.0, rng.uniform(0.0, 0.2, n))  # some degenerate forecasts
-    actual = means + rng.normal(scale=0.15, size=n)
-    actual[::5] = means[::5]  # ties with the median quantile, and with every quantile where std = 0
-    report = evaluate_forecasts(actual.tolist(), means.tolist(), stds.tolist())
-    assert (report.calibration_curve, report.ece, report.mean_pinball) == whole_table_scores(actual, means, stds)
+@st.composite
+def scored_samples(draw):
+    """A sample's mean; its std: 0, -0.0, subnormal, tiny beside the mean (so that
+    quantiles tie), ordinary or NaN; and its actual: anywhere, exactly on one of
+    its quantiles mean + std * z_k, on the mean, or NaN."""
+    mean = draw(st.floats(-1e3, 1e3) | st.just(math.nan))
+    std = draw(st.sampled_from([0.0, -0.0, 5e-324, 1e-310, math.nan])
+               | st.floats(0.0, 5.0)
+               | st.floats(0.0, 1e-15).map(lambda r: r * abs(mean)))
+    actual = draw(st.floats(-1e3, 1e3) | st.just(math.nan) | st.just(mean)
+                  | st.integers(0, len(QUANTILE_Z) - 1).map(lambda k: mean + std * QUANTILE_Z[k]))
+    return actual, mean, std
+
+
+@given(st.lists(scored_samples(), min_size=1, max_size=30))
+def test_coverage_equals_the_whole_quantile_table_exactly(samples):
+    report = evaluate_forecasts(*zip(*samples))
+    curve, ece, _ = whole_table_scores(*zip(*samples))
+    assert (report.calibration_curve, report.ece) == (curve, ece)
+
+
+def test_negative_or_infinite_std_is_rejected_and_zero_or_nan_keep_the_table_scores():
+    for bad in (-1e-300, -1.0, math.inf):
+        with pytest.raises(ValueError):
+            evaluate_forecasts([1.0, 2.0], [1.0, 2.0], [0.1, bad])
+    # A std of 0 or -0.0 scores a point forecast; NaN anywhere covers no level
+    # and gives a NaN pinball.
+    zero = [(2.0, 1.0, 0.0), (1.0, 1.0, -0.0), (0.5, 1.0, -0.0), (1.0, 1.0, 0.0)]
+    nan = [(math.nan, 1.0, 0.1), (1.0, math.nan, 0.1), (1.0, 1.0, math.nan), (math.nan, 1.0, 0.0)]
+    assert per_sample_pinball(*zip(*zero)) == [0.5, 0.0, 0.25, 0.0]
+    assert all(map(math.isnan, per_sample_pinball(*zip(*nan))))
+    for rows in (zero, nan, zero + nan):
+        report = evaluate_forecasts(*zip(*rows))
+        curve, ece, _ = whole_table_scores(*zip(*rows))
+        assert (report.calibration_curve, report.ece) == (curve, ece)
+    assert math.isnan(report.mean_pinball)
+
+
+def test_the_metrics_module_does_not_load_numpy():
+    code = "import sys, aplf.metrics; sys.exit('numpy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=src_path_env()).returncode == 0
 
 
 @pytest.mark.parametrize("lengths", [(2, 1, 1), (1, 2, 1), (1, 1, 2), (0, 1, 0)])
