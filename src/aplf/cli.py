@@ -1,6 +1,6 @@
 """Command line interface: run, self-check, metrics.
 
-Exit codes: 0 success, 2 input error (files, config, snapshots),
+Exit codes: 0 success, 2 input error (unreadable or malformed files, config, snapshots),
 3 numerical degeneracy (corrupted state, degenerate variances, or a
 failed self-check).
 """
@@ -30,7 +30,7 @@ _INPUT_ERRORS = (
     harness.ShapeMismatch,
     harness.CorruptSnapshot,
     EmptyInput,
-    FileNotFoundError,
+    OSError,
     ValueError,
 )
 

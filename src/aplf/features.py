@@ -70,9 +70,7 @@ _ENCODED = ((1.0, 0.0, 0.0), (1.0, 1.0, 0.0), (1.0, 0.0, 1.0), (1.0, 1.0, 1.0))
 
 
 class TemperatureShiftEncoder:
-    """Regressor of the observation channel (r_dim = 3)."""
-
-    r_dim = 3
+    """Regressor of the observation channel, of length R_DIM."""
 
     def __init__(self, hp: HyperParams):
         self.hp = hp

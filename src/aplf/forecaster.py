@@ -25,6 +25,10 @@ __all__ = [
     "predict",
 ]
 
+# The observation-channel regressor of a step whose observation is missing:
+# the intercept alone, as encoding a temperature that flags no shift gives.
+_NEUTRAL = (1.0, 0.0, 0.0)
+
 
 class DegenerateVariances(Exception):
     """Both channel variances and the propagated variance are zero."""
@@ -85,13 +89,12 @@ def predict(model: ModelParams, instance: InstanceVector, state: LearnerState | 
     """Forecast one step per observation slot of the instance.
 
     Each step uses the channels of its calendar type in instance.types; a
-    missing observation takes the neutral regressor (1, 0, ..., 0) of
-    length model.r_dim. When a learner state is supplied, a never-trained
-    calendar type (gamma = 0 on the transition channel) borrows parameters
-    from the nearest trained type; the substitution is reported on the
-    returned path. ValueError unless the instance has an anchoring load and
-    one calendar type per observation slot; IndexError for a type outside
-    1..n_calendar_types.
+    missing observation takes the neutral regressor (1, 0, 0). When a
+    learner state is supplied, a never-trained calendar type (gamma = 0 on
+    the transition channel) borrows parameters from the nearest trained
+    type; the substitution is reported on the returned path. ValueError
+    unless the instance has an anchoring load and one calendar type per
+    observation slot; IndexError for a type outside 1..n_calendar_types.
     """
     if instance.anchor_load is None:
         raise ValueError("prediction requires an anchoring load")
@@ -103,7 +106,6 @@ def predict(model: ModelParams, instance: InstanceVector, state: LearnerState | 
     s_channels, r_channels = model.s_channels, model.r_channels
     n = len(s_channels)
     s_states = state.s_states if state is not None else None
-    neutral = (1.0,) + (0.0,) * (model.r_dim - 1)
     means: list[float] = []
     stds: list[float] = []
     substitutions: list[tuple[int, int]] = []
@@ -116,7 +118,7 @@ def predict(model: ModelParams, instance: InstanceVector, state: LearnerState | 
             used = _nearest_trained(state, c, n)
             substitutions.append((c, used))
         mean, std = forecast_step(mean, std, s_channels[used - 1], r_channels[used - 1],
-                                  neutral if obs is None else obs)
+                                  _NEUTRAL if obs is None else obs)
         means.append(mean)
         stds.append(std)
     return ForecastPath(means, stds, tuple(substitutions))

@@ -22,7 +22,7 @@ from pathlib import Path
 from .features import CALENDAR_TYPES, TemperatureShiftEncoder, TemperatureTracker, calendar_type
 from .forecaster import InstanceVector, predict
 from .metrics import QUANTILE_LEVELS, QUANTILE_Z, EvalReport, evaluate_forecasts
-from .model_types import S_DIM, HyperParams, LearnerState, ModelParams, _checked_list, _finite_floats
+from .model_types import R_DIM, S_DIM, HyperParams, LearnerState, ModelParams, _checked_list, _finite_floats
 from .recursive_learner import OnlineLearner
 
 __all__ = [
@@ -350,7 +350,6 @@ class Snapshot:
     tracker: TemperatureTracker
     hp: HyperParams
     cursor: datetime | None
-    pending: dict
 
 
 def _pending_to_dict(pending: dict) -> dict:
@@ -360,14 +359,14 @@ def _pending_to_dict(pending: dict) -> dict:
     }
 
 
-def _pending_from_dict(d: dict, n_calendar_types: int, r_dim: int) -> dict:
+def _pending_from_dict(d: dict, n_calendar_types: int) -> dict:
     out = {}
     for key, buf in d.items():
         kind, _, c = key.partition(":")
         c = int(c)
         if kind not in ("s", "r") or not 1 <= c <= n_calendar_types or key != f"{kind}:{c}":
             raise ValueError(f"pending_batch key {key!r} names no channel")
-        k = S_DIM if kind == "s" else r_dim
+        k = S_DIM if kind == "s" else R_DIM
         samples = [(tuple(_finite_floats(u, k)), float(s)) for u, s in buf]
         if not all(math.isfinite(s) for _, s in samples):
             raise ValueError(f"pending_batch {key!r} holds a non-finite load")
@@ -397,17 +396,18 @@ def _as_written(text: str) -> dict | None:
 
 def snapshot_save(path: Path | str, model: ModelParams, state: LearnerState,
                   tracker: TemperatureTracker, hp: HyperParams, *,
-                  cursor: datetime | None = None, pending: dict | None = None) -> None:
-    """Write a versioned, checksummed snapshot of the learner."""
+                  cursor: datetime | None = None) -> None:
+    """Write a versioned, checksummed snapshot of the learner, its state's pending
+    batch-initialization buffers included."""
     payload = {
         "n_calendar_types": model.n_calendar_types,
-        "r_dim": model.r_dim,
+        "r_dim": R_DIM,
         "hyper_params": asdict(hp),
         "model": model.to_dict(),
         "state": state.to_dict(),
         "tracker": {"counts": tracker.counts, "sums": tracker.sums},
         "cursor": cursor.isoformat() if cursor is not None else None,
-        "pending_batch": _pending_to_dict(pending or {}),
+        "pending_batch": _pending_to_dict(state.pending),
     }
     body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     checksum = hashlib.sha256(body.encode()).hexdigest()
@@ -417,19 +417,18 @@ def snapshot_save(path: Path | str, model: ModelParams, state: LearnerState,
     Path(path).write_text(f"{_HEAD}{checksum}{_MID}{body}{_TAIL}")
 
 
-def snapshot_load(path: Path | str, *, expect_calendar_types: int | None = None,
-                  expect_r_dim: int | None = None) -> Snapshot:
+def snapshot_load(path: Path | str) -> Snapshot:
     """Load a snapshot, verifying version, checksum, and model dimensions.
 
     The checksum is the SHA-256 of the payload text as snapshot_save wrote
     it or, for a document another tool re-serialized, of the payload's
     canonical encoding. version must be the JSON integer 1, or
-    VersionMismatch. n_calendar_types and r_dim must be JSON integers,
-    cursor null or a non-empty ISO-8601 string, and r_dim 2 or 3, the
-    observation channel shapes the model has.
-    Every list and array in the payload must have the length or shape its
-    own n_calendar_types and r_dim declare, and hold values a run can
-    write: finite eta, sigma and gamma finite and >= 0, P symmetric
+    VersionMismatch. n_calendar_types must be a JSON integer, r_dim the
+    JSON integer 3, the observation channel's one shape, and cursor null or
+    a non-empty ISO-8601 string.
+    Every list and array in the payload must have the length or shape that
+    its own n_calendar_types and the channel shapes give, and hold values a
+    run can write: finite eta, sigma and gamma finite and >= 0, P symmetric
     positive definite, tracker counts integers >= 0, and finite tracker
     sums and pending samples. Otherwise CorruptSnapshot.
     """
@@ -454,17 +453,13 @@ def snapshot_load(path: Path | str, *, expect_calendar_types: int | None = None,
         if hashlib.sha256(body.encode()).hexdigest() != doc["checksum"]:
             raise CorruptSnapshot(f"{path}: checksum mismatch")
     try:
-        n_c, r_dim, cursor = payload["n_calendar_types"], payload["r_dim"], payload["cursor"]
-        if type(n_c) is not int or type(r_dim) is not int:
-            raise ValueError(f"n_calendar_types and r_dim must be integers, got {n_c!r} and {r_dim!r}")
-        if r_dim not in (2, 3):
-            raise ValueError(f"r_dim must be 2 or 3, got {r_dim}")
-        if expect_calendar_types is not None and n_c != expect_calendar_types:
-            raise ShapeMismatch(f"{path}: snapshot has {n_c} calendar types, config expects {expect_calendar_types}")
-        if expect_r_dim is not None and r_dim != expect_r_dim:
-            raise ShapeMismatch(f"{path}: snapshot has r_dim {r_dim}, config expects {expect_r_dim}")
-        model = ModelParams.from_dict(payload["model"], n_c, r_dim)
-        state = LearnerState.from_dict(payload["state"], n_c, r_dim)
+        n_c, cursor = payload["n_calendar_types"], payload["cursor"]
+        if type(n_c) is not int:
+            raise ValueError(f"n_calendar_types must be an integer, got {n_c!r}")
+        if not (type(payload["r_dim"]) is int and payload["r_dim"] == R_DIM):
+            raise ValueError(f"r_dim must be the integer {R_DIM}, got {payload['r_dim']!r}")
+        model = ModelParams.from_dict(payload["model"], n_c)
+        state = LearnerState.from_dict(payload["state"], n_c)
         tracker = TemperatureTracker(n_c)
         tracker.counts = _checked_list(payload["tracker"]["counts"], n_c)
         if not all(type(v) is int and v >= 0 for v in tracker.counts):
@@ -479,12 +474,10 @@ def snapshot_load(path: Path | str, *, expect_calendar_types: int | None = None,
             if type(cursor) is not str or not cursor:
                 raise ValueError(f"cursor must be null or a non-empty ISO-8601 string, got {cursor!r}")
             cursor = datetime.fromisoformat(cursor)
-        pending = _pending_from_dict(payload.get("pending_batch", {}), n_c, r_dim)
-    except ShapeMismatch:
-        raise
+        state.pending = _pending_from_dict(payload.get("pending_batch", {}), n_c)
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptSnapshot(f"{path}: malformed payload: {exc}") from exc
-    return Snapshot(model=model, state=state, tracker=tracker, hp=hp, cursor=cursor, pending=pending)
+    return Snapshot(model=model, state=state, tracker=tracker, hp=hp, cursor=cursor)
 
 
 @dataclass
@@ -576,19 +569,17 @@ def run_online_evaluation(series: Series, config: RunConfig, *,
 
     encoder = TemperatureShiftEncoder(hp)
     if resume is None:
-        learner = OnlineLearner(hp, encoder.r_dim, init_mode=config.init_mode)
+        learner = OnlineLearner(hp, config.init_mode)
         tracker = TemperatureTracker(hp.n_calendar_types)
         cursor = None
     else:
-        snap = snapshot_load(resume, expect_calendar_types=hp.n_calendar_types,
-                             expect_r_dim=encoder.r_dim)
+        snap = snapshot_load(resume)
         differ = [k for k, v in asdict(hp).items() if getattr(snap.hp, k) != v]
         if differ:
             raise ShapeMismatch(f"{resume}: snapshot hyper-parameters differ from the config: "
                                 f"{', '.join(differ)}")
         _check_comparable(f"{resume}: snapshot cursor", snap.cursor, base)
-        learner = OnlineLearner(hp, encoder.r_dim, init_mode=config.init_mode,
-                                model=snap.model, state=snap.state, pending=snap.pending)
+        learner = OnlineLearner(hp, config.init_mode, model=snap.model, state=snap.state)
         tracker, cursor = snap.tracker, snap.cursor
 
     header = _FORECAST_HEADER + (_QUANTILE_COLUMNS if config.emit_quantiles else "")
@@ -684,8 +675,7 @@ def run_online_evaluation(series: Series, config: RunConfig, *,
     }
 
     if snapshot_out is not None:
-        snapshot_save(snapshot_out, learner.model, learner.state, tracker, hp,
-                      cursor=processed, pending=learner.pending_batch)
+        snapshot_save(snapshot_out, learner.model, learner.state, tracker, hp, cursor=processed)
     if output_dir is not None:
         _write_outputs(Path(output_dir), header, forecast_rows, report, notes)
     return RunResult(report=report, forecast_rows=forecast_rows, t=eval_t, actual=eval_actual,

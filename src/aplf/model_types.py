@@ -3,7 +3,7 @@
 Two Gaussian channels are kept per calendar type: the load-transition
 channel (next load given previous load, feature vector [1, s_prev]) and
 the observation channel (load given encoded observations, feature vector
-of length R). Each channel carries regression coefficients and a
+of length R_DIM). Each channel carries regression coefficients and a
 conditional standard deviation, plus the recursive-update state (inverse
 weighted Gram matrix P and effective weighted sample count gamma).
 """
@@ -11,9 +11,10 @@ weighted Gram matrix P and effective weighted sample count gamma).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 __all__ = [
+    "R_DIM",
     "S_DIM",
     "HyperParams",
     "GaussianChannelParams",
@@ -22,8 +23,11 @@ __all__ = [
     "LearnerState",
 ]
 
-# Transition-channel feature dimension is fixed by the model: [1, s_prev].
+# Channel feature dimensions are fixed by the model: the transition channel
+# regresses on [1, s_prev], the observation channel on the encoded
+# temperature [1, a1, a2].
 S_DIM = 2
+R_DIM = 3
 
 
 @dataclass(frozen=True)
@@ -72,8 +76,8 @@ class GaussianChannelParams:
     sigma: float
 
     @classmethod
-    def zeros(cls, k: int, sigma0: float = 1.0) -> "GaussianChannelParams":
-        return cls(eta=[0.0] * k, sigma=float(sigma0))
+    def zeros(cls, k: int) -> "GaussianChannelParams":
+        return cls(eta=[0.0] * k, sigma=1.0)
 
 
 @dataclass(slots=True)
@@ -183,19 +187,15 @@ class ModelParams:
     r_channels: list[GaussianChannelParams]
 
     @classmethod
-    def initial(cls, n_calendar_types: int, r_dim: int, sigma0: float = 1.0) -> "ModelParams":
+    def initial(cls, n_calendar_types: int) -> "ModelParams":
         return cls(
-            s_channels=[GaussianChannelParams.zeros(S_DIM, sigma0) for _ in range(n_calendar_types)],
-            r_channels=[GaussianChannelParams.zeros(r_dim, sigma0) for _ in range(n_calendar_types)],
+            s_channels=[GaussianChannelParams.zeros(S_DIM) for _ in range(n_calendar_types)],
+            r_channels=[GaussianChannelParams.zeros(R_DIM) for _ in range(n_calendar_types)],
         )
 
     @property
     def n_calendar_types(self) -> int:
         return len(self.s_channels)
-
-    @property
-    def r_dim(self) -> int:
-        return len(self.r_channels[0].eta)
 
     def to_dict(self) -> dict:
         """Every channel as {"eta": [...], "sigma": float}; eta lists are shared, not copied."""
@@ -203,39 +203,47 @@ class ModelParams:
                 "r_channels": [{"eta": c.eta, "sigma": float(c.sigma)} for c in self.r_channels]}
 
     @classmethod
-    def from_dict(cls, d: dict, n_calendar_types: int, r_dim: int) -> "ModelParams":
-        """Inverse of to_dict; ValueError unless every list and eta has the given dimensions
-        and every value is one a run can write."""
+    def from_dict(cls, d: dict, n_calendar_types: int) -> "ModelParams":
+        """Inverse of to_dict; ValueError unless there are n_calendar_types channels of each
+        kind, every eta has its channel's dimension and every value is one a run can write."""
         return cls(
             s_channels=_records_from_json(GaussianChannelParams, d["s_channels"], n_calendar_types, S_DIM),
-            r_channels=_records_from_json(GaussianChannelParams, d["r_channels"], n_calendar_types, r_dim),
+            r_channels=_records_from_json(GaussianChannelParams, d["r_channels"], n_calendar_types, R_DIM),
         )
 
 
 @dataclass
 class LearnerState:
-    """Per-calendar-type recursive-update state for both channels."""
+    """Per-calendar-type recursive-update state for both channels.
+
+    pending holds the sample buffers of the channels still awaiting batch
+    initialization, keyed ("s", c) or ("r", c) for calendar type c's
+    transition or observation channel: a list of (u, s) samples each.
+    """
 
     s_states: list[ChannelState]
     r_states: list[ChannelState]
+    pending: dict[tuple[str, int], list[tuple[tuple[float, ...], float]]] = field(default_factory=dict)
 
     @classmethod
-    def initial(cls, n_calendar_types: int, r_dim: int) -> "LearnerState":
+    def initial(cls, n_calendar_types: int) -> "LearnerState":
         return cls(
             s_states=[ChannelState.identity(S_DIM) for _ in range(n_calendar_types)],
-            r_states=[ChannelState.identity(r_dim) for _ in range(n_calendar_types)],
+            r_states=[ChannelState.identity(R_DIM) for _ in range(n_calendar_types)],
         )
 
     def to_dict(self) -> dict:
-        """Every channel state as {"P": [[...]], "gamma": float}; P lists are shared, not copied."""
+        """Every channel state as {"P": [[...]], "gamma": float}, without the pending buffers;
+        P lists are shared, not copied."""
         return {"s_states": [{"P": c.P, "gamma": float(c.gamma)} for c in self.s_states],
                 "r_states": [{"P": c.P, "gamma": float(c.gamma)} for c in self.r_states]}
 
     @classmethod
-    def from_dict(cls, d: dict, n_calendar_types: int, r_dim: int) -> "LearnerState":
-        """Inverse of to_dict; ValueError unless every list and P has the given dimensions
-        and every value is one a run can write."""
+    def from_dict(cls, d: dict, n_calendar_types: int) -> "LearnerState":
+        """Inverse of to_dict, with no pending buffers; ValueError unless there are
+        n_calendar_types states of each kind, every P has its channel's dimension and every
+        value is one a run can write."""
         return cls(
             s_states=_records_from_json(ChannelState, d["s_states"], n_calendar_types, S_DIM),
-            r_states=_records_from_json(ChannelState, d["r_states"], n_calendar_types, r_dim),
+            r_states=_records_from_json(ChannelState, d["r_states"], n_calendar_types, R_DIM),
         )

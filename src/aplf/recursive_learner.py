@@ -223,49 +223,38 @@ def batch_initialize(
 class OnlineLearner:
     """Single-writer owner of the model and learner state.
 
-    Exactly one logical thread calls learn_step. r_dim, the length of the
-    observation channel's regressor, must be 2 or 3, the channel shapes
-    channel_update supports; the initial state raises ValueError for any
-    other.
-
-    A learner resumed from a snapshot takes the snapshot's model and
-    state, which it then owns, and pending, its per-channel sample
-    buffers still awaiting batch initialization (none if omitted); it
-    builds no initial state, and init_mode is only validated. model and
-    state, of hp's calendar types and this r_dim, must both be given, or
-    ValueError.
+    Exactly one logical thread calls learn_step. A fresh learner starts
+    every channel from zero or, with init_mode "batch", gives every channel
+    a pending buffer in its state. A learner resumed from a snapshot takes
+    the snapshot's model and state, pending buffers included, which it then
+    owns; it builds no initial state, and init_mode is only validated.
+    model and state, of hp's calendar types, must both be given or
+    neither, or ValueError.
     """
 
     def __init__(
         self,
         hp: HyperParams,
-        r_dim: int,
-        sigma0: float = 1.0,
         init_mode: str = "zero",
         *,
         model: ModelParams | None = None,
         state: LearnerState | None = None,
-        pending: dict | None = None,
     ):
         if init_mode not in ("zero", "batch"):
             raise ValueError(f"init_mode must be 'zero' or 'batch', got {init_mode!r}")
         self.hp = hp
-        self.sigma0 = float(sigma0)
         self.diagnostics = LearnDiagnostics()
-        self._pending: dict[tuple[str, int], list[tuple[tuple[float, ...], float]]] = {}
-        if model is None and state is None and pending is None:
-            self.model = ModelParams.initial(hp.n_calendar_types, r_dim, sigma0)
-            self.state = LearnerState.initial(hp.n_calendar_types, r_dim)
+        if model is None and state is None:
+            self.model = ModelParams.initial(hp.n_calendar_types)
+            self.state = LearnerState.initial(hp.n_calendar_types)
             if init_mode == "batch":
                 for c in range(1, hp.n_calendar_types + 1):
-                    self._pending[("s", c)] = []
-                    self._pending[("r", c)] = []
+                    self.state.pending[("s", c)] = []
+                    self.state.pending[("r", c)] = []
         elif model is None or state is None:
             raise ValueError("a resumed learner needs both model and state")
         else:
             self.model, self.state = model, state
-            if pending is not None:
-                self._pending = pending
 
     def learn_step(self, instance, targets) -> None:
         """Consume one (instance, targets) pair.
@@ -288,7 +277,7 @@ class OnlineLearner:
         lambda_s, lambda_r, n = hp.lambda_s, hp.lambda_r, hp.n_calendar_types
         s_params, r_params = self.model.s_channels, self.model.r_channels
         s_states, r_states = self.state.s_states, self.state.r_states
-        diagnostics, pending = self.diagnostics, self._pending
+        diagnostics, pending = self.diagnostics, self.state.pending
         prev = instance.anchor_load
         for obs, c, target in zip(observations, types, targets):
             if not 1 <= c <= n:
@@ -318,11 +307,6 @@ class OnlineLearner:
                             diagnostics.trace_resets += 1
             prev = target
 
-    @property
-    def pending_batch(self) -> dict:
-        """Per-channel sample buffers still awaiting batch initialization."""
-        return self._pending
-
     def _update_pending(self, kind: str, c: int, u: tuple[float, ...], s_value: float, lam: float) -> None:
         """Add a sample to a channel awaiting batch initialization, and initialize it once its
         buffer is solvable; after BATCH_INIT_MAX_BUFFER unsolvable samples, replay the buffer
@@ -332,7 +316,7 @@ class OnlineLearner:
         else:
             params, states = self.model.r_channels, self.state.r_states
         diagnostics = self.diagnostics
-        buf = self._pending[(kind, c)]
+        buf = self.state.pending[(kind, c)]
         buf.append((u, s_value))
         try:
             new_state, new_params = batch_initialize(buf, lam)
@@ -340,7 +324,7 @@ class OnlineLearner:
             if len(buf) < BATCH_INIT_MAX_BUFFER:
                 return
             new_state = ChannelState.identity(len(u))
-            new_params = GaussianChannelParams.zeros(len(u), self.sigma0)
+            new_params = GaussianChannelParams.zeros(len(u))
             for u_j, s_j in buf:
                 channel_update(new_state, new_params, u_j, s_j, lam, diagnostics)
                 after = trace_reset(new_state, self.hp)
@@ -348,7 +332,7 @@ class OnlineLearner:
                     diagnostics.trace_resets += 1
                     new_state = after
             diagnostics.batch_init_fallbacks += 1
-        del self._pending[(kind, c)]
+        del self.state.pending[(kind, c)]
 
         after = trace_reset(new_state, self.hp)
         if after is not new_state:

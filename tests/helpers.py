@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from aplf.metrics import QUANTILE_LEVELS, QUANTILE_Z
-from aplf.model_types import ChannelState, GaussianChannelParams, LearnerState, ModelParams
+from aplf.model_types import R_DIM, ChannelState, GaussianChannelParams, LearnerState, ModelParams
 from aplf.recursive_learner import (
     BATCH_INIT_MAX_BUFFER,
     GRAM_CONDITION_LIMIT,
@@ -93,7 +93,7 @@ def reference_learn_step(learner, instance, targets) -> None:
     or is fed to channel_update, which updates the channel's records in place, followed by
     trace_reset.
     """
-    hp, diagnostics, pending = learner.hp, learner.diagnostics, learner.pending_batch
+    hp, diagnostics, pending = learner.hp, learner.diagnostics, learner.state.pending
     channels = {"s": (learner.model.s_channels, learner.state.s_states, hp.lambda_s),
                 "r": (learner.model.r_channels, learner.state.r_states, hp.lambda_r)}
 
@@ -123,7 +123,7 @@ def reference_learn_step(learner, instance, targets) -> None:
             except SingularGram:
                 if len(buf) < BATCH_INIT_MAX_BUFFER:
                     continue
-                state, fresh = ChannelState.identity(len(u)), GaussianChannelParams.zeros(len(u), learner.sigma0)
+                state, fresh = ChannelState.identity(len(u)), GaussianChannelParams.zeros(len(u))
                 for u_j, s_j in buf:
                     channel_update(state, fresh, u_j, s_j, lam, diagnostics)
                     state = reset(state)
@@ -134,7 +134,7 @@ def reference_learn_step(learner, instance, targets) -> None:
         prev = target
 
 
-def random_model(rng, n_calendar_types, r_dim=3, sigma_range=(0.3, 2.5), slope_range=1.1):
+def random_model(rng, n_calendar_types, sigma_range=(0.3, 2.5), slope_range=1.1):
     """Random well-posed model parameters for forecaster tests."""
     s_channels = []
     r_channels = []
@@ -147,7 +147,7 @@ def random_model(rng, n_calendar_types, r_dim=3, sigma_range=(0.3, 2.5), slope_r
         )
         r_channels.append(
             GaussianChannelParams(
-                eta=rng.normal(size=r_dim),
+                eta=rng.normal(size=R_DIM),
                 sigma=float(rng.uniform(*sigma_range)),
             )
         )
@@ -181,7 +181,7 @@ def consistent_chain_steps(rng, length, anchor=0.0):
 
 def trained_state_like(model):
     """Learner state marking every calendar type of the model as trained."""
-    state = LearnerState.initial(model.n_calendar_types, model.r_dim)
+    state = LearnerState.initial(model.n_calendar_types)
     for s in state.s_states:
         s.gamma = 1.0
     for s in state.r_states:

@@ -137,7 +137,7 @@ def test_zero_init_gap_is_bounded():
             for _ in range(n)
         ]
         state = ChannelState.identity(2)
-        params = GaussianChannelParams.zeros(2, sigma0=1.0)
+        params = GaussianChannelParams.zeros(2)
         per_step = []
         for i in range(1, n + 1):
             u, s = samples[i - 1]
@@ -229,22 +229,26 @@ def test_forecaster_equals_exact_filtering():
 
 def test_calibration_soundness_on_model_generated_data():
     # Data generated exactly from the two-channel model: a random-walk load
-    # chain and a noisy load copy as the observation (u_r = [1, o]); the
+    # chain and a noisy load copy as the observation (u_r = [1, o, 0]); the
     # forward recursion is then the true conditional law, so a converged
     # run must be calibrated to within binomial tolerance over 1e5 points.
+    # The third regressor is always 0, so its row of P stays decoupled, but
+    # its diagonal entry grows by 1/lam per step: with no trace reset the
+    # learner runs exactly as one on the two regressors (1, o) would.
     start = time_mod.perf_counter()
     rng = np.random.default_rng(404)
     lam = 0.9995
     horizon = 5
-    hp = HyperParams(n_calendar_types=1, horizon=horizon, lambda_s=lam, lambda_r=lam)
-    learner = OnlineLearner(hp, 2)
+    hp = HyperParams(n_calendar_types=1, horizon=horizon, lambda_s=lam, lambda_r=lam,
+                     trace_reset_threshold=math.inf)
+    learner = OnlineLearner(hp)
 
     load = 0.0
     t = 0
     for _ in range(20_000):
         nxt = load + float(rng.normal())
         obs = nxt + float(rng.normal())
-        learner.learn_step(InstanceVector(anchor_load=load, observations=((1.0, obs),), types=(1,), t=t), [nxt])
+        learner.learn_step(InstanceVector(anchor_load=load, observations=((1.0, obs, 0.0),), types=(1,), t=t), [nxt])
         load = nxt
         t += 1
 
@@ -262,7 +266,7 @@ def test_calibration_soundness_on_model_generated_data():
         for _ in range(horizon):
             cur = cur + float(rng.normal())
             futures.append(cur)
-            observations.append((1.0, cur + float(rng.normal())))
+            observations.append((1.0, cur + float(rng.normal()), 0.0))
         instance = InstanceVector(anchor_load=load, observations=tuple(observations), types=(1,) * horizon, t=t)
         path = predict(learner.model, instance, state=learner.state)
         actual.extend(futures)
@@ -323,7 +327,7 @@ def test_learn_step_time_is_constant_over_a_long_run():
     # stay within 2x of the first decile (no growth with history length).
     rng = np.random.default_rng(606)
     hp = HyperParams(n_calendar_types=4, horizon=1)
-    learner = OnlineLearner(hp, 3)
+    learner = OnlineLearner(hp)
     n_steps = 100_000
     timings = np.empty(n_steps)
     load = 0.0

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from aplf.features import TemperatureShiftEncoder, TemperatureTracker, calendar_type
 from aplf.harness import snapshot_load, snapshot_save
-from aplf.model_types import HyperParams, LearnerState, ModelParams
+from aplf.model_types import R_DIM, HyperParams, LearnerState, ModelParams
 
 HP = HyperParams()
 ENCODER = TemperatureShiftEncoder(HP)
@@ -107,7 +107,7 @@ def test_encode_sets_each_flag_by_its_own_rule(w, w_bar, w1):
 
 
 def test_encoder_output_has_the_observation_channel_shape():
-    assert ENCODER.r_dim == 3
+    assert len(ENCODER.encode(85.0, 60.0)) == R_DIM
     assert ENCODER.encode(85.0, 60.0) == (1.0, 1.0, 0.0)
 
 
@@ -152,7 +152,7 @@ def test_tracker_round_trip(tmp_path):
     tracker.add(2, 55.0)
     tracker.add(2, 65.0)
     tracker.add(4, -10.0)
-    snapshot_save(tmp_path / "s.snapshot", ModelParams.initial(4, 3), LearnerState.initial(4, 3), tracker,
+    snapshot_save(tmp_path / "s.snapshot", ModelParams.initial(4), LearnerState.initial(4), tracker,
                   HyperParams(n_calendar_types=4))
     restored = snapshot_load(tmp_path / "s.snapshot").tracker
     assert restored.counts == tracker.counts

@@ -121,13 +121,15 @@ def test_predict_matches_filter_oracle_on_multi_type_paths():
 
 
 def test_converged_noiseless_identity_pattern_reproduces_the_constant():
-    hp = HyperParams(n_calendar_types=1, horizon=1, lambda_s=0.5, lambda_r=0.5)
-    learner = OnlineLearner(hp, 2)
+    # The third regressor is always 0, and with no trace reset it stays
+    # decoupled from the other two.
+    hp = HyperParams(n_calendar_types=1, horizon=1, lambda_s=0.5, lambda_r=0.5, trace_reset_threshold=math.inf)
+    learner = OnlineLearner(hp)
     value = 3.25
     for t in range(60):
-        instance = InstanceVector(anchor_load=value, observations=((1.0, value),), types=(1,), t=t)
+        instance = InstanceVector(anchor_load=value, observations=((1.0, value, 0.0),), types=(1,), t=t)
         learner.learn_step(instance, [value])
-    instance = InstanceVector(anchor_load=value, observations=((1.0, value),), types=(1,), t=100)
+    instance = InstanceVector(anchor_load=value, observations=((1.0, value, 0.0),), types=(1,), t=100)
     path = predict(learner.model, instance, state=learner.state)
     assert math.isclose(path.mean[0], value, rel_tol=1e-9)
     assert path.std[0] < 1e-6
@@ -144,7 +146,7 @@ def test_predict_requires_anchor_and_observation_slots():
 def test_cold_start_borrows_same_hour_other_day_class_first():
     rng = np.random.default_rng(21)
     model = random_model(rng, 48)
-    state = LearnerState.initial(48, 3)
+    state = LearnerState.initial(48)
     # Only the weekend twin of hour 13 (type 38) and one unrelated type are trained.
     state.s_states[38 - 1].gamma = 5.0
     state.s_states[2].gamma = 5.0
@@ -156,7 +158,7 @@ def test_cold_start_borrows_same_hour_other_day_class_first():
 def test_cold_start_without_any_trained_type_raises():
     rng = np.random.default_rng(22)
     model = random_model(rng, 4)
-    state = LearnerState.initial(4, 3)
+    state = LearnerState.initial(4)
     instance = InstanceVector(anchor_load=1.0, observations=(np.array([1.0, 0.0, 0.0]),), types=(2,), t=0)
     with pytest.raises(ColdStart):
         predict(model, instance, state=state)
@@ -173,10 +175,9 @@ def test_trained_types_are_used_directly():
 
 
 
-@pytest.mark.parametrize("r_dim", [2, 3])
-def test_a_missing_observation_takes_the_neutral_regressor(r_dim):
-    model = random_model(np.random.default_rng(24), 2, r_dim=r_dim)
-    neutral = (1.0,) + (0.0,) * (r_dim - 1)
+def test_a_missing_observation_takes_the_neutral_regressor():
+    model = random_model(np.random.default_rng(24), 2)
+    neutral = (1.0, 0.0, 0.0)
     types = (2, 1, 2)
     missing = predict(model, InstanceVector(anchor_load=1.0, observations=(None, None, None), types=types, t=0))
     given = predict(model, InstanceVector(anchor_load=1.0, observations=(neutral,) * 3, types=types, t=0))

@@ -321,8 +321,7 @@ def test_snapshot_round_trip_is_bit_identical(tmp_path, data_csv):
     snap_path = tmp_path / "model.snapshot"
     run_online_evaluation(series, config, snapshot_out=snap_path)
     snap = snapshot_load(snap_path)
-    snapshot_save(tmp_path / "again.snapshot", snap.model, snap.state, snap.tracker, snap.hp,
-                  cursor=snap.cursor, pending=snap.pending)
+    snapshot_save(tmp_path / "again.snapshot", snap.model, snap.state, snap.tracker, snap.hp, cursor=snap.cursor)
     assert (tmp_path / "again.snapshot").read_bytes() == snap_path.read_bytes()
     again = snapshot_load(tmp_path / "again.snapshot")
     for a, b in zip(snap.model.s_channels + snap.model.r_channels,
@@ -336,15 +335,15 @@ def test_snapshot_round_trip_is_bit_identical(tmp_path, data_csv):
     assert snap.tracker.sums == again.tracker.sums
 
 
-def test_snapshot_shape_mismatch(tmp_path, data_csv):
+def test_snapshot_shape_mismatch(tmp_path, data_csv, capsys):
+    # SNAPSHOT_V1 is a consistent 2-type snapshot; a run has 48 types.
     config = base_config(train_end=datetime(2021, 3, 11, tzinfo=UTC))
     series, _ = ingest_csv(data_csv, config)
-    snap_path = tmp_path / "model.snapshot"
-    run_online_evaluation(series, config, snapshot_out=snap_path)
-    with pytest.raises(ShapeMismatch):
-        snapshot_load(snap_path, expect_r_dim=4)
-    with pytest.raises(ShapeMismatch):
-        snapshot_load(snap_path, expect_calendar_types=24)
+    with pytest.raises(ShapeMismatch, match="n_calendar_types"):
+        run_online_evaluation(series, config, resume=SNAPSHOT_V1)
+    assert cli_main(["run", "--data", str(data_csv), "--config", str(write_cli_config(tmp_path)),
+                     "--resume", str(SNAPSHOT_V1)]) == 2
+    assert "n_calendar_types" in capsys.readouterr().err
 
 
 def test_snapshot_truncated_file_is_corrupt(tmp_path, data_csv):
@@ -409,9 +408,8 @@ def test_a_saved_snapshot_loads_without_encoding_its_payload_again(tmp_path, dat
 def test_a_re_serialized_snapshot_loads_and_resaves_byte_identically(tmp_path):
     indented = tmp_path / "indented.snapshot"
     indented.write_text(json.dumps(json.loads(SNAPSHOT_V1.read_text()), indent=2))
-    snap = snapshot_load(indented, expect_calendar_types=2, expect_r_dim=3)
-    snapshot_save(tmp_path / "again.snapshot", snap.model, snap.state, snap.tracker, snap.hp,
-                  cursor=snap.cursor, pending=snap.pending)
+    snap = snapshot_load(indented)
+    snapshot_save(tmp_path / "again.snapshot", snap.model, snap.state, snap.tracker, snap.hp, cursor=snap.cursor)
     assert (tmp_path / "again.snapshot").read_bytes() == SNAPSHOT_V1.read_bytes()
 
 
@@ -485,10 +483,9 @@ def _rewrite_payload(src: Path, dst: Path, edit) -> Path:
 
 
 def test_v1_snapshot_resaves_byte_identically(tmp_path):
-    snap = snapshot_load(SNAPSHOT_V1, expect_calendar_types=2, expect_r_dim=3)
-    assert sorted(snap.pending) == [("r", 1), ("r", 2)]
-    snapshot_save(tmp_path / "again.snapshot", snap.model, snap.state, snap.tracker, snap.hp,
-                  cursor=snap.cursor, pending=snap.pending)
+    snap = snapshot_load(SNAPSHOT_V1)
+    assert sorted(snap.state.pending) == [("r", 1), ("r", 2)]
+    snapshot_save(tmp_path / "again.snapshot", snap.model, snap.state, snap.tracker, snap.hp, cursor=snap.cursor)
     assert (tmp_path / "again.snapshot").read_bytes() == SNAPSHOT_V1.read_bytes()
 
 
@@ -502,6 +499,19 @@ def _widen_observation_channels(p):
     for buf in p["pending_batch"].values():
         for u, _ in buf:
             u.append(0.0)
+
+
+def _narrow_observation_channels(p):
+    """Make the payload a consistent r_dim = 2 model: every observation-channel eta, P and pending vector
+    loses its last entry."""
+    p["r_dim"] = 2
+    for channel in p["model"]["r_channels"]:
+        channel["eta"].pop()
+    for state in p["state"]["r_states"]:
+        state["P"] = [row[:2] for row in state["P"][:2]]
+    for buf in p["pending_batch"].values():
+        for u, _ in buf:
+            u.pop()
 
 
 @pytest.mark.parametrize("edit", [
@@ -531,6 +541,7 @@ def _widen_observation_channels(p):
     lambda p: p["pending_batch"]["r:2"][0][0].__setitem__(1, math.inf),
     lambda p: p["pending_batch"]["r:1"][1].__setitem__(1, math.nan),
     _widen_observation_channels,
+    _narrow_observation_channels,
     lambda p: p.update(n_calendar_types="2"),
     lambda p: p.update(r_dim=3.9),
     lambda p: p.update(r_dim=3.0),
@@ -540,7 +551,7 @@ def _widen_observation_channels(p):
         "asymmetric-P", "nan-eta", "negative-sigma", "inf-sigma", "negative-gamma", "nan-gamma",
         "negative-definite-P-K2", "indefinite-P-K2", "negative-definite-P-K3", "indefinite-P-K3", "inf-P",
         "negative-tracker-count", "fractional-tracker-count", "nan-tracker-sum", "inf-pending-vector",
-        "nan-pending-load", "r_dim-4", "string-n_calendar_types", "fractional-r_dim", "float-r_dim",
+        "nan-pending-load", "r_dim-4", "r_dim-2", "string-n_calendar_types", "fractional-r_dim", "float-r_dim",
         "empty-cursor"])
 def test_snapshot_contradicting_its_header_is_corrupt(tmp_path, edit):
     bad = _rewrite_payload(SNAPSHOT_V1, tmp_path / "bad.snapshot", edit)
@@ -561,15 +572,29 @@ def test_snapshot_pending_keys_must_name_their_channel_exactly(tmp_path, edit):
         snapshot_load(bad)
 
 
-def test_cli_resume_from_a_short_snapshot_is_input_error(tmp_path, data_csv, capsys):
+@pytest.mark.parametrize("edit", [lambda p: p["model"]["s_channels"].pop(), _narrow_observation_channels],
+                         ids=["short-s-channels", "r_dim-2"])
+def test_cli_resume_from_a_malformed_snapshot_is_input_error(tmp_path, data_csv, capsys, edit):
     cfg = write_cli_config(tmp_path, test_end="2021-03-13T00:00:00+00:00")
     snap = tmp_path / "mid.snapshot"
     assert cli_main(["run", "--data", str(data_csv), "--config", str(cfg), "--snapshot-out", str(snap)]) == 0
-    short = _rewrite_payload(snap, tmp_path / "short.snapshot", lambda p: p["model"]["s_channels"].pop())
+    bad = _rewrite_payload(snap, tmp_path / "bad.snapshot", edit)
     capsys.readouterr()
     assert cli_main(["run", "--data", str(data_csv), "--config", str(write_cli_config(tmp_path)),
-                     "--resume", str(short)]) == 2
+                     "--resume", str(bad)]) == 2
     assert "malformed payload" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("which", ["--data", "--config", "--resume", "schedule_file"])
+def test_cli_a_directory_in_place_of_an_input_file_is_input_error(tmp_path, data_csv, capsys, which):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    schedule = {"schedule_file": folder} if which == "schedule_file" else {}
+    args = {"--data": data_csv, "--config": write_cli_config(tmp_path, **schedule)}
+    if which.startswith("--"):
+        args[which] = folder
+    assert cli_main(["run", *(str(x) for pair in args.items() for x in pair)]) == 2
+    assert str(folder) in capsys.readouterr().err
 
 
 def test_cli_resume_under_other_hyper_params_is_input_error(tmp_path, data_csv, capsys):
@@ -694,15 +719,18 @@ def layout_run(tmp_path, data_csv, layout: str, **overrides) -> tuple[Path, RunC
 
 
 @pytest.mark.parametrize("layout", LAYOUTS)
-def test_split_run_resumes_byte_identically(tmp_path, data_csv, layout):
-    data_csv, config = layout_run(tmp_path, data_csv, layout)
+@pytest.mark.parametrize("init_mode", ["zero", "batch"])
+def test_split_run_resumes_byte_identically(tmp_path, data_csv, layout, init_mode):
+    data_csv, config = layout_run(tmp_path, data_csv, layout, init_mode=init_mode)
     series, _ = ingest_csv(data_csv, config)
     full = run_online_evaluation(series, config, snapshot_out=tmp_path / "full.snapshot")
 
     split_at = datetime(2021, 3, 13, tzinfo=UTC)
-    _, config_first = layout_run(tmp_path, data_csv, layout, test_end=split_at)
+    _, config_first = layout_run(tmp_path, data_csv, layout, init_mode=init_mode, test_end=split_at)
     snap_path = tmp_path / "split.snapshot"
     first = run_online_evaluation(series, config_first, snapshot_out=snap_path)
+    # Under batch init, buffers still awaiting batch initialization cross the split.
+    assert bool(json.loads(snap_path.read_text())["payload"]["pending_batch"]) == (init_mode == "batch")
     second = run_online_evaluation(series, config, resume=snap_path, snapshot_out=tmp_path / "second.snapshot")
     assert first.forecast_rows + second.forecast_rows == full.forecast_rows
     assert (tmp_path / "second.snapshot").read_bytes() == (tmp_path / "full.snapshot").read_bytes()

@@ -40,8 +40,8 @@ from aplf.recursive_learner import (
 )
 
 
-def fresh_channel(k=2, sigma0=1.0):
-    return ChannelState.identity(k), GaussianChannelParams.zeros(k, sigma0)
+def fresh_channel(k=2):
+    return ChannelState.identity(k), GaussianChannelParams.zeros(k)
 
 
 def test_single_update_worked_values():
@@ -143,14 +143,13 @@ def learner_runs(draw):
 @given(run=learner_runs())
 def test_learn_step_equals_the_one_sample_at_a_time_reference(run):
     hp, init_mode, instances = run
-    learner, reference = (OnlineLearner(hp, 3, init_mode=init_mode) for _ in range(2))
+    learner, reference = (OnlineLearner(hp, init_mode=init_mode) for _ in range(2))
     for instance, targets in instances:
         learner.learn_step(instance, targets)
         reference_learn_step(reference, instance, targets)
         assert learner.model == reference.model
         assert learner.state == reference.state
         assert learner.diagnostics == reference.diagnostics
-        assert learner.pending_batch == reference.pending_batch
 
 
 def random_spd(rng, k):
@@ -194,21 +193,15 @@ def test_channel_update_rejects_other_shapes(k):
         channel_update(state, GaussianChannelParams.zeros(k), (1.0,) * k, 1.0, 0.5)
 
 
-@pytest.mark.parametrize("r_dim", [1, 4])
-def test_learner_rejects_an_r_dim_other_than_2_or_3(r_dim):
-    with pytest.raises(ValueError):
-        OnlineLearner(HyperParams(n_calendar_types=1), r_dim)
-
-
 def test_a_resumed_learner_needs_a_model_and_a_state():
     hp = HyperParams(n_calendar_types=2)
-    model, state = ModelParams.initial(2, 3), LearnerState.initial(2, 3)
+    model, state = ModelParams.initial(2), LearnerState.initial(2)
     with pytest.raises(ValueError, match="both model and state"):
-        OnlineLearner(hp, 3, model=model)
+        OnlineLearner(hp, model=model)
     with pytest.raises(ValueError, match="both model and state"):
-        OnlineLearner(hp, 3, pending={})
-    learner = OnlineLearner(hp, 3, init_mode="batch", model=model, state=state)
-    assert learner.model is model and learner.state is state and learner.pending_batch == {}
+        OnlineLearner(hp, state=state)
+    learner = OnlineLearner(hp, init_mode="batch", model=model, state=state)
+    assert learner.model is model and learner.state is state and learner.state.pending == {}
 
 
 def test_trace_reset_examples():
@@ -373,7 +366,7 @@ def test_weighted_log_likelihood_values():
 
 def test_learn_step_single_window_worked_values():
     hp = HyperParams(n_calendar_types=1, horizon=1)
-    learner = OnlineLearner(hp, 3)
+    learner = OnlineLearner(hp)
     instance = InstanceVector(anchor_load=1.0, observations=(np.array([1.0, 0.0, 0.0]),), types=(1,), t=0)
     learner.learn_step(instance, [2.0])
     assert np.allclose(learner.model.s_channels[0].eta, [2.0 / 2.2, 2.0 / 2.2], atol=1e-15)
@@ -384,19 +377,19 @@ def test_learn_step_single_window_worked_values():
 
 def test_learn_step_zero_innovation_keeps_eta():
     hp = HyperParams(n_calendar_types=1, horizon=2)
-    learner = OnlineLearner(hp, 2)
+    learner = OnlineLearner(hp)
     # Perfect model of the constant sequence 5, 5, ...
     learner.model.s_channels[0].eta = np.array([0.0, 1.0])
-    learner.model.r_channels[0].eta = np.array([5.0, 0.0])
-    instance = InstanceVector(anchor_load=5.0, observations=((1.0, 0.0),) * 2, types=(1, 1), t=0)
+    learner.model.r_channels[0].eta = np.array([5.0, 0.0, 0.0])
+    instance = InstanceVector(anchor_load=5.0, observations=((1.0, 0.0, 0.0),) * 2, types=(1, 1), t=0)
     learner.learn_step(instance, [5.0, 5.0])
     assert np.array_equal(learner.model.s_channels[0].eta, [0.0, 1.0])
-    assert np.array_equal(learner.model.r_channels[0].eta, [5.0, 0.0])
+    assert np.array_equal(learner.model.r_channels[0].eta, [5.0, 0.0, 0.0])
 
 
 def test_learn_step_missing_temperature_updates_only_s_channel():
     hp = HyperParams(n_calendar_types=1, horizon=2)
-    learner = OnlineLearner(hp, 3)
+    learner = OnlineLearner(hp)
     instance = InstanceVector(anchor_load=1.0, observations=(None, (1.0, 0.0, 0.0)), types=(1, 1), t=0)
     learner.learn_step(instance, [2.0, 3.0])
     assert learner.state.s_states[0].gamma > 0.0
@@ -405,8 +398,8 @@ def test_learn_step_missing_temperature_updates_only_s_channel():
 
 def test_learn_step_missing_target_breaks_the_previous_load_chain():
     hp = HyperParams(n_calendar_types=1, horizon=3)
-    learner = OnlineLearner(hp, 2)
-    instance = InstanceVector(anchor_load=1.0, observations=((1.0, 0.0),) * 3, types=(1, 1, 1), t=0)
+    learner = OnlineLearner(hp)
+    instance = InstanceVector(anchor_load=1.0, observations=((1.0, 0.0, 0.0),) * 3, types=(1, 1, 1), t=0)
     learner.learn_step(instance, [2.0, None, 4.0])
     # Updates at i=1 (prev=anchor) and none at i=2; at i=3 prev is unknown,
     # so only the observation channel learns there.
@@ -416,7 +409,7 @@ def test_learn_step_missing_target_breaks_the_previous_load_chain():
 
 def test_trace_stays_bounded_over_a_long_sweep():
     hp = HyperParams(n_calendar_types=1, horizon=1, lambda_r=0.7)
-    learner = OnlineLearner(hp, 3)
+    learner = OnlineLearner(hp)
     rng = np.random.default_rng(23)
     # Constant observation vector never excites two feature directions, so
     # P grows along them until the reset rule fires.
@@ -432,14 +425,15 @@ def test_trace_stays_bounded_over_a_long_sweep():
 
 def test_batch_init_mode_matches_batch_solution():
     hp = HyperParams(n_calendar_types=1, horizon=1, lambda_s=0.9, lambda_r=0.9)
-    learner = OnlineLearner(hp, 2, init_mode="batch")
+    learner = OnlineLearner(hp, init_mode="batch")
     rng = np.random.default_rng(29)
     seen = []
     prev = 0.0
     for t in range(6):
         obs = float(rng.normal())
         target = 1.0 + 0.5 * prev + float(rng.normal(scale=0.1))
-        learner.learn_step(InstanceVector(anchor_load=prev, observations=((1.0, obs),), types=(1,), t=t), [target])
+        learner.learn_step(InstanceVector(anchor_load=prev, observations=((1.0, obs, 0.0),), types=(1,), t=t),
+                           [target])
         seen.append((np.array([1.0, prev]), target))
         prev = target
     # The transition channel initialized from its first non-singular window
@@ -451,7 +445,7 @@ def test_batch_init_mode_matches_batch_solution():
 
 def test_batch_init_mode_falls_back_after_buffer_cap():
     hp = HyperParams(n_calendar_types=1, horizon=1, lambda_r=0.7)
-    learner = OnlineLearner(hp, 3, init_mode="batch")
+    learner = OnlineLearner(hp, init_mode="batch")
     rng = np.random.default_rng(31)
     # Constant encoded vector keeps the observation Gram rank deficient
     # forever; after the buffer cap the learner must replay with zero init.
@@ -468,7 +462,7 @@ def test_batch_init_mode_falls_back_after_buffer_cap():
 @pytest.mark.parametrize("bad_type", [0, 3])
 def test_learn_step_rejects_a_calendar_type_outside_1_to_n(bad_type):
     hp = HyperParams(n_calendar_types=2)
-    learner = OnlineLearner(hp, 3)
+    learner = OnlineLearner(hp)
     instance = InstanceVector(anchor_load=1.0, observations=((1.0, 0.0, 0.0),) * 2, types=(bad_type,) * 2, t=0)
     with pytest.raises(IndexError, match="outside 1..2"):
         predict(learner.model, instance)
@@ -481,7 +475,7 @@ def test_learn_step_rejects_a_calendar_type_outside_1_to_n(bad_type):
 @pytest.mark.parametrize("types", [(1,), (1, 2, 1)])
 def test_learn_step_and_predict_reject_an_instance_without_one_type_per_slot(types):
     hp = HyperParams(n_calendar_types=2)
-    learner = OnlineLearner(hp, 3)
+    learner = OnlineLearner(hp)
     instance = InstanceVector(anchor_load=1.0, observations=((1.0, 0.0, 0.0),) * 2, types=types, t=0)
     with pytest.raises(ValueError, match="calendar types"):
         predict(learner.model, instance)
@@ -526,7 +520,7 @@ def batch_learner(observation):
     """A batch-initialized learner over 2 calendar types fed 40 two-step instances of a noisy load,
     with encoded observations drawn by observation(rng)."""
     hp = HyperParams(n_calendar_types=2, horizon=2)
-    learner = OnlineLearner(hp, 3, init_mode="batch")
+    learner = OnlineLearner(hp, init_mode="batch")
     rng = np.random.default_rng(41)
     load = 1.0
     for t in range(0, 80, 2):
@@ -538,19 +532,19 @@ def batch_learner(observation):
 
 def test_no_two_channels_share_a_list_after_initial_batch_fallback_or_load(tmp_path):
     hp = HyperParams(n_calendar_types=3)
-    assert_no_shared_lists(ModelParams.initial(3, 3), LearnerState.initial(3, 3))
-    learner = OnlineLearner(hp, 3)
+    assert_no_shared_lists(ModelParams.initial(3), LearnerState.initial(3))
+    learner = OnlineLearner(hp)
     assert_no_shared_lists(learner.model, learner.state)
     # Flagged observations make the observation channels solvable, so both
     # channels of every type come from batch_initialize.
     encode = TemperatureShiftEncoder(hp).encode
     solvable = batch_learner(lambda rng: encode(float(rng.choice([10.0, 60.0, 95.0])), 55.0))
-    assert not solvable.pending_batch and solvable.diagnostics.batch_init_fallbacks == 0
+    assert not solvable.state.pending and solvable.diagnostics.batch_init_fallbacks == 0
     assert_no_shared_lists(solvable.model, solvable.state)
     # Unflagged observations keep the observation Gram singular, so those
     # channels come from the zero-start replay of the full buffer.
     fallback = batch_learner(lambda rng: (1.0, 0.0, 0.0))
-    assert not fallback.pending_batch and fallback.diagnostics.batch_init_fallbacks == 2
+    assert not fallback.state.pending and fallback.diagnostics.batch_init_fallbacks == 2
     assert_no_shared_lists(fallback.model, fallback.state)
     path = tmp_path / "snap.json"
     snapshot_save(path, fallback.model, fallback.state, TemperatureTracker(2), fallback.hp)
