@@ -1,9 +1,9 @@
 """Calendar typing and observation encoding.
 
-Timestamps map to one of 48 calendar types (hour of day, split by
-weekday vs. weekend/holiday). A temperature and the mean past temperature
-of its calendar type are encoded into the observation channel's
-regressor, a binary vector that flags extreme temperature shifts.
+Timestamps map to one of the model's CALENDAR_TYPES calendar types (hour
+of day, split by weekday vs. weekend/holiday). A temperature and the mean
+past temperature of its calendar type are encoded into the observation
+channel's regressor, a binary vector that flags extreme temperature shifts.
 """
 
 from __future__ import annotations
@@ -11,22 +11,14 @@ from __future__ import annotations
 from datetime import date, datetime
 from typing import Iterable
 
-from .model_types import HyperParams
+from .model_types import CALENDAR_TYPES, HOURS_PER_DAY, HyperParams
 
 __all__ = [
-    "CALENDAR_TYPES",
-    "HOURS_PER_DAY",
     "TemperatureTracker",
     "TemperatureShiftEncoder",
     "calendar_type",
     "neighbour_types",
 ]
-
-HOURS_PER_DAY = 24
-
-# Size of calendar_type's image: every hour of day, once per day class
-# (weekday; weekend or holiday).
-CALENDAR_TYPES = 2 * HOURS_PER_DAY
 
 
 def calendar_type(timestamp: datetime, holidays: Iterable[date] = ()) -> int:
@@ -41,26 +33,24 @@ def calendar_type(timestamp: datetime, holidays: Iterable[date] = ()) -> int:
     return h + 1
 
 
-def neighbour_types(c: int, n: int) -> list[int]:
-    """Calendar types to try, nearest first, in place of a never-trained type c.
+def neighbour_types(c: int) -> list[int]:
+    """The other calendar types, nearest first, to try in place of a never-trained type c.
 
-    In calendar_type's layout (n == CALENDAR_TYPES) the same hour in the
-    other day class comes first, then the search widens hour by hour, the
-    same day class before the other. Any other layout widens by index
-    distance.
+    The same hour in the other day class comes first, then the search
+    widens hour by hour, the same day class before the other.
     """
-    if n != CALENDAR_TYPES:
-        return sorted((cc for cc in range(1, n + 1) if cc != c), key=lambda cc: (abs(cc - c), cc))
     hour, day_class = (c - 1) % HOURS_PER_DAY, (c - 1) // HOURS_PER_DAY
     other = 1 - day_class
 
     def ct(cls: int, h: int) -> int:
         return cls * HOURS_PER_DAY + h % HOURS_PER_DAY + 1
 
+    half = HOURS_PER_DAY // 2
     order = [ct(other, hour)]
-    for d in range(1, HOURS_PER_DAY):
+    for d in range(1, half):
         order += [ct(day_class, hour - d), ct(day_class, hour + d), ct(other, hour - d), ct(other, hour + d)]
-    return order
+    # The opposite hour of the clock lies half a day away both ways round.
+    return order + [ct(day_class, hour + half), ct(other, hour + half)]
 
 
 # The four regressors (1, a1, a2), indexed by a1 + 2 * a2. Encoding returns
@@ -97,9 +87,9 @@ class TemperatureTracker:
     for the type (no forgetting); it is undefined until the first ingest.
     """
 
-    def __init__(self, n_calendar_types: int):
-        self.counts = [0] * n_calendar_types
-        self.sums = [0.0] * n_calendar_types
+    def __init__(self):
+        self.counts = [0] * CALENDAR_TYPES
+        self.sums = [0.0] * CALENDAR_TYPES
 
     def add(self, c: int, w: float) -> None:
         self.counts[c - 1] += 1

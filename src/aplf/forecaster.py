@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from operator import mul
 
 from .features import neighbour_types
 from .model_types import GaussianChannelParams, LearnerState, ModelParams
@@ -70,7 +69,8 @@ def forecast_step(
 
     Propagates the previous Gaussian through the transition channel
     (mean eta_s[0] + eta_s[1]*mean, variance grown by the squared slope)
-    and conditions on the observation channel. Equivalent to one
+    and conditions on the observation channel, whose regressor u_r has
+    exactly R_DIM = 3 entries, or ValueError. Equivalent to one
     predict-then-condition pass of exact Gaussian filtering.
     """
     intercept, slope = s_params.eta
@@ -81,7 +81,9 @@ def forecast_step(
     denom = obs_var + prop_var
     if denom <= 0.0:
         raise DegenerateVariances("both channel variances and the propagated variance are zero")
-    obs_mean = sum(map(mul, u_r, r_params.eta))
+    u0, u1, u2 = u_r
+    e0, e1, e2 = r_params.eta
+    obs_mean = u0 * e0 + u1 * e1 + u2 * e2
     return (trans_mean * obs_var + obs_mean * prop_var) / denom, math.sqrt(obs_var * prop_var / denom)
 
 
@@ -94,7 +96,7 @@ def predict(model: ModelParams, instance: InstanceVector, state: LearnerState | 
     the transition channel) borrows parameters from the nearest trained
     type; the substitution is reported on the returned path. ValueError
     unless the instance has an anchoring load and one calendar type per
-    observation slot; IndexError for a type outside 1..n_calendar_types.
+    observation slot; IndexError for a type outside 1..len(model.s_channels).
     """
     if instance.anchor_load is None:
         raise ValueError("prediction requires an anchoring load")
@@ -115,7 +117,7 @@ def predict(model: ModelParams, instance: InstanceVector, state: LearnerState | 
             raise IndexError(f"calendar type {c} outside 1..{n}")
         used = c
         if s_states is not None and s_states[c - 1].gamma == 0.0:
-            used = _nearest_trained(state, c, n)
+            used = _nearest_trained(state, c)
             substitutions.append((c, used))
         mean, std = forecast_step(mean, std, s_channels[used - 1], r_channels[used - 1],
                                   _NEUTRAL if obs is None else obs)
@@ -124,9 +126,9 @@ def predict(model: ModelParams, instance: InstanceVector, state: LearnerState | 
     return ForecastPath(means, stds, tuple(substitutions))
 
 
-def _nearest_trained(state: LearnerState, c: int, n: int) -> int:
+def _nearest_trained(state: LearnerState, c: int) -> int:
     """Nearest calendar type, in neighbour_types order, with at least one transition-channel update."""
-    for cc in neighbour_types(c, n):
+    for cc in neighbour_types(c):
         if state.s_states[cc - 1].gamma > 0.0:
             return cc
     raise ColdStart(f"no trained calendar type available as fallback for {c}")

@@ -19,10 +19,11 @@ from datetime import date, datetime, time, timedelta
 from itertools import accumulate, pairwise, repeat
 from pathlib import Path
 
-from .features import CALENDAR_TYPES, TemperatureShiftEncoder, TemperatureTracker, calendar_type
+from .features import TemperatureShiftEncoder, TemperatureTracker, calendar_type
 from .forecaster import InstanceVector, predict
 from .metrics import QUANTILE_LEVELS, QUANTILE_Z, EvalReport, evaluate_forecasts
-from .model_types import R_DIM, S_DIM, HyperParams, LearnerState, ModelParams, _checked_list, _finite_floats
+from .model_types import (CALENDAR_TYPES, R_DIM, S_DIM, HyperParams, LearnerState, ModelParams, _checked_list,
+                          _finite_floats)
 from .recursive_learner import OnlineLearner
 
 __all__ = [
@@ -156,11 +157,7 @@ def _hyper_param(name: str, convert):
 
 # Config-file key -> (field name, parser). A parser raises ValueError on a
 # bad value, and load_config adds the file and line to the message.
-# n_calendar_types is no key: a run requires CALENDAR_TYPES, its default.
-_HP_FIELDS = {
-    f.name: (f.name, _hyper_param(f.name, type(f.default)))
-    for f in fields(HyperParams) if f.name != "n_calendar_types"
-}
+_HP_FIELDS = {f.name: (f.name, _hyper_param(f.name, type(f.default))) for f in fields(HyperParams)}
 _CONFIG_FIELDS = {
     "load_unit": ("load_unit", _one_of(*LOAD_UNITS)),
     "temperature_unit": ("temperature_unit", _one_of("F", "C")),
@@ -359,12 +356,12 @@ def _pending_to_dict(pending: dict) -> dict:
     }
 
 
-def _pending_from_dict(d: dict, n_calendar_types: int) -> dict:
+def _pending_from_dict(d: dict) -> dict:
     out = {}
     for key, buf in d.items():
         kind, _, c = key.partition(":")
         c = int(c)
-        if kind not in ("s", "r") or not 1 <= c <= n_calendar_types or key != f"{kind}:{c}":
+        if kind not in ("s", "r") or not 1 <= c <= CALENDAR_TYPES or key != f"{kind}:{c}":
             raise ValueError(f"pending_batch key {key!r} names no channel")
         k = S_DIM if kind == "s" else R_DIM
         samples = [(tuple(_finite_floats(u, k)), float(s)) for u, s in buf]
@@ -400,9 +397,9 @@ def snapshot_save(path: Path | str, model: ModelParams, state: LearnerState,
     """Write a versioned, checksummed snapshot of the learner, its state's pending
     batch-initialization buffers included."""
     payload = {
-        "n_calendar_types": model.n_calendar_types,
+        "n_calendar_types": CALENDAR_TYPES,
         "r_dim": R_DIM,
-        "hyper_params": asdict(hp),
+        "hyper_params": {**asdict(hp), "n_calendar_types": CALENDAR_TYPES},
         "model": model.to_dict(),
         "state": state.to_dict(),
         "tracker": {"counts": tracker.counts, "sums": tracker.sums},
@@ -423,11 +420,11 @@ def snapshot_load(path: Path | str) -> Snapshot:
     The checksum is the SHA-256 of the payload text as snapshot_save wrote
     it or, for a document another tool re-serialized, of the payload's
     canonical encoding. version must be the JSON integer 1, or
-    VersionMismatch. n_calendar_types must be a JSON integer, r_dim the
-    JSON integer 3, the observation channel's one shape, and cursor null or
-    a non-empty ISO-8601 string.
+    VersionMismatch. n_calendar_types and hyper_params.n_calendar_types
+    must be the JSON integer CALENDAR_TYPES (48), r_dim the JSON integer
+    R_DIM (3), and cursor null or a non-empty ISO-8601 string.
     Every list and array in the payload must have the length or shape that
-    its own n_calendar_types and the channel shapes give, and hold values a
+    CALENDAR_TYPES and the channel shapes give, and hold values a
     run can write: finite eta, sigma and gamma finite and >= 0, P symmetric
     positive definite, tracker counts integers >= 0, and finite tracker
     sums and pending samples. Otherwise CorruptSnapshot.
@@ -453,28 +450,28 @@ def snapshot_load(path: Path | str) -> Snapshot:
         if hashlib.sha256(body.encode()).hexdigest() != doc["checksum"]:
             raise CorruptSnapshot(f"{path}: checksum mismatch")
     try:
-        n_c, cursor = payload["n_calendar_types"], payload["cursor"]
-        if type(n_c) is not int:
-            raise ValueError(f"n_calendar_types must be an integer, got {n_c!r}")
-        if not (type(payload["r_dim"]) is int and payload["r_dim"] == R_DIM):
-            raise ValueError(f"r_dim must be the integer {R_DIM}, got {payload['r_dim']!r}")
-        model = ModelParams.from_dict(payload["model"], n_c)
-        state = LearnerState.from_dict(payload["state"], n_c)
-        tracker = TemperatureTracker(n_c)
-        tracker.counts = _checked_list(payload["tracker"]["counts"], n_c)
+        hp_values, cursor = {**payload["hyper_params"]}, payload["cursor"]
+        constants = {"n_calendar_types": (payload["n_calendar_types"], CALENDAR_TYPES),
+                     "hyper_params.n_calendar_types": (hp_values.pop("n_calendar_types"), CALENDAR_TYPES),
+                     "r_dim": (payload["r_dim"], R_DIM)}
+        for name, (value, expected) in constants.items():
+            if not (type(value) is int and value == expected):
+                raise ValueError(f"{name} must be the integer {expected}, got {value!r}")
+        model = ModelParams.from_dict(payload["model"])
+        state = LearnerState.from_dict(payload["state"])
+        tracker = TemperatureTracker()
+        tracker.counts = _checked_list(payload["tracker"]["counts"], CALENDAR_TYPES)
         if not all(type(v) is int and v >= 0 for v in tracker.counts):
             raise ValueError("tracker counts must be integers >= 0")
-        tracker.sums = [float(v) for v in _checked_list(payload["tracker"]["sums"], n_c)]
+        tracker.sums = [float(v) for v in _checked_list(payload["tracker"]["sums"], CALENDAR_TYPES)]
         if not all(map(math.isfinite, tracker.sums)):
             raise ValueError("tracker sums must be finite")
-        hp = HyperParams(**payload["hyper_params"])
-        if hp.n_calendar_types != n_c:
-            raise ValueError(f"hyper_params.n_calendar_types {hp.n_calendar_types} contradicts n_calendar_types {n_c}")
+        hp = HyperParams(**hp_values)
         if cursor is not None:
             if type(cursor) is not str or not cursor:
                 raise ValueError(f"cursor must be null or a non-empty ISO-8601 string, got {cursor!r}")
             cursor = datetime.fromisoformat(cursor)
-        state.pending = _pending_from_dict(payload.get("pending_batch", {}), n_c)
+        state.pending = _pending_from_dict(payload.get("pending_batch", {}))
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptSnapshot(f"{path}: malformed payload: {exc}") from exc
     return Snapshot(model=model, state=state, tracker=tracker, hp=hp, cursor=cursor)
@@ -519,8 +516,6 @@ def run_online_evaluation(series: Series, config: RunConfig, *,
     if config.train_end is None:
         raise ParseError("config must set train_end for a run")
     hp = config.hp
-    if hp.n_calendar_types != CALENDAR_TYPES:
-        raise ParseError(f"the built-in calendar mapping requires n_calendar_types = {CALENDAR_TYPES}")
     base, step = series.start, series.step
     last_ts = base + series.index[-1] * step
     _check_comparable("train_end", config.train_end, base)
@@ -570,7 +565,7 @@ def run_online_evaluation(series: Series, config: RunConfig, *,
     encoder = TemperatureShiftEncoder(hp)
     if resume is None:
         learner = OnlineLearner(hp, config.init_mode)
-        tracker = TemperatureTracker(hp.n_calendar_types)
+        tracker = TemperatureTracker()
         cursor = None
     else:
         snap = snapshot_load(resume)

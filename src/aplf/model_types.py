@@ -1,6 +1,7 @@
 """Shared data types for the online load model.
 
-Two Gaussian channels are kept per calendar type: the load-transition
+Two Gaussian channels are kept for each of the CALENDAR_TYPES calendar
+types (every hour of day, once per day class): the load-transition
 channel (next load given previous load, feature vector [1, s_prev]) and
 the observation channel (load given encoded observations, feature vector
 of length R_DIM). Each channel carries regression coefficients and a
@@ -14,6 +15,8 @@ import math
 from dataclasses import dataclass, field, fields
 
 __all__ = [
+    "CALENDAR_TYPES",
+    "HOURS_PER_DAY",
     "R_DIM",
     "S_DIM",
     "HyperParams",
@@ -28,6 +31,12 @@ __all__ = [
 # temperature [1, a1, a2].
 S_DIM = 2
 R_DIM = 3
+
+HOURS_PER_DAY = 24
+
+# The model's calendar types: every hour of day, once per day class
+# (weekday; weekend or holiday).
+CALENDAR_TYPES = 2 * HOURS_PER_DAY
 
 
 @dataclass(frozen=True)
@@ -48,7 +57,6 @@ class HyperParams:
     w1: float = 20.0
     w2: float = 80.0
     w3: float = 20.0
-    n_calendar_types: int = 48
     horizon: int = 24
     trace_reset_threshold: float = 10.0
 
@@ -57,8 +65,6 @@ class HyperParams:
             raise ValueError(f"lambda_s must be in (0, 1), got {self.lambda_s}")
         if not 0.0 < self.lambda_r < 1.0:
             raise ValueError(f"lambda_r must be in (0, 1), got {self.lambda_r}")
-        if self.n_calendar_types < 1:
-            raise ValueError("n_calendar_types must be >= 1")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
         if not self.trace_reset_threshold > 0.0:
@@ -187,15 +193,11 @@ class ModelParams:
     r_channels: list[GaussianChannelParams]
 
     @classmethod
-    def initial(cls, n_calendar_types: int) -> "ModelParams":
+    def initial(cls) -> "ModelParams":
         return cls(
-            s_channels=[GaussianChannelParams.zeros(S_DIM) for _ in range(n_calendar_types)],
-            r_channels=[GaussianChannelParams.zeros(R_DIM) for _ in range(n_calendar_types)],
+            s_channels=[GaussianChannelParams.zeros(S_DIM) for _ in range(CALENDAR_TYPES)],
+            r_channels=[GaussianChannelParams.zeros(R_DIM) for _ in range(CALENDAR_TYPES)],
         )
-
-    @property
-    def n_calendar_types(self) -> int:
-        return len(self.s_channels)
 
     def to_dict(self) -> dict:
         """Every channel as {"eta": [...], "sigma": float}; eta lists are shared, not copied."""
@@ -203,12 +205,12 @@ class ModelParams:
                 "r_channels": [{"eta": c.eta, "sigma": float(c.sigma)} for c in self.r_channels]}
 
     @classmethod
-    def from_dict(cls, d: dict, n_calendar_types: int) -> "ModelParams":
-        """Inverse of to_dict; ValueError unless there are n_calendar_types channels of each
+    def from_dict(cls, d: dict) -> "ModelParams":
+        """Inverse of to_dict; ValueError unless there are CALENDAR_TYPES channels of each
         kind, every eta has its channel's dimension and every value is one a run can write."""
         return cls(
-            s_channels=_records_from_json(GaussianChannelParams, d["s_channels"], n_calendar_types, S_DIM),
-            r_channels=_records_from_json(GaussianChannelParams, d["r_channels"], n_calendar_types, R_DIM),
+            s_channels=_records_from_json(GaussianChannelParams, d["s_channels"], CALENDAR_TYPES, S_DIM),
+            r_channels=_records_from_json(GaussianChannelParams, d["r_channels"], CALENDAR_TYPES, R_DIM),
         )
 
 
@@ -226,10 +228,10 @@ class LearnerState:
     pending: dict[tuple[str, int], list[tuple[tuple[float, ...], float]]] = field(default_factory=dict)
 
     @classmethod
-    def initial(cls, n_calendar_types: int) -> "LearnerState":
+    def initial(cls) -> "LearnerState":
         return cls(
-            s_states=[ChannelState.identity(S_DIM) for _ in range(n_calendar_types)],
-            r_states=[ChannelState.identity(R_DIM) for _ in range(n_calendar_types)],
+            s_states=[ChannelState.identity(S_DIM) for _ in range(CALENDAR_TYPES)],
+            r_states=[ChannelState.identity(R_DIM) for _ in range(CALENDAR_TYPES)],
         )
 
     def to_dict(self) -> dict:
@@ -239,11 +241,11 @@ class LearnerState:
                 "r_states": [{"P": c.P, "gamma": float(c.gamma)} for c in self.r_states]}
 
     @classmethod
-    def from_dict(cls, d: dict, n_calendar_types: int) -> "LearnerState":
+    def from_dict(cls, d: dict) -> "LearnerState":
         """Inverse of to_dict, with no pending buffers; ValueError unless there are
-        n_calendar_types states of each kind, every P has its channel's dimension and every
+        CALENDAR_TYPES states of each kind, every P has its channel's dimension and every
         value is one a run can write."""
         return cls(
-            s_states=_records_from_json(ChannelState, d["s_states"], n_calendar_types, S_DIM),
-            r_states=_records_from_json(ChannelState, d["r_states"], n_calendar_types, R_DIM),
+            s_states=_records_from_json(ChannelState, d["s_states"], CALENDAR_TYPES, S_DIM),
+            r_states=_records_from_json(ChannelState, d["r_states"], CALENDAR_TYPES, R_DIM),
         )

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from math import isfinite
 
 from .model_types import (
+    CALENDAR_TYPES,
     GaussianChannelParams,
     ChannelState,
     HyperParams,
@@ -228,8 +229,7 @@ class OnlineLearner:
     a pending buffer in its state. A learner resumed from a snapshot takes
     the snapshot's model and state, pending buffers included, which it then
     owns; it builds no initial state, and init_mode is only validated.
-    model and state, of hp's calendar types, must both be given or
-    neither, or ValueError.
+    model and state must both be given or neither, or ValueError.
     """
 
     def __init__(
@@ -245,10 +245,10 @@ class OnlineLearner:
         self.hp = hp
         self.diagnostics = LearnDiagnostics()
         if model is None and state is None:
-            self.model = ModelParams.initial(hp.n_calendar_types)
-            self.state = LearnerState.initial(hp.n_calendar_types)
+            self.model = ModelParams.initial()
+            self.state = LearnerState.initial()
             if init_mode == "batch":
-                for c in range(1, hp.n_calendar_types + 1):
+                for c in range(1, CALENDAR_TYPES + 1):
                     self.state.pending[("s", c)] = []
                     self.state.pending[("r", c)] = []
         elif model is None or state is None:
@@ -262,28 +262,42 @@ class OnlineLearner:
         instance carries the anchoring load and, per step, one encoded
         observation (None if missing) and its calendar type; targets
         carries the revealed loads (None for gaps). Each step with a
-        revealed load updates its calendar type's transition channel from
-        the actual previous load and its observation channel from the
-        encoded observation, where each is known. A channel still awaiting
+        revealed load updates its calendar type's observation channel from
+        the encoded observation and then its transition channel from the
+        actual previous load, where each is known. A channel still awaiting
         batch initialization buffers its sample instead. Targets, types
-        and observations of unequal length raise ValueError, and a
-        calendar type outside 1..n_calendar_types raises IndexError.
+        and observations of unequal length raise ValueError before any
+        channel changes. A calendar type outside 1..CALENDAR_TYPES raises
+        IndexError, and an observation of other than R_DIM floats raises
+        ValueError, before that step's channels change.
         """
         observations, types = instance.observations, instance.types
         if not len(targets) == len(types) == len(observations):
             raise ValueError(f"{len(targets)} targets, {len(types)} calendar types and "
                              f"{len(observations)} observations must be equally many")
         hp = self.hp
-        lambda_s, lambda_r, n = hp.lambda_s, hp.lambda_r, hp.n_calendar_types
+        lambda_s, lambda_r = hp.lambda_s, hp.lambda_r
         s_params, r_params = self.model.s_channels, self.model.r_channels
         s_states, r_states = self.state.s_states, self.state.r_states
         diagnostics, pending = self.diagnostics, self.state.pending
         prev = instance.anchor_load
         for obs, c, target in zip(observations, types, targets):
-            if not 1 <= c <= n:
-                raise IndexError(f"calendar type {c} outside 1..{n}")
+            if not 1 <= c <= CALENDAR_TYPES:
+                raise IndexError(f"calendar type {c} outside 1..{CALENDAR_TYPES}")
             if target is not None:
                 i = c - 1
+                # The observation channel goes first: it alone can reject its
+                # sample, and then neither channel of the step has changed.
+                if obs is not None:
+                    if pending and ("r", c) in pending:
+                        self._update_pending("r", c, obs, target, lambda_r)
+                    else:
+                        state = r_states[i]
+                        channel_update(state, r_params[i], obs, target, lambda_r, diagnostics)
+                        after = trace_reset(state, hp)
+                        if after is not state:
+                            r_states[i] = after
+                            diagnostics.trace_resets += 1
                 if prev is not None:
                     u = (1.0, prev)
                     if pending and ("s", c) in pending:
@@ -295,26 +309,19 @@ class OnlineLearner:
                         if after is not state:
                             s_states[i] = after
                             diagnostics.trace_resets += 1
-                if obs is not None:
-                    if pending and ("r", c) in pending:
-                        self._update_pending("r", c, obs, target, lambda_r)
-                    else:
-                        state = r_states[i]
-                        channel_update(state, r_params[i], obs, target, lambda_r, diagnostics)
-                        after = trace_reset(state, hp)
-                        if after is not state:
-                            r_states[i] = after
-                            diagnostics.trace_resets += 1
             prev = target
 
     def _update_pending(self, kind: str, c: int, u: tuple[float, ...], s_value: float, lam: float) -> None:
         """Add a sample to a channel awaiting batch initialization, and initialize it once its
         buffer is solvable; after BATCH_INIT_MAX_BUFFER unsolvable samples, replay the buffer
-        from the zero start instead, so no sample is lost."""
+        from the zero start instead, so no sample is lost. ValueError, with the buffer as it
+        was, for a regressor of other than the channel's K entries."""
         if kind == "s":
             params, states = self.model.s_channels, self.state.s_states
         else:
             params, states = self.model.r_channels, self.state.r_states
+        if len(u) != len(states[c - 1].P):
+            raise ValueError(f"channel {kind}:{c} takes {len(states[c - 1].P)} regressors, got {len(u)}")
         diagnostics = self.diagnostics
         buf = self.state.pending[(kind, c)]
         buf.append((u, s_value))

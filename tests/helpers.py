@@ -87,8 +87,8 @@ def reference_batch_initialize(samples, lam: float):
 def reference_learn_step(learner, instance, targets) -> None:
     """OnlineLearner.learn_step, one sample at a time on the learner's own model and state.
 
-    Each revealed load gives the transition channel the sample ((1, previous load), load)
-    and the observation channel the sample (encoded observation, load), where each is known,
+    Each revealed load gives the observation channel the sample (encoded observation, load)
+    and the transition channel the sample ((1, previous load), load), where each is known,
     in that order. A sample either goes to the channel's batch buffer, while one is pending,
     or is fed to channel_update, which updates the channel's records in place, followed by
     trace_reset.
@@ -106,10 +106,10 @@ def reference_learn_step(learner, instance, targets) -> None:
     prev = instance.anchor_load
     for obs, c, target in zip(instance.observations, instance.types, targets):
         samples = []
-        if target is not None and prev is not None:
-            samples.append(("s", (1.0, prev)))
         if target is not None and obs is not None:
             samples.append(("r", obs))
+        if target is not None and prev is not None:
+            samples.append(("s", (1.0, prev)))
         for kind, u in samples:
             params, states, lam = channels[kind]
             if (kind, c) not in pending:
@@ -134,11 +134,11 @@ def reference_learn_step(learner, instance, targets) -> None:
         prev = target
 
 
-def random_model(rng, n_calendar_types, sigma_range=(0.3, 2.5), slope_range=1.1):
-    """Random well-posed model parameters for forecaster tests."""
+def random_model(rng, n_types, sigma_range=(0.3, 2.5), slope_range=1.1):
+    """Random well-posed model parameters of n_types calendar types for forecaster tests."""
     s_channels = []
     r_channels = []
-    for _ in range(n_calendar_types):
+    for _ in range(n_types):
         s_channels.append(
             GaussianChannelParams(
                 eta=np.array([rng.normal(), rng.uniform(-slope_range, slope_range)]),
@@ -180,8 +180,8 @@ def consistent_chain_steps(rng, length, anchor=0.0):
 
 
 def trained_state_like(model):
-    """Learner state marking every calendar type of the model as trained."""
-    state = LearnerState.initial(model.n_calendar_types)
+    """A learner state with every calendar type, so every type of the model, marked trained."""
+    state = LearnerState.initial()
     for s in state.s_states:
         s.gamma = 1.0
     for s in state.r_states:

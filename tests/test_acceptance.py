@@ -9,6 +9,7 @@ import math
 import os
 import time as time_mod
 from datetime import datetime, timezone
+from statistics import NormalDist
 
 import mpmath
 import numpy as np
@@ -239,8 +240,7 @@ def test_calibration_soundness_on_model_generated_data():
     rng = np.random.default_rng(404)
     lam = 0.9995
     horizon = 5
-    hp = HyperParams(n_calendar_types=1, horizon=horizon, lambda_s=lam, lambda_r=lam,
-                     trace_reset_threshold=math.inf)
+    hp = HyperParams(horizon=horizon, lambda_s=lam, lambda_r=lam, trace_reset_threshold=math.inf)
     learner = OnlineLearner(hp)
 
     load = 0.0
@@ -286,6 +286,34 @@ def test_calibration_soundness_on_model_generated_data():
     )
 
 
+@pytest.mark.xfail(strict=True, reason="forecasts at the paper defaults are overconfident: ECE 0.105, "
+                                        "90% central coverage 0.30-0.75 per horizon step")
+def test_calibration_at_the_paper_defaults(tmp_path):
+    # The 60-day pattern-switch series at lambda_s = 0.2, lambda_r = 0.7:
+    # ECE at most 0.05, and at every horizon step at least 80% of actual
+    # loads inside the central 90% interval. The forecasts miss both today.
+    path = tmp_path / "series.csv"
+    write_series_csv(path, make_hourly_series(60, switch_day=30, seed=0))
+    config = RunConfig(hp=HyperParams(), load_unit="GW", train_end=datetime(2021, 3, 21, tzinfo=UTC))
+    series, _ = ingest_csv(path, config)
+    result = run_online_evaluation(series, config)
+    assert result.report.n_points == 948
+    z90 = NormalDist().inv_cdf(0.95)
+    anchor_hour = config.prediction_time.hour
+    inside: dict[int, list[bool]] = {}
+    for t, a, m, s in zip(result.t, result.actual, result.mean, result.std):
+        inside.setdefault((t - anchor_hour - 1) % 24 + 1, []).append(abs(a - m) <= z90 * s)
+    coverage = {h: sum(hits) / len(hits) for h, hits in sorted(inside.items())}
+    pooled = sum(map(sum, inside.values())) / result.report.n_points
+    ok = result.report.ece <= 0.05 and min(coverage.values()) >= 0.8
+    _criterion(
+        "calibration-at-paper-defaults",
+        ok,
+        f"ece {result.report.ece:.3f}, pooled 90% coverage {pooled:.2f}, per horizon step "
+        f"{min(coverage.values()):.2f}..{max(coverage.values()):.2f}",
+    )
+
+
 def test_adaptation_to_a_pattern_switch(tmp_path):
     # Mid-test consumption-pattern switch: the online run must cut the
     # frozen-model ablation's post-switch RMSE by more than a factor of 4
@@ -326,7 +354,7 @@ def test_learn_step_time_is_constant_over_a_long_run():
     # 1e5 learn steps: the mean per-step time over the final decile must
     # stay within 2x of the first decile (no growth with history length).
     rng = np.random.default_rng(606)
-    hp = HyperParams(n_calendar_types=4, horizon=1)
+    hp = HyperParams(horizon=1)
     learner = OnlineLearner(hp)
     n_steps = 100_000
     timings = np.empty(n_steps)

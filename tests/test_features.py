@@ -5,9 +5,9 @@ from datetime import date, datetime
 from hypothesis import given
 from hypothesis import strategies as st
 
-from aplf.features import TemperatureShiftEncoder, TemperatureTracker, calendar_type
+from aplf.features import TemperatureShiftEncoder, TemperatureTracker, calendar_type, neighbour_types
 from aplf.harness import snapshot_load, snapshot_save
-from aplf.model_types import R_DIM, HyperParams, LearnerState, ModelParams
+from aplf.model_types import CALENDAR_TYPES, HOURS_PER_DAY, R_DIM, HyperParams, LearnerState, ModelParams
 
 HP = HyperParams()
 ENCODER = TemperatureShiftEncoder(HP)
@@ -40,6 +40,23 @@ def test_calendar_type_image_is_exactly_1_to_48():
         assert calendar_type(datetime(2021, 3, 2, hour, 0), holidays={TUESDAY}) == calendar_type(
             datetime(2021, 3, 7, hour, 0)
         )
+
+
+def test_neighbour_types_order_every_other_type_by_hour_distance():
+    def hour_and_class(c):
+        return (c - 1) % HOURS_PER_DAY, (c - 1) // HOURS_PER_DAY
+
+    def hour_distance(c, cc):
+        d = abs(hour_and_class(c)[0] - hour_and_class(cc)[0])
+        return min(d, HOURS_PER_DAY - d)
+
+    for c in range(1, CALENDAR_TYPES + 1):
+        order = neighbour_types(c)
+        assert sorted(order) == [cc for cc in range(1, CALENDAR_TYPES + 1) if cc != c], c
+        hour, day_class = hour_and_class(c)
+        assert hour_and_class(order[0]) == (hour, 1 - day_class), c
+        distances = [hour_distance(c, cc) for cc in order]
+        assert distances == sorted(distances), c
 
 
 def test_encode_hot_upward_shift():
@@ -112,7 +129,7 @@ def test_encoder_output_has_the_observation_channel_shape():
 
 
 def test_tracker_first_ingest():
-    tracker = TemperatureTracker(48)
+    tracker = TemperatureTracker()
     assert tracker.mean(7) is None
     tracker.add(7, 50.0)
     assert tracker.counts[7 - 1] == 1
@@ -120,14 +137,14 @@ def test_tracker_first_ingest():
 
 
 def test_tracker_two_point_mean():
-    tracker = TemperatureTracker(48)
+    tracker = TemperatureTracker()
     tracker.add(3, 50.0)
     tracker.add(3, 70.0)
     assert tracker.mean(3) == 60.0
 
 
 def test_tracker_constant_sequence_is_exact():
-    tracker = TemperatureTracker(2)
+    tracker = TemperatureTracker()
     for _ in range(1000):
         tracker.add(1, 42.0)
     assert tracker.mean(1) == 42.0
@@ -137,8 +154,8 @@ def test_tracker_constant_sequence_is_exact():
 def test_tracker_mean_is_permutation_invariant(values):
     # Integer temperatures keep the sum exact, so any ingestion order must
     # produce the identical mean.
-    forward = TemperatureTracker(1)
-    backward = TemperatureTracker(1)
+    forward = TemperatureTracker()
+    backward = TemperatureTracker()
     for v in values:
         forward.add(1, float(v))
     for v in reversed(values):
@@ -148,12 +165,11 @@ def test_tracker_mean_is_permutation_invariant(values):
 
 
 def test_tracker_round_trip(tmp_path):
-    tracker = TemperatureTracker(4)
+    tracker = TemperatureTracker()
     tracker.add(2, 55.0)
     tracker.add(2, 65.0)
     tracker.add(4, -10.0)
-    snapshot_save(tmp_path / "s.snapshot", ModelParams.initial(4), LearnerState.initial(4), tracker,
-                  HyperParams(n_calendar_types=4))
+    snapshot_save(tmp_path / "s.snapshot", ModelParams.initial(), LearnerState.initial(), tracker, HyperParams())
     restored = snapshot_load(tmp_path / "s.snapshot").tracker
     assert restored.counts == tracker.counts
     assert restored.sums == tracker.sums

@@ -56,16 +56,16 @@ def test_product_split_preserves_the_density_product_pointwise():
 
 def test_forecast_step_symmetric_fusion():
     s_params = GaussianChannelParams(eta=np.array([2.0, 0.0]), sigma=1.0)
-    r_params = GaussianChannelParams(eta=np.array([4.0]), sigma=1.0)
-    mean, std = forecast_step(7.0, 0.0, s_params, r_params, np.array([1.0]))
+    r_params = GaussianChannelParams(eta=np.array([4.0, 0.0, 0.0]), sigma=1.0)
+    mean, std = forecast_step(7.0, 0.0, s_params, r_params, np.array([1.0, 0.0, 0.0]))
     assert mean == 3.0
     assert math.isclose(std, math.sqrt(0.5), rel_tol=1e-15)
 
 
 def test_forecast_step_uninformative_observation_channel():
     s_params = GaussianChannelParams(eta=np.array([0.5, 0.8]), sigma=0.7)
-    r_params = GaussianChannelParams(eta=np.array([100.0]), sigma=1e12)
-    mean, std = forecast_step(2.0, 0.4, s_params, r_params, np.array([1.0]))
+    r_params = GaussianChannelParams(eta=np.array([100.0, 0.0, 0.0]), sigma=1e12)
+    mean, std = forecast_step(2.0, 0.4, s_params, r_params, np.array([1.0, 0.0, 0.0]))
     trans_mean = 0.5 + 0.8 * 2.0
     prop_std = math.sqrt(0.7**2 + (0.8 * 0.4) ** 2)
     assert math.isclose(mean, trans_mean, rel_tol=1e-9)
@@ -74,9 +74,18 @@ def test_forecast_step_uninformative_observation_channel():
 
 def test_forecast_step_degenerate_variances():
     s_params = GaussianChannelParams(eta=np.array([1.0, 0.5]), sigma=0.0)
-    r_params = GaussianChannelParams(eta=np.array([1.0]), sigma=0.0)
+    r_params = GaussianChannelParams(eta=np.array([1.0, 0.0, 0.0]), sigma=0.0)
     with pytest.raises(DegenerateVariances):
-        forecast_step(1.0, 0.0, s_params, r_params, np.array([1.0]))
+        forecast_step(1.0, 0.0, s_params, r_params, np.array([1.0, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("u_r", [(1.0, 5.0), (1.0, 0.0, 0.0, 7.0)], ids=["short", "long"])
+def test_an_observation_regressor_of_other_than_three_entries_is_rejected(u_r):
+    model = random_model(np.random.default_rng(9), 1)
+    with pytest.raises(ValueError):
+        forecast_step(1.0, 0.0, model.s_channels[0], model.r_channels[0], u_r)
+    with pytest.raises(ValueError):
+        predict(model, InstanceVector(anchor_load=1.0, observations=(u_r,), types=(1,), t=0))
 
 
 def test_forecast_variance_is_bounded_by_observation_sigma():
@@ -123,7 +132,7 @@ def test_predict_matches_filter_oracle_on_multi_type_paths():
 def test_converged_noiseless_identity_pattern_reproduces_the_constant():
     # The third regressor is always 0, and with no trace reset it stays
     # decoupled from the other two.
-    hp = HyperParams(n_calendar_types=1, horizon=1, lambda_s=0.5, lambda_r=0.5, trace_reset_threshold=math.inf)
+    hp = HyperParams(horizon=1, lambda_s=0.5, lambda_r=0.5, trace_reset_threshold=math.inf)
     learner = OnlineLearner(hp)
     value = 3.25
     for t in range(60):
@@ -146,7 +155,7 @@ def test_predict_requires_anchor_and_observation_slots():
 def test_cold_start_borrows_same_hour_other_day_class_first():
     rng = np.random.default_rng(21)
     model = random_model(rng, 48)
-    state = LearnerState.initial(48)
+    state = LearnerState.initial()
     # Only the weekend twin of hour 13 (type 38) and one unrelated type are trained.
     state.s_states[38 - 1].gamma = 5.0
     state.s_states[2].gamma = 5.0
@@ -158,7 +167,7 @@ def test_cold_start_borrows_same_hour_other_day_class_first():
 def test_cold_start_without_any_trained_type_raises():
     rng = np.random.default_rng(22)
     model = random_model(rng, 4)
-    state = LearnerState.initial(4)
+    state = LearnerState.initial()
     instance = InstanceVector(anchor_load=1.0, observations=(np.array([1.0, 0.0, 0.0]),), types=(2,), t=0)
     with pytest.raises(ColdStart):
         predict(model, instance, state=state)

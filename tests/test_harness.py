@@ -22,7 +22,6 @@ from aplf.harness import (
     NonMonotoneTimestamps,
     ParseError,
     RunConfig,
-    ShapeMismatch,
     UnitMissing,
     VersionMismatch,
     ingest_csv,
@@ -31,9 +30,11 @@ from aplf.harness import (
     snapshot_load,
     snapshot_save,
 )
-from aplf.features import TemperatureShiftEncoder
+from aplf.features import TemperatureShiftEncoder, TemperatureTracker
+from aplf.forecaster import InstanceVector
 from aplf.metrics import evaluate_forecasts
 from aplf.model_types import HyperParams, LearnerState, ModelParams
+from aplf.recursive_learner import OnlineLearner
 from aplf.synthetic import make_hourly_series, write_series_csv
 
 UTC = timezone.utc
@@ -134,13 +135,14 @@ def test_temperature_thresholds_may_be_negative_or_infinite_but_not_nan(tmp_path
     assert "w1: w1 must not be NaN" in capsys.readouterr().err
 
 
-def test_calendar_types_is_an_unknown_key(tmp_path, data_csv, capsys):
-    # A run requires the built-in 48 types, so the key has no legal value left to set.
-    cfg = write_cli_config(tmp_path, calendar_types=48)
-    with pytest.raises(ParseError, match=r"run\.cfg:3: unknown key 'calendar_types'"):
+@pytest.mark.parametrize("key", ["calendar_types", "n_calendar_types"])
+def test_calendar_types_is_an_unknown_key(tmp_path, data_csv, capsys, key):
+    # The model fixes its 48 calendar types, so no key sets them.
+    cfg = write_cli_config(tmp_path, **{key: 48})
+    with pytest.raises(ParseError, match=rf"run\.cfg:3: unknown key '{key}'"):
         load_config(cfg)
     assert cli_main(["run", "--data", str(data_csv), "--config", str(cfg)]) == 2
-    assert "unknown key 'calendar_types'" in capsys.readouterr().err
+    assert f"unknown key '{key}'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("horizon", ["0", "-3"])
@@ -336,10 +338,10 @@ def test_snapshot_round_trip_is_bit_identical(tmp_path, data_csv):
 
 
 def test_snapshot_shape_mismatch(tmp_path, data_csv, capsys):
-    # SNAPSHOT_V1 is a consistent 2-type snapshot; a run has 48 types.
+    # SNAPSHOT_V1 is a consistent 2-type snapshot; the model has 48 types.
     config = base_config(train_end=datetime(2021, 3, 11, tzinfo=UTC))
     series, _ = ingest_csv(data_csv, config)
-    with pytest.raises(ShapeMismatch, match="n_calendar_types"):
+    with pytest.raises(CorruptSnapshot, match="n_calendar_types must be the integer 48, got 2"):
         run_online_evaluation(series, config, resume=SNAPSHOT_V1)
     assert cli_main(["run", "--data", str(data_csv), "--config", str(write_cli_config(tmp_path)),
                      "--resume", str(SNAPSHOT_V1)]) == 2
@@ -407,15 +409,15 @@ def test_a_saved_snapshot_loads_without_encoding_its_payload_again(tmp_path, dat
 
 def test_a_re_serialized_snapshot_loads_and_resaves_byte_identically(tmp_path):
     indented = tmp_path / "indented.snapshot"
-    indented.write_text(json.dumps(json.loads(SNAPSHOT_V1.read_text()), indent=2))
+    indented.write_text(json.dumps(json.loads(SNAPSHOT_V1_48.read_text()), indent=2))
     snap = snapshot_load(indented)
     snapshot_save(tmp_path / "again.snapshot", snap.model, snap.state, snap.tracker, snap.hp, cursor=snap.cursor)
-    assert (tmp_path / "again.snapshot").read_bytes() == SNAPSHOT_V1.read_bytes()
+    assert (tmp_path / "again.snapshot").read_bytes() == SNAPSHOT_V1_48.read_bytes()
 
 
-@pytest.mark.parametrize("eta", [0.7897437996205573, math.nan], ids=["as-saved", "nan"])
+@pytest.mark.parametrize("eta", [3.0992745267073176, math.nan], ids=["as-saved", "nan"])
 def test_a_hand_hashed_non_canonical_payload_is_checked_value_by_value(tmp_path, eta):
-    doc = json.loads(SNAPSHOT_V1.read_text())
+    doc = json.loads(SNAPSHOT_V1_48.read_text())
     doc["payload"]["model"]["s_channels"][0]["eta"][0] = eta
     body = json.dumps(doc["payload"], indent=1)
     path = tmp_path / "hand.snapshot"
@@ -425,7 +427,7 @@ def test_a_hand_hashed_non_canonical_payload_is_checked_value_by_value(tmp_path,
         with pytest.raises(CorruptSnapshot, match="malformed payload"):
             snapshot_load(path)
     else:
-        assert snapshot_load(path).model == snapshot_load(SNAPSHOT_V1).model
+        assert snapshot_load(path).model == snapshot_load(SNAPSHOT_V1_48).model
 
 
 @pytest.mark.parametrize("layout", ["as-written", "indented"])
@@ -468,8 +470,39 @@ def test_a_resumed_run_builds_no_initial_model_or_state(tmp_path, data_csv, monk
 
 # A 2-type snapshot written by format version 1 as first released: batch
 # init mode after three 4-step learn_steps, so both transition channels are
-# initialized and both observation channels still hold pending samples.
+# initialized and both observation channels still hold pending samples. The
+# model has 48 calendar types, so loading it fails.
 SNAPSHOT_V1 = Path(__file__).parent / "data" / "snapshot_v1.json"
+# A 48-type snapshot in format version 1, written by write_v1_48_snapshot
+# below with the code from before the calendar layout became a constant of
+# the model.
+SNAPSHOT_V1_48 = Path(__file__).parent / "data" / "snapshot_v1_48.json"
+
+
+def write_v1_48_snapshot(path: Path) -> None:
+    """Snapshot a batch-initialized learner after one 4-step learn_step per calendar type.
+
+    Each type sees a temperature shift upwards and one downwards, so both of its channels
+    initialize, except types 1 and 2, which see only one of the two: their observation
+    channels still buffer four samples each.
+    """
+    hp = HyperParams(horizon=4)
+    learner, tracker, encoder = OnlineLearner(hp, "batch"), TemperatureTracker(), TemperatureShiftEncoder(hp)
+    for c in range(1, 49):
+        temps = {1: [50.0, 95.0, 50.0, 50.0], 2: [50.0, 5.0, 50.0, 50.0]}.get(c, [50.0, 95.0, 5.0, 50.0])
+        observations = []
+        for w in temps:
+            mean = tracker.mean(c)
+            observations.append(encoder.encode(w, w if mean is None else mean))
+            tracker.add(c, w)
+        loads = [round(1.0 + 0.5 * math.sin(0.7 * c + 1.3 * j), 2) for j in range(5)]
+        learner.learn_step(InstanceVector(loads[0], tuple(observations), (c,) * 4, 4 * (c - 1)), loads[1:])
+    snapshot_save(path, learner.model, learner.state, tracker, hp, cursor=datetime(2021, 3, 3, 11, tzinfo=UTC))
+
+
+def test_the_v1_48_snapshot_is_what_a_learner_writes_today(tmp_path):
+    write_v1_48_snapshot(tmp_path / "fresh.snapshot")
+    assert (tmp_path / "fresh.snapshot").read_bytes() == SNAPSHOT_V1_48.read_bytes()
 
 
 def _rewrite_payload(src: Path, dst: Path, edit) -> Path:
@@ -483,10 +516,10 @@ def _rewrite_payload(src: Path, dst: Path, edit) -> Path:
 
 
 def test_v1_snapshot_resaves_byte_identically(tmp_path):
-    snap = snapshot_load(SNAPSHOT_V1)
+    snap = snapshot_load(SNAPSHOT_V1_48)
     assert sorted(snap.state.pending) == [("r", 1), ("r", 2)]
     snapshot_save(tmp_path / "again.snapshot", snap.model, snap.state, snap.tracker, snap.hp, cursor=snap.cursor)
-    assert (tmp_path / "again.snapshot").read_bytes() == SNAPSHOT_V1.read_bytes()
+    assert (tmp_path / "again.snapshot").read_bytes() == SNAPSHOT_V1_48.read_bytes()
 
 
 def _widen_observation_channels(p):
@@ -522,8 +555,8 @@ def _narrow_observation_channels(p):
     lambda p: p["tracker"]["counts"].pop(),
     lambda p: p["tracker"]["sums"].append(1.0),
     lambda p: p["pending_batch"]["r:1"][0][0].pop(),
-    lambda p: p["pending_batch"].update({"r:3": []}),
-    lambda p: p["hyper_params"].update(n_calendar_types=48),
+    lambda p: p["pending_batch"].update({"r:49": []}),
+    lambda p: p["hyper_params"].update(n_calendar_types=2),
     lambda p: p["state"]["r_states"][1]["P"][0].__setitem__(2, 0.5),
     lambda p: p["model"]["s_channels"][0]["eta"].__setitem__(1, math.nan),
     lambda p: p["model"]["s_channels"][1].update(sigma=-1.0),
@@ -542,19 +575,24 @@ def _narrow_observation_channels(p):
     lambda p: p["pending_batch"]["r:1"][1].__setitem__(1, math.nan),
     _widen_observation_channels,
     _narrow_observation_channels,
-    lambda p: p.update(n_calendar_types="2"),
+    lambda p: p.update(n_calendar_types="48"),
     lambda p: p.update(r_dim=3.9),
     lambda p: p.update(r_dim=3.0),
     lambda p: p.update(cursor=""),
+    lambda p: p.update(n_calendar_types=2),
+    lambda p: p.update(n_calendar_types=48.0),
+    lambda p: p["hyper_params"].update(n_calendar_types=48.0),
+    lambda p: p["hyper_params"].pop("n_calendar_types"),
 ], ids=["short-s-channels", "short-r-eta", "3x3-P-on-K2", "extra-r-state", "short-tracker-counts",
         "long-tracker-sums", "short-pending-vector", "pending-type-out-of-range", "hyper-params-types",
         "asymmetric-P", "nan-eta", "negative-sigma", "inf-sigma", "negative-gamma", "nan-gamma",
         "negative-definite-P-K2", "indefinite-P-K2", "negative-definite-P-K3", "indefinite-P-K3", "inf-P",
         "negative-tracker-count", "fractional-tracker-count", "nan-tracker-sum", "inf-pending-vector",
         "nan-pending-load", "r_dim-4", "r_dim-2", "string-n_calendar_types", "fractional-r_dim", "float-r_dim",
-        "empty-cursor"])
+        "empty-cursor", "n_calendar_types-2", "float-n_calendar_types", "float-hyper-params-types",
+        "missing-hyper-params-types"])
 def test_snapshot_contradicting_its_header_is_corrupt(tmp_path, edit):
-    bad = _rewrite_payload(SNAPSHOT_V1, tmp_path / "bad.snapshot", edit)
+    bad = _rewrite_payload(SNAPSHOT_V1_48, tmp_path / "bad.snapshot", edit)
     with pytest.raises(CorruptSnapshot):
         snapshot_load(bad)
 
@@ -567,7 +605,7 @@ def test_snapshot_contradicting_its_header_is_corrupt(tmp_path, edit):
     lambda pending: pending.update({"r:1 ": []}),
 ], ids=["leading-zero", "space", "plus-sign", "duplicate"])
 def test_snapshot_pending_keys_must_name_their_channel_exactly(tmp_path, edit):
-    bad = _rewrite_payload(SNAPSHOT_V1, tmp_path / "bad.snapshot", lambda p: edit(p["pending_batch"]))
+    bad = _rewrite_payload(SNAPSHOT_V1_48, tmp_path / "bad.snapshot", lambda p: edit(p["pending_batch"]))
     with pytest.raises(CorruptSnapshot, match="names no channel"):
         snapshot_load(bad)
 

@@ -120,7 +120,7 @@ def learner_runs(draw):
     n = draw(st.integers(1, 3))
     horizon = draw(st.integers(2, 6))
     lambdas = st.sampled_from([0.2, 0.7, 0.9, 0.99])
-    hp = HyperParams(n_calendar_types=n, horizon=horizon, lambda_s=draw(lambdas), lambda_r=draw(lambdas))
+    hp = HyperParams(horizon=horizon, lambda_s=draw(lambdas), lambda_r=draw(lambdas))
     load = st.floats(0.0, 5.0)
     obs = st.sampled_from([(1.0, 0.0, 0.0), (1.0, 1.0, 0.0), (1.0, 0.0, 1.0)])
     if draw(st.booleans()):
@@ -194,8 +194,8 @@ def test_channel_update_rejects_other_shapes(k):
 
 
 def test_a_resumed_learner_needs_a_model_and_a_state():
-    hp = HyperParams(n_calendar_types=2)
-    model, state = ModelParams.initial(2), LearnerState.initial(2)
+    hp = HyperParams()
+    model, state = ModelParams.initial(), LearnerState.initial()
     with pytest.raises(ValueError, match="both model and state"):
         OnlineLearner(hp, model=model)
     with pytest.raises(ValueError, match="both model and state"):
@@ -365,7 +365,7 @@ def test_weighted_log_likelihood_values():
 
 
 def test_learn_step_single_window_worked_values():
-    hp = HyperParams(n_calendar_types=1, horizon=1)
+    hp = HyperParams(horizon=1)
     learner = OnlineLearner(hp)
     instance = InstanceVector(anchor_load=1.0, observations=(np.array([1.0, 0.0, 0.0]),), types=(1,), t=0)
     learner.learn_step(instance, [2.0])
@@ -376,7 +376,7 @@ def test_learn_step_single_window_worked_values():
 
 
 def test_learn_step_zero_innovation_keeps_eta():
-    hp = HyperParams(n_calendar_types=1, horizon=2)
+    hp = HyperParams(horizon=2)
     learner = OnlineLearner(hp)
     # Perfect model of the constant sequence 5, 5, ...
     learner.model.s_channels[0].eta = np.array([0.0, 1.0])
@@ -388,7 +388,7 @@ def test_learn_step_zero_innovation_keeps_eta():
 
 
 def test_learn_step_missing_temperature_updates_only_s_channel():
-    hp = HyperParams(n_calendar_types=1, horizon=2)
+    hp = HyperParams(horizon=2)
     learner = OnlineLearner(hp)
     instance = InstanceVector(anchor_load=1.0, observations=(None, (1.0, 0.0, 0.0)), types=(1, 1), t=0)
     learner.learn_step(instance, [2.0, 3.0])
@@ -397,7 +397,7 @@ def test_learn_step_missing_temperature_updates_only_s_channel():
 
 
 def test_learn_step_missing_target_breaks_the_previous_load_chain():
-    hp = HyperParams(n_calendar_types=1, horizon=3)
+    hp = HyperParams(horizon=3)
     learner = OnlineLearner(hp)
     instance = InstanceVector(anchor_load=1.0, observations=((1.0, 0.0, 0.0),) * 3, types=(1, 1, 1), t=0)
     learner.learn_step(instance, [2.0, None, 4.0])
@@ -408,7 +408,7 @@ def test_learn_step_missing_target_breaks_the_previous_load_chain():
 
 
 def test_trace_stays_bounded_over_a_long_sweep():
-    hp = HyperParams(n_calendar_types=1, horizon=1, lambda_r=0.7)
+    hp = HyperParams(horizon=1, lambda_r=0.7)
     learner = OnlineLearner(hp)
     rng = np.random.default_rng(23)
     # Constant observation vector never excites two feature directions, so
@@ -424,7 +424,7 @@ def test_trace_stays_bounded_over_a_long_sweep():
 
 
 def test_batch_init_mode_matches_batch_solution():
-    hp = HyperParams(n_calendar_types=1, horizon=1, lambda_s=0.9, lambda_r=0.9)
+    hp = HyperParams(horizon=1, lambda_s=0.9, lambda_r=0.9)
     learner = OnlineLearner(hp, init_mode="batch")
     rng = np.random.default_rng(29)
     seen = []
@@ -444,7 +444,7 @@ def test_batch_init_mode_matches_batch_solution():
 
 
 def test_batch_init_mode_falls_back_after_buffer_cap():
-    hp = HyperParams(n_calendar_types=1, horizon=1, lambda_r=0.7)
+    hp = HyperParams(horizon=1, lambda_r=0.7)
     learner = OnlineLearner(hp, init_mode="batch")
     rng = np.random.default_rng(31)
     # Constant encoded vector keeps the observation Gram rank deficient
@@ -459,29 +459,41 @@ def test_batch_init_mode_falls_back_after_buffer_cap():
     assert learner.state.r_states[0].gamma > 0.0
 
 
-@pytest.mark.parametrize("bad_type", [0, 3])
-def test_learn_step_rejects_a_calendar_type_outside_1_to_n(bad_type):
-    hp = HyperParams(n_calendar_types=2)
+@pytest.mark.parametrize("bad_type", [0, 49])
+def test_learn_step_rejects_a_calendar_type_outside_1_to_48(bad_type):
+    hp = HyperParams()
     learner = OnlineLearner(hp)
     instance = InstanceVector(anchor_load=1.0, observations=((1.0, 0.0, 0.0),) * 2, types=(bad_type,) * 2, t=0)
-    with pytest.raises(IndexError, match="outside 1..2"):
+    with pytest.raises(IndexError, match="outside 1..48"):
         predict(learner.model, instance)
-    with pytest.raises(IndexError, match="outside 1..2"):
+    with pytest.raises(IndexError, match="outside 1..48"):
         learner.learn_step(instance, [1.0, 1.0])
     # Nothing was learned, in any type's channels.
-    assert [s.gamma for s in learner.state.s_states + learner.state.r_states] == [0.0] * 4
+    assert not any(s.gamma for s in learner.state.s_states + learner.state.r_states)
+
+
+@pytest.mark.parametrize("init_mode", ["zero", "batch"])
+@pytest.mark.parametrize("obs", [(1.0, 5.0), (1.0, 0.0, 0.0, 7.0)], ids=["short", "long"])
+def test_learn_step_rejects_an_observation_of_other_than_three_entries_before_its_step_learns(init_mode, obs):
+    learner = OnlineLearner(HyperParams(horizon=1), init_mode)
+    learner.learn_step(InstanceVector(1.0, ((1.0, 0.0, 0.0),), (1,), 0), [1.1])
+    before = copy.deepcopy((learner.model, learner.state))
+    with pytest.raises(ValueError):
+        learner.learn_step(InstanceVector(1.1, (obs,), (1,), 1), [1.2])
+    # Neither channel of the step, nor a batch buffer, took the sample.
+    assert (learner.model, learner.state) == before
 
 
 @pytest.mark.parametrize("types", [(1,), (1, 2, 1)])
 def test_learn_step_and_predict_reject_an_instance_without_one_type_per_slot(types):
-    hp = HyperParams(n_calendar_types=2)
+    hp = HyperParams()
     learner = OnlineLearner(hp)
     instance = InstanceVector(anchor_load=1.0, observations=((1.0, 0.0, 0.0),) * 2, types=types, t=0)
     with pytest.raises(ValueError, match="calendar types"):
         predict(learner.model, instance)
     with pytest.raises(ValueError, match="calendar types"):
         learner.learn_step(instance, [1.0, 1.0])
-    assert [s.gamma for s in learner.state.s_states + learner.state.r_states] == [0.0] * 4
+    assert not any(s.gamma for s in learner.state.s_states + learner.state.r_states)
 
 
 # --- in-place updates ----------------------------------------------------------
@@ -517,9 +529,9 @@ def assert_no_shared_lists(model, state):
 
 
 def batch_learner(observation):
-    """A batch-initialized learner over 2 calendar types fed 40 two-step instances of a noisy load,
-    with encoded observations drawn by observation(rng)."""
-    hp = HyperParams(n_calendar_types=2, horizon=2)
+    """A batch-initialized learner fed 40 two-step instances of a noisy load on calendar types 2
+    and 1, with encoded observations drawn by observation(rng)."""
+    hp = HyperParams(horizon=2)
     learner = OnlineLearner(hp, init_mode="batch")
     rng = np.random.default_rng(41)
     load = 1.0
@@ -531,23 +543,23 @@ def batch_learner(observation):
 
 
 def test_no_two_channels_share_a_list_after_initial_batch_fallback_or_load(tmp_path):
-    hp = HyperParams(n_calendar_types=3)
-    assert_no_shared_lists(ModelParams.initial(3), LearnerState.initial(3))
+    hp = HyperParams()
+    assert_no_shared_lists(ModelParams.initial(), LearnerState.initial())
     learner = OnlineLearner(hp)
     assert_no_shared_lists(learner.model, learner.state)
     # Flagged observations make the observation channels solvable, so both
     # channels of every type come from batch_initialize.
     encode = TemperatureShiftEncoder(hp).encode
     solvable = batch_learner(lambda rng: encode(float(rng.choice([10.0, 60.0, 95.0])), 55.0))
-    assert not solvable.state.pending and solvable.diagnostics.batch_init_fallbacks == 0
+    assert all(c > 2 for _, c in solvable.state.pending) and solvable.diagnostics.batch_init_fallbacks == 0
     assert_no_shared_lists(solvable.model, solvable.state)
     # Unflagged observations keep the observation Gram singular, so those
     # channels come from the zero-start replay of the full buffer.
     fallback = batch_learner(lambda rng: (1.0, 0.0, 0.0))
-    assert not fallback.state.pending and fallback.diagnostics.batch_init_fallbacks == 2
+    assert all(c > 2 for _, c in fallback.state.pending) and fallback.diagnostics.batch_init_fallbacks == 2
     assert_no_shared_lists(fallback.model, fallback.state)
     path = tmp_path / "snap.json"
-    snapshot_save(path, fallback.model, fallback.state, TemperatureTracker(2), fallback.hp)
+    snapshot_save(path, fallback.model, fallback.state, TemperatureTracker(), fallback.hp)
     snap = snapshot_load(path)
     assert snap.model == fallback.model and snap.state == fallback.state
     assert_no_shared_lists(snap.model, snap.state)
