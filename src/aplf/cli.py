@@ -46,7 +46,7 @@ def _cmd_run(args) -> int:
     config = harness.load_config(args.config)
     series, gaps = harness.ingest_csv(args.data, config)
     frozen_after = datetime.fromisoformat(args.frozen_after) if args.frozen_after else None
-    output_dir = Path(args.output_dir) if args.output_dir else config.output_dir
+    output_dir = Path(args.output_dir) if args.output_dir else None
     result = harness.run_online_evaluation(
         series,
         config,
@@ -111,7 +111,7 @@ def _cmd_metrics(args) -> int:
     # column; a row off the grid, outside the series or with the other
     # awareness (naive or offset-aware) has none.
     step = timedelta(minutes=1)
-    series = harness.read_series(args.actuals, harness.RunConfig(load_unit="MW", step=step))
+    series = harness.read_series(args.actuals, harness.RunConfig(step=step))
     rows = []
     for ts, mean, std in forecasts:
         try:

@@ -13,7 +13,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .features import neighbour_types
-from .model_types import GaussianChannelParams, LearnerState, ModelParams
+from .model_types import CALENDAR_TYPES, GaussianChannelParams, LearnerState, ModelParams
 
 __all__ = [
     "DegenerateVariances",
@@ -96,7 +96,7 @@ def predict(model: ModelParams, instance: InstanceVector, state: LearnerState | 
     the transition channel) borrows parameters from the nearest trained
     type; the substitution is reported on the returned path. ValueError
     unless the instance has an anchoring load and one calendar type per
-    observation slot; IndexError for a type outside 1..len(model.s_channels).
+    observation slot; IndexError for a type outside 1..CALENDAR_TYPES.
     """
     if instance.anchor_load is None:
         raise ValueError("prediction requires an anchoring load")
@@ -106,15 +106,14 @@ def predict(model: ModelParams, instance: InstanceVector, state: LearnerState | 
     if len(types) != len(observations):
         raise ValueError(f"instance has {len(types)} calendar types for {len(observations)} observation slots")
     s_channels, r_channels = model.s_channels, model.r_channels
-    n = len(s_channels)
     s_states = state.s_states if state is not None else None
     means: list[float] = []
     stds: list[float] = []
     substitutions: list[tuple[int, int]] = []
     mean, std = float(instance.anchor_load), 0.0
     for obs, c in zip(observations, types):
-        if not 1 <= c <= n:
-            raise IndexError(f"calendar type {c} outside 1..{n}")
+        if not 1 <= c <= CALENDAR_TYPES:
+            raise IndexError(f"calendar type {c} outside 1..{CALENDAR_TYPES}")
         used = c
         if s_states is not None and s_states[c - 1].gamma == 0.0:
             used = _nearest_trained(state, c)

@@ -116,7 +116,6 @@ class RunConfig:
     emit_quantiles: bool = False
     step: timedelta = timedelta(hours=1)
     schedule: dict = field(default_factory=dict)
-    output_dir: Path | None = None
 
 
 def _parse_bool(raw: str) -> bool:
@@ -169,7 +168,6 @@ _CONFIG_FIELDS = {
     "emit_quantiles": ("emit_quantiles", _parse_bool),
     "step_minutes": ("step", _parse_step),
     "schedule_file": ("schedule", lambda raw: _load_schedule(Path(raw))),
-    "output_dir": ("output_dir", Path),
 }
 
 
@@ -180,8 +178,10 @@ def load_config(path: Path | str) -> RunConfig:
     trace_reset_threshold, load_unit (kW|MW|GW), temperature_unit (F|C),
     prediction_time (HH:MM), train_end / test_end (ISO-8601), holidays
     (comma-separated ISO dates), init_mode (zero|batch), emit_quantiles,
-    step_minutes (at least 1), schedule_file, output_dir. Lines starting
-    with # and blank lines are ignored. Every ParseError names its line.
+    step_minutes (at least 1), schedule_file. Any other key is a ParseError;
+    the output directory is an argument of the run, not a key. Lines
+    starting with # and blank lines are ignored. Every ParseError names its
+    line. A config without load_unit parses; ingest_csv refuses it.
     """
     path = Path(path)
     hp_values: dict = {}
@@ -249,8 +249,6 @@ def read_series(path: Path | str, config: RunConfig) -> Series:
     lines); so does one for a row the csv module cannot read, such as a
     field over csv.field_size_limit().
     """
-    if config.load_unit is None:
-        raise UnitMissing("config does not declare load_unit")
     path = Path(path)
     convert = config.temperature_unit == "C"
     step = config.step
@@ -330,7 +328,10 @@ def read_series(path: Path | str, config: RunConfig) -> Series:
 
 def ingest_csv(path: Path | str, config: RunConfig) -> tuple[Series, list[dict]]:
     """read_series, plus the series' gaps: one {"after": instant, "missing_steps": n}
-    per run of n missing grid steps, after the instant of the row before it."""
+    per run of n missing grid steps, after the instant of the row before it.
+    UnitMissing, before the file is read, unless the config declares load_unit."""
+    if config.load_unit is None:
+        raise UnitMissing("config does not declare load_unit")
     series = read_series(path, config)
     index = series.index
     if not index or index[-1] + 1 == len(index):
@@ -395,7 +396,15 @@ def snapshot_save(path: Path | str, model: ModelParams, state: LearnerState,
                   tracker: TemperatureTracker, hp: HyperParams, *,
                   cursor: datetime | None = None) -> None:
     """Write a versioned, checksummed snapshot of the learner, its state's pending
-    batch-initialization buffers included."""
+    batch-initialization buffers included. ValueError, with no file written, unless
+    every model, state and tracker list has CALENDAR_TYPES entries, as snapshot_load
+    requires."""
+    lists = {"model.s_channels": model.s_channels, "model.r_channels": model.r_channels,
+             "state.s_states": state.s_states, "state.r_states": state.r_states,
+             "tracker.counts": tracker.counts, "tracker.sums": tracker.sums}
+    for name, items in lists.items():
+        if len(items) != CALENDAR_TYPES:
+            raise ValueError(f"{name} has {len(items)} entries, not {CALENDAR_TYPES}")
     payload = {
         "n_calendar_types": CALENDAR_TYPES,
         "r_dim": R_DIM,

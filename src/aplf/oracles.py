@@ -261,7 +261,8 @@ def self_check(seed: int = 0, verbose: bool = True) -> bool:
         r_params = GaussianChannelParams(eta=rng.normal(size=3), sigma=float(rng.uniform(0.3, 2.0)))
         u_vectors = [rng.normal(size=3) for _ in range(8)]
         anchor = float(rng.normal())
-        model = ModelParams(s_channels=[s_params], r_channels=[r_params])
+        model = ModelParams.initial()
+        model.s_channels[0], model.r_channels[0] = s_params, r_params
         instance = InstanceVector(anchor_load=anchor, observations=tuple(u_vectors), types=(1,) * 8, t=0)
         path = predict(model, instance)
         reference = exact_filter_oracle(anchor, [(s_params, r_params, u) for u in u_vectors])

@@ -275,74 +275,59 @@ class OnlineLearner:
         if not len(targets) == len(types) == len(observations):
             raise ValueError(f"{len(targets)} targets, {len(types)} calendar types and "
                              f"{len(observations)} observations must be equally many")
-        hp = self.hp
-        lambda_s, lambda_r = hp.lambda_s, hp.lambda_r
+        lambda_s, lambda_r = self.hp.lambda_s, self.hp.lambda_r
         s_params, r_params = self.model.s_channels, self.model.r_channels
         s_states, r_states = self.state.s_states, self.state.r_states
-        diagnostics, pending = self.diagnostics, self.state.pending
+        learn = self._learn
         prev = instance.anchor_load
         for obs, c, target in zip(observations, types, targets):
             if not 1 <= c <= CALENDAR_TYPES:
                 raise IndexError(f"calendar type {c} outside 1..{CALENDAR_TYPES}")
             if target is not None:
-                i = c - 1
                 # The observation channel goes first: it alone can reject its
                 # sample, and then neither channel of the step has changed.
                 if obs is not None:
-                    if pending and ("r", c) in pending:
-                        self._update_pending("r", c, obs, target, lambda_r)
-                    else:
-                        state = r_states[i]
-                        channel_update(state, r_params[i], obs, target, lambda_r, diagnostics)
-                        after = trace_reset(state, hp)
-                        if after is not state:
-                            r_states[i] = after
-                            diagnostics.trace_resets += 1
+                    learn("r", c, r_params, r_states, obs, target, lambda_r)
                 if prev is not None:
-                    u = (1.0, prev)
-                    if pending and ("s", c) in pending:
-                        self._update_pending("s", c, u, target, lambda_s)
-                    else:
-                        state = s_states[i]
-                        channel_update(state, s_params[i], u, target, lambda_s, diagnostics)
-                        after = trace_reset(state, hp)
-                        if after is not state:
-                            s_states[i] = after
-                            diagnostics.trace_resets += 1
+                    learn("s", c, s_params, s_states, (1.0, prev), target, lambda_s)
             prev = target
 
-    def _update_pending(self, kind: str, c: int, u: tuple[float, ...], s_value: float, lam: float) -> None:
-        """Add a sample to a channel awaiting batch initialization, and initialize it once its
-        buffer is solvable; after BATCH_INIT_MAX_BUFFER unsolvable samples, replay the buffer
-        from the zero start instead, so no sample is lost. ValueError, with the buffer as it
-        was, for a regressor of other than the channel's K entries."""
-        if kind == "s":
-            params, states = self.model.s_channels, self.state.s_states
+    def _learn(self, kind: str, c: int, params: list, states: list, u: tuple[float, ...], s: float,
+               lam: float) -> None:
+        """Learn channel kind:c, whose records are params[c - 1] and states[c - 1], from
+        sample (u, s). A live channel takes a channel_update. A channel awaiting batch
+        initialization buffers the sample instead, and is initialized once its buffer is
+        solvable; after BATCH_INIT_MAX_BUFFER unsolvable samples the buffer is replayed from
+        the zero start, so no sample is lost, and the replay's records are stored only once
+        it has finished. Either way a changed channel then takes a counted trace_reset. A
+        buffered regressor of other than the channel's K entries raises ValueError, with the
+        buffer as it was."""
+        i, diagnostics, pending = c - 1, self.diagnostics, self.state.pending
+        if pending and (kind, c) in pending:
+            k = len(states[i].P)
+            if len(u) != k:
+                raise ValueError(f"channel {kind}:{c} takes {k} regressors, got {len(u)}")
+            buf = pending[(kind, c)]
+            buf.append((u, s))
+            try:
+                state, fresh = batch_initialize(buf, lam)
+            except SingularGram:
+                if len(buf) < BATCH_INIT_MAX_BUFFER:
+                    return
+                state, fresh = ChannelState.identity(k), GaussianChannelParams.zeros(k)
+                for u_j, s_j in buf:
+                    channel_update(state, fresh, u_j, s_j, lam, diagnostics)
+                    after = trace_reset(state, self.hp)
+                    if after is not state:
+                        diagnostics.trace_resets += 1
+                        state = after
+                diagnostics.batch_init_fallbacks += 1
+            del pending[(kind, c)]
+            params[i] = fresh
         else:
-            params, states = self.model.r_channels, self.state.r_states
-        if len(u) != len(states[c - 1].P):
-            raise ValueError(f"channel {kind}:{c} takes {len(states[c - 1].P)} regressors, got {len(u)}")
-        diagnostics = self.diagnostics
-        buf = self.state.pending[(kind, c)]
-        buf.append((u, s_value))
-        try:
-            new_state, new_params = batch_initialize(buf, lam)
-        except SingularGram:
-            if len(buf) < BATCH_INIT_MAX_BUFFER:
-                return
-            new_state = ChannelState.identity(len(u))
-            new_params = GaussianChannelParams.zeros(len(u))
-            for u_j, s_j in buf:
-                channel_update(new_state, new_params, u_j, s_j, lam, diagnostics)
-                after = trace_reset(new_state, self.hp)
-                if after is not new_state:
-                    diagnostics.trace_resets += 1
-                    new_state = after
-            diagnostics.batch_init_fallbacks += 1
-        del self.state.pending[(kind, c)]
-
-        after = trace_reset(new_state, self.hp)
-        if after is not new_state:
+            state = states[i]
+            channel_update(state, params[i], u, s, lam, diagnostics)
+        after = trace_reset(state, self.hp)
+        if after is not state:
             diagnostics.trace_resets += 1
-        states[c - 1] = after
-        params[c - 1] = new_params
+        states[i] = after

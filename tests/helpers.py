@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from aplf.metrics import QUANTILE_LEVELS, QUANTILE_Z
-from aplf.model_types import R_DIM, ChannelState, GaussianChannelParams, LearnerState, ModelParams
+from aplf.model_types import CALENDAR_TYPES, R_DIM, ChannelState, GaussianChannelParams, LearnerState, ModelParams
 from aplf.recursive_learner import (
     BATCH_INIT_MAX_BUFFER,
     GRAM_CONDITION_LIMIT,
@@ -134,11 +134,11 @@ def reference_learn_step(learner, instance, targets) -> None:
         prev = target
 
 
-def random_model(rng, n_types, sigma_range=(0.3, 2.5), slope_range=1.1):
-    """Random well-posed model parameters of n_types calendar types for forecaster tests."""
+def random_model(rng, sigma_range=(0.3, 2.5), slope_range=1.1):
+    """Random well-posed model parameters of every calendar type for forecaster tests."""
     s_channels = []
     r_channels = []
-    for _ in range(n_types):
+    for _ in range(CALENDAR_TYPES):
         s_channels.append(
             GaussianChannelParams(
                 eta=np.array([rng.normal(), rng.uniform(-slope_range, slope_range)]),

@@ -191,7 +191,7 @@ def test_forecaster_equals_exact_filtering():
     rng = np.random.default_rng(303)
     worst_predict = 0.0
     for _ in range(500):
-        model = random_model(rng, 6)
+        model = random_model(rng)
         horizon = int(rng.integers(1, 25))
         u_vectors = [rng.normal(size=3) for _ in range(horizon)]
         anchor = float(rng.normal(scale=2.0))

@@ -81,7 +81,7 @@ def test_forecast_step_degenerate_variances():
 
 @pytest.mark.parametrize("u_r", [(1.0, 5.0), (1.0, 0.0, 0.0, 7.0)], ids=["short", "long"])
 def test_an_observation_regressor_of_other_than_three_entries_is_rejected(u_r):
-    model = random_model(np.random.default_rng(9), 1)
+    model = random_model(np.random.default_rng(9))
     with pytest.raises(ValueError):
         forecast_step(1.0, 0.0, model.s_channels[0], model.r_channels[0], u_r)
     with pytest.raises(ValueError):
@@ -91,7 +91,7 @@ def test_an_observation_regressor_of_other_than_three_entries_is_rejected(u_r):
 def test_forecast_variance_is_bounded_by_observation_sigma():
     rng = np.random.default_rng(8)
     for _ in range(50):
-        model = random_model(rng, 1)
+        model = random_model(rng)
         sigma_r = model.r_channels[0].sigma
         mean, std = float(rng.normal()), 0.0
         for _ in range(12):
@@ -100,10 +100,9 @@ def test_forecast_variance_is_bounded_by_observation_sigma():
 
 
 def test_predict_single_step_path():
-    model = ModelParams(
-        s_channels=[GaussianChannelParams(eta=np.array([2.0, 0.0]), sigma=1.0)],
-        r_channels=[GaussianChannelParams(eta=np.array([4.0, 0.0, 0.0]), sigma=1.0)],
-    )
+    model = ModelParams.initial()
+    model.s_channels[0] = GaussianChannelParams(eta=np.array([2.0, 0.0]), sigma=1.0)
+    model.r_channels[0] = GaussianChannelParams(eta=np.array([4.0, 0.0, 0.0]), sigma=1.0)
     instance = InstanceVector(anchor_load=7.0, observations=(np.array([1.0, 0.0, 0.0]),), types=(1,), t=5)
     path = predict(model, instance)
     assert path.mean == [3.0]
@@ -115,7 +114,7 @@ def test_predict_single_step_path():
 def test_predict_matches_filter_oracle_on_multi_type_paths():
     rng = np.random.default_rng(13)
     for _ in range(25):
-        model = random_model(rng, 6)
+        model = random_model(rng)
         anchor = float(rng.normal())
         u_vectors = [rng.normal(size=3) for _ in range(24)]
         types = [(i % 6) + 1 for i in range(1, 25)]
@@ -145,7 +144,7 @@ def test_converged_noiseless_identity_pattern_reproduces_the_constant():
 
 
 def test_predict_requires_anchor_and_observation_slots():
-    model = random_model(np.random.default_rng(0), 1)
+    model = random_model(np.random.default_rng(0))
     with pytest.raises(ValueError):
         predict(model, InstanceVector(anchor_load=None, observations=(None,), types=(1,), t=0))
     with pytest.raises(ValueError):
@@ -154,7 +153,7 @@ def test_predict_requires_anchor_and_observation_slots():
 
 def test_cold_start_borrows_same_hour_other_day_class_first():
     rng = np.random.default_rng(21)
-    model = random_model(rng, 48)
+    model = random_model(rng)
     state = LearnerState.initial()
     # Only the weekend twin of hour 13 (type 38) and one unrelated type are trained.
     state.s_states[38 - 1].gamma = 5.0
@@ -166,7 +165,7 @@ def test_cold_start_borrows_same_hour_other_day_class_first():
 
 def test_cold_start_without_any_trained_type_raises():
     rng = np.random.default_rng(22)
-    model = random_model(rng, 4)
+    model = random_model(rng)
     state = LearnerState.initial()
     instance = InstanceVector(anchor_load=1.0, observations=(np.array([1.0, 0.0, 0.0]),), types=(2,), t=0)
     with pytest.raises(ColdStart):
@@ -175,7 +174,7 @@ def test_cold_start_without_any_trained_type_raises():
 
 def test_trained_types_are_used_directly():
     rng = np.random.default_rng(23)
-    model = random_model(rng, 4)
+    model = random_model(rng)
     state = trained_state_like(model)
     instance = InstanceVector(anchor_load=1.0, observations=(None, None), types=(2, 3), t=0)
     path = predict(model, instance, state=state)
@@ -185,7 +184,7 @@ def test_trained_types_are_used_directly():
 
 
 def test_a_missing_observation_takes_the_neutral_regressor():
-    model = random_model(np.random.default_rng(24), 2)
+    model = random_model(np.random.default_rng(24))
     neutral = (1.0, 0.0, 0.0)
     types = (2, 1, 2)
     missing = predict(model, InstanceVector(anchor_load=1.0, observations=(None, None, None), types=types, t=0))

@@ -135,9 +135,10 @@ def test_temperature_thresholds_may_be_negative_or_infinite_but_not_nan(tmp_path
     assert "w1: w1 must not be NaN" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key", ["calendar_types", "n_calendar_types"])
+@pytest.mark.parametrize("key", ["calendar_types", "n_calendar_types", "output_dir"])
 def test_calendar_types_is_an_unknown_key(tmp_path, data_csv, capsys, key):
-    # The model fixes its 48 calendar types, so no key sets them.
+    # The model fixes its 48 calendar types, so no key sets them; outputs go
+    # where --output-dir says, so no key sets that either.
     cfg = write_cli_config(tmp_path, **{key: 48})
     with pytest.raises(ParseError, match=rf"run\.cfg:3: unknown key '{key}'"):
         load_config(cfg)
@@ -277,6 +278,13 @@ def test_ingest_requires_load_unit(tmp_path):
         ingest_csv(path, base_config(load_unit=None))
 
 
+def test_read_series_parses_without_a_load_unit(tmp_path):
+    path = tmp_path / "x.csv"
+    path.write_text("timestamp,load\n2021-03-01T00:00:00+00:00,1.0\n2021-03-01T02:00:00+00:00,1.5\n")
+    series = harness.read_series(path, base_config(load_unit=None))
+    assert (series.index, series.load, series.temperature) == ([0, 2], [1.0, 1.5], [None, None])
+
+
 def test_ingest_rejects_negative_load(tmp_path):
     path = tmp_path / "x.csv"
     path.write_text("timestamp,load\n2021-03-01T00:00:00+00:00,-1.0\n")
@@ -335,6 +343,18 @@ def test_snapshot_round_trip_is_bit_identical(tmp_path, data_csv):
         assert np.array_equal(a.P, b.P)
         assert a.gamma == b.gamma
     assert snap.tracker.sums == again.tracker.sums
+
+
+@pytest.mark.parametrize("owner, name", [("model", "s_channels"), ("model", "r_channels"), ("state", "s_states"),
+                                         ("state", "r_states"), ("tracker", "counts"), ("tracker", "sums")])
+def test_snapshot_save_refuses_a_list_of_47_entries_and_writes_no_file(tmp_path, owner, name):
+    # snapshot_load would refuse the file as corrupt, so it is never written.
+    records = {"model": ModelParams.initial(), "state": LearnerState.initial(), "tracker": TemperatureTracker()}
+    getattr(records[owner], name).pop()
+    path = tmp_path / "short.snapshot"
+    with pytest.raises(ValueError, match=rf"{owner}\.{name} has 47 entries, not 48"):
+        snapshot_save(path, records["model"], records["state"], records["tracker"], HyperParams())
+    assert not path.exists()
 
 
 def test_snapshot_shape_mismatch(tmp_path, data_csv, capsys):

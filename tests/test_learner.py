@@ -459,6 +459,23 @@ def test_batch_init_mode_falls_back_after_buffer_cap():
     assert learner.state.r_states[0].gamma > 0.0
 
 
+def test_a_degenerate_update_in_the_fallback_replay_leaves_the_channel_as_it_was():
+    # Only the intercept is ever nonzero, so the buffer never solves. At the cap the
+    # zero-start replay's first update overflows sigma, and the replay stores nothing.
+    learner = OnlineLearner(HyperParams(horizon=1), init_mode="batch")
+    params, state = learner.model.r_channels[0], learner.state.r_states[0]
+    before = copy.deepcopy((params, state))
+    instance = InstanceVector(anchor_load=None, observations=((1.0, 0.0, 0.0),), types=(1,), t=0)
+    for _ in range(BATCH_INIT_MAX_BUFFER - 1):
+        learner.learn_step(instance, [1e200])
+    with pytest.raises(DegenerateUpdate, match="non-finite"):
+        learner.learn_step(instance, [1e200])
+    assert learner.model.r_channels[0] is params and learner.state.r_states[0] is state
+    assert (params, state) == before
+    assert len(learner.state.pending[("r", 1)]) == BATCH_INIT_MAX_BUFFER
+    assert learner.diagnostics.batch_init_fallbacks == 0
+
+
 @pytest.mark.parametrize("bad_type", [0, 49])
 def test_learn_step_rejects_a_calendar_type_outside_1_to_48(bad_type):
     hp = HyperParams()
