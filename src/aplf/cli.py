@@ -112,7 +112,7 @@ def _cmd_metrics(args) -> int:
     # awareness (naive or offset-aware) has none.
     step = timedelta(minutes=1)
     series = harness.read_series(args.actuals, harness.RunConfig(step=step))
-    rows = []
+    actual, means, stds = [], [], []
     for ts, mean, std in forecasts:
         try:
             i, rem = divmod(ts - series.start, step)
@@ -120,10 +120,12 @@ def _cmd_metrics(args) -> int:
             continue
         k = bisect_left(series.index, i)
         if not rem and k < len(series) and series.index[k] == i and series.load[k] is not None:
-            rows.append((series.load[k], mean, std))
-    if not rows:
+            actual.append(series.load[k])
+            means.append(mean)
+            stds.append(std)
+    if not actual:
         raise harness.EmptySpan("no overlapping (forecast, actual) timestamps")
-    report = evaluate_forecasts(*zip(*rows))
+    report = evaluate_forecasts(actual, means, stds)
     for line in report.lines():
         print(line)
     return 0

@@ -54,6 +54,8 @@ LOAD_UNITS = ("kW", "MW", "GW")
 # The forecasts.csv header, and the columns emit_quantiles appends to it.
 _FORECAST_HEADER = "timestamp,horizon,mean,std"
 _QUANTILE_COLUMNS = "," + ",".join(f"q{int(round(q * 100)):02d}" for q in QUANTILE_LEVELS)
+# Forecast rows per write of forecasts.csv.
+_WRITE_CHUNK_ROWS = 4096
 
 
 class ParseError(Exception):
@@ -697,7 +699,11 @@ def _check_comparable(name: str, value: datetime | None, base: datetime) -> None
 def _write_outputs(output_dir: Path, header: str, forecast_rows: list[str],
                    report: EvalReport | None, notes: dict) -> None:
     output_dir.mkdir(parents=True, exist_ok=True)
-    (output_dir / "forecasts.csv").write_text("\n".join([header, *forecast_rows]) + "\n")
+    # Written in chunks of rows, so that no copy of the whole file is built.
+    with (output_dir / "forecasts.csv").open("w") as fh:
+        fh.write(header + "\n")
+        for i in range(0, len(forecast_rows), _WRITE_CHUNK_ROWS):
+            fh.write("".join(row + "\n" for row in forecast_rows[i:i + _WRITE_CHUNK_ROWS]))
     lines = []
     if report is not None:
         lines.extend(report.lines())

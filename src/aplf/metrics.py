@@ -59,11 +59,10 @@ def mape(actual, point) -> tuple[float, int]:
     actual load is 0 the mean is nan.
     """
     n = _length(actual, point)
-    usable = [(s, s_hat) for s, s_hat in zip(actual, point) if s != 0]
-    if not usable:
+    errors = [abs((s - s_hat) / s) for s, s_hat in zip(actual, point) if s != 0]
+    if not errors:
         return math.nan, n
-    value = 100.0 * math.fsum(abs((s - s_hat) / s) for s, s_hat in usable) / len(usable)
-    return value, n - len(usable)
+    return 100.0 * math.fsum(errors) / len(errors), n - len(errors)
 
 
 # The fixed grid of quantile levels 0.01..0.99 that pinball loss and

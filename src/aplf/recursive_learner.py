@@ -39,6 +39,8 @@ __all__ = [
 # A weighted Gram matrix above this condition number is treated as singular.
 GRAM_CONDITION_LIMIT = 1e12
 
+_ILL_CONDITIONED = f"weighted Gram matrix not positive definite with condition number below {GRAM_CONDITION_LIMIT:g}"
+
 # Samples buffered per channel before batch initialization gives up and
 # falls back to a zero-initialized replay.
 BATCH_INIT_MAX_BUFFER = 32
@@ -189,36 +191,131 @@ def batch_initialize(
     """Exact batch solve of the weighted maximum-likelihood problem.
 
     Returns (state, params) such that continuing with channel_update
-    reproduces the batch maximizer at every later step. Raises
-    SingularGram when the weighted Gram matrix has condition number at or
-    above GRAM_CONDITION_LIMIT. A structurally singular buffer, with fewer
-    samples than regressors or a regressor that is 0 in every sample,
-    raises before any array is built or factorized.
+    reproduces the batch maximizer at every later step. One pass over the
+    buffer accumulates the weighted Gram matrix G (G <- lam G + u u'),
+    q = sum w s u, sum w s^2 and gamma. P = G^-1 is solved in closed form
+    for the model's two shapes, K = 2 and K = 3, on the upper triangle and
+    mirrored, so it is exactly symmetric, and eta = P q. Raises SingularGram
+    when G is not finite, not positive definite, or has a condition number,
+    from closed-form eigenvalues, at or above GRAM_CONDITION_LIMIT. A
+    structurally singular buffer, with fewer samples than regressors or a
+    regressor that is 0 in every sample, raises before any sum is taken.
+    Any other K is a ValueError.
     """
     n = len(samples)
     if n == 0:
         raise SingularGram("no samples")
-    if n < len(samples[0][0]) or not all(map(any, zip(*[u for u, _ in samples]))):
+    k = len(samples[0][0])
+    if n < k or not all(map(any, zip(*[u for u, _ in samples]))):
         raise SingularGram("fewer samples than regressors, or a regressor that is 0 in every sample")
-    # numpy is loaded by the first factorisation, so a run that never makes one does not import it.
-    import numpy as np
+    gamma = m2 = 0.0
+    if k == 2:
+        g00 = g01 = g11 = q0 = q1 = 0.0
+        for (u0, u1), s in samples:
+            g00 = lam * g00 + u0 * u0
+            g01 = lam * g01 + u0 * u1
+            g11 = lam * g11 + u1 * u1
+            q0 = lam * q0 + s * u0
+            q1 = lam * q1 + s * u1
+            m2 = lam * m2 + s * s
+            gamma = lam * gamma + 1.0
+        p, eta = _solve_k2(g00, g01, g11, q0, q1)
+        q_eta = q0 * eta[0] + q1 * eta[1]
+    elif k == 3:
+        g00 = g01 = g02 = g11 = g12 = g22 = q0 = q1 = q2 = 0.0
+        for (u0, u1, u2), s in samples:
+            g00 = lam * g00 + u0 * u0
+            g01 = lam * g01 + u0 * u1
+            g02 = lam * g02 + u0 * u2
+            g11 = lam * g11 + u1 * u1
+            g12 = lam * g12 + u1 * u2
+            g22 = lam * g22 + u2 * u2
+            q0 = lam * q0 + s * u0
+            q1 = lam * q1 + s * u1
+            q2 = lam * q2 + s * u2
+            m2 = lam * m2 + s * s
+            gamma = lam * gamma + 1.0
+        p, eta = _solve_k3(g00, g01, g02, g11, g12, g22, q0, q1, q2)
+        q_eta = q0 * eta[0] + q1 * eta[1] + q2 * eta[2]
+    else:
+        raise ValueError(f"batch_initialize supports K = 2 or 3 regressors, got {k}")
+    sigma = math.sqrt(max((m2 - q_eta) / gamma, 0.0))
+    return ChannelState(P=p, gamma=gamma), GaussianChannelParams(eta=eta, sigma=sigma)
 
-    u_mat = np.array([np.asarray(u, dtype=float) for u, _ in samples])
-    s_vec = np.array([s for _, s in samples], dtype=float)
-    weights = lam ** np.arange(n - 1, -1, -1, dtype=float)
 
-    gram = (u_mat * weights[:, None]).T @ u_mat
-    if not np.all(np.isfinite(gram)) or np.linalg.cond(gram) >= GRAM_CONDITION_LIMIT:
-        raise SingularGram(f"weighted Gram condition number above {GRAM_CONDITION_LIMIT:g}")
+def _solve_k2(g00: float, g01: float, g11: float, q0: float, q1: float) -> tuple[list, list]:
+    """(P, eta) = (G^-1, G^-1 q) for G = [[g00, g01], [g01, g11]], or SingularGram.
 
-    q = u_mat.T @ (weights * s_vec)
-    eta = np.linalg.solve(gram, q)
-    gamma = float(weights.sum())
-    p = np.linalg.inv(gram)
-    p = (p + p.T) / 2.0
-    radicand = (float(weights @ s_vec**2) - float(q @ eta)) / gamma
-    sigma = math.sqrt(max(radicand, 0.0))
-    return ChannelState(P=p.tolist(), gamma=gamma), GaussianChannelParams(eta=eta.tolist(), sigma=sigma)
+    P is the adjugate of G over its determinant. The larger eigenvalue
+    comes from the quadratic formula, where nothing cancels, and the
+    smaller from det / larger.
+    """
+    if not (isfinite(g00) and isfinite(g01) and isfinite(g11)):
+        raise SingularGram("weighted Gram matrix is not finite")
+    det = g00 * g11 - g01 * g01
+    largest = 0.5 * (g00 + g11) + math.hypot(0.5 * (g00 - g11), g01)
+    if not (det > 0.0 and largest < GRAM_CONDITION_LIMIT * (det / largest)):
+        raise SingularGram(_ILL_CONDITIONED)
+    p00, p01, p11 = g11 / det, -g01 / det, g00 / det
+    return [[p00, p01], [p01, p11]], [p00 * q0 + p01 * q1, p01 * q0 + p11 * q1]
+
+
+def _solve_k3(g00: float, g01: float, g02: float, g11: float, g12: float, g22: float,
+              q0: float, q1: float, q2: float) -> tuple[list, list]:
+    """(P, eta) = (G^-1, G^-1 q) for the symmetric G with upper triangle g, or SingularGram.
+
+    P comes from G = L D L' written out: G is positive definite exactly when
+    the three pivots d are, and P = L^-T D^-1 L^-1, computed on the upper
+    triangle and mirrored, is as accurate as a factorizing inverse. The
+    adjugate would not be: its cofactors cancel to rounding error once two
+    eigenvalues of G are small. cond(G) is the product of the largest
+    eigenvalues of G and of P, the latter being 1 / lambda_min(G).
+    """
+    if not (isfinite(g00) and isfinite(g01) and isfinite(g02) and isfinite(g11) and isfinite(g12)
+            and isfinite(g22)):
+        raise SingularGram("weighted Gram matrix is not finite")
+    d0 = g00
+    if not d0 > 0.0:
+        raise SingularGram(_ILL_CONDITIONED)
+    l10, l20 = g01 / d0, g02 / d0
+    d1 = g11 - l10 * g01
+    if not d1 > 0.0:
+        raise SingularGram(_ILL_CONDITIONED)
+    e21 = g12 - l10 * g02
+    l21 = e21 / d1
+    d2 = g22 - l20 * g02 - l21 * e21
+    if not d2 > 0.0:
+        raise SingularGram(_ILL_CONDITIONED)
+    # The rows below the diagonal of L^-1 are (m10, 1, 0) and (m20, m21, 1).
+    m10, m20, m21 = -l10, l10 * l21 - l20, -l21
+    p22 = 1.0 / d2
+    p12, p02 = m21 * p22, m20 * p22
+    p11 = 1.0 / d1 + m21 * p12
+    p01 = m10 / d1 + m21 * p02
+    p00 = 1.0 / d0 + m10 * m10 / d1 + m20 * p02
+    if not (_largest_eigenvalue(g00, g01, g02, g11, g12, g22) * _largest_eigenvalue(p00, p01, p02, p11, p12, p22)
+            < GRAM_CONDITION_LIMIT):
+        raise SingularGram(_ILL_CONDITIONED)
+    return ([[p00, p01, p02], [p01, p11, p12], [p02, p12, p22]],
+            [p00 * q0 + p01 * q1 + p02 * q2, p01 * q0 + p11 * q1 + p12 * q2, p02 * q0 + p12 * q1 + p22 * q2])
+
+
+def _largest_eigenvalue(a00: float, a01: float, a02: float, a11: float, a12: float, a22: float) -> float:
+    """The largest eigenvalue of the symmetric 3 x 3 matrix with upper triangle a.
+
+    Smith's trigonometric method (CACM 1961): with m = tr(A) / 3 and
+    B = (A - m I) / r scaled so that tr(B^2) = 6, it is m + 2 r cos(phi),
+    phi = acos(det(B) / 2) / 3. A diagonal A is its own eigenvalues.
+    """
+    off = a01 * a01 + a02 * a02 + a12 * a12
+    if off == 0.0:
+        return max(a00, a11, a22)
+    m = (a00 + a11 + a22) / 3.0
+    d0, d1, d2 = a00 - m, a11 - m, a22 - m
+    r = math.sqrt((d0 * d0 + d1 * d1 + d2 * d2 + 2.0 * off) / 6.0)
+    b00, b01, b02, b11, b12, b22 = d0 / r, a01 / r, a02 / r, d1 / r, a12 / r, d2 / r
+    half_det = 0.5 * (b00 * (b11 * b22 - b12 * b12) - b01 * (b01 * b22 - b12 * b02) + b02 * (b01 * b12 - b11 * b02))
+    return m + 2.0 * r * math.cos(math.acos(min(max(half_det, -1.0), 1.0)) / 3.0)
 
 
 class OnlineLearner:

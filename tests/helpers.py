@@ -1,5 +1,5 @@
 """Shared test fixtures: random model builders, the discounted log-likelihood,
-the matrix form of the channel update, the factorizing batch solve, a one-sample-at-a-time
+the matrix form of the channel update, agreement of a batch solve with its oracle, a one-sample-at-a-time
 learn step, the scalar pinball loss, whole-table quantile scoring, and the environment of a
 subprocess that imports the package from this checkout."""
 
@@ -13,9 +13,9 @@ import numpy as np
 
 from aplf.metrics import QUANTILE_LEVELS, QUANTILE_Z
 from aplf.model_types import CALENDAR_TYPES, R_DIM, ChannelState, GaussianChannelParams, LearnerState, ModelParams
+from aplf.oracles import batch_ml_oracle
 from aplf.recursive_learner import (
     BATCH_INIT_MAX_BUFFER,
-    GRAM_CONDITION_LIMIT,
     SingularGram,
     batch_initialize,
     channel_update,
@@ -65,23 +65,34 @@ def reference_channel_update(p, gamma: float, eta, sigma: float, u, s: float, la
     return p_new, gamma_new, eta + pu * (innovation / gain_denom), math.sqrt(max(radicand, 0.0))
 
 
-def reference_batch_initialize(samples, lam: float):
-    """batch_initialize without its structural pre-check: the weighted Gram matrix's condition
-    number alone decides singularity for every buffer, and the solve is the same numpy algebra."""
-    n = len(samples)
+def assert_agrees_with_batch_oracle(state, params, samples, lam: float) -> None:
+    """Assert that batch_initialize's (state, params) for samples is oracles.batch_ml_oracle's
+    solution: eta, sigma and P G = I, each within a bound proportional to cond(G) * eps.
+
+    The two routes sum G, q = sum w s u and sum w s^2 in different orders, so they differ by
+    n * eps relative to the sums of absolute terms; a solve amplifies that by at most cond(G).
+    sigma^2 is a difference of second moments, so its allowance is that of the acceptance
+    criterion: delta = 8 n eps cond(G) (sum w s^2 + |q| . |eta*|) / gamma.
+    """
+    eta_star, sigma_star = batch_ml_oracle(samples, lam)
+    n, eps = len(samples), np.finfo(float).eps
     u_mat = np.array([np.asarray(u, dtype=float) for u, _ in samples])
     s_vec = np.array([s for _, s in samples], dtype=float)
     weights = lam ** np.arange(n - 1, -1, -1, dtype=float)
     gram = (u_mat * weights[:, None]).T @ u_mat
-    if not np.all(np.isfinite(gram)) or np.linalg.cond(gram) >= GRAM_CONDITION_LIMIT:
-        raise SingularGram("weighted Gram matrix is singular")
+    cond, inv_norm = float(np.linalg.cond(gram)), float(np.linalg.norm(np.linalg.inv(gram), 2))
+    q_abs = np.abs(u_mat).T @ (weights * np.abs(s_vec))
+    bound = 8.0 * n * eps
+    eta_err = float(np.linalg.norm(np.asarray(params.eta) - eta_star))
+    assert eta_err <= bound * (cond * float(np.linalg.norm(eta_star)) + inv_norm * float(np.linalg.norm(q_abs)))
+    assert float(np.max(np.abs(np.asarray(state.P) @ gram - np.eye(len(gram))))) <= bound * cond
     q = u_mat.T @ (weights * s_vec)
-    eta = np.linalg.solve(gram, q)
-    gamma = float(weights.sum())
-    p = np.linalg.inv(gram)
-    p = (p + p.T) / 2.0
-    sigma = math.sqrt(max((float(weights @ s_vec**2) - float(q @ eta)) / gamma, 0.0))
-    return ChannelState(P=p.tolist(), gamma=gamma), GaussianChannelParams(eta=eta.tolist(), sigma=sigma)
+    delta = bound * cond * (float(weights @ s_vec**2) + float(np.abs(q) @ np.abs(eta_star))) / state.gamma
+    sigma_tol = 1e-12 * max(1.0, sigma_star)
+    if delta > 0.0:
+        sigma_tol += 2.0 * delta / (max(params.sigma, sigma_star) + math.sqrt(delta))
+    assert abs(params.sigma - sigma_star) <= sigma_tol
+    assert math.isclose(state.gamma, float(weights.sum()), rel_tol=bound)
 
 
 def reference_learn_step(learner, instance, targets) -> None:

@@ -435,7 +435,7 @@ def test_a_re_serialized_snapshot_loads_and_resaves_byte_identically(tmp_path):
     assert (tmp_path / "again.snapshot").read_bytes() == SNAPSHOT_V1_48.read_bytes()
 
 
-@pytest.mark.parametrize("eta", [3.0992745267073176, math.nan], ids=["as-saved", "nan"])
+@pytest.mark.parametrize("eta", [3.099274526707321, math.nan], ids=["as-saved", "nan"])
 def test_a_hand_hashed_non_canonical_payload_is_checked_value_by_value(tmp_path, eta):
     doc = json.loads(SNAPSHOT_V1_48.read_text())
     doc["payload"]["model"]["s_channels"][0]["eta"][0] = eta
@@ -1385,12 +1385,21 @@ def test_cli_self_check_passes():
     assert cli_main(["self-check"]) == 0
 
 
-def test_cli_run_loads_neither_the_oracles_nor_numpy(tmp_path, data_csv):
-    # Only self-check needs the oracles, and only a batch solve needs numpy:
-    # a zero-init run in a fresh interpreter imports neither.
-    cfg = write_cli_config(tmp_path)
-    code = ("import sys; from aplf import cli; "
-            f"rc = cli.main(['run', '--data', {str(data_csv)!r}, '--config', {str(cfg)!r}]); "
-            "sys.exit(rc or ' '.join(sorted({'aplf.oracles', 'numpy'} & set(sys.modules))) or None)")
+@pytest.mark.parametrize("init_mode", ["zero", "batch"])
+def test_cli_run_loads_neither_the_oracles_nor_numpy(tmp_path, data_csv, init_mode):
+    # Only self-check needs the oracles, and no run needs numpy: a run in a fresh
+    # interpreter imports neither. The batch-init run must have solved a buffer, or
+    # it would not have reached the closed-form solve.
+    if init_mode == "batch":
+        data_csv = tmp_path / "batch.csv"
+        write_batch_init_series(data_csv)
+    cfg = write_cli_config(tmp_path, init_mode=init_mode, temperature_unit="C")
+    code = ("import sys; from aplf import cli, recursive_learner as rl; solved = []; solve = rl.batch_initialize\n"
+            "def counting(samples, lam):\n"
+            "    out = solve(samples, lam); solved.append(out); return out\n"
+            "rl.batch_initialize = counting\n"
+            f"rc = cli.main(['run', '--data', {str(data_csv)!r}, '--config', {str(cfg)!r}])\n"
+            "loaded = ' '.join(sorted({'aplf.oracles', 'numpy'} & set(sys.modules)))\n"
+            f"sys.exit(rc or loaded or ({init_mode!r} == 'batch' and not solved and 'no buffer was solved') or None)")
     done = subprocess.run([sys.executable, "-c", code], env=src_path_env(), capture_output=True, text=True)
     assert done.returncode == 0, done.stderr

@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 
 from helpers import (
     NonPositiveSigma,
-    reference_batch_initialize,
+    assert_agrees_with_batch_oracle,
     reference_channel_update,
     reference_learn_step,
     weighted_log_likelihood,
 )
 
+from aplf import recursive_learner
 from aplf.features import TemperatureShiftEncoder, TemperatureTracker
 from aplf.forecaster import InstanceVector, predict
 from aplf.harness import snapshot_load, snapshot_save
@@ -238,7 +239,42 @@ def test_batch_initialize_raises_exactly_when_the_oracle_does(data):
         with pytest.raises(SingularGram):
             batch_initialize(samples, lam)
         return
-    assert batch_initialize(samples, lam) == reference_batch_initialize(samples, lam)
+    state, params = batch_initialize(samples, lam)
+    assert_agrees_with_batch_oracle(state, params, samples, lam)
+
+
+def _diagonal_gram_buffer(k, cond):
+    """k samples whose Gram matrix at lam = 1 is diag(9, ..., 9, 9 / cond)."""
+    scales = [3.0] * (k - 1) + [3.0 * cond ** -0.5]
+    return [(tuple(scales[i] if j == i else 0.0 for j in range(k)), float(i + 1)) for i in range(k)]
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("cond, singular", [(1e12 * (1.0 - 1e-9), False), (1e12 * (1.0 + 1e-9), True)],
+                         ids=["below-limit", "above-limit"])
+def test_batch_initialize_decides_a_diagonal_gram_by_its_condition_number(k, cond, singular):
+    samples = _diagonal_gram_buffer(k, cond)
+    if singular:
+        with pytest.raises(SingularGram):
+            batch_ml_oracle(samples, 1.0)
+        with pytest.raises(SingularGram):
+            batch_initialize(samples, 1.0)
+    else:
+        state, params = batch_initialize(samples, 1.0)
+        assert_agrees_with_batch_oracle(state, params, samples, 1.0)
+
+
+@pytest.mark.parametrize("samples", [
+    [((1.0, 1e200), 1.0), ((1e200, 1.0), 2.0)],
+    [((1.0, 2.0, 3.0), 1.0), ((1.0, 0.5, math.inf), 2.0), ((2.0, 1.0, 1.0), 0.0)],
+    [((1.0, 2.0, -1.0), float(j)) for j in range(BATCH_INIT_MAX_BUFFER)],
+    [((1.0, 2.0, -1.0), 1.0), ((2.0, 4.0, -2.0), 3.0), ((-0.5, -1.0, 0.5), 2.0)],
+], ids=["non-finite-gram-k2", "non-finite-gram-k3", "rank-1-repeated-rows-k3", "rank-1-scaled-rows-k3"])
+def test_batch_initialize_raises_on_a_buffer_the_oracle_refuses(samples):
+    with pytest.raises(SingularGram):
+        batch_ml_oracle(samples, 0.7)
+    with pytest.raises(SingularGram):
+        batch_initialize(samples, 0.7)
 
 
 @pytest.mark.parametrize("samples", [
@@ -248,13 +284,17 @@ def test_batch_initialize_raises_exactly_when_the_oracle_does(data):
     [((0.0, float(j)), 1.0) for j in range(1, 4)],
 ], ids=["one-sample-k2", "two-samples-k3", "zero-a2-full-buffer", "zero-intercept"])
 def test_a_structurally_singular_buffer_raises_without_a_factorization(monkeypatch, samples):
-    def factorization(*args, **kwargs):
-        raise AssertionError("a structurally singular buffer was factorized")
+    def solve(*args, **kwargs):
+        raise AssertionError("the buffer reached the solve")
 
-    monkeypatch.setattr(np.linalg, "cond", factorization)
-    monkeypatch.setattr(np.linalg, "svd", factorization)
+    monkeypatch.setattr(recursive_learner, "_solve_k2", solve)
+    monkeypatch.setattr(recursive_learner, "_solve_k3", solve)
     with pytest.raises(SingularGram):
         batch_initialize(samples, 0.7)
+    # A solvable buffer of the same shape does reach the patched solve.
+    k = len(samples[0][0])
+    with pytest.raises(AssertionError, match="reached the solve"):
+        batch_initialize([(tuple(float(i == j) for j in range(k)), 1.0) for i in range(k)], 0.7)
 
 
 def test_batch_initialize_two_point_interpolation():
