@@ -245,8 +245,8 @@ def read_series(path: Path | str, config: RunConfig) -> Series:
     The header must be timestamp,load[,temperature]; timestamps must be
     strictly increasing on the step grid, and either all naive or all
     offset-aware. Missing steps are not errors. A load must be finite and
-    >= 0, a temperature finite; a blank cell is missing. Temperatures
-    declared in Celsius are converted to Fahrenheit here. A ParseError
+    >= 0, a temperature finite once temperatures declared in Celsius are
+    converted to Fahrenheit here; a blank cell is missing. A ParseError
     names the file and the row's last line (a quoted field may span
     lines); so does one for a row the csv module cannot read, such as a
     field over csv.field_size_limit().
@@ -296,10 +296,11 @@ def read_series(path: Path | str, config: RunConfig) -> Series:
                         if row[2].strip():
                             raise ParseError(f"{path}:{reader.line_num}: bad temperature {row[2]!r}") from exc
                     else:
-                        if not -math.inf < temp < math.inf:
-                            raise ParseError(f"{path}:{reader.line_num}: temperature must be finite, got {temp}")
                         if convert:
                             temp = _c_to_f(temp)
+                        if not -math.inf < temp < math.inf:
+                            raise ParseError(f"{path}:{reader.line_num}: temperature must be finite in degrees F, "
+                                             f"got {row[2].strip()} {config.temperature_unit}")
                 if prev_ts is None:
                     start = ts
                 else:
@@ -399,8 +400,8 @@ def snapshot_save(path: Path | str, model: ModelParams, state: LearnerState,
                   cursor: datetime | None = None) -> None:
     """Write a versioned, checksummed snapshot of the learner, its state's pending
     batch-initialization buffers included. ValueError, with no file written, unless
-    every model, state and tracker list has CALENDAR_TYPES entries, as snapshot_load
-    requires."""
+    every model, state and tracker list has CALENDAR_TYPES entries and every value is
+    finite, as snapshot_load requires."""
     lists = {"model.s_channels": model.s_channels, "model.r_channels": model.r_channels,
              "state.s_states": state.s_states, "state.r_states": state.r_states,
              "tracker.counts": tracker.counts, "tracker.sums": tracker.sums}
@@ -417,7 +418,7 @@ def snapshot_save(path: Path | str, model: ModelParams, state: LearnerState,
         "cursor": cursor.isoformat() if cursor is not None else None,
         "pending_batch": _pending_to_dict(state.pending),
     }
-    body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    body = json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
     checksum = hashlib.sha256(body.encode()).hexdigest()
     # The document is {"checksum", "format", "payload", "version"} in the
     # sorted, compact encoding; the payload's encoding is spliced in rather

@@ -8,7 +8,7 @@ Pinball loss and calibration on the quantile grid take one pass and no
 table of quantiles: coverage counts are exact, and the pinball mean is a
 closed form equal to the per-level definition up to rounding. A negative
 or infinite std is a ValueError; NaN in any column covers no level and
-gives a NaN pinball.
+gives a NaN pinball. A score whose sum overflows the float range is inf.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import mul
+from operator import mul, sub
 from statistics import NormalDist
 
 __all__ = [
@@ -45,10 +45,18 @@ def _length(actual, *forecast) -> int:
     return n
 
 
+def _fsum(terms) -> float:
+    """math.fsum of terms >= 0, inf where the exact sum overflows the float range."""
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        return math.inf
+
+
 def rmse(actual, point) -> float:
     """Root mean squared error of the point forecasts against the actual loads."""
     n = _length(actual, point)
-    return math.sqrt(math.fsum((s - s_hat) ** 2 for s, s_hat in zip(actual, point)) / n)
+    return math.sqrt(_fsum(d * d for d in map(sub, actual, point)) / n)
 
 
 def mape(actual, point) -> tuple[float, int]:
@@ -62,7 +70,7 @@ def mape(actual, point) -> tuple[float, int]:
     errors = [abs((s - s_hat) / s) for s, s_hat in zip(actual, point) if s != 0]
     if not errors:
         return math.nan, n
-    return 100.0 * math.fsum(errors) / len(errors), n - len(errors)
+    return 100.0 * _fsum(errors) / len(errors), n - len(errors)
 
 
 # The fixed grid of quantile levels 0.01..0.99 that pinball loss and
@@ -129,7 +137,7 @@ def evaluate_forecasts(actual, mean, std) -> EvalReport:
     return EvalReport(
         rmse=rmse(actual, mean),
         mape=mape_value,
-        mean_pinball=math.fsum(per_sample) / n,
+        mean_pinball=_fsum(per_sample) / n,
         calibration_curve=curve,
         ece=math.fsum(abs(q - c) for q, c in curve) / len(curve),
         n_points=n,

@@ -218,9 +218,11 @@ class ModelParams:
 class LearnerState:
     """Per-calendar-type recursive-update state for both channels.
 
-    pending holds the sample buffers of the channels still awaiting batch
-    initialization, keyed ("s", c) or ("r", c) for calendar type c's
-    transition or observation channel: a list of (u, s) samples each.
+    pending holds the sample buffers of the transition channels still
+    awaiting batch initialization, keyed ("s", c) for calendar type c: a
+    list of (u, s) samples each. Snapshots of earlier versions may also
+    hold observation-channel buffers, keyed ("r", c), which OnlineLearner
+    replays from the zero start when it takes the state.
     """
 
     s_states: list[ChannelState]

@@ -23,6 +23,7 @@ from .model_types import (
     HyperParams,
     LearnerState,
     ModelParams,
+    S_DIM,
 )
 
 __all__ = [
@@ -188,58 +189,39 @@ def trace_reset(state: ChannelState, hp: HyperParams) -> ChannelState:
 def batch_initialize(
     samples: list[tuple[tuple[float, ...], float]], lam: float
 ) -> tuple[ChannelState, GaussianChannelParams]:
-    """Exact batch solve of the weighted maximum-likelihood problem.
+    """Exact batch solve of the weighted maximum-likelihood problem of a transition channel.
 
     Returns (state, params) such that continuing with channel_update
     reproduces the batch maximizer at every later step. One pass over the
     buffer accumulates the weighted Gram matrix G (G <- lam G + u u'),
     q = sum w s u, sum w s^2 and gamma. P = G^-1 is solved in closed form
-    for the model's two shapes, K = 2 and K = 3, on the upper triangle and
-    mirrored, so it is exactly symmetric, and eta = P q. Raises SingularGram
-    when G is not finite, not positive definite, or has a condition number,
-    from closed-form eigenvalues, at or above GRAM_CONDITION_LIMIT. A
-    structurally singular buffer, with fewer samples than regressors or a
-    regressor that is 0 in every sample, raises before any sum is taken.
-    Any other K is a ValueError.
+    on the upper triangle and mirrored, so it is exactly symmetric, and
+    eta = P q. Raises SingularGram when G is not finite, not positive
+    definite, or has a condition number, from closed-form eigenvalues, at
+    or above GRAM_CONDITION_LIMIT. A structurally singular buffer, with
+    fewer samples than regressors or a regressor that is 0 in every
+    sample, raises before any sum is taken. Only the transition channel's
+    K = S_DIM = 2 regressors are solved; any other K is a ValueError.
     """
     n = len(samples)
     if n == 0:
         raise SingularGram("no samples")
     k = len(samples[0][0])
+    if k != S_DIM:
+        raise ValueError(f"batch_initialize supports K = {S_DIM} regressors, got {k}")
     if n < k or not all(map(any, zip(*[u for u, _ in samples]))):
         raise SingularGram("fewer samples than regressors, or a regressor that is 0 in every sample")
-    gamma = m2 = 0.0
-    if k == 2:
-        g00 = g01 = g11 = q0 = q1 = 0.0
-        for (u0, u1), s in samples:
-            g00 = lam * g00 + u0 * u0
-            g01 = lam * g01 + u0 * u1
-            g11 = lam * g11 + u1 * u1
-            q0 = lam * q0 + s * u0
-            q1 = lam * q1 + s * u1
-            m2 = lam * m2 + s * s
-            gamma = lam * gamma + 1.0
-        p, eta = _solve_k2(g00, g01, g11, q0, q1)
-        q_eta = q0 * eta[0] + q1 * eta[1]
-    elif k == 3:
-        g00 = g01 = g02 = g11 = g12 = g22 = q0 = q1 = q2 = 0.0
-        for (u0, u1, u2), s in samples:
-            g00 = lam * g00 + u0 * u0
-            g01 = lam * g01 + u0 * u1
-            g02 = lam * g02 + u0 * u2
-            g11 = lam * g11 + u1 * u1
-            g12 = lam * g12 + u1 * u2
-            g22 = lam * g22 + u2 * u2
-            q0 = lam * q0 + s * u0
-            q1 = lam * q1 + s * u1
-            q2 = lam * q2 + s * u2
-            m2 = lam * m2 + s * s
-            gamma = lam * gamma + 1.0
-        p, eta = _solve_k3(g00, g01, g02, g11, g12, g22, q0, q1, q2)
-        q_eta = q0 * eta[0] + q1 * eta[1] + q2 * eta[2]
-    else:
-        raise ValueError(f"batch_initialize supports K = 2 or 3 regressors, got {k}")
-    sigma = math.sqrt(max((m2 - q_eta) / gamma, 0.0))
+    gamma = m2 = g00 = g01 = g11 = q0 = q1 = 0.0
+    for (u0, u1), s in samples:
+        g00 = lam * g00 + u0 * u0
+        g01 = lam * g01 + u0 * u1
+        g11 = lam * g11 + u1 * u1
+        q0 = lam * q0 + s * u0
+        q1 = lam * q1 + s * u1
+        m2 = lam * m2 + s * s
+        gamma = lam * gamma + 1.0
+    p, eta = _solve_k2(g00, g01, g11, q0, q1)
+    sigma = math.sqrt(max((m2 - (q0 * eta[0] + q1 * eta[1])) / gamma, 0.0))
     return ChannelState(P=p, gamma=gamma), GaussianChannelParams(eta=eta, sigma=sigma)
 
 
@@ -260,73 +242,18 @@ def _solve_k2(g00: float, g01: float, g11: float, q0: float, q1: float) -> tuple
     return [[p00, p01], [p01, p11]], [p00 * q0 + p01 * q1, p01 * q0 + p11 * q1]
 
 
-def _solve_k3(g00: float, g01: float, g02: float, g11: float, g12: float, g22: float,
-              q0: float, q1: float, q2: float) -> tuple[list, list]:
-    """(P, eta) = (G^-1, G^-1 q) for the symmetric G with upper triangle g, or SingularGram.
-
-    P comes from G = L D L' written out: G is positive definite exactly when
-    the three pivots d are, and P = L^-T D^-1 L^-1, computed on the upper
-    triangle and mirrored, is as accurate as a factorizing inverse. The
-    adjugate would not be: its cofactors cancel to rounding error once two
-    eigenvalues of G are small. cond(G) is the product of the largest
-    eigenvalues of G and of P, the latter being 1 / lambda_min(G).
-    """
-    if not (isfinite(g00) and isfinite(g01) and isfinite(g02) and isfinite(g11) and isfinite(g12)
-            and isfinite(g22)):
-        raise SingularGram("weighted Gram matrix is not finite")
-    d0 = g00
-    if not d0 > 0.0:
-        raise SingularGram(_ILL_CONDITIONED)
-    l10, l20 = g01 / d0, g02 / d0
-    d1 = g11 - l10 * g01
-    if not d1 > 0.0:
-        raise SingularGram(_ILL_CONDITIONED)
-    e21 = g12 - l10 * g02
-    l21 = e21 / d1
-    d2 = g22 - l20 * g02 - l21 * e21
-    if not d2 > 0.0:
-        raise SingularGram(_ILL_CONDITIONED)
-    # The rows below the diagonal of L^-1 are (m10, 1, 0) and (m20, m21, 1).
-    m10, m20, m21 = -l10, l10 * l21 - l20, -l21
-    p22 = 1.0 / d2
-    p12, p02 = m21 * p22, m20 * p22
-    p11 = 1.0 / d1 + m21 * p12
-    p01 = m10 / d1 + m21 * p02
-    p00 = 1.0 / d0 + m10 * m10 / d1 + m20 * p02
-    if not (_largest_eigenvalue(g00, g01, g02, g11, g12, g22) * _largest_eigenvalue(p00, p01, p02, p11, p12, p22)
-            < GRAM_CONDITION_LIMIT):
-        raise SingularGram(_ILL_CONDITIONED)
-    return ([[p00, p01, p02], [p01, p11, p12], [p02, p12, p22]],
-            [p00 * q0 + p01 * q1 + p02 * q2, p01 * q0 + p11 * q1 + p12 * q2, p02 * q0 + p12 * q1 + p22 * q2])
-
-
-def _largest_eigenvalue(a00: float, a01: float, a02: float, a11: float, a12: float, a22: float) -> float:
-    """The largest eigenvalue of the symmetric 3 x 3 matrix with upper triangle a.
-
-    Smith's trigonometric method (CACM 1961): with m = tr(A) / 3 and
-    B = (A - m I) / r scaled so that tr(B^2) = 6, it is m + 2 r cos(phi),
-    phi = acos(det(B) / 2) / 3. A diagonal A is its own eigenvalues.
-    """
-    off = a01 * a01 + a02 * a02 + a12 * a12
-    if off == 0.0:
-        return max(a00, a11, a22)
-    m = (a00 + a11 + a22) / 3.0
-    d0, d1, d2 = a00 - m, a11 - m, a22 - m
-    r = math.sqrt((d0 * d0 + d1 * d1 + d2 * d2 + 2.0 * off) / 6.0)
-    b00, b01, b02, b11, b12, b22 = d0 / r, a01 / r, a02 / r, d1 / r, a12 / r, d2 / r
-    half_det = 0.5 * (b00 * (b11 * b22 - b12 * b12) - b01 * (b01 * b22 - b12 * b02) + b02 * (b01 * b12 - b11 * b02))
-    return m + 2.0 * r * math.cos(math.acos(min(max(half_det, -1.0), 1.0)) / 3.0)
-
-
 class OnlineLearner:
     """Single-writer owner of the model and learner state.
 
     Exactly one logical thread calls learn_step. A fresh learner starts
-    every channel from zero or, with init_mode "batch", gives every channel
-    a pending buffer in its state. A learner resumed from a snapshot takes
-    the snapshot's model and state, pending buffers included, which it then
-    owns; it builds no initial state, and init_mode is only validated.
-    model and state must both be given or neither, or ValueError.
+    every channel from zero or, with init_mode "batch", gives every
+    transition channel a pending buffer in its state; observation channels
+    always start from zero. A learner resumed from a snapshot takes the
+    snapshot's model and state, pending buffers included, which it then
+    owns; it builds no initial state, and init_mode is only validated. An
+    observation-channel buffer, which only snapshots of earlier versions
+    hold, is replayed from the zero start at once and counted as a
+    fallback. model and state must both be given or neither, or ValueError.
     """
 
     def __init__(
@@ -345,13 +272,13 @@ class OnlineLearner:
             self.model = ModelParams.initial()
             self.state = LearnerState.initial()
             if init_mode == "batch":
-                for c in range(1, CALENDAR_TYPES + 1):
-                    self.state.pending[("s", c)] = []
-                    self.state.pending[("r", c)] = []
+                self.state.pending = {("s", c): [] for c in range(1, CALENDAR_TYPES + 1)}
         elif model is None or state is None:
             raise ValueError("a resumed learner needs both model and state")
         else:
             self.model, self.state = model, state
+            for _, c in [key for key in state.pending if key[0] == "r"]:
+                self._replay("r", c, model.r_channels, state.r_states, hp.lambda_r)
 
     def learn_step(self, instance, targets) -> None:
         """Consume one (instance, targets) pair.
@@ -361,12 +288,13 @@ class OnlineLearner:
         carries the revealed loads (None for gaps). Each step with a
         revealed load updates its calendar type's observation channel from
         the encoded observation and then its transition channel from the
-        actual previous load, where each is known. A channel still awaiting
-        batch initialization buffers its sample instead. Targets, types
-        and observations of unequal length raise ValueError before any
-        channel changes. A calendar type outside 1..CALENDAR_TYPES raises
-        IndexError, and an observation of other than R_DIM floats raises
-        ValueError, before that step's channels change.
+        actual previous load, where each is known. A transition channel
+        still awaiting batch initialization buffers its sample instead.
+        Targets, types and observations of unequal length raise ValueError
+        before any channel changes. A calendar type outside
+        1..CALENDAR_TYPES raises IndexError, and an observation of other
+        than R_DIM floats raises ValueError, before that step's channels
+        change.
         """
         observations, types = instance.observations, instance.types
         if not len(targets) == len(types) == len(observations):
@@ -395,36 +323,39 @@ class OnlineLearner:
         sample (u, s). A live channel takes a channel_update. A channel awaiting batch
         initialization buffers the sample instead, and is initialized once its buffer is
         solvable; after BATCH_INIT_MAX_BUFFER unsolvable samples the buffer is replayed from
-        the zero start, so no sample is lost, and the replay's records are stored only once
-        it has finished. Either way a changed channel then takes a counted trace_reset. A
-        buffered regressor of other than the channel's K entries raises ValueError, with the
-        buffer as it was."""
-        i, diagnostics, pending = c - 1, self.diagnostics, self.state.pending
+        the zero start. Either way a changed channel then takes a counted trace_reset."""
+        i, pending = c - 1, self.state.pending
         if pending and (kind, c) in pending:
-            k = len(states[i].P)
-            if len(u) != k:
-                raise ValueError(f"channel {kind}:{c} takes {k} regressors, got {len(u)}")
             buf = pending[(kind, c)]
             buf.append((u, s))
             try:
-                state, fresh = batch_initialize(buf, lam)
+                state, params[i] = batch_initialize(buf, lam)
             except SingularGram:
-                if len(buf) < BATCH_INIT_MAX_BUFFER:
-                    return
-                state, fresh = ChannelState.identity(k), GaussianChannelParams.zeros(k)
-                for u_j, s_j in buf:
-                    channel_update(state, fresh, u_j, s_j, lam, diagnostics)
-                    after = trace_reset(state, self.hp)
-                    if after is not state:
-                        diagnostics.trace_resets += 1
-                        state = after
-                diagnostics.batch_init_fallbacks += 1
+                if len(buf) >= BATCH_INIT_MAX_BUFFER:
+                    self._replay(kind, c, params, states, lam)
+                return
             del pending[(kind, c)]
-            params[i] = fresh
         else:
             state = states[i]
-            channel_update(state, params[i], u, s, lam, diagnostics)
+            channel_update(state, params[i], u, s, lam, self.diagnostics)
         after = trace_reset(state, self.hp)
         if after is not state:
-            diagnostics.trace_resets += 1
+            self.diagnostics.trace_resets += 1
         states[i] = after
+
+    def _replay(self, kind: str, c: int, params: list, states: list, lam: float) -> None:
+        """Replace channel kind:c's pending buffer by a zero-start channel fed its samples in
+        order, each update followed by a counted trace_reset, and count a batch-init fallback.
+        The replay's records are built locally and stored only once it has finished, so a
+        DegenerateUpdate leaves the channel and its buffer as they were."""
+        diagnostics, buf, k = self.diagnostics, self.state.pending[(kind, c)], len(states[c - 1].P)
+        state, fresh = ChannelState.identity(k), GaussianChannelParams.zeros(k)
+        for u, s in buf:
+            channel_update(state, fresh, u, s, lam, diagnostics)
+            after = trace_reset(state, self.hp)
+            if after is not state:
+                diagnostics.trace_resets += 1
+                state = after
+        del self.state.pending[(kind, c)]
+        params[c - 1], states[c - 1] = fresh, state
+        diagnostics.batch_init_fallbacks += 1

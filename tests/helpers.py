@@ -102,7 +102,7 @@ def reference_learn_step(learner, instance, targets) -> None:
     and the transition channel the sample ((1, previous load), load), where each is known,
     in that order. A sample either goes to the channel's batch buffer, while one is pending,
     or is fed to channel_update, which updates the channel's records in place, followed by
-    trace_reset.
+    trace_reset. A buffer that falls back is replayed the same way from the zero start.
     """
     hp, diagnostics, pending = learner.hp, learner.diagnostics, learner.state.pending
     channels = {"s": (learner.model.s_channels, learner.state.s_states, hp.lambda_s),
@@ -131,6 +131,7 @@ def reference_learn_step(learner, instance, targets) -> None:
             buf.append((u, target))
             try:
                 state, params[c - 1] = batch_initialize(buf, lam)
+                states[c - 1] = reset(state)
             except SingularGram:
                 if len(buf) < BATCH_INIT_MAX_BUFFER:
                     continue
@@ -138,10 +139,9 @@ def reference_learn_step(learner, instance, targets) -> None:
                 for u_j, s_j in buf:
                     channel_update(state, fresh, u_j, s_j, lam, diagnostics)
                     state = reset(state)
-                params[c - 1] = fresh
+                params[c - 1], states[c - 1] = fresh, state
                 diagnostics.batch_init_fallbacks += 1
             del pending[(kind, c)]
-            states[c - 1] = reset(state)
         prev = target
 
 

@@ -38,10 +38,23 @@ def _criterion(name: str, ok: bool, detail: str) -> None:
     assert ok, f"{name}: {detail}"
 
 
+def _exact_fit(samples, lam):
+    """(state, params) of the exact weighted fit to samples: P = G^-1 by numpy, gamma, and
+    (eta, sigma) from batch_ml_oracle, which raises SingularGram where the fit is ill-posed."""
+    eta, sigma = batch_ml_oracle(samples, lam)
+    u_mat = np.array([u for u, _ in samples])
+    weights = lam ** np.arange(len(samples) - 1, -1, -1)
+    p = np.linalg.inv((u_mat * weights[:, None]).T @ u_mat)
+    return (ChannelState(P=((p + p.T) / 2.0).tolist(), gamma=float(weights.sum())),
+            GaussianChannelParams(eta=eta.tolist(), sigma=sigma))
+
+
 def test_recursion_matches_batch_oracle_at_every_step():
     # 200 random channels, K in {2,3}, forgetting factors over the full menu,
     # 5..200 samples: after exact initialization the recursive (eta, sigma)
-    # must match the batch maximizer to 1e-8 relative at every i >= i0.
+    # must match the batch maximizer to 1e-8 relative at every i >= i0. A
+    # K = 2 channel starts from batch_initialize, the transition channel's
+    # solve; a K = 3 channel from the exact fit computed here.
     #
     # sigma carries an explicit cancellation allowance: its square is the
     # difference of weighted second moments, so at interpolation-degenerate
@@ -67,9 +80,10 @@ def test_recursion_matches_batch_oracle_at_every_step():
         ]
         state = params = None
         i0 = None
+        initialize = batch_initialize if k == 2 else _exact_fit
         for i in range(1, n + 1):
             try:
-                state, params = batch_initialize(samples[:i], lam)
+                state, params = initialize(samples[:i], lam)
                 i0 = i
                 break
             except SingularGram:

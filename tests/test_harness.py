@@ -308,6 +308,18 @@ def test_ingest_rejects_non_finite_cells(tmp_path, capsys, column, value):
     assert f"{path}:3: {column} must be finite" in capsys.readouterr().err
 
 
+def test_ingest_rejects_a_celsius_temperature_that_overflows_in_fahrenheit(tmp_path, capsys):
+    path = tmp_path / "c.csv"
+    path.write_text("timestamp,load,temperature\n2021-03-01T00:00:00+00:00,1.0,10.0\n"
+                    "2021-03-01T01:00:00+00:00,1.0,1e308\n")
+    with pytest.raises(ParseError, match=":3: temperature must be finite in degrees F, got 1e308 C"):
+        ingest_csv(path, base_config(temperature_unit="C"))
+    assert cli_main(["run", "--data", str(path), "--config", str(write_cli_config(tmp_path, temperature_unit="C"))]) == 2
+    assert f"{path}:3: temperature must be finite" in capsys.readouterr().err
+    # In Fahrenheit the same cell is finite as it stands.
+    assert ingest_csv(path, base_config())[0].temperature == [10.0, 1e308]
+
+
 def test_ingest_converts_celsius(tmp_path):
     path = tmp_path / "c.csv"
     path.write_text("timestamp,load,temperature\n2021-03-01T00:00:00+00:00,1.0,10.0\n")
@@ -354,6 +366,18 @@ def test_snapshot_save_refuses_a_list_of_47_entries_and_writes_no_file(tmp_path,
     path = tmp_path / "short.snapshot"
     with pytest.raises(ValueError, match=rf"{owner}\.{name} has 47 entries, not 48"):
         snapshot_save(path, records["model"], records["state"], records["tracker"], HyperParams())
+    assert not path.exists()
+
+
+def test_snapshot_save_refuses_a_non_finite_value_and_writes_no_file(tmp_path):
+    # Two finite temperatures of one type sum to inf; snapshot_load would refuse the file.
+    tracker = TemperatureTracker()
+    tracker.add(1, 1e308)
+    tracker.add(1, 1e308)
+    assert tracker.sums[0] == math.inf
+    path = tmp_path / "inf.snapshot"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        snapshot_save(path, ModelParams.initial(), LearnerState.initial(), tracker, HyperParams())
     assert not path.exists()
 
 
@@ -493,36 +517,24 @@ def test_a_resumed_run_builds_no_initial_model_or_state(tmp_path, data_csv, monk
 # initialized and both observation channels still hold pending samples. The
 # model has 48 calendar types, so loading it fails.
 SNAPSHOT_V1 = Path(__file__).parent / "data" / "snapshot_v1.json"
-# A 48-type snapshot in format version 1, written by write_v1_48_snapshot
-# below with the code from before the calendar layout became a constant of
-# the model.
+# A 48-type snapshot in format version 1, written by a batch-initialized
+# learner of an earlier version after one 4-step learn_step per calendar type.
+# Types 1 and 2 saw only one temperature shift, so their observation channels
+# still buffer four samples each, as pending_batch keys r:1 and r:2; learners
+# no longer buffer observation channels.
 SNAPSHOT_V1_48 = Path(__file__).parent / "data" / "snapshot_v1_48.json"
 
 
-def write_v1_48_snapshot(path: Path) -> None:
-    """Snapshot a batch-initialized learner after one 4-step learn_step per calendar type.
-
-    Each type sees a temperature shift upwards and one downwards, so both of its channels
-    initialize, except types 1 and 2, which see only one of the two: their observation
-    channels still buffer four samples each.
-    """
-    hp = HyperParams(horizon=4)
-    learner, tracker, encoder = OnlineLearner(hp, "batch"), TemperatureTracker(), TemperatureShiftEncoder(hp)
-    for c in range(1, 49):
-        temps = {1: [50.0, 95.0, 50.0, 50.0], 2: [50.0, 5.0, 50.0, 50.0]}.get(c, [50.0, 95.0, 5.0, 50.0])
-        observations = []
-        for w in temps:
-            mean = tracker.mean(c)
-            observations.append(encoder.encode(w, w if mean is None else mean))
-            tracker.add(c, w)
-        loads = [round(1.0 + 0.5 * math.sin(0.7 * c + 1.3 * j), 2) for j in range(5)]
-        learner.learn_step(InstanceVector(loads[0], tuple(observations), (c,) * 4, 4 * (c - 1)), loads[1:])
-    snapshot_save(path, learner.model, learner.state, tracker, hp, cursor=datetime(2021, 3, 3, 11, tzinfo=UTC))
-
-
-def test_the_v1_48_snapshot_is_what_a_learner_writes_today(tmp_path):
-    write_v1_48_snapshot(tmp_path / "fresh.snapshot")
-    assert (tmp_path / "fresh.snapshot").read_bytes() == SNAPSHOT_V1_48.read_bytes()
+def test_a_resumed_learner_replays_the_v1_48_observation_buffers_from_the_zero_start():
+    snap = snapshot_load(SNAPSHOT_V1_48)
+    buffers = {c: snap.state.pending[("r", c)] for c in (1, 2)}
+    learner = OnlineLearner(snap.hp, "batch", model=snap.model, state=snap.state)
+    assert learner.state.pending == {} and learner.diagnostics.batch_init_fallbacks == 2
+    for c, buf in buffers.items():
+        zero = OnlineLearner(snap.hp)
+        zero.learn_step(InstanceVector(None, tuple(u for u, _ in buf), (c,) * len(buf), 0), [s for _, s in buf])
+        assert learner.model.r_channels[c - 1] == zero.model.r_channels[c - 1]
+        assert learner.state.r_states[c - 1] == zero.state.r_states[c - 1]
 
 
 def _rewrite_payload(src: Path, dst: Path, edit) -> Path:
@@ -766,8 +778,9 @@ LAYOUTS = ("hourly", "horizon-48", "15-minute-step")
 
 
 def layout_run(tmp_path, data_csv, layout: str, **overrides) -> tuple[Path, RunConfig]:
-    """The series' CSV and a run config for one of LAYOUTS, training through 2021-03-11."""
-    config = base_config(train_end=datetime(2021, 3, 11, tzinfo=UTC), **overrides)
+    """The series' CSV and a run config for one of LAYOUTS, training through 2021-03-11 unless
+    overridden."""
+    config = base_config(**{"train_end": datetime(2021, 3, 11, tzinfo=UTC), **overrides})
     if layout == "horizon-48":
         config.hp = HyperParams(horizon=48)
     elif layout == "15-minute-step":
@@ -779,16 +792,20 @@ def layout_run(tmp_path, data_csv, layout: str, **overrides) -> tuple[Path, RunC
 @pytest.mark.parametrize("layout", LAYOUTS)
 @pytest.mark.parametrize("init_mode", ["zero", "batch"])
 def test_split_run_resumes_byte_identically(tmp_path, data_csv, layout, init_mode):
-    data_csv, config = layout_run(tmp_path, data_csv, layout, init_mode=init_mode)
+    # The split comes less than a day into the first weekend, so under batch init some
+    # of the weekend types' transition buffers still hold samples.
+    train_end = datetime(2021, 3, 5, tzinfo=UTC)
+    data_csv, config = layout_run(tmp_path, data_csv, layout, init_mode=init_mode, train_end=train_end)
     series, _ = ingest_csv(data_csv, config)
     full = run_online_evaluation(series, config, snapshot_out=tmp_path / "full.snapshot")
 
-    split_at = datetime(2021, 3, 13, tzinfo=UTC)
-    _, config_first = layout_run(tmp_path, data_csv, layout, init_mode=init_mode, test_end=split_at)
+    split_at = datetime(2021, 3, 6, tzinfo=UTC)
+    _, config_first = layout_run(tmp_path, data_csv, layout, init_mode=init_mode, train_end=train_end,
+                                 test_end=split_at)
     snap_path = tmp_path / "split.snapshot"
     first = run_online_evaluation(series, config_first, snapshot_out=snap_path)
-    # Under batch init, buffers still awaiting batch initialization cross the split.
-    assert bool(json.loads(snap_path.read_text())["payload"]["pending_batch"]) == (init_mode == "batch")
+    # Under batch init, samples still awaiting batch initialization cross the split.
+    assert any(json.loads(snap_path.read_text())["payload"]["pending_batch"].values()) == (init_mode == "batch")
     second = run_online_evaluation(series, config, resume=snap_path, snapshot_out=tmp_path / "second.snapshot")
     assert first.forecast_rows + second.forecast_rows == full.forecast_rows
     assert (tmp_path / "second.snapshot").read_bytes() == (tmp_path / "full.snapshot").read_bytes()
@@ -1273,6 +1290,14 @@ def test_cli_metrics_with_no_overlap_is_an_empty_span(tmp_path, data_csv, capsys
     actuals = write_lines(tmp_path / "actuals.csv", [header] + rows)
     assert cli_main(["metrics", "--forecasts", str(forecasts), "--actuals", str(actuals)]) == 2
     assert "no overlapping (forecast, actual) timestamps" in capsys.readouterr().err
+
+
+def test_cli_metrics_scores_an_overflowing_error_as_inf(tmp_path, capsys):
+    actuals = write_lines(tmp_path / "actuals.csv", ["timestamp,load", "2021-03-01T12:00:00+00:00,1e200"])
+    forecasts = write_lines(tmp_path / "forecasts.csv", ["timestamp,horizon,mean,std",
+                                                         "2021-03-01T12:00:00+00:00,1,1.0,0.5"])
+    assert cli_main(["metrics", "--forecasts", str(forecasts), "--actuals", str(actuals)]) == 0
+    assert "rmse = inf" in capsys.readouterr().out.splitlines()
 
 
 def test_cli_metrics_oversized_forecast_field_is_a_parse_error_naming_the_line(tmp_path, data_csv, capsys):

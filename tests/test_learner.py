@@ -17,7 +17,7 @@ from helpers import (
 )
 
 from aplf import recursive_learner
-from aplf.features import TemperatureShiftEncoder, TemperatureTracker
+from aplf.features import TemperatureTracker
 from aplf.forecaster import InstanceVector, predict
 from aplf.harness import snapshot_load, snapshot_save
 from aplf.model_types import (
@@ -125,9 +125,9 @@ def learner_runs(draw):
     load = st.floats(0.0, 5.0)
     obs = st.sampled_from([(1.0, 0.0, 0.0), (1.0, 1.0, 0.0), (1.0, 0.0, 1.0)])
     if draw(st.booleans()):
-        # Unflagged observations only: the observation channels' Gram stays
-        # singular, so batch initialization falls back once a buffer is full.
-        obs = st.just((1.0, 0.0, 0.0))
+        # Zero loads only: the transition channels' Gram stays singular, so
+        # batch initialization falls back once a buffer is full.
+        load = st.just(0.0)
     if draw(st.booleans()):
         load, obs = st.none() | load, st.none() | obs
     instances = []
@@ -226,7 +226,7 @@ def test_batch_initialize_rank_deficient_raises():
 def test_batch_initialize_raises_exactly_when_the_oracle_does(data):
     # Small integer regressors and lam >= 0.8 keep every full-rank draw far below the
     # condition limit, so the oracle's decision is never a rounding-level call.
-    k, n = data.draw(st.sampled_from([2, 3])), data.draw(st.integers(1, 40))
+    k, n = 2, data.draw(st.integers(1, 40))
     lam = data.draw(st.floats(0.8, 0.99))
     rows = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=k, max_size=k), min_size=n, max_size=n))
     zeroed = data.draw(st.sets(st.integers(0, k - 1)))
@@ -249,11 +249,10 @@ def _diagonal_gram_buffer(k, cond):
     return [(tuple(scales[i] if j == i else 0.0 for j in range(k)), float(i + 1)) for i in range(k)]
 
 
-@pytest.mark.parametrize("k", [2, 3])
 @pytest.mark.parametrize("cond, singular", [(1e12 * (1.0 - 1e-9), False), (1e12 * (1.0 + 1e-9), True)],
                          ids=["below-limit", "above-limit"])
-def test_batch_initialize_decides_a_diagonal_gram_by_its_condition_number(k, cond, singular):
-    samples = _diagonal_gram_buffer(k, cond)
+def test_batch_initialize_decides_a_diagonal_gram_by_its_condition_number(cond, singular):
+    samples = _diagonal_gram_buffer(2, cond)
     if singular:
         with pytest.raises(SingularGram):
             batch_ml_oracle(samples, 1.0)
@@ -266,10 +265,8 @@ def test_batch_initialize_decides_a_diagonal_gram_by_its_condition_number(k, con
 
 @pytest.mark.parametrize("samples", [
     [((1.0, 1e200), 1.0), ((1e200, 1.0), 2.0)],
-    [((1.0, 2.0, 3.0), 1.0), ((1.0, 0.5, math.inf), 2.0), ((2.0, 1.0, 1.0), 0.0)],
-    [((1.0, 2.0, -1.0), float(j)) for j in range(BATCH_INIT_MAX_BUFFER)],
-    [((1.0, 2.0, -1.0), 1.0), ((2.0, 4.0, -2.0), 3.0), ((-0.5, -1.0, 0.5), 2.0)],
-], ids=["non-finite-gram-k2", "non-finite-gram-k3", "rank-1-repeated-rows-k3", "rank-1-scaled-rows-k3"])
+    [((1.0, 2.0), float(j)) for j in range(BATCH_INIT_MAX_BUFFER)],
+], ids=["non-finite-gram", "rank-1-repeated-rows"])
 def test_batch_initialize_raises_on_a_buffer_the_oracle_refuses(samples):
     with pytest.raises(SingularGram):
         batch_ml_oracle(samples, 0.7)
@@ -279,21 +276,24 @@ def test_batch_initialize_raises_on_a_buffer_the_oracle_refuses(samples):
 
 @pytest.mark.parametrize("samples", [
     [((1.0, 2.0), 3.0)],
-    [((1.0, 2.0, -1.0), 3.0), ((1.0, 0.5, 4.0), 2.0)],
-    [((1.0, float(j % 5), 0.0), float(j)) for j in range(BATCH_INIT_MAX_BUFFER)],
+    [((1.0, 0.0), float(j)) for j in range(BATCH_INIT_MAX_BUFFER)],
     [((0.0, float(j)), 1.0) for j in range(1, 4)],
-], ids=["one-sample-k2", "two-samples-k3", "zero-a2-full-buffer", "zero-intercept"])
+], ids=["one-sample", "zero-previous-loads-full-buffer", "zero-intercept"])
 def test_a_structurally_singular_buffer_raises_without_a_factorization(monkeypatch, samples):
     def solve(*args, **kwargs):
         raise AssertionError("the buffer reached the solve")
 
     monkeypatch.setattr(recursive_learner, "_solve_k2", solve)
-    monkeypatch.setattr(recursive_learner, "_solve_k3", solve)
     with pytest.raises(SingularGram):
         batch_initialize(samples, 0.7)
     # A solvable buffer of the same shape does reach the patched solve.
-    k = len(samples[0][0])
     with pytest.raises(AssertionError, match="reached the solve"):
+        batch_initialize([((1.0, 0.0), 1.0), ((0.0, 1.0), 1.0)], 0.7)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_batch_initialize_solves_only_the_transition_channels_two_regressors(k):
+    with pytest.raises(ValueError, match="K = 2"):
         batch_initialize([(tuple(float(i == j) for j in range(k)), 1.0) for i in range(k)], 0.7)
 
 
@@ -308,8 +308,7 @@ def test_batch_initialize_two_point_interpolation():
 
 def test_batch_initialize_matches_oracle():
     rng = np.random.default_rng(7)
-    samples = [(np.array([1.0, rng.normal(), rng.normal()]), float(rng.normal(scale=2.0)))
-               for _ in range(20)]
+    samples = [(np.array([1.0, rng.normal()]), float(rng.normal(scale=2.0))) for _ in range(20)]
     state, params = batch_initialize(samples, 0.7)
     eta_star, sigma_star = batch_ml_oracle(samples, 0.7)
     assert np.max(np.abs(params.eta - eta_star)) <= 1e-10
@@ -317,7 +316,7 @@ def test_batch_initialize_matches_oracle():
     # P must invert the weighted Gram matrix.
     weights = 0.7 ** np.arange(len(samples) - 1, -1, -1)
     gram = sum(w * np.outer(u, u) for w, (u, _) in zip(weights, samples))
-    assert np.allclose(state.P @ gram, np.eye(3), atol=1e-9)
+    assert np.allclose(state.P @ gram, np.eye(2), atol=1e-9)
 
 
 def test_recursion_after_exact_init_tracks_batch_maximizer():
@@ -485,35 +484,50 @@ def test_batch_init_mode_matches_batch_solution():
 
 def test_batch_init_mode_falls_back_after_buffer_cap():
     hp = HyperParams(horizon=1, lambda_r=0.7)
-    learner = OnlineLearner(hp, init_mode="batch")
+    learner, zero = OnlineLearner(hp, init_mode="batch"), OnlineLearner(hp)
     rng = np.random.default_rng(31)
-    # Constant encoded vector keeps the observation Gram rank deficient
+    # Every previous load is 0, so the transition Gram stays rank deficient
     # forever; after the buffer cap the learner must replay with zero init.
-    u = np.array([1.0, 0.0, 0.0])
-    targets = [float(rng.normal()) for _ in range(BATCH_INIT_MAX_BUFFER + 5)]
-    prev = 0.0
-    for t, target in enumerate(targets):
-        learner.learn_step(InstanceVector(anchor_load=prev, observations=(u,), types=(1,), t=t), [target])
-        prev = target
-    assert learner.diagnostics.batch_init_fallbacks >= 1
-    assert learner.state.r_states[0].gamma > 0.0
+    for t in range(BATCH_INIT_MAX_BUFFER + 5):
+        instance = InstanceVector(anchor_load=0.0, observations=((1.0, float(rng.normal()), 0.0),), types=(1,), t=t)
+        targets = [float(rng.normal())]
+        learner.learn_step(instance, targets)
+        zero.learn_step(instance, targets)
+    assert learner.diagnostics.batch_init_fallbacks == 1 and ("s", 1) not in learner.state.pending
+    # The replay and the live updates after it are the zero-start channel's.
+    assert learner.model.s_channels[0] == zero.model.s_channels[0]
+    assert learner.state.s_states[0] == zero.state.s_states[0]
+    assert learner.diagnostics.trace_resets == zero.diagnostics.trace_resets
 
 
 def test_a_degenerate_update_in_the_fallback_replay_leaves_the_channel_as_it_was():
-    # Only the intercept is ever nonzero, so the buffer never solves. At the cap the
+    # Every previous load is 0, so the buffer never solves. At the cap the
     # zero-start replay's first update overflows sigma, and the replay stores nothing.
     learner = OnlineLearner(HyperParams(horizon=1), init_mode="batch")
-    params, state = learner.model.r_channels[0], learner.state.r_states[0]
+    params, state = learner.model.s_channels[0], learner.state.s_states[0]
     before = copy.deepcopy((params, state))
-    instance = InstanceVector(anchor_load=None, observations=((1.0, 0.0, 0.0),), types=(1,), t=0)
+    instance = InstanceVector(anchor_load=0.0, observations=(None,), types=(1,), t=0)
     for _ in range(BATCH_INIT_MAX_BUFFER - 1):
         learner.learn_step(instance, [1e200])
     with pytest.raises(DegenerateUpdate, match="non-finite"):
         learner.learn_step(instance, [1e200])
-    assert learner.model.r_channels[0] is params and learner.state.r_states[0] is state
+    assert learner.model.s_channels[0] is params and learner.state.s_states[0] is state
     assert (params, state) == before
-    assert len(learner.state.pending[("r", 1)]) == BATCH_INIT_MAX_BUFFER
+    assert len(learner.state.pending[("s", 1)]) == BATCH_INIT_MAX_BUFFER
     assert learner.diagnostics.batch_init_fallbacks == 0
+
+
+def test_a_fresh_batch_learner_buffers_only_its_transition_channels():
+    hp = HyperParams(horizon=2)
+    learner, zero = OnlineLearner(hp, init_mode="batch"), OnlineLearner(hp)
+    assert sorted(learner.state.pending) == [("s", c) for c in range(1, 49)]
+    # An observation channel learns from its first sample, as under zero init.
+    instance = InstanceVector(anchor_load=1.0, observations=((1.0, 0.5, 0.0), (1.0, 0.0, -0.5)), types=(1, 1), t=0)
+    learner.learn_step(instance, [1.5, 2.0])
+    zero.learn_step(instance, [1.5, 2.0])
+    assert learner.model.r_channels == zero.model.r_channels and learner.state.r_states == zero.state.r_states
+    # Its transition channel solved its two-sample buffer instead.
+    assert ("s", 1) not in learner.state.pending and learner.model.s_channels != zero.model.s_channels
 
 
 @pytest.mark.parametrize("bad_type", [0, 49])
@@ -585,17 +599,16 @@ def assert_no_shared_lists(model, state):
     assert len({id(x) for x in lists}) == len(lists)
 
 
-def batch_learner(observation):
-    """A batch-initialized learner fed 40 two-step instances of a noisy load on calendar types 2
-    and 1, with encoded observations drawn by observation(rng)."""
-    hp = HyperParams(horizon=2)
+def batch_learner(anchor):
+    """A batch-initialized learner fed 80 one-step instances of a noisy load on calendar types 1
+    and 2 in turn, each anchored at the previous load anchor(rng)."""
+    hp = HyperParams(horizon=1)
     learner = OnlineLearner(hp, init_mode="batch")
     rng = np.random.default_rng(41)
-    load = 1.0
-    for t in range(0, 80, 2):
-        targets = [1.0 + 0.5 * load + float(rng.normal(scale=0.1)) for _ in range(2)]
-        learner.learn_step(InstanceVector(load, (observation(rng),) * 2, (2, 1), t), targets)
-        load = targets[-1]
+    for t in range(80):
+        load = anchor(rng)
+        target = 1.0 + 0.5 * load + float(rng.normal(scale=0.1))
+        learner.learn_step(InstanceVector(load, ((1.0, float(rng.normal()), 0.0),), (1 + t % 2,), t), [target])
     return learner
 
 
@@ -604,15 +617,14 @@ def test_no_two_channels_share_a_list_after_initial_batch_fallback_or_load(tmp_p
     assert_no_shared_lists(ModelParams.initial(), LearnerState.initial())
     learner = OnlineLearner(hp)
     assert_no_shared_lists(learner.model, learner.state)
-    # Flagged observations make the observation channels solvable, so both
-    # channels of every type come from batch_initialize.
-    encode = TemperatureShiftEncoder(hp).encode
-    solvable = batch_learner(lambda rng: encode(float(rng.choice([10.0, 60.0, 95.0])), 55.0))
+    # Varying previous loads make the transition channels solvable, so they
+    # come from batch_initialize.
+    solvable = batch_learner(lambda rng: float(rng.uniform(0.5, 2.0)))
     assert all(c > 2 for _, c in solvable.state.pending) and solvable.diagnostics.batch_init_fallbacks == 0
     assert_no_shared_lists(solvable.model, solvable.state)
-    # Unflagged observations keep the observation Gram singular, so those
+    # Zero previous loads keep the transition Gram singular, so those
     # channels come from the zero-start replay of the full buffer.
-    fallback = batch_learner(lambda rng: (1.0, 0.0, 0.0))
+    fallback = batch_learner(lambda rng: 0.0)
     assert all(c > 2 for _, c in fallback.state.pending) and fallback.diagnostics.batch_init_fallbacks == 2
     assert_no_shared_lists(fallback.model, fallback.state)
     path = tmp_path / "snap.json"

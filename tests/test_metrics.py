@@ -8,7 +8,7 @@ from statistics import NormalDist
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from helpers import PINBALL_REL_TOL, assert_grid_pinball, pinball_error_scale, src_path_env, whole_table_scores
@@ -45,6 +45,16 @@ def test_mape_values_and_exclusions():
     # Relative to |actual|: errors of both signs add up, even where they overflow.
     assert mape([-2.0, 2.0], [-1.0, 1.0]) == (50.0, 0)
     assert mape([5e-324, -5e-324], [1.0, 1.0]) == (math.inf, 0)
+
+
+def test_a_score_that_overflows_is_inf():
+    # Every input is finite; a square, or a sum of finite terms, is not.
+    assert rmse([1e200], [0.0]) == math.inf
+    assert rmse([1.3e154, 1.3e154], [0.0, 0.0]) == math.inf
+    tiny = 2.2250738585072014e-308
+    assert mape([tiny, tiny], [1.0, 3.0]) == (math.inf, 0)
+    report = evaluate_forecasts([1e200, tiny, tiny], [0.0, 1.0, 3.0], [1.0, 0.0, 0.0])
+    assert (report.rmse, report.mape) == (math.inf, math.inf) and math.isfinite(report.mean_pinball)
 
 
 def test_mape_matches_high_precision_oracle():
@@ -142,6 +152,7 @@ def test_calibration_of_the_true_generator_is_tight():
 
 
 @given(st.lists(st.tuples(st.floats(-50, 50), st.floats(-50, 50), st.floats(0, 5)), min_size=1, max_size=40))
+@example([(2.2250738585072014e-308, 1.0, 0.0), (2.2250738585072014e-308, 3.0, 0.0)])
 def test_coverage_is_monotone_in_q(rows):
     curve = evaluate_forecasts(*zip(*rows)).calibration_curve
     coverages = [c for _, c in curve]
