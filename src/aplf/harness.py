@@ -147,6 +147,14 @@ def _parse_holidays(raw: str) -> frozenset:
     return frozenset(date.fromisoformat(tok.strip()) for tok in raw.split(",") if tok.strip())
 
 
+def _parse_time_of_day(raw: str) -> time:
+    """A time of day, read in the data's own wall clock, so one with a UTC offset is refused."""
+    at = time.fromisoformat(raw)
+    if at.tzinfo is not None:
+        raise ValueError(f"time of day {raw!r} has a UTC offset; give it in the data's own wall clock")
+    return at
+
+
 def _hyper_param(name: str, convert):
     """Parser for one HyperParams field, checked against the class's own bounds."""
     def parse(raw: str):
@@ -162,7 +170,7 @@ _HP_FIELDS = {f.name: (f.name, _hyper_param(f.name, type(f.default))) for f in f
 _CONFIG_FIELDS = {
     "load_unit": ("load_unit", _one_of(*LOAD_UNITS)),
     "temperature_unit": ("temperature_unit", _one_of("F", "C")),
-    "prediction_time": ("prediction_time", time.fromisoformat),
+    "prediction_time": ("prediction_time", _parse_time_of_day),
     "train_end": ("train_end", datetime.fromisoformat),
     "test_end": ("test_end", datetime.fromisoformat),
     "holidays": ("holidays", _parse_holidays),
@@ -176,9 +184,9 @@ _CONFIG_FIELDS = {
 def load_config(path: Path | str) -> RunConfig:
     """Parse a flat `key = value` configuration file.
 
-    Keys: lambda_s, lambda_r, w1, w2, w3, horizon,
-    trace_reset_threshold, load_unit (kW|MW|GW), temperature_unit (F|C),
-    prediction_time (HH:MM), train_end / test_end (ISO-8601), holidays
+    Keys: lambda_s, lambda_r, w1, w2, w3, horizon, trace_reset_threshold,
+    load_unit (kW|MW|GW), temperature_unit (F|C), prediction_time (HH:MM,
+    no UTC offset), train_end / test_end (ISO-8601), holidays
     (comma-separated ISO dates), init_mode (zero|batch), emit_quantiles,
     step_minutes (at least 1), schedule_file. Any other key is a ParseError;
     the output directory is an argument of the run, not a key. Lines
@@ -223,7 +231,7 @@ def _load_schedule(path: Path) -> dict:
             raise ParseError(f"{path}:{lineno}: expected 'date,time[,horizon]'")
         try:
             day = date.fromisoformat(parts[0])
-            at = time.fromisoformat(parts[1])
+            at = _parse_time_of_day(parts[1])
             horizon = int(parts[2]) if len(parts) == 3 else None
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: {exc}") from exc

@@ -40,8 +40,6 @@ __all__ = [
 # A weighted Gram matrix above this condition number is treated as singular.
 GRAM_CONDITION_LIMIT = 1e12
 
-_ILL_CONDITIONED = f"weighted Gram matrix not positive definite with condition number below {GRAM_CONDITION_LIMIT:g}"
-
 # Samples buffered per channel before batch initialization gives up and
 # falls back to a zero-initialized replay.
 BATCH_INIT_MAX_BUFFER = 32
@@ -194,23 +192,22 @@ def batch_initialize(
     Returns (state, params) such that continuing with channel_update
     reproduces the batch maximizer at every later step. One pass over the
     buffer accumulates the weighted Gram matrix G (G <- lam G + u u'),
-    q = sum w s u, sum w s^2 and gamma. P = G^-1 is solved in closed form
-    on the upper triangle and mirrored, so it is exactly symmetric, and
-    eta = P q. Raises SingularGram when G is not finite, not positive
-    definite, or has a condition number, from closed-form eigenvalues, at
-    or above GRAM_CONDITION_LIMIT. A structurally singular buffer, with
-    fewer samples than regressors or a regressor that is 0 in every
-    sample, raises before any sum is taken. Only the transition channel's
-    K = S_DIM = 2 regressors are solved; any other K is a ValueError.
+    q = sum w s u, sum w s^2 and gamma. P = G^-1 is the adjugate of G over
+    its determinant, mirrored so it is exactly symmetric, and eta = P q.
+    Raises SingularGram when G is not finite, or unless its determinant is
+    positive and its condition number is below GRAM_CONDITION_LIMIT. The
+    larger eigenvalue comes from the quadratic formula, where nothing
+    cancels, and the smaller from det / larger. A buffer with a regressor
+    that is 0 in every sample, or of one sample (1, x), has a determinant
+    of exactly 0; any other single sample one of rounding size, which the
+    condition limit refuses. Only the transition channel's K = S_DIM = 2
+    regressors are solved; any other K is a ValueError.
     """
-    n = len(samples)
-    if n == 0:
+    if not samples:
         raise SingularGram("no samples")
     k = len(samples[0][0])
     if k != S_DIM:
         raise ValueError(f"batch_initialize supports K = {S_DIM} regressors, got {k}")
-    if n < k or not all(map(any, zip(*[u for u, _ in samples]))):
-        raise SingularGram("fewer samples than regressors, or a regressor that is 0 in every sample")
     gamma = m2 = g00 = g01 = g11 = q0 = q1 = 0.0
     for (u0, u1), s in samples:
         g00 = lam * g00 + u0 * u0
@@ -220,26 +217,16 @@ def batch_initialize(
         q1 = lam * q1 + s * u1
         m2 = lam * m2 + s * s
         gamma = lam * gamma + 1.0
-    p, eta = _solve_k2(g00, g01, g11, q0, q1)
-    sigma = math.sqrt(max((m2 - (q0 * eta[0] + q1 * eta[1])) / gamma, 0.0))
-    return ChannelState(P=p, gamma=gamma), GaussianChannelParams(eta=eta, sigma=sigma)
-
-
-def _solve_k2(g00: float, g01: float, g11: float, q0: float, q1: float) -> tuple[list, list]:
-    """(P, eta) = (G^-1, G^-1 q) for G = [[g00, g01], [g01, g11]], or SingularGram.
-
-    P is the adjugate of G over its determinant. The larger eigenvalue
-    comes from the quadratic formula, where nothing cancels, and the
-    smaller from det / larger.
-    """
     if not (isfinite(g00) and isfinite(g01) and isfinite(g11)):
         raise SingularGram("weighted Gram matrix is not finite")
     det = g00 * g11 - g01 * g01
     largest = 0.5 * (g00 + g11) + math.hypot(0.5 * (g00 - g11), g01)
     if not (det > 0.0 and largest < GRAM_CONDITION_LIMIT * (det / largest)):
-        raise SingularGram(_ILL_CONDITIONED)
+        raise SingularGram(f"weighted Gram matrix has det <= 0 or condition number >= {GRAM_CONDITION_LIMIT:g}")
     p00, p01, p11 = g11 / det, -g01 / det, g00 / det
-    return [[p00, p01], [p01, p11]], [p00 * q0 + p01 * q1, p01 * q0 + p11 * q1]
+    eta = [p00 * q0 + p01 * q1, p01 * q0 + p11 * q1]
+    sigma = math.sqrt(max((m2 - (q0 * eta[0] + q1 * eta[1])) / gamma, 0.0))
+    return ChannelState(P=[[p00, p01], [p01, p11]], gamma=gamma), GaussianChannelParams(eta=eta, sigma=sigma)
 
 
 class OnlineLearner:

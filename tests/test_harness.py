@@ -4,6 +4,7 @@ import copy
 import hashlib
 import json
 import math
+import re
 import subprocess
 import sys
 from datetime import date, datetime, time, timedelta, timezone
@@ -163,6 +164,20 @@ def test_schedule_duplicate_day_names_the_second_line(tmp_path):
     cfg.write_text(f"load_unit = GW\nschedule_file = {schedule}\n")
     with pytest.raises(ParseError, match=r"schedule\.csv:3: duplicate day 2021-03-05"):
         load_config(cfg)
+
+
+@pytest.mark.parametrize("at", ["11:00+05:00", "11:00Z"])
+def test_a_time_of_day_with_a_utc_offset_is_input_error(tmp_path, data_csv, capsys, at):
+    # Times of day are read in the data's own wall clock, where an offset would be dropped.
+    schedule = tmp_path / "schedule.csv"
+    schedule.write_text(f"2021-03-05,10:00\n2021-03-06,{at}\n")
+    for key, value, where in [("prediction_time", at, r"run\.cfg:3: prediction_time: "),
+                              ("schedule_file", schedule, r"schedule\.csv:2: ")]:
+        cfg = write_cli_config(tmp_path, **{key: value})
+        with pytest.raises(ParseError, match=where + re.escape(f"time of day '{at}' has a UTC offset")):
+            load_config(cfg)
+        assert cli_main(["run", "--data", str(data_csv), "--config", str(cfg)]) == 2
+        assert "has a UTC offset" in capsys.readouterr().err
 
 
 # --- ingestion ---------------------------------------------------------------

@@ -16,7 +16,6 @@ from helpers import (
     weighted_log_likelihood,
 )
 
-from aplf import recursive_learner
 from aplf.features import TemperatureTracker
 from aplf.forecaster import InstanceVector, predict
 from aplf.harness import snapshot_load, snapshot_save
@@ -216,11 +215,6 @@ def test_trace_reset_examples():
     assert np.array_equal(boundary.P, np.eye(2))
 
 
-def test_batch_initialize_rank_deficient_raises():
-    with pytest.raises(SingularGram):
-        batch_initialize([(np.array([1.0, 0.0]), 1.0)], 0.5)
-
-
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_batch_initialize_raises_exactly_when_the_oracle_does(data):
@@ -266,29 +260,18 @@ def test_batch_initialize_decides_a_diagonal_gram_by_its_condition_number(cond, 
 @pytest.mark.parametrize("samples", [
     [((1.0, 1e200), 1.0), ((1e200, 1.0), 2.0)],
     [((1.0, 2.0), float(j)) for j in range(BATCH_INIT_MAX_BUFFER)],
-], ids=["non-finite-gram", "rank-1-repeated-rows"])
-def test_batch_initialize_raises_on_a_buffer_the_oracle_refuses(samples):
-    with pytest.raises(SingularGram):
-        batch_ml_oracle(samples, 0.7)
-    with pytest.raises(SingularGram):
-        batch_initialize(samples, 0.7)
-
-
-@pytest.mark.parametrize("samples", [
     [((1.0, 2.0), 3.0)],
+    [((1.0, 0.0), 1.0)],
     [((1.0, 0.0), float(j)) for j in range(BATCH_INIT_MAX_BUFFER)],
     [((0.0, float(j)), 1.0) for j in range(1, 4)],
-], ids=["one-sample", "zero-previous-loads-full-buffer", "zero-intercept"])
-def test_a_structurally_singular_buffer_raises_without_a_factorization(monkeypatch, samples):
-    def solve(*args, **kwargs):
-        raise AssertionError("the buffer reached the solve")
-
-    monkeypatch.setattr(recursive_learner, "_solve_k2", solve)
-    with pytest.raises(SingularGram):
-        batch_initialize(samples, 0.7)
-    # A solvable buffer of the same shape does reach the patched solve.
-    with pytest.raises(AssertionError, match="reached the solve"):
-        batch_initialize([((1.0, 0.0), 1.0), ((0.0, 1.0), 1.0)], 0.7)
+], ids=["non-finite-gram", "rank-1-repeated-rows", "one-sample", "one-sample-zero-previous-load",
+        "zero-previous-loads-full-buffer", "zero-intercept"])
+def test_batch_initialize_raises_on_a_buffer_the_oracle_refuses(samples):
+    for lam in (0.5, 0.7):
+        with pytest.raises(SingularGram):
+            batch_ml_oracle(samples, lam)
+        with pytest.raises(SingularGram):
+            batch_initialize(samples, lam)
 
 
 @pytest.mark.parametrize("k", [1, 3])
