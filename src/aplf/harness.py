@@ -243,10 +243,6 @@ def _load_schedule(path: Path) -> dict:
     return schedule
 
 
-def _c_to_f(value: float) -> float:
-    return value * 9.0 / 5.0 + 32.0
-
-
 def read_series(path: Path | str, config: RunConfig) -> Series:
     """Parse and validate a series CSV into a Series on the configured step grid.
 
@@ -266,6 +262,7 @@ def read_series(path: Path | str, config: RunConfig) -> Series:
     index: list[int] = []
     loads: list[float | None] = []
     temps: list[float | None] = []
+    add_index, add_load, add_temp, inf = index.append, loads.append, temps.append, math.inf
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -294,21 +291,25 @@ def read_series(path: Path | str, config: RunConfig) -> Series:
                         raise ParseError(f"{path}:{reader.line_num}: bad load {row[1]!r}") from exc
                     load = None
                 else:
-                    if not 0.0 <= load < math.inf:
+                    if not 0.0 <= load < inf:
                         raise ParseError(f"{path}:{reader.line_num}: load must be finite and >= 0, got {load}")
                 temp = None
                 if has_temp:
                     try:
-                        temp = float(row[2])
+                        reading = float(row[2])
                     except ValueError as exc:
                         if row[2].strip():
                             raise ParseError(f"{path}:{reader.line_num}: bad temperature {row[2]!r}") from exc
                     else:
-                        if convert:
-                            temp = _c_to_f(temp)
-                        if not -math.inf < temp < math.inf:
-                            raise ParseError(f"{path}:{reader.line_num}: temperature must be finite in degrees F, "
-                                             f"got {row[2].strip()} {config.temperature_unit}")
+                        temp = reading * 9.0 / 5.0 + 32.0 if convert else reading
+                        if not -inf < temp < inf:
+                            # reading * 9.0 overflows for a Celsius reading above about
+                            # 2e307 whose Fahrenheit value is finite; dividing first does not.
+                            if convert:
+                                temp = reading / 5.0 * 9.0 + 32.0
+                            if not -inf < temp < inf:
+                                raise ParseError(f"{path}:{reader.line_num}: temperature must be finite in degrees "
+                                                 f"F, got {row[2].strip()} {config.temperature_unit}")
                 if prev_ts is None:
                     start = ts
                 else:
@@ -329,9 +330,9 @@ def read_series(path: Path | str, config: RunConfig) -> Series:
                                              f"off the {step} grid")
                         i += steps
                 prev_ts = ts
-                index.append(i)
-                loads.append(load)
-                temps.append(temp)
+                add_index(i)
+                add_load(load)
+                add_temp(temp)
         except csv.Error as exc:
             raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
     return Series(start, step, index, loads, temps)
@@ -529,7 +530,8 @@ def run_online_evaluation(series: Series, config: RunConfig, *,
     evaluation pools every horizon step that has an actual load.
     train_end, test_end, frozen_after and a resumed cursor that are naive
     where the data's timestamps are offset-aware, or the reverse, raise
-    ParseError.
+    ParseError. So do temperatures of one calendar type whose sum in the
+    tracker overflows the float range, before any file is written.
     """
     if not series:
         raise EmptySpan("no rows")
@@ -622,7 +624,10 @@ def run_online_evaluation(series: Series, config: RunConfig, *,
     # every forecast of it. Each temperature of the two spans is encoded once,
     # against the mean past temperature of its calendar type (itself, before
     # the type's first), and added to the tracker only once its step is learned.
-    encode, tracker_mean, track = encoder.encode, tracker.mean, tracker.add
+    # The tracker's mean and add are written out on its counts and sums.
+    encode, counts, sums = encoder.encode, tracker.counts, tracker.sums
+    add_row, add_t, add_actual, add_mean, add_std = (forecast_rows.append, eval_t.append, eval_actual.append,
+                                                     eval_mean.append, eval_std.append)
 
     for anchor_ts, t_idx, horizon, t_next in anchors:
         if cursor is not None and anchor_ts <= cursor:
@@ -631,12 +636,13 @@ def run_online_evaluation(series: Series, config: RunConfig, *,
         span = slice(t_idx + 1, max(t_idx + horizon, t_next) + 1)
         span_loads, span_types, span_temps = loads[span], types[span], temps[span]
         observations = []
+        add_observation = observations.append
         for c, w in zip(span_types, span_temps):
             if w is None:
-                observations.append(None)
+                add_observation(None)
             else:
-                w_bar = tracker_mean(c)
-                observations.append(encode(w, w if w_bar is None else w_bar))
+                n = counts[c - 1]
+                add_observation(encode(w, sums[c - 1] / n if n else w))
 
         if train_end <= anchor_ts:
             if anchor_load is None:
@@ -657,12 +663,12 @@ def run_online_evaluation(series: Series, config: RunConfig, *,
                     row = f"{day_prefix}{clock_text},{i},{mean!r},{std!r}"
                     if emit_quantiles:
                         row += "," + ",".join([repr(mean + std * z) for z in QUANTILE_Z])
-                    forecast_rows.append(row)
+                    add_row(row)
                     if actual is not None:
-                        eval_t.append(t_idx + i)
-                        eval_actual.append(actual)
-                        eval_mean.append(mean)
-                        eval_std.append(std)
+                        add_t(t_idx + i)
+                        add_actual(actual)
+                        add_mean(mean)
+                        add_std(std)
 
         if frozen_after is None or anchor_ts < frozen_after:
             learned = t_next - t_idx
@@ -671,9 +677,15 @@ def run_online_evaluation(series: Series, config: RunConfig, *,
                                span_loads[:learned])
             for c, w in zip(learn_types, learn_temps):
                 if w is not None:
-                    track(c, w)
+                    counts[c - 1] += 1
+                    sums[c - 1] += w
         processed = anchor_ts
 
+    # A non-finite sum stays non-finite, so one check after the loop catches
+    # every overflow, before any file is written.
+    for c, total in enumerate(sums, start=1):
+        if not -math.inf < total < math.inf:
+            raise ParseError(f"the temperatures of calendar type {c} sum to {total}, beyond the float range")
     report = evaluate_forecasts(eval_actual, eval_mean, eval_std) if eval_actual else None
     max_slope = max(abs(float(p.eta[1])) for p in learner.model.s_channels)
     notes = {

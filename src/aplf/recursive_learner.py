@@ -107,7 +107,7 @@ def channel_update(
         innovation = s - (u0 * eta0 + u1 * eta1)
         g = innovation / gain_denom
         e0, e1 = eta0 + pu0 * g, eta1 + pu1 * g
-        finite = isfinite(q00) and isfinite(q01) and isfinite(q11) and isfinite(e0) and isfinite(e1)
+        total = q00 + q01 + q11 + e0 + e1
     elif k == 3:
         u0, u1, u2 = u
         row0, row1, row2 = p
@@ -130,8 +130,7 @@ def channel_update(
         innovation = s - (u0 * eta0 + u1 * eta1 + u2 * eta2)
         g = innovation / gain_denom
         e0, e1, e2 = eta0 + pu0 * g, eta1 + pu1 * g, eta2 + pu2 * g
-        finite = (isfinite(q00) and isfinite(q01) and isfinite(q02) and isfinite(q11) and isfinite(q12)
-                  and isfinite(q22) and isfinite(e0) and isfinite(e1) and isfinite(e2))
+        total = q00 + q01 + q02 + q11 + q12 + q22 + e0 + e1 + e2
     else:
         raise ValueError(f"channel_update supports K = 2 or 3 regressors, got {k}")
 
@@ -143,8 +142,12 @@ def channel_update(
             diagnostics.sigma_clamps += 1
         radicand = 0.0
     sigma_new = math.sqrt(radicand)
-    if not (finite and isfinite(sigma_new)):
-        raise DegenerateUpdate("update produced a non-finite P, eta or sigma")
+    # A finite sum proves every new value finite; only an overflowing sum of
+    # finite values needs the value-by-value check.
+    if not isfinite(total + sigma_new):
+        new = (q00, q01, q11, e0, e1) if k == 2 else (q00, q01, q02, q11, q12, q22, e0, e1, e2)
+        if not (isfinite(sigma_new) and all(map(isfinite, new))):
+            raise DegenerateUpdate("update produced a non-finite P, eta or sigma")
 
     if k == 2:
         row0[0] = q00
@@ -169,18 +172,16 @@ def channel_update(
 def trace_reset(state: ChannelState, hp: HyperParams) -> ChannelState:
     """Reset P to the identity when its trace exceeds the threshold.
 
-    A reset returns a fresh ChannelState, P = I with gamma preserved, which
-    the caller stores in place of the old record; the same object is
-    returned when no reset fires.
+    A reset returns a fresh ChannelState, P = I as new lists with gamma
+    preserved, which the caller stores in place of the old record; the same
+    object is returned when no reset fires.
     """
     p = state.P
-    k = len(p)
-    if k == 2:
-        trace = p[0][0] + p[1][1]
-    else:
-        trace = p[0][0] + p[1][1] + p[2][2]
-    if trace > hp.trace_reset_threshold:
-        return ChannelState.identity(k, state.gamma)
+    if len(p) == 2:
+        if p[0][0] + p[1][1] > hp.trace_reset_threshold:
+            return ChannelState([[1.0, 0.0], [0.0, 1.0]], state.gamma)
+    elif p[0][0] + p[1][1] + p[2][2] > hp.trace_reset_threshold:
+        return ChannelState([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], state.gamma)
     return state
 
 
@@ -275,8 +276,9 @@ class OnlineLearner:
         carries the revealed loads (None for gaps). Each step with a
         revealed load updates its calendar type's observation channel from
         the encoded observation and then its transition channel from the
-        actual previous load, where each is known. A transition channel
-        still awaiting batch initialization buffers its sample instead.
+        actual previous load, where each is known. A live channel takes a
+        channel_update and then a counted trace_reset; a transition channel
+        still awaiting batch initialization goes through _learn instead.
         Targets, types and observations of unequal length raise ValueError
         before any channel changes. A calendar type outside
         1..CALENDAR_TYPES raises IndexError, and an observation of other
@@ -287,44 +289,53 @@ class OnlineLearner:
         if not len(targets) == len(types) == len(observations):
             raise ValueError(f"{len(targets)} targets, {len(types)} calendar types and "
                              f"{len(observations)} observations must be equally many")
-        lambda_s, lambda_r = self.hp.lambda_s, self.hp.lambda_r
+        hp, diagnostics, pending = self.hp, self.diagnostics, self.state.pending
+        lambda_s, lambda_r = hp.lambda_s, hp.lambda_r
         s_params, r_params = self.model.s_channels, self.model.r_channels
         s_states, r_states = self.state.s_states, self.state.r_states
-        learn = self._learn
         prev = instance.anchor_load
         for obs, c, target in zip(observations, types, targets):
             if not 1 <= c <= CALENDAR_TYPES:
                 raise IndexError(f"calendar type {c} outside 1..{CALENDAR_TYPES}")
             if target is not None:
+                i = c - 1
                 # The observation channel goes first: it alone can reject its
                 # sample, and then neither channel of the step has changed.
                 if obs is not None:
-                    learn("r", c, r_params, r_states, obs, target, lambda_r)
+                    state = r_states[i]
+                    channel_update(state, r_params[i], obs, target, lambda_r, diagnostics)
+                    after = trace_reset(state, hp)
+                    if after is not state:
+                        diagnostics.trace_resets += 1
+                        r_states[i] = after
                 if prev is not None:
-                    learn("s", c, s_params, s_states, (1.0, prev), target, lambda_s)
+                    if pending and ("s", c) in pending:
+                        self._learn(c, (1.0, prev), target)
+                    else:
+                        state = s_states[i]
+                        channel_update(state, s_params[i], (1.0, prev), target, lambda_s, diagnostics)
+                        after = trace_reset(state, hp)
+                        if after is not state:
+                            diagnostics.trace_resets += 1
+                            s_states[i] = after
             prev = target
 
-    def _learn(self, kind: str, c: int, params: list, states: list, u: tuple[float, ...], s: float,
-               lam: float) -> None:
-        """Learn channel kind:c, whose records are params[c - 1] and states[c - 1], from
-        sample (u, s). A live channel takes a channel_update. A channel awaiting batch
-        initialization buffers the sample instead, and is initialized once its buffer is
-        solvable; after BATCH_INIT_MAX_BUFFER unsolvable samples the buffer is replayed from
-        the zero start. Either way a changed channel then takes a counted trace_reset."""
-        i, pending = c - 1, self.state.pending
-        if pending and (kind, c) in pending:
-            buf = pending[(kind, c)]
-            buf.append((u, s))
-            try:
-                state, params[i] = batch_initialize(buf, lam)
-            except SingularGram:
-                if len(buf) >= BATCH_INIT_MAX_BUFFER:
-                    self._replay(kind, c, params, states, lam)
-                return
-            del pending[(kind, c)]
-        else:
-            state = states[i]
-            channel_update(state, params[i], u, s, lam, self.diagnostics)
+    def _learn(self, c: int, u: tuple[float, float], s: float) -> None:
+        """Learn transition channel c, which awaits batch initialization, from sample (u, s).
+        The sample is buffered, and the channel is initialized once its buffer is solvable,
+        then takes a counted trace_reset; after BATCH_INIT_MAX_BUFFER unsolvable samples the
+        buffer is replayed from the zero start."""
+        i, pending, lam = c - 1, self.state.pending, self.hp.lambda_s
+        params, states = self.model.s_channels, self.state.s_states
+        buf = pending[("s", c)]
+        buf.append((u, s))
+        try:
+            state, params[i] = batch_initialize(buf, lam)
+        except SingularGram:
+            if len(buf) >= BATCH_INIT_MAX_BUFFER:
+                self._replay("s", c, params, states, lam)
+            return
+        del pending[("s", c)]
         after = trace_reset(state, self.hp)
         if after is not state:
             self.diagnostics.trace_resets += 1

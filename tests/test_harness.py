@@ -7,6 +7,7 @@ import math
 import re
 import subprocess
 import sys
+from collections import Counter
 from datetime import date, datetime, time, timedelta, timezone
 from pathlib import Path
 
@@ -15,7 +16,7 @@ import pytest
 
 from helpers import src_path_env
 
-from aplf import cli, harness
+from aplf import cli, forecaster, harness, recursive_learner
 from aplf.cli import main as cli_main
 from aplf.harness import (
     CorruptSnapshot,
@@ -27,6 +28,7 @@ from aplf.harness import (
     VersionMismatch,
     ingest_csv,
     load_config,
+    read_series,
     run_online_evaluation,
     snapshot_load,
     snapshot_save,
@@ -333,6 +335,29 @@ def test_ingest_rejects_a_celsius_temperature_that_overflows_in_fahrenheit(tmp_p
     assert f"{path}:3: temperature must be finite" in capsys.readouterr().err
     # In Fahrenheit the same cell is finite as it stands.
     assert ingest_csv(path, base_config())[0].temperature == [10.0, 1e308]
+
+
+def test_ingest_reads_a_celsius_temperature_whose_fahrenheit_value_is_finite(tmp_path):
+    # 5e307 * 9.0 overflows, but 5e307 C is 9e307 F.
+    path = tmp_path / "c.csv"
+    path.write_text("timestamp,load,temperature\n2021-03-01T00:00:00+00:00,1.0,5e307\n")
+    assert read_series(path, base_config(temperature_unit="C")).temperature == [9e307]
+
+
+@pytest.mark.parametrize("snapshot_out", [False, True], ids=["no-snapshot", "snapshot-out"])
+def test_temperatures_whose_tracker_sum_overflows_are_an_input_error(tmp_path, series_14d, capsys, snapshot_out):
+    # Two finite 1e308 F readings at 03:00 on two weekdays sum to inf in calendar type 4's tracker entry.
+    hot = {datetime(2021, 3, 2, 3, tzinfo=UTC), datetime(2021, 3, 3, 3, tzinfo=UTC)}
+    data = write_small_csv(tmp_path / "hot.csv", [(ts, load, 1e308 if ts in hot else temp)
+                                                  for ts, load, temp in series_14d])
+    config = base_config(train_end=datetime(2021, 3, 11, tzinfo=UTC))
+    with pytest.raises(ParseError, match="calendar type 4 sum to inf"):
+        run_online_evaluation(ingest_csv(data, config)[0], config)
+    out, snap = tmp_path / "out", tmp_path / "run.snapshot"
+    args = ["run", "--data", str(data), "--config", str(write_cli_config(tmp_path)), "--output-dir", str(out)]
+    assert cli_main(args + (["--snapshot-out", str(snap)] if snapshot_out else [])) == 2
+    assert "calendar type 4 sum to inf" in capsys.readouterr().err
+    assert not out.exists() and not snap.exists()
 
 
 def test_ingest_converts_celsius(tmp_path):
@@ -905,6 +930,46 @@ def test_parameters_never_see_loads_after_the_prediction_time(data_csv, tmp_path
                         replayed.s_channels + replayed.r_channels):
             assert np.array_equal(a.eta, b.eta)
             assert a.sigma == b.sigma
+
+
+def test_each_traced_call_is_made_once_per_sample_step_and_row(tmp_path, series_14d, monkeypatch):
+    # A tracer that wraps these module attributes by name counts the work of each layer from its
+    # calls, so the run must make each call through its attribute, once per unit of that work.
+    # The series has blank loads (one on test anchor 251), blank temperatures and a dropped row.
+    blank_load, blank_temp, dropped = {40, 41, 100, 251}, {41, 42, 150, 252}, {300}
+    load = {i: None if i in blank_load else x for i, (_, x, _) in enumerate(series_14d) if i not in dropped}
+    temp = {i: None if i in blank_temp else w for i, (_, _, w) in enumerate(series_14d) if i not in dropped}
+    data = tmp_path / "blanks.csv"
+    data.write_text("timestamp,load,temperature\n" + "".join(
+        f"{ts.isoformat()},{'' if load[i] is None else repr(load[i])},{'' if temp[i] is None else repr(temp[i])}\n"
+        for i, (ts, _, _) in enumerate(series_14d) if i not in dropped))
+    calls = Counter()
+
+    def count(owner, name):
+        real = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+
+    for owner, name in [(recursive_learner, "channel_update"), (recursive_learner, "trace_reset"),
+                        (forecaster, "forecast_step"), (TemperatureShiftEncoder, "encode"),
+                        (harness, "calendar_type")]:
+        count(owner, name)
+    config = base_config(train_end=datetime(2021, 3, 11, tzinfo=UTC))
+    result = run_online_evaluation(ingest_csv(data, config)[0], config)
+
+    # Anchors are at 11:00 each day; the grid runs through the last anchor's last forecast step, and
+    # every step after the first anchor is learned, with its temperature encoded, once.
+    first_anchor, last_anchor = 11, 13 * 24 + 11
+    n_steps = last_anchor + config.hp.horizon + 1
+    learned = range(first_anchor + 1, n_steps)
+    samples = sum((temp.get(i) is not None) + (load.get(i - 1) is not None)
+                  for i in learned if load.get(i) is not None)
+    assert result.notes["skipped_days"] == 1 and samples > 0
+    assert calls == {"channel_update": samples, "trace_reset": samples, "forecast_step": len(result.forecast_rows),
+                     "encode": sum(temp.get(i) is not None for i in learned), "calendar_type": n_steps}
 
 
 def test_zero_length_test_span_raises(data_csv):

@@ -574,6 +574,57 @@ def test_a_degenerate_update_leaves_the_channel_as_it_was(k, path, message):
     assert all(a is b for a, b in zip(state.P, rows)) and params.eta is eta
 
 
+@pytest.mark.parametrize("k", [2, 3])
+def test_an_update_whose_new_values_are_finite_but_sum_overflows_does_not_raise(k):
+    # Zero innovation keeps eta = (1e308, ...): every new value is finite, and their sum is inf.
+    state = ChannelState([[float(i == j) for j in range(k)] for i in range(k)], 1.0)
+    params = GaussianChannelParams([1e308] * k, 1.0)
+    channel_update(state, params, (1.0,) + (0.0,) * (k - 1), 1e308, 0.5)
+    new = [*params.eta, *(x for row in state.P for x in row), params.sigma]
+    assert params.eta == [1e308] * k and all(map(math.isfinite, new)) and math.isinf(sum(new))
+
+
+def update_with_one_non_finite_value(k, target):
+    """(state, params, u, s) of an update with lam = 0.5 whose one non-finite new value is target:
+    ("P", i, j), ("eta", i), ("sigma", "inf") or ("sigma", "nan"). The other new values are finite.
+
+    With u = 0 the update divides P by lam, so an entry of 1e308 alone overflows. With u the unit
+    vector e_j and P[i][j] = 1e154, eta_i moves by about 1e154 * 1e154 / 1.5, past the float range
+    from 1.5e308. A load of 1e200 squares to inf in the sigma radicand; a sigma of 1e200 squares to
+    inf on both sides of it, whose difference is nan."""
+    p = [[float(a == b) for b in range(k)] for a in range(k)]
+    eta, sigma, u, s = [0.0] * k, 1.0, [0.0] * k, 1.0
+    if target[0] == "P":
+        _, i, j = target
+        p[i][j] = p[j][i] = 1e308
+    elif target[0] == "eta":
+        i, j = target[1], (target[1] + 1) % k
+        p[i][j] = p[j][i] = 1e154
+        eta[i], u[j], s = 1.5e308, 1.0, 1e154
+    elif target[1] == "inf":
+        s = 1e200
+    else:
+        sigma = 1e200
+    return ChannelState(p, 2.0), GaussianChannelParams(eta, sigma), tuple(u), s
+
+
+def non_finite_targets(k):
+    return ([("P", i, j) for i in range(k) for j in range(i, k)] + [("eta", i) for i in range(k)]
+            + [("sigma", "inf"), ("sigma", "nan")])
+
+
+@pytest.mark.parametrize("k, target", [(k, t) for k in (2, 3) for t in non_finite_targets(k)],
+                         ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else f"k{v}")
+def test_an_update_with_any_one_non_finite_new_value_raises_and_leaves_the_channel(k, target):
+    state, params, u, s = update_with_one_non_finite_value(k, target)
+    rows, eta = list(state.P), params.eta
+    before = (copy.deepcopy(state.P), state.gamma, list(params.eta), params.sigma)
+    with pytest.raises(DegenerateUpdate, match="non-finite"):
+        channel_update(state, params, u, s, 0.5)
+    assert (state.P, state.gamma, params.eta, params.sigma) == before
+    assert all(a is b for a, b in zip(state.P, rows)) and params.eta is eta
+
+
 def assert_no_shared_lists(model, state):
     """No two channels of the model and state share a P, a P row or an eta list."""
     lists = [p.eta for p in model.s_channels + model.r_channels]
