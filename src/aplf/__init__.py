@@ -12,8 +12,10 @@ from .model_types import (
     ChannelState,
     GaussianChannelParams,
     HyperParams,
+    InputError,
     LearnerState,
     ModelParams,
+    NumericError,
 )
 from .recursive_learner import OnlineLearner, batch_initialize, channel_update, trace_reset
 

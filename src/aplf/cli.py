@@ -1,45 +1,22 @@
 """Command line interface: run, self-check, metrics.
 
-Exit codes: 0 success, 2 input error (unreadable or malformed files, config, snapshots),
-3 numerical degeneracy (corrupted state, degenerate variances, or a
-failed self-check).
+Exit codes: 0 success, 2 input error (an InputError, OSError or ValueError:
+unreadable or malformed files, config, snapshots), 3 numerical degeneracy
+(a NumericError: corrupted state, degenerate variances; or a failed self-check).
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import math
 import sys
 from bisect import bisect_left
 from datetime import datetime, timedelta
 from pathlib import Path
 
 from . import harness
-from .forecaster import ColdStart, DegenerateVariances
-from .metrics import EmptyInput, evaluate_forecasts
-from .recursive_learner import DegenerateUpdate, SingularGram
-
-_INPUT_ERRORS = (
-    harness.ParseError,
-    harness.NonMonotoneTimestamps,
-    harness.UnitMissing,
-    harness.EmptySpan,
-    harness.VersionMismatch,
-    harness.ShapeMismatch,
-    harness.CorruptSnapshot,
-    EmptyInput,
-    OSError,
-    ValueError,
-)
-
-_NUMERIC_ERRORS = (
-    DegenerateUpdate,
-    DegenerateVariances,
-    SingularGram,
-    ColdStart,
-)
+from .metrics import evaluate_forecasts
+from .model_types import InputError, NumericError
 
 
 def _cmd_run(args) -> int:
@@ -56,11 +33,8 @@ def _cmd_run(args) -> int:
         output_dir=output_dir,
         gaps=gaps,
     )
-    if result.report is not None:
-        for line in result.report.lines():
-            print(line)
-    for key, value in result.notes.items():
-        print(f"{key} = {value}")
+    for line in result.lines():
+        print(line)
     if output_dir is not None:
         print(f"outputs written to {output_dir}")
     return 0
@@ -73,38 +47,8 @@ def _cmd_self_check(args) -> int:
     return 0 if self_check(seed=args.seed) else 3
 
 
-def _read_forecasts(path: Path) -> list:
-    """Every (timestamp, mean, std) row of a forecasts.csv, in file order.
-
-    A row whose mean or std is not finite, or whose std is negative, and a
-    row the csv module cannot read, are ParseErrors naming the row's last
-    line (a quoted field may span lines).
-    """
-    out = []
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-            if header is None or header[:4] != ["timestamp", "horizon", "mean", "std"]:
-                raise harness.ParseError(f"{path}:1: expected forecasts.csv header timestamp,horizon,mean,std")
-            for row in reader:
-                if not row:
-                    continue
-                try:
-                    ts, mean, std = datetime.fromisoformat(row[0]), float(row[2]), float(row[3])
-                except (ValueError, IndexError) as exc:
-                    raise harness.ParseError(f"{path}:{reader.line_num}: {exc}") from exc
-                if not (math.isfinite(mean) and math.isfinite(std) and std >= 0.0):
-                    raise harness.ParseError(f"{path}:{reader.line_num}: mean must be finite and std finite "
-                                             f"and >= 0, got mean {row[2]}, std {row[3]}")
-                out.append((ts, mean, std))
-        except csv.Error as exc:
-            raise harness.ParseError(f"{path}:{reader.line_num}: {exc}") from None
-    return out
-
-
 def _cmd_metrics(args) -> int:
-    forecasts = _read_forecasts(Path(args.forecasts))
+    forecasts = harness.read_forecasts(args.forecasts)
     # One minute is the finest step a run accepts, so this grid admits the
     # actuals of any run. A forecast row is scored against the actual row at
     # its own instant, found by its step index in the series' sorted index
@@ -161,10 +105,10 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except _NUMERIC_ERRORS as exc:
+    except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except _INPUT_ERRORS as exc:
+    except (InputError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

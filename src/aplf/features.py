@@ -14,6 +14,7 @@ from typing import Iterable
 from .model_types import CALENDAR_TYPES, HOURS_PER_DAY, HyperParams
 
 __all__ = [
+    "NO_SHIFT",
     "TemperatureTracker",
     "TemperatureShiftEncoder",
     "calendar_type",
@@ -53,10 +54,13 @@ def neighbour_types(c: int) -> list[int]:
     return order + [ct(day_class, hour + half), ct(other, hour + half)]
 
 
+# The regressor that flags no shift: the intercept alone. It is also the
+# observation-channel regressor of a step whose observation is missing.
+NO_SHIFT = (1.0, 0.0, 0.0)
 # The four regressors (1, a1, a2), indexed by a1 + 2 * a2. Encoding returns
 # one of these shared tuples, so a run's instances hold references and
 # allocate nothing per observation.
-_ENCODED = ((1.0, 0.0, 0.0), (1.0, 1.0, 0.0), (1.0, 0.0, 1.0), (1.0, 1.0, 1.0))
+_ENCODED = (NO_SHIFT, (1.0, 1.0, 0.0), (1.0, 0.0, 1.0), (1.0, 1.0, 1.0))
 
 
 class TemperatureShiftEncoder:
@@ -75,7 +79,7 @@ class TemperatureShiftEncoder:
         """
         hp = self.hp
         if not (w > hp.w2 or w < hp.w3):
-            return _ENCODED[0]
+            return NO_SHIFT
         shift = w - w_bar
         return _ENCODED[(shift > hp.w1) + 2 * (shift < -hp.w1)]
 

@@ -12,8 +12,8 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .features import neighbour_types
-from .model_types import CALENDAR_TYPES, GaussianChannelParams, LearnerState, ModelParams
+from .features import NO_SHIFT, neighbour_types
+from .model_types import CALENDAR_TYPES, GaussianChannelParams, LearnerState, ModelParams, NumericError
 
 __all__ = [
     "DegenerateVariances",
@@ -24,16 +24,12 @@ __all__ = [
     "predict",
 ]
 
-# The observation-channel regressor of a step whose observation is missing:
-# the intercept alone, as encoding a temperature that flags no shift gives.
-_NEUTRAL = (1.0, 0.0, 0.0)
 
-
-class DegenerateVariances(Exception):
+class DegenerateVariances(NumericError):
     """Both channel variances and the propagated variance are zero."""
 
 
-class ColdStart(Exception):
+class ColdStart(NumericError):
     """A visited calendar type was never trained and no trained fallback exists."""
 
 
@@ -119,7 +115,7 @@ def predict(model: ModelParams, instance: InstanceVector, state: LearnerState | 
             used = _nearest_trained(state, c)
             substitutions.append((c, used))
         mean, std = forecast_step(mean, std, s_channels[used - 1], r_channels[used - 1],
-                                  _NEUTRAL if obs is None else obs)
+                                  NO_SHIFT if obs is None else obs)
         means.append(mean)
         stds.append(std)
     return ForecastPath(means, stds, tuple(substitutions))

@@ -22,8 +22,8 @@ from pathlib import Path
 from .features import TemperatureShiftEncoder, TemperatureTracker, calendar_type
 from .forecaster import InstanceVector, predict
 from .metrics import QUANTILE_LEVELS, QUANTILE_Z, EvalReport, evaluate_forecasts
-from .model_types import (CALENDAR_TYPES, R_DIM, S_DIM, HyperParams, LearnerState, ModelParams, _checked_list,
-                          _finite_floats)
+from .model_types import (CALENDAR_TYPES, R_DIM, S_DIM, HyperParams, InputError, LearnerState, ModelParams,
+                          _checked_list, _finite_floats)
 from .recursive_learner import OnlineLearner
 
 __all__ = [
@@ -40,6 +40,7 @@ __all__ = [
     "VersionMismatch",
     "ingest_csv",
     "load_config",
+    "read_forecasts",
     "read_series",
     "run_online_evaluation",
     "snapshot_load",
@@ -58,31 +59,31 @@ _QUANTILE_COLUMNS = "," + ",".join(f"q{int(round(q * 100)):02d}" for q in QUANTI
 _WRITE_CHUNK_ROWS = 4096
 
 
-class ParseError(Exception):
+class ParseError(InputError):
     """Malformed input file; the message names the offending line."""
 
 
-class NonMonotoneTimestamps(Exception):
+class NonMonotoneTimestamps(InputError):
     """Timestamps are not strictly increasing."""
 
 
-class UnitMissing(Exception):
+class UnitMissing(InputError):
     """The configuration does not declare the load unit."""
 
 
-class EmptySpan(Exception):
+class EmptySpan(InputError):
     """The requested evaluation span contains no prediction days."""
 
 
-class VersionMismatch(Exception):
+class VersionMismatch(InputError):
     """Snapshot written by an unsupported format version."""
 
 
-class ShapeMismatch(Exception):
+class ShapeMismatch(InputError):
     """Snapshot dimensions or hyper-parameters do not match the configured model."""
 
 
-class CorruptSnapshot(Exception):
+class CorruptSnapshot(InputError):
     """Snapshot is unreadable or fails its checksum."""
 
 
@@ -196,12 +197,9 @@ def load_config(path: Path | str) -> RunConfig:
     path = Path(path)
     hp_values: dict = {}
     config_values: dict = {}
-    for lineno, raw_line in enumerate(path.read_text().splitlines(), start=1):
-        line = raw_line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for where, line in _entries(path):
         if "=" not in line:
-            raise ParseError(f"{path}:{lineno}: expected 'key = value', got {raw_line!r}")
+            raise ParseError(f"{where}: expected 'key = value', got {line!r}")
         key, _, raw = line.partition("=")
         key = key.strip()
         if key in _HP_FIELDS:
@@ -209,36 +207,40 @@ def load_config(path: Path | str) -> RunConfig:
         elif key in _CONFIG_FIELDS:
             values, (name, parse) = config_values, _CONFIG_FIELDS[key]
         else:
-            raise ParseError(f"{path}:{lineno}: unknown key {key!r}")
+            raise ParseError(f"{where}: unknown key {key!r}")
         if name in values:
-            raise ParseError(f"{path}:{lineno}: duplicate key {key!r}")
+            raise ParseError(f"{where}: duplicate key {key!r}")
         try:
             values[name] = parse(raw.strip())
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: {key}: {exc}") from exc
+        except (ValueError, OverflowError) as exc:
+            raise ParseError(f"{where}: {key}: {exc}") from exc
     return RunConfig(hp=HyperParams(**hp_values), **config_values)
+
+
+def _entries(path: Path):
+    """(where, line) for each line of a key file that is neither blank nor a # comment:
+    the line stripped, and the `path:lineno` that starts every ParseError about it."""
+    for lineno, raw_line in enumerate(path.read_text().splitlines(), start=1):
+        line = raw_line.strip()
+        if line and not line.startswith("#"):
+            yield f"{path}:{lineno}", line
 
 
 def _load_schedule(path: Path) -> dict:
     """Per-day prediction overrides: lines `YYYY-MM-DD,HH:MM[,horizon]`, horizon >= 1, one per day."""
     schedule = {}
-    for lineno, raw_line in enumerate(path.read_text().splitlines(), start=1):
-        line = raw_line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for where, line in _entries(path):
         parts = [p.strip() for p in line.split(",")]
         if len(parts) not in (2, 3):
-            raise ParseError(f"{path}:{lineno}: expected 'date,time[,horizon]'")
+            raise ParseError(f"{where}: expected 'date,time[,horizon]'")
         try:
             day = date.fromisoformat(parts[0])
             at = _parse_time_of_day(parts[1])
-            horizon = int(parts[2]) if len(parts) == 3 else None
+            horizon = _HP_FIELDS["horizon"][1](parts[2]) if len(parts) == 3 else None
         except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: {exc}") from exc
-        if horizon is not None and horizon < 1:
-            raise ParseError(f"{path}:{lineno}: horizon must be at least 1, got {horizon}")
+            raise ParseError(f"{where}: {exc}") from exc
         if day in schedule:
-            raise ParseError(f"{path}:{lineno}: duplicate day {day.isoformat()}")
+            raise ParseError(f"{where}: duplicate day {day.isoformat()}")
         schedule[day] = (at, horizon)
     return schedule
 
@@ -432,7 +434,16 @@ def snapshot_save(path: Path | str, model: ModelParams, state: LearnerState,
     # The document is {"checksum", "format", "payload", "version"} in the
     # sorted, compact encoding; the payload's encoding is spliced in rather
     # than encoded a second time, and snapshot_load hashes it as written.
-    Path(path).write_text(f"{_HEAD}{checksum}{_MID}{body}{_TAIL}")
+    # It is written beside path and renamed over it, so a write that fails
+    # partway leaves the snapshot already at path as it was.
+    path = Path(path)
+    partial = path.with_name(path.name + ".tmp")
+    try:
+        partial.write_text(f"{_HEAD}{checksum}{_MID}{body}{_TAIL}")
+        partial.replace(path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 def snapshot_load(path: Path | str) -> Snapshot:
@@ -456,7 +467,7 @@ def snapshot_load(path: Path | str) -> Snapshot:
         checked = doc is not None
         if not checked:
             doc = json.loads(text)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise CorruptSnapshot(f"{path}: not a parseable snapshot: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != SNAPSHOT_FORMAT:
         raise CorruptSnapshot(f"{path}: missing snapshot format marker")
@@ -511,6 +522,11 @@ class RunResult:
     std: list[float]
     notes: dict
     forecast_header: str
+
+    def lines(self) -> list[str]:
+        """report.txt's lines: the report's, if there is a report, then each note as `key = value`."""
+        lines = [] if self.report is None else self.report.lines()
+        return lines + [f"{key} = {value}" for key, value in self.notes.items()]
 
 
 def run_online_evaluation(series: Series, config: RunConfig, *,
@@ -596,6 +612,8 @@ def run_online_evaluation(series: Series, config: RunConfig, *,
             raise ShapeMismatch(f"{resume}: snapshot hyper-parameters differ from the config: "
                                 f"{', '.join(differ)}")
         _check_comparable(f"{resume}: snapshot cursor", snap.cursor, base)
+        if snap.cursor is not None and not any(config.train_end <= ts and snap.cursor < ts for ts, *_ in anchors):
+            raise EmptySpan(f"{resume}: no prediction day after the snapshot's cursor {snap.cursor.isoformat()}")
         learner = OnlineLearner(hp, config.init_mode, model=snap.model, state=snap.state)
         tracker, cursor = snap.tracker, snap.cursor
 
@@ -701,12 +719,13 @@ def run_online_evaluation(series: Series, config: RunConfig, *,
         "n_gap_steps": sum(g["missing_steps"] for g in gaps) if gaps else 0,
     }
 
+    result = RunResult(report=report, forecast_rows=forecast_rows, t=eval_t, actual=eval_actual,
+                       mean=eval_mean, std=eval_std, notes=notes, forecast_header=header)
     if snapshot_out is not None:
         snapshot_save(snapshot_out, learner.model, learner.state, tracker, hp, cursor=processed)
     if output_dir is not None:
-        _write_outputs(Path(output_dir), header, forecast_rows, report, notes)
-    return RunResult(report=report, forecast_rows=forecast_rows, t=eval_t, actual=eval_actual,
-                     mean=eval_mean, std=eval_std, notes=notes, forecast_header=header)
+        _write_outputs(Path(output_dir), result)
+    return result
 
 
 def _check_comparable(name: str, value: datetime | None, base: datetime) -> None:
@@ -717,21 +736,49 @@ def _check_comparable(name: str, value: datetime | None, base: datetime) -> None
         raise ParseError(f"{name} {value.isoformat()} is {kind}, but the data timestamps are {data_kind}")
 
 
-def _write_outputs(output_dir: Path, header: str, forecast_rows: list[str],
-                   report: EvalReport | None, notes: dict) -> None:
+def _write_outputs(output_dir: Path, result: RunResult) -> None:
     output_dir.mkdir(parents=True, exist_ok=True)
+    rows = result.forecast_rows
     # Written in chunks of rows, so that no copy of the whole file is built.
     with (output_dir / "forecasts.csv").open("w") as fh:
-        fh.write(header + "\n")
-        for i in range(0, len(forecast_rows), _WRITE_CHUNK_ROWS):
-            fh.write("".join(row + "\n" for row in forecast_rows[i:i + _WRITE_CHUNK_ROWS]))
-    lines = []
-    if report is not None:
-        lines.extend(report.lines())
-    for key, value in notes.items():
-        lines.append(f"{key} = {value}")
-    (output_dir / "report.txt").write_text("".join(line + "\n" for line in lines))
+        fh.write(result.forecast_header + "\n")
+        for i in range(0, len(rows), _WRITE_CHUNK_ROWS):
+            fh.write("".join(row + "\n" for row in rows[i:i + _WRITE_CHUNK_ROWS]))
+    (output_dir / "report.txt").write_text("".join(line + "\n" for line in result.lines()))
     cal_lines = ["q,coverage"]
-    if report is not None:
-        cal_lines += [f"{q!r},{c!r}" for q, c in report.calibration_curve]
+    if result.report is not None:
+        cal_lines += [f"{q!r},{c!r}" for q, c in result.report.calibration_curve]
     (output_dir / "calibration.csv").write_text("".join(line + "\n" for line in cal_lines))
+
+
+def read_forecasts(path: Path | str) -> list:
+    """Every (timestamp, mean, std) row of a forecasts.csv, in file order.
+
+    The header must start with the columns run_online_evaluation writes. A
+    row whose mean or std is not finite, or whose std is negative, and a
+    row the csv module cannot read, are ParseErrors naming the row's last
+    line (a quoted field may span lines).
+    """
+    path = Path(path)
+    columns = _FORECAST_HEADER.split(",")
+    out = []
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header is None or header[:len(columns)] != columns:
+                raise ParseError(f"{path}:1: expected forecasts.csv header {_FORECAST_HEADER}")
+            for row in reader:
+                if not row:
+                    continue
+                try:
+                    ts, mean, std = datetime.fromisoformat(row[0]), float(row[2]), float(row[3])
+                except (ValueError, IndexError) as exc:
+                    raise ParseError(f"{path}:{reader.line_num}: {exc}") from exc
+                if not (math.isfinite(mean) and math.isfinite(std) and std >= 0.0):
+                    raise ParseError(f"{path}:{reader.line_num}: mean must be finite and std finite "
+                                     f"and >= 0, got mean {row[2]}, std {row[3]}")
+                out.append((ts, mean, std))
+        except csv.Error as exc:
+            raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
+    return out

@@ -20,6 +20,8 @@ from itertools import accumulate
 from operator import mul, sub
 from statistics import NormalDist
 
+from .model_types import InputError
+
 __all__ = [
     "EmptyInput",
     "EvalReport",
@@ -31,7 +33,7 @@ __all__ = [
 ]
 
 
-class EmptyInput(Exception):
+class EmptyInput(InputError):
     """The metric has no usable samples."""
 
 

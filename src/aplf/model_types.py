@@ -20,6 +20,8 @@ __all__ = [
     "R_DIM",
     "S_DIM",
     "HyperParams",
+    "InputError",
+    "NumericError",
     "GaussianChannelParams",
     "ChannelState",
     "ModelParams",
@@ -37,6 +39,14 @@ HOURS_PER_DAY = 24
 # The model's calendar types: every hour of day, once per day class
 # (weekday; weekend or holiday).
 CALENDAR_TYPES = 2 * HOURS_PER_DAY
+
+
+class InputError(Exception):
+    """An input file, setting or column the package cannot use; the command line exits 2."""
+
+
+class NumericError(Exception):
+    """A numerical degeneracy of the model or of a forecast; the command line exits 3."""
 
 
 @dataclass(frozen=True)
@@ -66,7 +76,7 @@ class HyperParams:
         if not 0.0 < self.lambda_r < 1.0:
             raise ValueError(f"lambda_r must be in (0, 1), got {self.lambda_r}")
         if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
+            raise ValueError(f"horizon must be at least 1, got {self.horizon}")
         if not self.trace_reset_threshold > 0.0:
             raise ValueError("trace_reset_threshold must be > 0")
         for name in ("w1", "w2", "w3"):

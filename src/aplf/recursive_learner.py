@@ -23,6 +23,7 @@ from .model_types import (
     HyperParams,
     LearnerState,
     ModelParams,
+    NumericError,
     S_DIM,
 )
 
@@ -45,11 +46,11 @@ GRAM_CONDITION_LIMIT = 1e12
 BATCH_INIT_MAX_BUFFER = 32
 
 
-class DegenerateUpdate(Exception):
+class DegenerateUpdate(NumericError):
     """The gain denominator was non-positive, or the update produced a non-finite value."""
 
 
-class SingularGram(Exception):
+class SingularGram(NumericError):
     """The weighted Gram matrix is singular or too ill-conditioned to invert."""
 
 

@@ -2,8 +2,10 @@
 
 import copy
 import hashlib
+import importlib
 import json
 import math
+import pkgutil
 import re
 import subprocess
 import sys
@@ -16,6 +18,7 @@ import pytest
 
 from helpers import src_path_env
 
+import aplf
 from aplf import cli, forecaster, harness, recursive_learner
 from aplf.cli import main as cli_main
 from aplf.harness import (
@@ -36,7 +39,7 @@ from aplf.harness import (
 from aplf.features import TemperatureShiftEncoder, TemperatureTracker
 from aplf.forecaster import InstanceVector
 from aplf.metrics import evaluate_forecasts
-from aplf.model_types import HyperParams, LearnerState, ModelParams
+from aplf.model_types import HyperParams, InputError, LearnerState, ModelParams, NumericError
 from aplf.recursive_learner import OnlineLearner
 from aplf.synthetic import make_hourly_series, write_series_csv
 
@@ -127,6 +130,14 @@ def test_load_config_errors_name_the_line(tmp_path, bad_line):
     cfg.write_text(f"# line 1\nload_unit = GW\n{bad_line}\n")
     with pytest.raises(ParseError, match=r"bad\.cfg:3: "):
         load_config(cfg)
+
+
+def test_a_step_beyond_the_timedelta_range_is_a_parse_error_naming_the_line(tmp_path, data_csv, capsys):
+    cfg = write_cli_config(tmp_path, step_minutes=99999999999999)
+    with pytest.raises(ParseError, match=r"run\.cfg:3: step_minutes: "):
+        load_config(cfg)
+    assert cli_main(["run", "--data", str(data_csv), "--config", str(cfg)]) == 2
+    assert "step_minutes" in capsys.readouterr().err
 
 
 def test_temperature_thresholds_may_be_negative_or_infinite_but_not_nan(tmp_path, data_csv, capsys):
@@ -421,6 +432,26 @@ def test_snapshot_save_refuses_a_non_finite_value_and_writes_no_file(tmp_path):
     assert not path.exists()
 
 
+def test_a_snapshot_write_that_fails_partway_leaves_the_old_snapshot(tmp_path, data_csv, monkeypatch):
+    # As when the disk fills up: part of the document is written, then the write raises.
+    path = _snapshot_of_a_run(tmp_path, data_csv)
+    old, listing = path.read_bytes(), sorted(tmp_path.iterdir())
+    snap = snapshot_load(path)
+    snap.tracker.counts[0] += 1
+
+    def write_part(self, text, *args, **kwargs):
+        with open(self, "w") as fh:
+            fh.write(text[:100])
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(Path, "write_text", write_part)
+    with pytest.raises(OSError, match="No space left on device"):
+        snapshot_save(path, snap.model, snap.state, snap.tracker, snap.hp, cursor=snap.cursor)
+    monkeypatch.undo()
+    assert path.read_bytes() == old
+    assert sorted(tmp_path.iterdir()) == listing
+
+
 def test_snapshot_shape_mismatch(tmp_path, data_csv, capsys):
     # SNAPSHOT_V1 is a consistent 2-type snapshot; the model has 48 types.
     config = base_config(train_end=datetime(2021, 3, 11, tzinfo=UTC))
@@ -441,6 +472,20 @@ def test_snapshot_truncated_file_is_corrupt(tmp_path, data_csv):
     clipped.write_text(snap_path.read_text()[:200])
     with pytest.raises(CorruptSnapshot):
         snapshot_load(clipped)
+
+
+@pytest.mark.parametrize("layout", ["document", "payload-as-written"])
+def test_a_snapshot_nested_past_the_recursion_limit_is_corrupt(tmp_path, data_csv, capsys, layout):
+    deep = "[" * 100000 + "]" * 100000
+    if layout == "payload-as-written":
+        deep = harness._HEAD + hashlib.sha256(deep.encode()).hexdigest() + harness._MID + deep + harness._TAIL
+    path = tmp_path / "deep.snapshot"
+    path.write_text(deep)
+    with pytest.raises(CorruptSnapshot, match="not a parseable snapshot"):
+        snapshot_load(path)
+    assert cli_main(["run", "--data", str(data_csv), "--config", str(write_cli_config(tmp_path)),
+                     "--resume", str(path)]) == 2
+    assert "not a parseable snapshot" in capsys.readouterr().err
 
 
 def test_snapshot_tampered_payload_is_corrupt(tmp_path, data_csv):
@@ -1436,6 +1481,24 @@ def test_cli_resume_matches_full_run(tmp_path, data_csv):
     assert first_rows[1:] + second_rows[1:] == full_rows[1:]
 
 
+def test_a_resume_with_no_prediction_day_after_the_cursor_is_an_empty_span_and_writes_nothing(tmp_path, data_csv,
+                                                                                             capsys):
+    # The natural daily loop resumes from and writes to one snapshot; a day
+    # already run must leave both it and the output directory as they were.
+    cfg = write_cli_config(tmp_path)
+    snap, out = tmp_path / "full.snapshot", tmp_path / "out"
+    run = ["run", "--data", str(data_csv), "--config", str(cfg), "--snapshot-out", str(snap), "--output-dir", str(out)]
+    assert cli_main(run) == 0
+    written = {p: p.read_bytes() for p in [snap, *out.iterdir()]}
+    cursor = snapshot_load(snap).cursor.isoformat()
+    with pytest.raises(EmptySpan, match=re.escape(f"no prediction day after the snapshot's cursor {cursor}")):
+        run_online_evaluation(ingest_csv(data_csv, load_config(cfg))[0], load_config(cfg), resume=snap)
+    capsys.readouterr()
+    assert cli_main([*run, "--resume", str(snap)]) == 2
+    assert f"no prediction day after the snapshot's cursor {cursor}" in capsys.readouterr().err
+    assert {p: p.read_bytes() for p in [snap, *out.iterdir()]} == written
+
+
 def series_40d_csv(path: Path, aware: bool) -> Path:
     """`scripts/make_synthetic.py --days 40`, whose timestamps end in +00:00, or those timestamps naive."""
     rows = make_hourly_series(40)
@@ -1484,6 +1547,39 @@ def test_cli_bad_header_is_input_error(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("a,b\n1,2\n")
     assert cli_main(["run", "--data", str(bad), "--config", str(cfg)]) == 2
+
+
+def _package_errors() -> list:
+    """Every exception class defined in a module of the package."""
+    found = []
+    for info in pkgutil.iter_modules(aplf.__path__):
+        module = importlib.import_module(f"aplf.{info.name}")
+        found += [obj for obj in vars(module).values()
+                  if isinstance(obj, type) and issubclass(obj, BaseException) and obj.__module__ == module.__name__]
+    return found
+
+
+PACKAGE_ERRORS = _package_errors()
+
+
+def test_every_package_error_derives_from_exactly_one_exit_code_base():
+    names = {error.__name__ for error in PACKAGE_ERRORS}
+    assert names >= {"InputError", "NumericError", "ParseError", "NonMonotoneTimestamps", "UnitMissing", "EmptySpan",
+                     "VersionMismatch", "ShapeMismatch", "CorruptSnapshot", "EmptyInput", "DegenerateUpdate",
+                     "SingularGram", "DegenerateVariances", "ColdStart"}
+    for error in set(PACKAGE_ERRORS) - {InputError, NumericError}:
+        assert issubclass(error, InputError) != issubclass(error, NumericError), error
+
+
+@pytest.mark.parametrize("error", [*PACKAGE_ERRORS, OSError, ValueError], ids=lambda error: error.__name__)
+def test_cli_exits_2_on_an_input_error_and_3_on_a_numeric_error(tmp_path, data_csv, capsys, monkeypatch, error):
+    def fail(*args, **kwargs):
+        raise error("boom")
+
+    monkeypatch.setattr(harness, "run_online_evaluation", fail)
+    assert cli_main(["run", "--data", str(data_csv), "--config", str(write_cli_config(tmp_path))]) == (
+        3 if issubclass(error, NumericError) else 2)
+    assert capsys.readouterr().err == "error: boom\n"
 
 
 def test_cli_self_check_passes():
