@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from array import array
 from bisect import bisect_left
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -48,16 +49,16 @@ def _cmd_self_check(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
-    forecasts = harness.read_forecasts(args.forecasts)
     # One minute is the finest step a run accepts, so this grid admits the
     # actuals of any run. A forecast row is scored against the actual row at
     # its own instant, found by its step index in the series' sorted index
     # column; a row off the grid, outside the series or with the other
-    # awareness (naive or offset-aware) has none.
+    # awareness (naive or offset-aware) has none. The forecast rows are
+    # streamed, and only a matched row's three floats are kept.
     step = timedelta(minutes=1)
     series = harness.read_series(args.actuals, harness.RunConfig(step=step))
-    actual, means, stds = [], [], []
-    for ts, mean, std in forecasts:
+    actual, means, stds = array("d"), array("d"), array("d")
+    for ts, mean, std in harness.read_forecasts(args.forecasts):
         try:
             i, rem = divmod(ts - series.start, step)
         except TypeError:

@@ -14,6 +14,8 @@ import csv
 import hashlib
 import json
 import math
+from array import array
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field, fields
 from datetime import date, datetime, time, timedelta
 from itertools import accumulate, pairwise, repeat
@@ -512,14 +514,15 @@ def snapshot_load(path: Path | str) -> Snapshot:
 @dataclass
 class RunResult:
     """A run's report, forecast rows and notes, and its evaluated steps as parallel
-    columns: step index t, actual load, and the forecast's mean and std."""
+    typed columns: step index t (array('q')), actual load, and the forecast's mean
+    and std (array('d'))."""
 
     report: EvalReport | None
     forecast_rows: list[str]
-    t: list[int]
-    actual: list[float]
-    mean: list[float]
-    std: list[float]
+    t: array
+    actual: array
+    mean: array
+    std: array
     notes: dict
     forecast_header: str
 
@@ -547,7 +550,8 @@ def run_online_evaluation(series: Series, config: RunConfig, *,
     train_end, test_end, frozen_after and a resumed cursor that are naive
     where the data's timestamps are offset-aware, or the reverse, raise
     ParseError. So do temperatures of one calendar type whose sum in the
-    tracker overflows the float range, before any file is written.
+    tracker overflows the float range, before any file is written, and
+    forecasts that reach past datetime.max, before the loop starts.
     """
     if not series:
         raise EmptySpan("no rows")
@@ -573,23 +577,30 @@ def run_online_evaluation(series: Series, config: RunConfig, *,
         at, horizon = config.schedule.get(day, (config.prediction_time, None))
         return datetime.combine(day, at, tzinfo=base.tzinfo), horizon
 
+    # The last step of the grid whose instant a datetime can hold. The day
+    # after date.max has no prediction instant, and comes after every such step.
+    last_step = (datetime.max - base.replace(tzinfo=None)) // step
     anchors: list[tuple[datetime, int, int, int]] = []
-    day = base.date()
-    while day <= last_ts.date():
+    for day in map(date.fromordinal, range(base.toordinal(), last_ts.toordinal() + 1)):
         ts, horizon = instant(day)
-        day += timedelta(days=1)
         if base <= ts <= last_ts:
             t_idx, rem = divmod(ts - base, step)
             if rem:
                 raise ParseError(f"prediction time {ts.isoformat()} off the {step} grid")
             if test_end is None or ts < test_end:
-                anchors.append((ts, t_idx, horizon or hp.horizon, (instant(day)[0] - base) // step))
+                t_next = (instant(day + timedelta(days=1))[0] - base) // step if day < date.max else last_step + 1
+                anchors.append((ts, t_idx, horizon or hp.horizon, t_next))
     if not any(config.train_end <= ts for ts, _, _, _ in anchors):
         raise EmptySpan("no prediction days inside the test span")
 
     # The series on its step grid, from the first row through the last row
     # or the last step any anchor predicts, whichever is later.
     n_steps = max(series.index[-1], max(t + h for _, t, h, _ in anchors)) + 1
+    if n_steps > last_step + 1:
+        ts = next(ts for ts, t, h, _ in anchors if t + h > last_step)
+        raise ParseError(f"prediction day {ts.isoformat()} spans steps past {datetime.max.isoformat()}, the last "
+                         f"instant a timestamp can hold; the first is the step after "
+                         f"{(base + last_step * step).isoformat()}")
     loads: list[float | None] = [None] * n_steps
     temps: list[float | None] = [None] * n_steps
     for i, load, temp in zip(series.index, series.load, series.temperature):
@@ -629,10 +640,7 @@ def run_online_evaluation(series: Series, config: RunConfig, *,
     clock: dict[time, str] = {}
 
     forecast_rows: list[str] = []
-    eval_t: list[int] = []
-    eval_actual: list[float] = []
-    eval_mean: list[float] = []
-    eval_std: list[float] = []
+    eval_t, eval_actual, eval_mean, eval_std = array("q"), array("d"), array("d"), array("d")
     skipped_days = 0
     cold_starts = 0
     processed = cursor
@@ -751,17 +759,16 @@ def _write_outputs(output_dir: Path, result: RunResult) -> None:
     (output_dir / "calibration.csv").write_text("".join(line + "\n" for line in cal_lines))
 
 
-def read_forecasts(path: Path | str) -> list:
-    """Every (timestamp, mean, std) row of a forecasts.csv, in file order.
+def read_forecasts(path: Path | str) -> Iterator[tuple[datetime, float, float]]:
+    """Yield every (timestamp, mean, std) row of a forecasts.csv, in file order.
 
     The header must start with the columns run_online_evaluation writes. A
     row whose mean or std is not finite, or whose std is negative, and a
     row the csv module cannot read, are ParseErrors naming the row's last
-    line (a quoted field may span lines).
+    line (a quoted field may span lines), raised when iteration reaches it.
     """
     path = Path(path)
     columns = _FORECAST_HEADER.split(",")
-    out = []
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -778,7 +785,6 @@ def read_forecasts(path: Path | str) -> list:
                 if not (math.isfinite(mean) and math.isfinite(std) and std >= 0.0):
                     raise ParseError(f"{path}:{reader.line_num}: mean must be finite and std finite "
                                      f"and >= 0, got mean {row[2]}, std {row[3]}")
-                out.append((ts, mean, std))
+                yield ts, mean, std
         except csv.Error as exc:
             raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
-    return out

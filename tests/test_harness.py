@@ -9,6 +9,8 @@ import pkgutil
 import re
 import subprocess
 import sys
+import tracemalloc
+from array import array
 from collections import Counter
 from datetime import date, datetime, time, timedelta, timezone
 from pathlib import Path
@@ -1180,6 +1182,44 @@ def test_schedule_file_overrides_time_and_horizon(tmp_path, data_csv):
     assert len(rows_by_anchor[datetime(2021, 3, 13, 11, tzinfo=UTC)]) == 24  # defaults elsewhere
 
 
+def test_run_result_columns_are_typed_arrays(data_csv):
+    config = base_config(train_end=datetime(2021, 3, 11, tzinfo=UTC))
+    result = run_online_evaluation(ingest_csv(data_csv, config)[0], config)
+    columns = (result.t, result.actual, result.mean, result.std)
+    assert all(isinstance(column, array) for column in columns)
+    assert [column.typecode for column in columns] == ["q", "d", "d", "d"]
+    assert len(result.t) == result.notes["n_eval_points"] > 0
+
+
+@pytest.mark.parametrize("offset", [None, timedelta(hours=5), timedelta(hours=-5)], ids=["naive", "east", "west"])
+def test_a_run_whose_forecasts_pass_the_last_representable_instant_is_a_parse_error(tmp_path, capsys, offset):
+    # 12 hourly days from 9999-12-20: the last prediction day's 24 steps from
+    # 11:00 run past 9999-12-31T23:00, the last step a timestamp can hold.
+    rows = make_hourly_series(12, start=datetime(9999, 12, 20, tzinfo=offset and timezone(offset)))
+    data = write_small_csv(tmp_path / "series.csv", rows)
+    last = rows[-1][0].isoformat()
+    assert last.startswith("9999-12-31T23:00:00")
+    train_end = datetime(9999, 12, 25, tzinfo=rows[0][0].tzinfo).isoformat()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"load_unit = GW\ntrain_end = {train_end}\n")
+    message = (f"prediction day {rows[-13][0].isoformat()} spans steps past 9999-12-31T23:59:59.999999, the last "
+               f"instant a timestamp can hold; the first is the step after {last}")
+    with pytest.raises(ParseError, match=re.escape(message)):
+        run_online_evaluation(ingest_csv(data, load_config(cfg))[0], load_config(cfg))
+    out, snap = tmp_path / "out", tmp_path / "run.snapshot"
+    run = ["run", "--data", str(data), "--config", str(cfg), "--output-dir", str(out), "--snapshot-out", str(snap)]
+    assert cli_main(run) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists() and not snap.exists()
+    # With a horizon of 12 the last day's forecasts end at 23:00 and its
+    # learning span, through a next day that does not exist, ends with the data.
+    cfg.write_text(f"load_unit = GW\ntrain_end = {train_end}\nhorizon = 12\n")
+    assert cli_main(run) == 0
+    forecasts = (out / "forecasts.csv").read_text().splitlines()
+    assert len(forecasts) == 1 + 7 * 12 and forecasts[-1].startswith(f"{last},12,")
+    assert snapshot_load(snap).cursor == rows[-13][0]
+
+
 def test_report_written(tmp_path, data_csv):
     config = base_config(train_end=datetime(2021, 3, 11, tzinfo=UTC))
     series, _ = ingest_csv(data_csv, config)
@@ -1423,6 +1463,34 @@ def test_cli_metrics_scores_an_overflowing_error_as_inf(tmp_path, capsys):
                                                          "2021-03-01T12:00:00+00:00,1,1.0,0.5"])
     assert cli_main(["metrics", "--forecasts", str(forecasts), "--actuals", str(actuals)]) == 0
     assert "rmse = inf" in capsys.readouterr().out.splitlines()
+
+
+def test_cli_metrics_keeps_at_most_48_bytes_per_extra_forecast_row(tmp_path, capsys):
+    # 3,000 forecast rows of a run, scored against its actuals as written and
+    # repeated 8 times: the 21,000 extra rows may raise the peak of traced
+    # allocations by at most 48 B each, so no row is kept as a Python object.
+    data = write_small_csv(tmp_path / "series.csv", make_hourly_series(136, seed=1))
+    cfg = write_cli_config(tmp_path)
+    out = tmp_path / "out"
+    assert cli_main(["run", "--data", str(data), "--config", str(cfg), "--output-dir", str(out)]) == 0
+    header, *rows = (out / "forecasts.csv").read_text().splitlines()
+    rows = rows[:3000]
+    assert len(rows) == 3000
+    once = write_lines(tmp_path / "once.csv", [header] + rows)
+    eight = write_lines(tmp_path / "eight.csv", [header] + rows * 8)
+
+    def peak(forecasts: Path) -> int:
+        tracemalloc.start()
+        try:
+            assert cli_main(["metrics", "--forecasts", str(forecasts), "--actuals", str(data)]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak_once = peak(once)
+    assert (peak(eight) - peak_once) / (7 * 3000) <= 48
+    n_points = [line for line in capsys.readouterr().out.splitlines() if line.startswith("n_points = ")]
+    assert n_points[-2:] == ["n_points = 3000", "n_points = 24000"]
 
 
 def test_cli_metrics_oversized_forecast_field_is_a_parse_error_naming_the_line(tmp_path, data_csv, capsys):

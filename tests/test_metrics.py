@@ -3,6 +3,9 @@
 import math
 import subprocess
 import sys
+import tracemalloc
+from array import array
+from functools import partial
 from statistics import NormalDist
 
 import mpmath
@@ -55,6 +58,19 @@ def test_a_score_that_overflows_is_inf():
     assert mape([tiny, tiny], [1.0, 3.0]) == (math.inf, 0)
     report = evaluate_forecasts([1e200, tiny, tiny], [0.0, 1.0, 3.0], [1.0, 0.0, 0.0])
     assert (report.rmse, report.mape) == (math.inf, math.inf) and math.isfinite(report.mean_pinball)
+
+
+def test_a_sum_that_overflows_still_counts_every_later_point():
+    # The third pinball term, and the second MAPE ratio, overflow their sums;
+    # the coverage counts and the zero-load count still take in every point after.
+    huge, tiny = 1.5e308, 2.2250738585072014e-308
+    rows = [(huge, 0.0, 1.0)] * 3 + [(0.0, 1.0, 0.5), (2.0, 1.0, 0.5), (0.5, 1.0, 0.0)]
+    report = evaluate_forecasts(*zip(*rows))
+    with np.errstate(over="ignore"):  # the table's own pinball mean overflows too
+        curve, ece, _ = whole_table_scores(*zip(*rows))
+    assert (report.calibration_curve, report.ece) == (curve, ece)
+    assert report.mean_pinball == math.inf and report.n_mape_excluded == 1
+    assert mape([tiny, tiny, 0.0, 1.0, 0.0], [1.0, 3.0, 1.0, 1.0, 2.0]) == (math.inf, 2)
 
 
 def test_mape_matches_high_precision_oracle():
@@ -208,6 +224,62 @@ def test_coverage_equals_the_whole_quantile_table_exactly(samples):
     report = evaluate_forecasts(*zip(*samples))
     curve, ece, _ = whole_table_scores(*zip(*samples))
     assert (report.calibration_curve, report.ece) == (curve, ece)
+
+
+def same(x: float, y: float) -> bool:
+    return x == y or (math.isnan(x) and math.isnan(y))
+
+
+def fsum_or_inf(terms: list) -> float:
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        return math.inf
+
+
+zero_load_samples = st.tuples(st.sampled_from([0.0, -0.0]), st.floats(-1e3, 1e3) | st.just(math.nan),
+                              st.floats(0.0, 5.0) | st.just(math.nan))
+
+
+@given(st.lists(scored_samples() | zero_load_samples, min_size=1, max_size=30))
+def test_each_score_is_one_fsum_over_its_terms_whatever_sequence_holds_the_columns(samples):
+    actual, mean, std = (list(column) for column in zip(*samples))
+    n = len(samples)
+    # Each term built on its own, in a list: a squared error, a ratio to a
+    # non-zero load, and a point's grid pinball mean.
+    squares = [(a - m) * (a - m) for a, m in zip(actual, mean)]
+    ratios = [abs((a - m) / a) for a, m in zip(actual, mean) if a != 0]
+    pinball_terms = per_sample_pinball(actual, mean, std)
+    expected_rmse = math.sqrt(fsum_or_inf(squares) / n)
+    expected_mape = 100.0 * fsum_or_inf(ratios) / len(ratios) if ratios else math.nan
+    expected_pinball = fsum_or_inf(pinball_terms) / n
+    curve, ece, _ = whole_table_scores(actual, mean, std)
+    for kind in (list, tuple, partial(array, "d")):
+        a, m, s = kind(actual), kind(mean), kind(std)
+        assert same(rmse(a, m), expected_rmse)
+        value, excluded = mape(a, m)
+        assert same(value, expected_mape) and excluded == n - len(ratios)
+        report = evaluate_forecasts(a, m, s)
+        assert same(report.rmse, expected_rmse) and same(report.mape, expected_mape)
+        assert same(report.mean_pinball, expected_pinball) and report.n_mape_excluded == n - len(ratios)
+        assert (report.calibration_curve, report.ece, report.n_points) == (curve, ece, n)
+
+
+def test_evaluate_forecasts_keeps_no_per_point_object():
+    # 20,000 points may raise the peak of traced allocations by at most 64 KiB
+    # beyond the input columns, which exist before tracing starts.
+    rng = np.random.default_rng(20)
+    mean = [float(v) for v in rng.uniform(1.0, 3.0, 20_000)]
+    actual = [0.0 if i % 97 == 0 else m + float(rng.normal(scale=0.1)) for i, m in enumerate(mean)]
+    std = [float(v) for v in rng.uniform(0.0, 0.2, 20_000)]
+    tracemalloc.start()
+    try:
+        report = evaluate_forecasts(actual, mean, std)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.n_points == 20_000 and report.n_mape_excluded == 207
+    assert peak <= 64 * 1024
 
 
 def test_negative_or_infinite_std_is_rejected_and_zero_or_nan_keep_the_table_scores():
