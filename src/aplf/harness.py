@@ -14,8 +14,10 @@ import csv
 import hashlib
 import json
 import math
+import operator
 from array import array
-from collections.abc import Iterator
+from bisect import bisect_right
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import asdict, dataclass, field, fields
 from datetime import date, datetime, time, timedelta
 from itertools import accumulate, pairwise, repeat
@@ -31,6 +33,7 @@ from .recursive_learner import OnlineLearner
 __all__ = [
     "CorruptSnapshot",
     "EmptySpan",
+    "ForecastRows",
     "NonMonotoneTimestamps",
     "ParseError",
     "RunConfig",
@@ -57,8 +60,8 @@ LOAD_UNITS = ("kW", "MW", "GW")
 # The forecasts.csv header, and the columns emit_quantiles appends to it.
 _FORECAST_HEADER = "timestamp,horizon,mean,std"
 _QUANTILE_COLUMNS = "," + ",".join(f"q{int(round(q * 100)):02d}" for q in QUANTILE_LEVELS)
-# Forecast rows per write of forecasts.csv.
-_WRITE_CHUNK_ROWS = 4096
+# Characters of forecast rows per write of forecasts.csv.
+_WRITE_CHUNK_CHARS = 256 * 1024
 
 
 class ParseError(InputError):
@@ -436,12 +439,15 @@ def snapshot_save(path: Path | str, model: ModelParams, state: LearnerState,
     # The document is {"checksum", "format", "payload", "version"} in the
     # sorted, compact encoding; the payload's encoding is spliced in rather
     # than encoded a second time, and snapshot_load hashes it as written.
-    # It is written beside path and renamed over it, so a write that fails
-    # partway leaves the snapshot already at path as it was.
-    path = Path(path)
+    _replace(Path(path), lambda partial: partial.write_text(f"{_HEAD}{checksum}{_MID}{body}{_TAIL}"))
+
+
+def _replace(path: Path, write: Callable[[Path], object]) -> None:
+    """write(partial) to a file beside path, then rename it over path, so a write that
+    fails partway leaves the file already at path as it was and no file beside it."""
     partial = path.with_name(path.name + ".tmp")
     try:
-        partial.write_text(f"{_HEAD}{checksum}{_MID}{body}{_TAIL}")
+        write(partial)
         partial.replace(path)
     except BaseException:
         partial.unlink(missing_ok=True)
@@ -511,6 +517,84 @@ def snapshot_load(path: Path | str) -> Snapshot:
     return Snapshot(model=model, state=state, tracker=tracker, hp=hp, cursor=cursor)
 
 
+class ForecastRows(Sequence[str]):
+    """forecasts.csv's data rows, kept as typed columns and formatted when read.
+
+    Each anchor keeps its step index t and the position of its first row;
+    each row keeps its mean and std (array('d')), 16 bytes a row. The anchor's
+    row h (h = 1, 2, ...) is stamped start + (t + h) * step in the data's wall
+    clock, followed by the data's UTC offset, as isoformat writes it: every
+    offset-aware timestamp read_series returns has a fixed-offset timezone, so
+    this suffix is the same on every row. Iteration and slices format each row
+    once; an index formats its one row. The rows hold no reference to the
+    series or its grid.
+    """
+
+    __slots__ = ("_start", "_step", "_suffix", "_quantiles", "_anchor_t", "_first", "_mean", "_std")
+
+    def __init__(self, start: datetime, step: timedelta, quantiles: bool):
+        self._start = start.replace(tzinfo=None)
+        self._step = step
+        self._suffix = start.isoformat()[len(self._start.isoformat()):]
+        self._quantiles = quantiles
+        self._anchor_t, self._first = array("q"), array("q")
+        self._mean, self._std = array("d"), array("d")
+
+    def add(self, t: int, means: Sequence[float], stds: Sequence[float]) -> None:
+        """Append the rows of the anchor at step index t: one per horizon step of its forecast."""
+        self._anchor_t.append(t)
+        self._first.append(len(self._mean))
+        self._mean.extend(means)
+        self._std.extend(stds)
+
+    def __len__(self) -> int:
+        return len(self._mean)
+
+    def __iter__(self) -> Iterator[str]:
+        return self._format(0, len(self))
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            lo, hi, stride = key.indices(len(self))
+            if stride == 1:
+                return list(self._format(lo, hi))
+            return [self[k] for k in range(lo, hi, stride)]
+        k = operator.index(key)
+        if k < 0:
+            k += len(self)
+        if not 0 <= k < len(self):
+            raise IndexError("forecast row index out of range")
+        return next(self._format(k, k + 1))
+
+    def _format(self, lo: int, hi: int) -> Iterator[str]:
+        """Rows lo through hi - 1. Stamps are stepped by addition, equal to the product. A
+        stamp is its day's date prefix, formatted when the day changes, and its time of
+        day's text with the suffix, formatted once per call for each time of day."""
+        anchor_t, first, means, stds = self._anchor_t, self._first, self._mean, self._std
+        start, step, suffix, quantiles = self._start, self._step, self._suffix, self._quantiles
+        stamp_day, day_prefix = None, ""
+        clock: dict[time, str] = {}
+        a = bisect_right(first, lo) - 1
+        while lo < hi:
+            stop = min(hi, first[a + 1] if a + 1 < len(first) else len(means))
+            h = lo - first[a]
+            ts = start + (anchor_t[a] + h) * step
+            for mean, std in zip(means[lo:stop], stds[lo:stop]):
+                h += 1
+                ts += step
+                if ts.date() != stamp_day:
+                    stamp_day = ts.date()
+                    day_prefix = stamp_day.isoformat() + "T"
+                clock_text = clock.get(ts.time())
+                if clock_text is None:
+                    clock_text = clock[ts.time()] = ts.time().isoformat() + suffix
+                row = f"{day_prefix}{clock_text},{h},{mean!r},{std!r}"
+                if quantiles:
+                    row += "," + ",".join([repr(mean + std * z) for z in QUANTILE_Z])
+                yield row
+            lo, a = stop, a + 1
+
+
 @dataclass
 class RunResult:
     """A run's report, forecast rows and notes, and its evaluated steps as parallel
@@ -518,7 +602,7 @@ class RunResult:
     and std (array('d'))."""
 
     report: EvalReport | None
-    forecast_rows: list[str]
+    forecast_rows: ForecastRows
     t: array
     actual: array
     mean: array
@@ -629,22 +713,12 @@ def run_online_evaluation(series: Series, config: RunConfig, *,
         tracker, cursor = snap.tracker, snap.cursor
 
     header = _FORECAST_HEADER + (_QUANTILE_COLUMNS if config.emit_quantiles else "")
-    # Forecast rows are stamped in the data's wall-clock time: naive instants
-    # stepped by addition, then the data's UTC offset as isoformat writes it.
-    # Every offset-aware timestamp read_series returns has a fixed-offset
-    # timezone, so this suffix is the same on every row. A stamp is its day's
-    # date prefix, formatted when the day changes, and its time of day's text
-    # with the suffix, formatted once per run for each time of day.
-    offset_suffix = base.isoformat()[len(base.replace(tzinfo=None).isoformat()):]
-    stamp_day, day_prefix = None, ""
-    clock: dict[time, str] = {}
-
-    forecast_rows: list[str] = []
+    forecast_rows = ForecastRows(base, step, config.emit_quantiles)
     eval_t, eval_actual, eval_mean, eval_std = array("q"), array("d"), array("d"), array("d")
     skipped_days = 0
     cold_starts = 0
     processed = cursor
-    train_end, emit_quantiles = config.train_end, config.emit_quantiles
+    train_end = config.train_end
     # An anchor forecasts the horizon steps after it and learns the steps on
     # the grid through the next anchor, so each step is learned once, after
     # every forecast of it. Each temperature of the two spans is encoded once,
@@ -652,8 +726,8 @@ def run_online_evaluation(series: Series, config: RunConfig, *,
     # the type's first), and added to the tracker only once its step is learned.
     # The tracker's mean and add are written out on its counts and sums.
     encode, counts, sums = encoder.encode, tracker.counts, tracker.sums
-    add_row, add_t, add_actual, add_mean, add_std = (forecast_rows.append, eval_t.append, eval_actual.append,
-                                                     eval_mean.append, eval_std.append)
+    add_rows, add_t, add_actual, add_mean, add_std = (forecast_rows.add, eval_t.append, eval_actual.append,
+                                                      eval_mean.append, eval_std.append)
 
     for anchor_ts, t_idx, horizon, t_next in anchors:
         if cursor is not None and anchor_ts <= cursor:
@@ -677,19 +751,8 @@ def run_online_evaluation(series: Series, config: RunConfig, *,
                 instance = InstanceVector(anchor_load, tuple(observations[:horizon]), span_types[:horizon], t_idx)
                 path = predict(learner.model, instance, state=learner.state)
                 cold_starts += len(path.cold_start_substitutions)
-                ts = anchor_ts.replace(tzinfo=None)
+                add_rows(t_idx, path.mean, path.std)
                 for i, (mean, std, actual) in enumerate(zip(path.mean, path.std, span_loads), start=1):
-                    ts += step
-                    if ts.date() != stamp_day:
-                        stamp_day = ts.date()
-                        day_prefix = stamp_day.isoformat() + "T"
-                    clock_text = clock.get(ts.time())
-                    if clock_text is None:
-                        clock_text = clock[ts.time()] = ts.time().isoformat() + offset_suffix
-                    row = f"{day_prefix}{clock_text},{i},{mean!r},{std!r}"
-                    if emit_quantiles:
-                        row += "," + ",".join([repr(mean + std * z) for z in QUANTILE_Z])
-                    add_row(row)
                     if actual is not None:
                         add_t(t_idx + i)
                         add_actual(actual)
@@ -729,10 +792,12 @@ def run_online_evaluation(series: Series, config: RunConfig, *,
 
     result = RunResult(report=report, forecast_rows=forecast_rows, t=eval_t, actual=eval_actual,
                        mean=eval_mean, std=eval_std, notes=notes, forecast_header=header)
-    if snapshot_out is not None:
-        snapshot_save(snapshot_out, learner.model, learner.state, tracker, hp, cursor=processed)
+    # The outputs come first: a snapshot whose cursor is past days whose
+    # forecasts were never written would make a resumed run skip them.
     if output_dir is not None:
         _write_outputs(Path(output_dir), result)
+    if snapshot_out is not None:
+        snapshot_save(snapshot_out, learner.model, learner.state, tracker, hp, cursor=processed)
     return result
 
 
@@ -745,13 +810,29 @@ def _check_comparable(name: str, value: datetime | None, base: datetime) -> None
 
 
 def _write_outputs(output_dir: Path, result: RunResult) -> None:
+    """Write forecasts.csv, report.txt and calibration.csv. forecasts.csv is written
+    beside its path and renamed over it, so that a write that fails partway never
+    leaves a truncated file for `aplf metrics` to score."""
     output_dir.mkdir(parents=True, exist_ok=True)
-    rows = result.forecast_rows
-    # Written in chunks of rows, so that no copy of the whole file is built.
-    with (output_dir / "forecasts.csv").open("w") as fh:
-        fh.write(result.forecast_header + "\n")
-        for i in range(0, len(rows), _WRITE_CHUNK_ROWS):
-            fh.write("".join(row + "\n" for row in rows[i:i + _WRITE_CHUNK_ROWS]))
+
+    def write_forecasts(partial: Path) -> None:
+        # Each row is formatted here, once, and written in chunks of about
+        # _WRITE_CHUNK_CHARS, so that no copy of the whole file is built. A
+        # chunk's empty last item ends its last row without copying the chunk.
+        with partial.open("w") as fh:
+            fh.write(result.forecast_header + "\n")
+            chunk, size = [], 0
+            for row in result.forecast_rows:
+                chunk.append(row)
+                size += len(row)
+                if size >= _WRITE_CHUNK_CHARS:
+                    chunk.append("")
+                    fh.write("\n".join(chunk))
+                    chunk, size = [], 0
+            chunk.append("")
+            fh.write("\n".join(chunk))
+
+    _replace(output_dir / "forecasts.csv", write_forecasts)
     (output_dir / "report.txt").write_text("".join(line + "\n" for line in result.lines()))
     cal_lines = ["q,coverage"]
     if result.report is not None:

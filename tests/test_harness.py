@@ -17,6 +17,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import src_path_env
 
@@ -894,7 +896,7 @@ def test_split_run_resumes_byte_identically(tmp_path, data_csv, layout, init_mod
     # Under batch init, samples still awaiting batch initialization cross the split.
     assert any(json.loads(snap_path.read_text())["payload"]["pending_batch"].values()) == (init_mode == "batch")
     second = run_online_evaluation(series, config, resume=snap_path, snapshot_out=tmp_path / "second.snapshot")
-    assert first.forecast_rows + second.forecast_rows == full.forecast_rows
+    assert list(first.forecast_rows) + list(second.forecast_rows) == list(full.forecast_rows)
     assert (tmp_path / "second.snapshot").read_bytes() == (tmp_path / "full.snapshot").read_bytes()
 
 
@@ -1074,7 +1076,7 @@ def test_dropped_row_equals_blank_row(tmp_path, data_csv):
     assert (len(dropped), len(blanked), len(dropped_gaps), blanked_gaps) == (len(lines) - 2, len(lines) - 1, 1, [])
     a = run_online_evaluation(dropped, config, snapshot_out=tmp_path / "dropped.snapshot")
     b = run_online_evaluation(blanked, config, snapshot_out=tmp_path / "blanked.snapshot")
-    assert a.forecast_rows == b.forecast_rows
+    assert list(a.forecast_rows) == list(b.forecast_rows)
     assert a.notes == b.notes
     assert (tmp_path / "dropped.snapshot").read_bytes() == (tmp_path / "blanked.snapshot").read_bytes()
 
@@ -1155,7 +1157,7 @@ def test_frozen_after_stops_learning(data_csv):
     series, _ = ingest_csv(data_csv, config)
     online = run_online_evaluation(series, config)
     frozen = run_online_evaluation(series, config, frozen_after=config.train_end)
-    assert online.forecast_rows != frozen.forecast_rows
+    assert list(online.forecast_rows) != list(frozen.forecast_rows)
 
 
 def test_schedule_file_overrides_time_and_horizon(tmp_path, data_csv):
@@ -1189,6 +1191,100 @@ def test_run_result_columns_are_typed_arrays(data_csv):
     assert all(isinstance(column, array) for column in columns)
     assert [column.typecode for column in columns] == ["q", "d", "d", "d"]
     assert len(result.t) == result.notes["n_eval_points"] > 0
+
+
+ROW_ZONES = {"naive": None, "+05:30": timezone(timedelta(hours=5, minutes=30)),
+             "-03:00": timezone(timedelta(hours=-3))}
+
+
+def assert_rows_read_alike(result, out: Path, data) -> list[str]:
+    """The rows of a run that wrote out/forecasts.csv, read every way, agree; returns them as iterated."""
+    rows = result.forecast_rows
+    as_iterated = list(rows)
+    assert len(as_iterated) == len(rows) == result.notes["n_forecast_rows"] > 0
+    assert [rows[k] for k in range(len(rows))] == as_iterated
+    assert (rows[-1], rows[-len(rows)]) == (as_iterated[-1], as_iterated[0])
+    for k in (len(rows), -len(rows) - 1):
+        with pytest.raises(IndexError):
+            rows[k]
+    for _ in range(3):
+        cut = data.draw(st.slices(len(rows)))
+        assert rows[cut] == as_iterated[cut]
+    written = (out / "forecasts.csv").read_text()
+    assert written == "".join(line + "\n" for line in [result.forecast_header, *as_iterated])
+    return as_iterated
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), zone=st.sampled_from(list(ROW_ZONES)), minutes=st.sampled_from([60, 15]),
+       horizon=st.sampled_from([24, 48]), scheduled=st.booleans(), quantiles=st.booleans(), split=st.booleans())
+def test_forecast_rows_read_the_same_every_way(tmp_path_factory, data, zone, minutes, horizon, scheduled,
+                                               quantiles, split):
+    # Iteration, each index, negative indices, random slices and the written
+    # file give the same rows: on naive and offset-aware grids, hourly and
+    # quarter-hourly, with horizons of 24 and 48 steps (the second's anchors
+    # overlap, so the rows' step indices go back), with one scheduled day
+    # of another time and horizon, with and without quantile columns, and
+    # in both halves of a run split at test_end and resumed.
+    tmp_path, tz, step = tmp_path_factory.mktemp("rows"), ROW_ZONES[zone], timedelta(minutes=minutes)
+    base = datetime(2021, 3, 1, tzinfo=tz)
+    rows = [(base + i * step, 2.0 + 0.5 * math.sin(2.0 * math.pi * i * minutes / 1440.0) + 0.01 * (i % 7), 55.0)
+            for i in range(6 * 1440 // minutes)]
+    schedule = {date(2021, 3, 5): (time(6, 45 if minutes == 15 else 0), 7)} if scheduled else {}
+    config = base_config(train_end=datetime(2021, 3, 3, tzinfo=tz), step=step, schedule=schedule,
+                         emit_quantiles=quantiles, hp=HyperParams(horizon=horizon))
+    series, _ = ingest_csv(write_small_csv(tmp_path / "series.csv", rows), config)
+    full = assert_rows_read_alike(run_online_evaluation(series, config, output_dir=tmp_path / "full"),
+                                  tmp_path / "full", data)
+    assert all(len(row.split(",")) == (4 + 99 if quantiles else 4) for row in full)
+    if split:
+        first_config = copy.copy(config)
+        first_config.test_end = datetime(2021, 3, 5, tzinfo=tz)
+        snap = tmp_path / "first.snapshot"
+        first = run_online_evaluation(series, first_config, output_dir=tmp_path / "first", snapshot_out=snap)
+        second = run_online_evaluation(series, config, output_dir=tmp_path / "second", resume=snap)
+        halves = [assert_rows_read_alike(half, tmp_path / name, data)
+                  for half, name in [(first, "first"), (second, "second")]]
+        assert halves[0] + halves[1] == full
+
+
+def quantile_run_240d(tmp_path) -> tuple:
+    """The series and config of a 240-day hourly run with quantile columns: 5,040 forecast rows."""
+    data = write_small_csv(tmp_path / "series.csv", make_hourly_series(240, seed=1))
+    config = base_config(train_end=datetime(2021, 3, 31, tzinfo=UTC), emit_quantiles=True)
+    return ingest_csv(data, config)[0], config
+
+
+def test_a_quantile_run_keeps_at_most_40_bytes_per_forecast_row(tmp_path):
+    # Each forecast row of the result holds its mean and std as doubles, and
+    # each anchor its step index and first row: no row is kept as text.
+    series, config = quantile_run_240d(tmp_path)
+    tracemalloc.start()
+    try:
+        result = run_online_evaluation(series, config)
+        held = tracemalloc.get_traced_memory()[0]
+        n_rows, result.forecast_rows = len(result.forecast_rows), None
+        released = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert n_rows == 210 * 24
+    assert released / n_rows <= 40
+
+
+def test_writing_quantile_rows_peaks_at_most_1_mib_above_the_inputs(tmp_path):
+    # Each row is formatted as it is written, in chunks of about 256 KiB, so
+    # writing 5,040 rows of about 1.9 KB each never holds more than a chunk.
+    series, config = quantile_run_240d(tmp_path)
+    result = run_online_evaluation(series, config)
+    assert len(result.forecast_rows) >= 5000
+    tracemalloc.start()
+    try:
+        harness._write_outputs(tmp_path / "out", result)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "out" / "forecasts.csv").stat().st_size > 9 * 2**20
+    assert peak <= 2**20
 
 
 @pytest.mark.parametrize("offset", [None, timedelta(hours=5), timedelta(hours=-5)], ids=["naive", "east", "west"])
@@ -1565,6 +1661,44 @@ def test_a_resume_with_no_prediction_day_after_the_cursor_is_an_empty_span_and_w
     assert cli_main([*run, "--resume", str(snap)]) == 2
     assert f"no prediction day after the snapshot's cursor {cursor}" in capsys.readouterr().err
     assert {p: p.read_bytes() for p in [snap, *out.iterdir()]} == written
+
+
+def test_a_run_whose_outputs_cannot_be_written_leaves_the_snapshot_out_file(tmp_path, data_csv, capsys):
+    # A snapshot whose cursor is past days whose forecasts were never written
+    # would make the next resumed run skip them: the outputs come first.
+    snap = tmp_path / "run.snapshot"
+    first = write_cli_config(tmp_path, test_end="2021-03-13T00:00:00+00:00")
+    assert cli_main(["run", "--data", str(data_csv), "--config", str(first), "--snapshot-out", str(snap)]) == 0
+    kept = snap.read_bytes()
+    not_a_directory = tmp_path / "out"
+    not_a_directory.write_text("a file\n")
+    capsys.readouterr()
+    assert cli_main(["run", "--data", str(data_csv), "--config", str(write_cli_config(tmp_path)),
+                     "--snapshot-out", str(snap), "--output-dir", str(not_a_directory)]) == 2
+    assert "File exists" in capsys.readouterr().err
+    assert snap.read_bytes() == kept
+    assert not_a_directory.read_text() == "a file\n"
+
+
+def test_a_forecasts_write_that_fails_partway_leaves_the_old_file(tmp_path, data_csv, monkeypatch):
+    # As when the disk fills up partway: ten rows are formatted, then writing raises.
+    config = load_config(write_cli_config(tmp_path))
+    series, _ = ingest_csv(data_csv, config)
+    out, snap = tmp_path / "out", tmp_path / "run.snapshot"
+    run_online_evaluation(series, config, output_dir=out)
+    written, listing = {p: p.read_bytes() for p in out.iterdir()}, sorted(tmp_path.iterdir())
+    real_format = harness.ForecastRows._format
+
+    def format_part(self, lo, hi):
+        yield from real_format(self, lo, min(hi, lo + 10))
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(harness.ForecastRows, "_format", format_part)
+    with pytest.raises(OSError, match="No space left on device"):
+        run_online_evaluation(series, config, output_dir=out, snapshot_out=snap)
+    monkeypatch.undo()
+    assert {p: p.read_bytes() for p in out.iterdir()} == written
+    assert sorted(tmp_path.iterdir()) == listing
 
 
 def series_40d_csv(path: Path, aware: bool) -> Path:
