@@ -41,11 +41,9 @@ def main() -> None:
         write_series_csv(csv_path, rows)
         config = RunConfig(hp=HyperParams(), load_unit="GW",
                            train_end=rows[0][0] + timedelta(days=args.train_days))
-        series, gaps = ingest_csv(csv_path, config)
-        online = run_online_evaluation(series, config, gaps=gaps,
-                                       output_dir=args.output_dir)
-        frozen = run_online_evaluation(series, config, gaps=gaps,
-                                       frozen_after=config.train_end)
+        series, _ = ingest_csv(csv_path, config)
+        online = run_online_evaluation(series, config, output_dir=args.output_dir)
+        frozen = run_online_evaluation(series, config, frozen_after=config.train_end)
 
     base, step = series.start, series.step
     switch_ts = base + timedelta(days=args.switch_day)

@@ -22,7 +22,7 @@ from .model_types import InputError, NumericError
 
 def _cmd_run(args) -> int:
     config = harness.load_config(args.config)
-    series, gaps = harness.ingest_csv(args.data, config)
+    series, _ = harness.ingest_csv(args.data, config)
     frozen_after = datetime.fromisoformat(args.frozen_after) if args.frozen_after else None
     output_dir = Path(args.output_dir) if args.output_dir else None
     result = harness.run_online_evaluation(
@@ -32,7 +32,6 @@ def _cmd_run(args) -> int:
         resume=args.resume,
         snapshot_out=args.snapshot_out,
         output_dir=output_dir,
-        gaps=gaps,
     )
     for line in result.lines():
         print(line)

@@ -8,6 +8,7 @@ channel's regressor, a binary vector that flags extreme temperature shifts.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from datetime import date, datetime
 from typing import Iterable
 
@@ -84,24 +85,27 @@ class TemperatureShiftEncoder:
         return _ENCODED[(shift > hp.w1) + 2 * (shift < -hp.w1)]
 
 
+@dataclass(slots=True)
 class TemperatureTracker:
-    """Running mean of past temperatures per calendar type.
+    """The plain mean, with no forgetting, of the temperatures learned per calendar type:
+    type c's count and sum of them are entry c - 1 of counts and sums."""
 
-    The mean is the plain arithmetic mean of every temperature ingested
-    for the type (no forgetting); it is undefined until the first ingest.
-    """
+    counts: list[int] = field(default_factory=lambda: [0] * CALENDAR_TYPES)
+    sums: list[float] = field(default_factory=lambda: [0.0] * CALENDAR_TYPES)
 
-    def __init__(self):
-        self.counts = [0] * CALENDAR_TYPES
-        self.sums = [0.0] * CALENDAR_TYPES
+    def observations(self, encoder: TemperatureShiftEncoder, types: Iterable[int],
+                     temps: Iterable[float | None]) -> list[tuple[float, float, float] | None]:
+        """For each step, encoder.encode(w, w_bar) of its temperature w and the mean w_bar
+        of its type's learned temperatures (w itself before the type's first), or None
+        for a missing temperature. The tracker does not change."""
+        encode, counts, sums = encoder.encode, self.counts, self.sums
+        return [None if w is None else encode(w, sums[c - 1] / n if (n := counts[c - 1]) else w)
+                for c, w in zip(types, temps)]
 
-    def add(self, c: int, w: float) -> None:
-        self.counts[c - 1] += 1
-        self.sums[c - 1] += w
-
-    def mean(self, c: int) -> float | None:
-        """Mean past temperature for type c, or None while no ingests yet."""
-        n = self.counts[c - 1]
-        if n == 0:
-            return None
-        return self.sums[c - 1] / n
+    def learn(self, types: Iterable[int], temps: Iterable[float | None]) -> None:
+        """Add each known temperature to the mean of its step's calendar type."""
+        counts, sums = self.counts, self.sums
+        for c, w in zip(types, temps):
+            if w is not None:
+                counts[c - 1] += 1
+                sums[c - 1] += w

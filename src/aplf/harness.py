@@ -411,13 +411,12 @@ def _as_written(text: str) -> dict | None:
             "version": SNAPSHOT_VERSION}
 
 
-def snapshot_save(path: Path | str, model: ModelParams, state: LearnerState,
-                  tracker: TemperatureTracker, hp: HyperParams, *,
-                  cursor: datetime | None = None) -> None:
-    """Write a versioned, checksummed snapshot of the learner, its state's pending
-    batch-initialization buffers included. ValueError, with no file written, unless
-    every model, state and tracker list has CALENDAR_TYPES entries and every value is
-    finite, as snapshot_load requires."""
+def snapshot_save(path: Path | str, snapshot: Snapshot) -> None:
+    """Write a versioned, checksummed snapshot of the learned state, the state's pending
+    batch-initialization buffers included: the record snapshot_load returns. ValueError,
+    with no file written, unless every model, state and tracker list has CALENDAR_TYPES
+    entries and every value is finite, as snapshot_load requires."""
+    model, state, tracker, cursor = snapshot.model, snapshot.state, snapshot.tracker, snapshot.cursor
     lists = {"model.s_channels": model.s_channels, "model.r_channels": model.r_channels,
              "state.s_states": state.s_states, "state.r_states": state.r_states,
              "tracker.counts": tracker.counts, "tracker.sums": tracker.sums}
@@ -427,7 +426,7 @@ def snapshot_save(path: Path | str, model: ModelParams, state: LearnerState,
     payload = {
         "n_calendar_types": CALENDAR_TYPES,
         "r_dim": R_DIM,
-        "hyper_params": {**asdict(hp), "n_calendar_types": CALENDAR_TYPES},
+        "hyper_params": {**asdict(snapshot.hp), "n_calendar_types": CALENDAR_TYPES},
         "model": model.to_dict(),
         "state": state.to_dict(),
         "tracker": {"counts": tracker.counts, "sums": tracker.sums},
@@ -499,12 +498,11 @@ def snapshot_load(path: Path | str) -> Snapshot:
                 raise ValueError(f"{name} must be the integer {expected}, got {value!r}")
         model = ModelParams.from_dict(payload["model"])
         state = LearnerState.from_dict(payload["state"])
-        tracker = TemperatureTracker()
-        tracker.counts = _checked_list(payload["tracker"]["counts"], CALENDAR_TYPES)
-        if not all(type(v) is int and v >= 0 for v in tracker.counts):
+        counts = _checked_list(payload["tracker"]["counts"], CALENDAR_TYPES)
+        if not all(type(v) is int and v >= 0 for v in counts):
             raise ValueError("tracker counts must be integers >= 0")
-        tracker.sums = [float(v) for v in _checked_list(payload["tracker"]["sums"], CALENDAR_TYPES)]
-        if not all(map(math.isfinite, tracker.sums)):
+        sums = [float(v) for v in _checked_list(payload["tracker"]["sums"], CALENDAR_TYPES)]
+        if not all(map(math.isfinite, sums)):
             raise ValueError("tracker sums must be finite")
         hp = HyperParams(**hp_values)
         if cursor is not None:
@@ -514,7 +512,7 @@ def snapshot_load(path: Path | str) -> Snapshot:
         state.pending = _pending_from_dict(payload.get("pending_batch", {}))
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptSnapshot(f"{path}: malformed payload: {exc}") from exc
-    return Snapshot(model=model, state=state, tracker=tracker, hp=hp, cursor=cursor)
+    return Snapshot(model=model, state=state, tracker=TemperatureTracker(counts, sums), hp=hp, cursor=cursor)
 
 
 class ForecastRows(Sequence[str]):
@@ -539,6 +537,11 @@ class ForecastRows(Sequence[str]):
         self._quantiles = quantiles
         self._anchor_t, self._first = array("q"), array("q")
         self._mean, self._std = array("d"), array("d")
+
+    @property
+    def header(self) -> str:
+        """forecasts.csv's header line, with the quantile columns when the rows carry them."""
+        return _FORECAST_HEADER + (_QUANTILE_COLUMNS if self._quantiles else "")
 
     def add(self, t: int, means: Sequence[float], stds: Sequence[float]) -> None:
         """Append the rows of the anchor at step index t: one per horizon step of its forecast."""
@@ -599,7 +602,7 @@ class ForecastRows(Sequence[str]):
 class RunResult:
     """A run's report, forecast rows and notes, and its evaluated steps as parallel
     typed columns: step index t (array('q')), actual load, and the forecast's mean
-    and std (array('d'))."""
+    and std (array('d')). forecast_header is the forecast rows' header line."""
 
     report: EvalReport | None
     forecast_rows: ForecastRows
@@ -608,7 +611,10 @@ class RunResult:
     mean: array
     std: array
     notes: dict
-    forecast_header: str
+
+    @property
+    def forecast_header(self) -> str:
+        return self.forecast_rows.header
 
     def lines(self) -> list[str]:
         """report.txt's lines: the report's, if there is a report, then each note as `key = value`."""
@@ -636,6 +642,7 @@ def run_online_evaluation(series: Series, config: RunConfig, *,
     ParseError. So do temperatures of one calendar type whose sum in the
     tracker overflows the float range, before any file is written, and
     forecasts that reach past datetime.max, before the loop starts.
+    gaps is unused: the run counts the series' missing steps itself.
     """
     if not series:
         raise EmptySpan("no rows")
@@ -712,7 +719,6 @@ def run_online_evaluation(series: Series, config: RunConfig, *,
         learner = OnlineLearner(hp, config.init_mode, model=snap.model, state=snap.state)
         tracker, cursor = snap.tracker, snap.cursor
 
-    header = _FORECAST_HEADER + (_QUANTILE_COLUMNS if config.emit_quantiles else "")
     forecast_rows = ForecastRows(base, step, config.emit_quantiles)
     eval_t, eval_actual, eval_mean, eval_std = array("q"), array("d"), array("d"), array("d")
     skipped_days = 0
@@ -722,10 +728,7 @@ def run_online_evaluation(series: Series, config: RunConfig, *,
     # An anchor forecasts the horizon steps after it and learns the steps on
     # the grid through the next anchor, so each step is learned once, after
     # every forecast of it. Each temperature of the two spans is encoded once,
-    # against the mean past temperature of its calendar type (itself, before
-    # the type's first), and added to the tracker only once its step is learned.
-    # The tracker's mean and add are written out on its counts and sums.
-    encode, counts, sums = encoder.encode, tracker.counts, tracker.sums
+    # and the tracker learns it only once its step is learned.
     add_rows, add_t, add_actual, add_mean, add_std = (forecast_rows.add, eval_t.append, eval_actual.append,
                                                       eval_mean.append, eval_std.append)
 
@@ -735,14 +738,7 @@ def run_online_evaluation(series: Series, config: RunConfig, *,
         anchor_load = loads[t_idx]
         span = slice(t_idx + 1, max(t_idx + horizon, t_next) + 1)
         span_loads, span_types, span_temps = loads[span], types[span], temps[span]
-        observations = []
-        add_observation = observations.append
-        for c, w in zip(span_types, span_temps):
-            if w is None:
-                add_observation(None)
-            else:
-                n = counts[c - 1]
-                add_observation(encode(w, sums[c - 1] / n if n else w))
+        observations = tracker.observations(encoder, span_types, span_temps)
 
         if train_end <= anchor_ts:
             if anchor_load is None:
@@ -761,18 +757,15 @@ def run_online_evaluation(series: Series, config: RunConfig, *,
 
         if frozen_after is None or anchor_ts < frozen_after:
             learned = t_next - t_idx
-            learn_types, learn_temps = span_types[:learned], span_temps[:learned]
+            learn_types = span_types[:learned]
             learner.learn_step(InstanceVector(anchor_load, tuple(observations[:learned]), learn_types, t_idx),
                                span_loads[:learned])
-            for c, w in zip(learn_types, learn_temps):
-                if w is not None:
-                    counts[c - 1] += 1
-                    sums[c - 1] += w
+            tracker.learn(learn_types, span_temps[:learned])
         processed = anchor_ts
 
     # A non-finite sum stays non-finite, so one check after the loop catches
     # every overflow, before any file is written.
-    for c, total in enumerate(sums, start=1):
+    for c, total in enumerate(tracker.sums, start=1):
         if not -math.inf < total < math.inf:
             raise ParseError(f"the temperatures of calendar type {c} sum to {total}, beyond the float range")
     report = evaluate_forecasts(eval_actual, eval_mean, eval_std) if eval_actual else None
@@ -783,21 +776,19 @@ def run_online_evaluation(series: Series, config: RunConfig, *,
         "n_eval_points": len(eval_actual),
         "skipped_days": skipped_days,
         "cold_start_substitutions": cold_starts,
-        "sigma_clamps": learner.diagnostics.sigma_clamps,
-        "trace_resets": learner.diagnostics.trace_resets,
-        "batch_init_fallbacks": learner.diagnostics.batch_init_fallbacks,
+        **asdict(learner.diagnostics),
         "max_abs_transition_slope": max_slope,
-        "n_gap_steps": sum(g["missing_steps"] for g in gaps) if gaps else 0,
+        "n_gap_steps": series.index[-1] + 1 - len(series),
     }
 
     result = RunResult(report=report, forecast_rows=forecast_rows, t=eval_t, actual=eval_actual,
-                       mean=eval_mean, std=eval_std, notes=notes, forecast_header=header)
+                       mean=eval_mean, std=eval_std, notes=notes)
     # The outputs come first: a snapshot whose cursor is past days whose
     # forecasts were never written would make a resumed run skip them.
     if output_dir is not None:
         _write_outputs(Path(output_dir), result)
     if snapshot_out is not None:
-        snapshot_save(snapshot_out, learner.model, learner.state, tracker, hp, cursor=processed)
+        snapshot_save(snapshot_out, Snapshot(learner.model, learner.state, tracker, hp, processed))
     return result
 
 

@@ -178,11 +178,9 @@ def trace_reset(state: ChannelState, hp: HyperParams) -> ChannelState:
     object is returned when no reset fires.
     """
     p = state.P
-    if len(p) == 2:
-        if p[0][0] + p[1][1] > hp.trace_reset_threshold:
-            return ChannelState([[1.0, 0.0], [0.0, 1.0]], state.gamma)
-    elif p[0][0] + p[1][1] + p[2][2] > hp.trace_reset_threshold:
-        return ChannelState([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], state.gamma)
+    trace = p[0][0] + p[1][1] if len(p) == 2 else p[0][0] + p[1][1] + p[2][2]
+    if trace > hp.trace_reset_threshold:
+        return ChannelState.identity(len(p), state.gamma)
     return state
 
 

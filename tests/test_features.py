@@ -5,8 +5,8 @@ from datetime import date, datetime
 from hypothesis import given
 from hypothesis import strategies as st
 
-from aplf.features import TemperatureShiftEncoder, TemperatureTracker, calendar_type, neighbour_types
-from aplf.harness import snapshot_load, snapshot_save
+from aplf.features import NO_SHIFT, TemperatureShiftEncoder, TemperatureTracker, calendar_type, neighbour_types
+from aplf.harness import Snapshot, snapshot_load, snapshot_save
 from aplf.model_types import CALENDAR_TYPES, HOURS_PER_DAY, R_DIM, HyperParams, LearnerState, ModelParams
 
 HP = HyperParams()
@@ -128,48 +128,79 @@ def test_encoder_output_has_the_observation_channel_shape():
     assert ENCODER.encode(85.0, 60.0) == (1.0, 1.0, 0.0)
 
 
-def test_tracker_first_ingest():
+class RecordingEncoder:
+    """ENCODER's encode, recording each (w, w_bar) it is given."""
+
+    def __init__(self):
+        self.calls = []
+
+    def encode(self, w, w_bar):
+        self.calls.append((w, w_bar))
+        return ENCODER.encode(w, w_bar)
+
+
+def test_a_types_first_temperature_is_encoded_against_itself():
+    # An extreme first reading has no past temperature to shift from, so it raises no flag.
+    encoder = RecordingEncoder()
+    assert TemperatureTracker().observations(encoder, [7, 8], [120.0, -40.0]) == [NO_SHIFT, NO_SHIFT]
+    assert encoder.calls == [(120.0, 120.0), (-40.0, -40.0)]
+
+
+def test_later_temperatures_are_encoded_against_the_plain_mean_of_the_learned_ones():
     tracker = TemperatureTracker()
-    assert tracker.mean(7) is None
-    tracker.add(7, 50.0)
-    assert tracker.counts[7 - 1] == 1
-    assert tracker.mean(7) == 50.0
+    tracker.learn([3, 3, 4], [50.0, 70.0, 10.0])
+    encoder = RecordingEncoder()
+    assert tracker.observations(encoder, [3, 5, 3, 4], [85.0, 90.0, None, 10.0]) == [
+        (1.0, 1.0, 0.0), NO_SHIFT, None, NO_SHIFT]
+    assert encoder.calls == [(85.0, 60.0), (90.0, 90.0), (10.0, 10.0)]
 
 
-def test_tracker_two_point_mean():
+def test_observations_leave_the_tracker_unchanged():
     tracker = TemperatureTracker()
-    tracker.add(3, 50.0)
-    tracker.add(3, 70.0)
-    assert tracker.mean(3) == 60.0
+    tracker.learn([1, 2], [42.0, 95.0])
+    before = TemperatureTracker(list(tracker.counts), list(tracker.sums))
+    tracker.observations(ENCODER, [1, 2, 3, 1], [100.0, 10.0, 30.0, None])
+    assert tracker == before
 
 
-def test_tracker_constant_sequence_is_exact():
+def test_learn_skips_a_missing_temperature():
     tracker = TemperatureTracker()
-    for _ in range(1000):
-        tracker.add(1, 42.0)
-    assert tracker.mean(1) == 42.0
+    tracker.learn([2, 2, 4, 5], [55.0, None, -10.0, None])
+    counts, sums = [0] * CALENDAR_TYPES, [0.0] * CALENDAR_TYPES
+    counts[2 - 1], sums[2 - 1] = 1, 55.0
+    counts[4 - 1], sums[4 - 1] = 1, -10.0
+    assert (tracker.counts, tracker.sums) == (counts, sums)
 
 
-@given(st.lists(st.integers(min_value=-80, max_value=130), min_size=1, max_size=30))
-def test_tracker_mean_is_permutation_invariant(values):
-    # Integer temperatures keep the sum exact, so any ingestion order must
-    # produce the identical mean.
-    forward = TemperatureTracker()
-    backward = TemperatureTracker()
-    for v in values:
-        forward.add(1, float(v))
-    for v in reversed(values):
-        backward.add(1, float(v))
-    assert forward.mean(1) == backward.mean(1)
-    assert forward.mean(1) == sum(values) / len(values)
+def test_a_constant_sequence_has_an_exact_mean():
+    tracker = TemperatureTracker()
+    tracker.learn([1] * 1000, [42.0] * 1000)
+    encoder = RecordingEncoder()
+    tracker.observations(encoder, [1], [50.0])
+    assert encoder.calls == [(50.0, 42.0)]
+
+
+@given(st.lists(st.tuples(st.integers(min_value=1, max_value=CALENDAR_TYPES),
+                          st.integers(min_value=-80, max_value=130)), min_size=1, max_size=30))
+def test_the_learned_counts_and_sums_do_not_depend_on_the_order(samples):
+    # Integer temperatures keep every sum exact, so any learning order must
+    # give the identical counts and sums, and each type the plain mean.
+    types, temps = zip(*samples)
+    forward, backward = TemperatureTracker(), TemperatureTracker()
+    forward.learn(types, map(float, temps))
+    backward.learn(reversed(types), map(float, reversed(temps)))
+    assert forward == backward
+    values = [w for c, w in samples if c == types[0]]
+    encoder = RecordingEncoder()
+    forward.observations(encoder, [types[0]], [0.0])
+    assert encoder.calls == [(0.0, sum(values) / len(values))]
 
 
 def test_tracker_round_trip(tmp_path):
     tracker = TemperatureTracker()
-    tracker.add(2, 55.0)
-    tracker.add(2, 65.0)
-    tracker.add(4, -10.0)
-    snapshot_save(tmp_path / "s.snapshot", ModelParams.initial(), LearnerState.initial(), tracker, HyperParams())
+    tracker.learn([2, 2, 4], [55.0, 65.0, -10.0])
+    snapshot_save(tmp_path / "s.snapshot",
+                  Snapshot(ModelParams.initial(), LearnerState.initial(), tracker, HyperParams(), None))
     restored = snapshot_load(tmp_path / "s.snapshot").tracker
     assert restored.counts == tracker.counts
     assert restored.sums == tracker.sums

@@ -31,6 +31,7 @@ from aplf.harness import (
     NonMonotoneTimestamps,
     ParseError,
     RunConfig,
+    Snapshot,
     UnitMissing,
     VersionMismatch,
     ingest_csv,
@@ -398,7 +399,7 @@ def test_snapshot_round_trip_is_bit_identical(tmp_path, data_csv):
     snap_path = tmp_path / "model.snapshot"
     run_online_evaluation(series, config, snapshot_out=snap_path)
     snap = snapshot_load(snap_path)
-    snapshot_save(tmp_path / "again.snapshot", snap.model, snap.state, snap.tracker, snap.hp, cursor=snap.cursor)
+    snapshot_save(tmp_path / "again.snapshot", snap)
     assert (tmp_path / "again.snapshot").read_bytes() == snap_path.read_bytes()
     again = snapshot_load(tmp_path / "again.snapshot")
     for a, b in zip(snap.model.s_channels + snap.model.r_channels,
@@ -420,19 +421,18 @@ def test_snapshot_save_refuses_a_list_of_47_entries_and_writes_no_file(tmp_path,
     getattr(records[owner], name).pop()
     path = tmp_path / "short.snapshot"
     with pytest.raises(ValueError, match=rf"{owner}\.{name} has 47 entries, not 48"):
-        snapshot_save(path, records["model"], records["state"], records["tracker"], HyperParams())
+        snapshot_save(path, Snapshot(records["model"], records["state"], records["tracker"], HyperParams(), None))
     assert not path.exists()
 
 
 def test_snapshot_save_refuses_a_non_finite_value_and_writes_no_file(tmp_path):
     # Two finite temperatures of one type sum to inf; snapshot_load would refuse the file.
     tracker = TemperatureTracker()
-    tracker.add(1, 1e308)
-    tracker.add(1, 1e308)
+    tracker.learn([1, 1], [1e308, 1e308])
     assert tracker.sums[0] == math.inf
     path = tmp_path / "inf.snapshot"
     with pytest.raises(ValueError, match="not JSON compliant"):
-        snapshot_save(path, ModelParams.initial(), LearnerState.initial(), tracker, HyperParams())
+        snapshot_save(path, Snapshot(ModelParams.initial(), LearnerState.initial(), tracker, HyperParams(), None))
     assert not path.exists()
 
 
@@ -450,7 +450,7 @@ def test_a_snapshot_write_that_fails_partway_leaves_the_old_snapshot(tmp_path, d
 
     monkeypatch.setattr(Path, "write_text", write_part)
     with pytest.raises(OSError, match="No space left on device"):
-        snapshot_save(path, snap.model, snap.state, snap.tracker, snap.hp, cursor=snap.cursor)
+        snapshot_save(path, snap)
     monkeypatch.undo()
     assert path.read_bytes() == old
     assert sorted(tmp_path.iterdir()) == listing
@@ -544,7 +544,7 @@ def test_a_re_serialized_snapshot_loads_and_resaves_byte_identically(tmp_path):
     indented = tmp_path / "indented.snapshot"
     indented.write_text(json.dumps(json.loads(SNAPSHOT_V1_48.read_text()), indent=2))
     snap = snapshot_load(indented)
-    snapshot_save(tmp_path / "again.snapshot", snap.model, snap.state, snap.tracker, snap.hp, cursor=snap.cursor)
+    snapshot_save(tmp_path / "again.snapshot", snap)
     assert (tmp_path / "again.snapshot").read_bytes() == SNAPSHOT_V1_48.read_bytes()
 
 
@@ -639,7 +639,7 @@ def _rewrite_payload(src: Path, dst: Path, edit) -> Path:
 def test_v1_snapshot_resaves_byte_identically(tmp_path):
     snap = snapshot_load(SNAPSHOT_V1_48)
     assert sorted(snap.state.pending) == [("r", 1), ("r", 2)]
-    snapshot_save(tmp_path / "again.snapshot", snap.model, snap.state, snap.tracker, snap.hp, cursor=snap.cursor)
+    snapshot_save(tmp_path / "again.snapshot", snap)
     assert (tmp_path / "again.snapshot").read_bytes() == SNAPSHOT_V1_48.read_bytes()
 
 
@@ -1043,6 +1043,17 @@ def test_missing_anchor_day_is_skipped_and_counted(tmp_path, series_14d):
     assert result.notes["n_gap_steps"] == 1
 
 
+def test_gap_steps_are_counted_from_the_series_without_gaps_given(tmp_path):
+    # Every 97th row of 30 days dropped: a run given no gaps= reports ingest_csv's count.
+    rows = make_hourly_series(30)
+    path = tmp_path / "gappy.csv"
+    write_series_csv(path, [row for i, row in enumerate(rows) if i % 97 != 96])
+    config = base_config(train_end=rows[0][0] + timedelta(days=10))
+    series, gaps = ingest_csv(path, config)
+    assert sum(g["missing_steps"] for g in gaps) == 7
+    assert run_online_evaluation(series, config).notes["n_gap_steps"] == 7
+
+
 # The last anchor (day 14, 11:00) predicts 12 steps past the last record;
 # with test_end on day 14 the last anchor is day 13's, inside the records.
 @pytest.mark.parametrize("test_end, steps_past_records", [
@@ -1077,7 +1088,9 @@ def test_dropped_row_equals_blank_row(tmp_path, data_csv):
     a = run_online_evaluation(dropped, config, snapshot_out=tmp_path / "dropped.snapshot")
     b = run_online_evaluation(blanked, config, snapshot_out=tmp_path / "blanked.snapshot")
     assert list(a.forecast_rows) == list(b.forecast_rows)
-    assert a.notes == b.notes
+    # Only the gap count tells them apart: the dropped row is a missing step.
+    assert (a.notes["n_gap_steps"], b.notes["n_gap_steps"]) == (1, 0)
+    assert a.notes == {**b.notes, "n_gap_steps": 1}
     assert (tmp_path / "dropped.snapshot").read_bytes() == (tmp_path / "blanked.snapshot").read_bytes()
 
 

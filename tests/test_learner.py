@@ -18,7 +18,7 @@ from helpers import (
 
 from aplf.features import TemperatureTracker
 from aplf.forecaster import InstanceVector, predict
-from aplf.harness import snapshot_load, snapshot_save
+from aplf.harness import Snapshot, snapshot_load, snapshot_save
 from aplf.model_types import (
     ChannelState,
     GaussianChannelParams,
@@ -215,6 +215,15 @@ def test_trace_reset_examples():
     assert np.array_equal(boundary.P, np.eye(2))
 
 
+@pytest.mark.parametrize("k", [2, 3])
+def test_trace_reset_returns_the_same_record_unless_it_fires(k):
+    state = ChannelState.identity(k, 2.0)
+    assert trace_reset(state, HyperParams()) is state
+    state.P[k - 1][k - 1] = 11.0
+    reset = trace_reset(state, HyperParams())
+    assert reset is not state and reset == ChannelState.identity(k, 2.0)
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_batch_initialize_raises_exactly_when_the_oracle_does(data):
@@ -337,6 +346,32 @@ def test_p_inverse_consistency_from_zero_init():
             lam ** (i - j) * g for j, g in enumerate(gram_terms, start=1)
         )
         assert np.allclose(np.linalg.inv(state.P), expected_inv, rtol=1e-8, atol=1e-10)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("lam", [0.2, 0.5, 0.7, 0.95])
+def test_zero_start_equals_the_ridge_fit_after_every_sample(k, lam):
+    # Without trace resets, a channel started from eta = 0, P = I, gamma = 0
+    # is after n samples the fit minimising J(eta) = lam^n eta'eta +
+    # sum lam^(n-i) (s_i - u_i'eta)^2, with sigma^2 = J_n / gamma_n at its minimum J_n.
+    rng = np.random.default_rng(20 + k)
+    for _ in range(25):
+        state, params = ChannelState.identity(k), GaussianChannelParams.zeros(k)
+        us, ss = [], []
+        for n in range(1, 61):
+            u = (1.0, *rng.normal(size=k - 1))
+            s = float(rng.normal(2.0, 1.5))
+            channel_update(state, params, u, s, lam)
+            us.append(u)
+            ss.append(s)
+            weights = lam ** np.arange(n - 1, -1, -1)
+            u_arr, s_arr = np.array(us), np.array(ss)
+            gram = lam**n * np.eye(k) + (u_arr * weights[:, None]).T @ u_arr
+            eta = np.linalg.solve(gram, (u_arr * weights[:, None]).T @ s_arr)
+            j_n = lam**n * eta @ eta + weights @ (s_arr - u_arr @ eta) ** 2
+            sigma = math.sqrt(j_n / weights.sum())
+            assert np.max(np.abs(np.array(params.eta) - eta)) / max(1.0, np.max(np.abs(eta))) <= 1e-8
+            assert abs(params.sigma - sigma) / max(1.0, sigma) <= 1e-8
 
 
 def test_gamma_closed_form():
@@ -662,7 +697,7 @@ def test_no_two_channels_share_a_list_after_initial_batch_fallback_or_load(tmp_p
     assert all(c > 2 for _, c in fallback.state.pending) and fallback.diagnostics.batch_init_fallbacks == 2
     assert_no_shared_lists(fallback.model, fallback.state)
     path = tmp_path / "snap.json"
-    snapshot_save(path, fallback.model, fallback.state, TemperatureTracker(), fallback.hp)
+    snapshot_save(path, Snapshot(fallback.model, fallback.state, TemperatureTracker(), fallback.hp, None))
     snap = snapshot_load(path)
     assert snap.model == fallback.model and snap.state == fallback.state
     assert_no_shared_lists(snap.model, snap.state)
