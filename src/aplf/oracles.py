@@ -12,6 +12,7 @@ the library so the command line self-check can run in the field.
 from __future__ import annotations
 
 import math
+from time import perf_counter
 
 import numpy as np
 
@@ -198,20 +199,23 @@ def self_check(seed: int = 0, verbose: bool = True) -> bool:
     Covers: the gradient of the discounted log-likelihood vanishing at the
     batch solution, recursive updates after exact initialization tracking
     the batch solution, the forecaster matching sequential conditioning,
-    and sequential conditioning matching quadrature.
+    and sequential conditioning matching quadrature. Each check's line ends
+    with its wall time.
     """
     from .model_types import ModelParams
-    from .recursive_learner import batch_initialize, channel_update
+    from .recursive_learner import LearnDiagnostics, batch_initialize, channel_update
     from .forecaster import InstanceVector, predict
 
     rng = np.random.default_rng(seed)
     ok = True
+    start = perf_counter()
 
     def report(name: str, passed: bool, detail: str) -> None:
-        nonlocal ok
+        nonlocal ok, start
         ok = ok and passed
         if verbose:
-            print(f"{'ok  ' if passed else 'FAIL'} {name}: {detail}")
+            print(f"{'ok  ' if passed else 'FAIL'} {name}: {detail} ({(perf_counter() - start) * 1e3:.0f} ms)")
+        start = perf_counter()
 
     # Gradient of the discounted log-likelihood vanishes at the batch solution.
     worst = 0.0
@@ -230,7 +234,7 @@ def self_check(seed: int = 0, verbose: bool = True) -> bool:
     report("gradient-at-optimum", worst <= 1e-9, f"max |grad| = {worst:.3e}")
 
     # Recursion from exact initialization tracks the batch maximizer.
-    worst = 0.0
+    worst, diagnostics = 0.0, LearnDiagnostics()
     for _ in range(5):
         n = 40
         k = 2
@@ -247,7 +251,7 @@ def self_check(seed: int = 0, verbose: bool = True) -> bool:
         if i0 is None:
             continue
         for i in range(i0 + 1, n + 1):
-            channel_update(state, params, *samples[i - 1], lam)
+            channel_update(state, params, *samples[i - 1], lam, diagnostics)
             eta_star, sigma_star = batch_ml_oracle(samples[:i], lam)
             worst = max(worst, float(np.max(np.abs(params.eta - eta_star))),
                         abs(params.sigma - sigma_star))

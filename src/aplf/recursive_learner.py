@@ -56,7 +56,8 @@ class SingularGram(NumericError):
 
 @dataclass
 class LearnDiagnostics:
-    """Counters surfaced in run reports."""
+    """Counters surfaced in run reports, each kept where it happens: sigma_clamps by
+    channel_update, trace_resets by trace_reset, batch_init_fallbacks by the learner."""
 
     sigma_clamps: int = 0
     trace_resets: int = 0
@@ -69,7 +70,7 @@ def channel_update(
     u: Sequence[float],
     s: float,
     lam: float,
-    diagnostics: LearnDiagnostics | None = None,
+    diagnostics: LearnDiagnostics,
 ) -> None:
     """One recursive update of a channel from sample (u, s), in place.
 
@@ -139,8 +140,7 @@ def channel_update(
     sigma2 = params.sigma * params.sigma
     radicand = sigma2 - (sigma2 - lam * (innovation * innovation) / gain_denom) / gamma_new
     if radicand < 0.0:
-        if diagnostics is not None:
-            diagnostics.sigma_clamps += 1
+        diagnostics.sigma_clamps += 1
         radicand = 0.0
     sigma_new = math.sqrt(radicand)
     # A finite sum proves every new value finite; only an overflowing sum of
@@ -170,16 +170,17 @@ def channel_update(
     params.sigma = sigma_new
 
 
-def trace_reset(state: ChannelState, hp: HyperParams) -> ChannelState:
+def trace_reset(state: ChannelState, hp: HyperParams, diagnostics: LearnDiagnostics) -> ChannelState:
     """Reset P to the identity when its trace exceeds the threshold.
 
-    A reset returns a fresh ChannelState, P = I as new lists with gamma
-    preserved, which the caller stores in place of the old record; the same
-    object is returned when no reset fires.
+    A reset is counted and returns a fresh ChannelState, P = I as new lists
+    with gamma preserved, which the caller stores in place of the old
+    record; the same object is returned when no reset fires.
     """
     p = state.P
     trace = p[0][0] + p[1][1] if len(p) == 2 else p[0][0] + p[1][1] + p[2][2]
     if trace > hp.trace_reset_threshold:
+        diagnostics.trace_resets += 1
         return ChannelState.identity(len(p), state.gamma)
     return state
 
@@ -276,8 +277,9 @@ class OnlineLearner:
         revealed load updates its calendar type's observation channel from
         the encoded observation and then its transition channel from the
         actual previous load, where each is known. A live channel takes a
-        channel_update and then a counted trace_reset; a transition channel
-        still awaiting batch initialization goes through _learn instead.
+        channel_update and then a trace_reset, whose record it keeps; a
+        transition channel still awaiting batch initialization goes through
+        _learn instead.
         Targets, types and observations of unequal length raise ValueError
         before any channel changes. A calendar type outside
         1..CALENDAR_TYPES raises IndexError, and an observation of other
@@ -303,26 +305,20 @@ class OnlineLearner:
                 if obs is not None:
                     state = r_states[i]
                     channel_update(state, r_params[i], obs, target, lambda_r, diagnostics)
-                    after = trace_reset(state, hp)
-                    if after is not state:
-                        diagnostics.trace_resets += 1
-                        r_states[i] = after
+                    r_states[i] = trace_reset(state, hp, diagnostics)
                 if prev is not None:
                     if pending and ("s", c) in pending:
                         self._learn(c, (1.0, prev), target)
                     else:
                         state = s_states[i]
                         channel_update(state, s_params[i], (1.0, prev), target, lambda_s, diagnostics)
-                        after = trace_reset(state, hp)
-                        if after is not state:
-                            diagnostics.trace_resets += 1
-                            s_states[i] = after
+                        s_states[i] = trace_reset(state, hp, diagnostics)
             prev = target
 
     def _learn(self, c: int, u: tuple[float, float], s: float) -> None:
         """Learn transition channel c, which awaits batch initialization, from sample (u, s).
         The sample is buffered, and the channel is initialized once its buffer is solvable,
-        then takes a counted trace_reset; after BATCH_INIT_MAX_BUFFER unsolvable samples the
+        then takes a trace_reset; after BATCH_INIT_MAX_BUFFER unsolvable samples the
         buffer is replayed from the zero start."""
         i, pending, lam = c - 1, self.state.pending, self.hp.lambda_s
         params, states = self.model.s_channels, self.state.s_states
@@ -335,24 +331,18 @@ class OnlineLearner:
                 self._replay("s", c, params, states, lam)
             return
         del pending[("s", c)]
-        after = trace_reset(state, self.hp)
-        if after is not state:
-            self.diagnostics.trace_resets += 1
-        states[i] = after
+        states[i] = trace_reset(state, self.hp, self.diagnostics)
 
     def _replay(self, kind: str, c: int, params: list, states: list, lam: float) -> None:
         """Replace channel kind:c's pending buffer by a zero-start channel fed its samples in
-        order, each update followed by a counted trace_reset, and count a batch-init fallback.
+        order, each update followed by a trace_reset, and count a batch-init fallback.
         The replay's records are built locally and stored only once it has finished, so a
         DegenerateUpdate leaves the channel and its buffer as they were."""
         diagnostics, buf, k = self.diagnostics, self.state.pending[(kind, c)], len(states[c - 1].P)
         state, fresh = ChannelState.identity(k), GaussianChannelParams.zeros(k)
         for u, s in buf:
             channel_update(state, fresh, u, s, lam, diagnostics)
-            after = trace_reset(state, self.hp)
-            if after is not state:
-                diagnostics.trace_resets += 1
-                state = after
+            state = trace_reset(state, self.hp, diagnostics)
         del self.state.pending[(kind, c)]
         params[c - 1], states[c - 1] = fresh, state
         diagnostics.batch_init_fallbacks += 1

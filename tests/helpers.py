@@ -16,6 +16,7 @@ from aplf.model_types import CALENDAR_TYPES, R_DIM, ChannelState, GaussianChanne
 from aplf.oracles import batch_ml_oracle
 from aplf.recursive_learner import (
     BATCH_INIT_MAX_BUFFER,
+    LearnDiagnostics,
     SingularGram,
     batch_initialize,
     channel_update,
@@ -103,13 +104,15 @@ def reference_learn_step(learner, instance, targets) -> None:
     in that order. A sample either goes to the channel's batch buffer, while one is pending,
     or is fed to channel_update, which updates the channel's records in place, followed by
     trace_reset. A buffer that falls back is replayed the same way from the zero start.
+    A reset is counted here when trace_reset returns a record other than its input, not by
+    trace_reset's own counter, which is given a throwaway LearnDiagnostics.
     """
     hp, diagnostics, pending = learner.hp, learner.diagnostics, learner.state.pending
     channels = {"s": (learner.model.s_channels, learner.state.s_states, hp.lambda_s),
                 "r": (learner.model.r_channels, learner.state.r_states, hp.lambda_r)}
 
     def reset(state):
-        after = trace_reset(state, hp)
+        after = trace_reset(state, hp, LearnDiagnostics())
         if after is not state:
             diagnostics.trace_resets += 1
         return after

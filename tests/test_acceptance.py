@@ -27,7 +27,7 @@ from aplf.harness import RunConfig, ingest_csv, run_online_evaluation
 from aplf.metrics import evaluate_forecasts, mape, rmse
 from aplf.model_types import ChannelState, GaussianChannelParams, HyperParams
 from aplf.oracles import batch_ml_oracle, exact_filter_oracle, quadrature_filter_moments
-from aplf.recursive_learner import OnlineLearner, SingularGram, batch_initialize, channel_update
+from aplf.recursive_learner import LearnDiagnostics, OnlineLearner, SingularGram, batch_initialize, channel_update
 from aplf.synthetic import make_hourly_series, write_series_csv
 
 UTC = timezone.utc
@@ -95,7 +95,7 @@ def test_recursion_matches_batch_oracle_at_every_step():
         for i in range(i0, n + 1):
             if i > i0:
                 u, s = samples[i - 1]
-                channel_update(state, params, u, s, lam)
+                channel_update(state, params, u, s, lam, LearnDiagnostics())
             try:
                 eta_star, sigma_star = batch_ml_oracle(samples[:i], lam)
             except SingularGram:
@@ -156,7 +156,7 @@ def test_zero_init_gap_is_bounded():
         per_step = []
         for i in range(1, n + 1):
             u, s = samples[i - 1]
-            channel_update(state, params, u, s, lam)
+            channel_update(state, params, u, s, lam, LearnDiagnostics())
             per_step.append((params.eta.copy(), params.sigma))
         solutions = {}
         m_density = 0.0

@@ -1,7 +1,9 @@
 """Recursive channel updates: worked values, consistency identities, learn steps."""
 
 import copy
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,10 +18,12 @@ from helpers import (
     weighted_log_likelihood,
 )
 
+from aplf import recursive_learner
 from aplf.features import TemperatureTracker
 from aplf.forecaster import InstanceVector, predict
 from aplf.harness import Snapshot, snapshot_load, snapshot_save
 from aplf.model_types import (
+    CALENDAR_TYPES,
     ChannelState,
     GaussianChannelParams,
     HyperParams,
@@ -46,7 +50,7 @@ def fresh_channel(k=2):
 
 def test_single_update_worked_values():
     state, params = fresh_channel()
-    channel_update(state, params, np.array([1.0, 0.0]), 1.0, 0.5)
+    channel_update(state, params, np.array([1.0, 0.0]), 1.0, 0.5, LearnDiagnostics())
     assert np.allclose(state.P, np.diag([2.0 / 3.0, 2.0]), atol=1e-15)
     assert state.gamma == 1.0
     assert math.isclose(params.sigma, math.sqrt(1.0 / 3.0), rel_tol=1e-15)
@@ -60,7 +64,7 @@ def test_zero_innovation_leaves_eta_and_shrinks_sigma():
     s = float(u @ params.eta)
     lam = 0.9
     gamma, eta, sigma = state.gamma, params.eta.copy(), params.sigma
-    channel_update(state, params, u, s, lam)
+    channel_update(state, params, u, s, lam, LearnDiagnostics())
     assert np.array_equal(params.eta, eta)
     gamma_new = 1.0 + lam * gamma
     assert math.isclose(params.sigma, sigma * math.sqrt(1.0 - 1.0 / gamma_new), rel_tol=1e-15)
@@ -69,10 +73,12 @@ def test_zero_innovation_leaves_eta_and_shrinks_sigma():
 def test_degenerate_update_on_corrupted_state():
     state = ChannelState(P=-np.eye(2), gamma=1.0)
     params = GaussianChannelParams(eta=np.zeros(2), sigma=1.0)
+    diagnostics = LearnDiagnostics()
     with pytest.raises(DegenerateUpdate):
-        channel_update(state, params, np.array([1.0, 1.0]), 1.0, 0.5)
+        channel_update(state, params, np.array([1.0, 1.0]), 1.0, 0.5, diagnostics)
     with pytest.raises(DegenerateUpdate):
-        channel_update(ChannelState(P=[[math.nan, 0.0], [0.0, 1.0]], gamma=1.0), params, (1.0, 1.0), 1.0, 0.5)
+        channel_update(ChannelState(P=[[math.nan, 0.0], [0.0, 1.0]], gamma=1.0), params, (1.0, 1.0), 1.0, 0.5,
+                       diagnostics)
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -81,10 +87,10 @@ def test_unexcited_updates_raise_before_any_value_turns_non_finite(k, lam):
     # Only the first regressor is ever excited, so P grows by 1/lam per
     # update in the other directions until it overflows.
     state, params = fresh_channel(k)
-    u = (1.0,) + (0.0,) * (k - 1)
+    u, diagnostics = (1.0,) + (0.0,) * (k - 1), LearnDiagnostics()
     with pytest.raises(DegenerateUpdate):
         for _ in range(50_000):
-            channel_update(state, params, u, 1.0, lam)
+            channel_update(state, params, u, 1.0, lam, diagnostics)
             assert all(math.isfinite(x) for row in state.P for x in row)
             assert all(math.isfinite(x) for x in params.eta)
             assert math.isfinite(params.sigma) and math.isfinite(state.gamma)
@@ -98,20 +104,21 @@ def test_unexcited_updates_raise_before_any_value_turns_non_finite(k, lam):
 def test_unexcited_updates_with_the_trace_reset_never_degenerate(k, lam, level, regressors, seed):
     # A constant u excites one direction only; the reset must keep P bounded
     # and positive definite over 1e5 updates, so no update can degenerate.
-    hp = HyperParams()
+    # Every fired reset is counted.
+    hp, diagnostics = HyperParams(), LearnDiagnostics()
     u = (1.0, *regressors[:k - 1])
     state, params = fresh_channel(k)
     resets = 0
     for s in (level + np.random.default_rng(seed).standard_normal(100_000)).tolist():
-        channel_update(state, params, u, s, lam)
-        after = trace_reset(state, hp)
+        channel_update(state, params, u, s, lam, diagnostics)
+        after = trace_reset(state, hp, diagnostics)
         resets += after is not state
         state = after
         p = state.P
         assert all(p[i][j] == p[j][i] for i in range(k) for j in range(i))
         assert _positive_definite(p)
         assert sum(p[i][i] for i in range(k)) <= hp.trace_reset_threshold
-    assert resets > 0
+    assert resets > 0 and diagnostics.trace_resets == resets
 
 
 @st.composite
@@ -169,7 +176,7 @@ def test_closed_form_update_matches_the_matrix_form(k, lam, as_u):
         u = as_u([1.0] + rng.normal(size=k - 1).tolist())
         s = float(rng.normal(scale=2.0))
         state, params = ChannelState(P=p.tolist(), gamma=gamma), GaussianChannelParams(eta=eta.tolist(), sigma=sigma)
-        channel_update(state, params, u, s, lam)
+        channel_update(state, params, u, s, lam, LearnDiagnostics())
         p_ref, gamma_ref, eta_ref, sigma_ref = reference_channel_update(p, gamma, eta, sigma, u, s, lam)
         p_new = np.array(state.P)
         assert np.array_equal(p_new, p_new.T)
@@ -181,7 +188,7 @@ def test_closed_form_update_matches_the_matrix_form(k, lam, as_u):
 
 def test_closed_form_update_keeps_plain_float_records():
     state, params = fresh_channel(3)
-    assert channel_update(state, params, (1.0, 0.5, 0.0), 2.0, 0.7) is None
+    assert channel_update(state, params, (1.0, 0.5, 0.0), 2.0, 0.7, LearnDiagnostics()) is None
     assert all(type(x) is float for x in params.eta) and type(params.sigma) is float
     assert all(type(row) is list and all(type(x) is float for x in row) for row in state.P)
 
@@ -190,7 +197,7 @@ def test_closed_form_update_keeps_plain_float_records():
 def test_channel_update_rejects_other_shapes(k):
     state = ChannelState([[float(i == j) for j in range(k)] for i in range(k)], 0.0)
     with pytest.raises(ValueError):
-        channel_update(state, GaussianChannelParams.zeros(k), (1.0,) * k, 1.0, 0.5)
+        channel_update(state, GaussianChannelParams.zeros(k), (1.0,) * k, 1.0, 0.5, LearnDiagnostics())
 
 
 def test_a_resumed_learner_needs_a_model_and_a_state():
@@ -205,23 +212,27 @@ def test_a_resumed_learner_needs_a_model_and_a_state():
 
 
 def test_trace_reset_examples():
-    hp = HyperParams()
-    reset = trace_reset(ChannelState(P=np.diag([12.0, 1.0]), gamma=2.0), hp)
+    hp, diagnostics = HyperParams(), LearnDiagnostics()
+    reset = trace_reset(ChannelState(P=np.diag([12.0, 1.0]), gamma=2.0), hp, diagnostics)
     assert np.array_equal(reset.P, np.eye(2))
     assert reset.gamma == 2.0
-    kept = trace_reset(ChannelState(P=np.diag([4.0, 4.0]), gamma=2.0), hp)
+    kept = trace_reset(ChannelState(P=np.diag([4.0, 4.0]), gamma=2.0), hp, diagnostics)
     assert np.array_equal(kept.P, np.diag([4.0, 4.0]))
-    boundary = trace_reset(ChannelState(P=np.diag([5.0, 5.1]), gamma=2.0), hp)
+    boundary = trace_reset(ChannelState(P=np.diag([5.0, 5.1]), gamma=2.0), hp, diagnostics)
     assert np.array_equal(boundary.P, np.eye(2))
+    assert diagnostics == LearnDiagnostics(trace_resets=2)
 
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_trace_reset_returns_the_same_record_unless_it_fires(k):
-    state = ChannelState.identity(k, 2.0)
-    assert trace_reset(state, HyperParams()) is state
+    # It counts the reset only when it fires.
+    state, diagnostics = ChannelState.identity(k, 2.0), LearnDiagnostics()
+    assert trace_reset(state, HyperParams(), diagnostics) is state
+    assert diagnostics.trace_resets == 0
     state.P[k - 1][k - 1] = 11.0
-    reset = trace_reset(state, HyperParams())
+    reset = trace_reset(state, HyperParams(), diagnostics)
     assert reset is not state and reset == ChannelState.identity(k, 2.0)
+    assert diagnostics.trace_resets == 1
 
 
 @settings(max_examples=300, deadline=None)
@@ -326,7 +337,7 @@ def test_recursion_after_exact_init_tracks_batch_maximizer():
     assert i0 is not None
     for i in range(i0 + 1, len(samples) + 1):
         u, s = samples[i - 1]
-        channel_update(state, params, u, s, lam)
+        channel_update(state, params, u, s, lam, LearnDiagnostics())
         eta_star, sigma_star = batch_ml_oracle(samples[:i], lam)
         assert np.max(np.abs(params.eta - eta_star)) / max(1.0, np.max(np.abs(eta_star))) <= 1e-8
         assert abs(params.sigma - sigma_star) / max(1.0, sigma_star) <= 1e-8
@@ -341,37 +352,81 @@ def test_p_inverse_consistency_from_zero_init():
         u = np.array([1.0, rng.normal()])
         s = float(rng.normal())
         gram_terms.append(np.outer(u, u))
-        channel_update(state, params, u, s, lam)
+        channel_update(state, params, u, s, lam, LearnDiagnostics())
         expected_inv = lam**i * np.eye(2) + sum(
             lam ** (i - j) * g for j, g in enumerate(gram_terms, start=1)
         )
         assert np.allclose(np.linalg.inv(state.P), expected_inv, rtol=1e-8, atol=1e-10)
 
 
+def assert_is_the_ridge_fit(params, samples, lam):
+    """Without trace resets, a channel started from eta = 0, P = I, gamma = 0 is after n samples
+    (u_i, s_i) the fit minimising J(eta) = lam^n eta'eta + sum lam^(n-i) (s_i - u_i'eta)^2, with
+    sigma^2 = J_n / gamma_n at its minimum J_n: eta and sigma within 1e-8 relative, with a floor of 1."""
+    n, k = len(samples), len(samples[0][0])
+    weights = lam ** np.arange(n - 1, -1, -1)
+    u_arr, s_arr = np.array([u for u, _ in samples], dtype=float), np.array([s for _, s in samples])
+    gram = lam**n * np.eye(k) + (u_arr * weights[:, None]).T @ u_arr
+    eta = np.linalg.solve(gram, (u_arr * weights[:, None]).T @ s_arr)
+    j_n = lam**n * eta @ eta + weights @ (s_arr - u_arr @ eta) ** 2
+    sigma = math.sqrt(j_n / weights.sum())
+    assert np.max(np.abs(np.array(params.eta) - eta)) / max(1.0, np.max(np.abs(eta))) <= 1e-8
+    assert abs(params.sigma - sigma) / max(1.0, sigma) <= 1e-8
+
+
 @pytest.mark.parametrize("k", [2, 3])
 @pytest.mark.parametrize("lam", [0.2, 0.5, 0.7, 0.95])
 def test_zero_start_equals_the_ridge_fit_after_every_sample(k, lam):
-    # Without trace resets, a channel started from eta = 0, P = I, gamma = 0
-    # is after n samples the fit minimising J(eta) = lam^n eta'eta +
-    # sum lam^(n-i) (s_i - u_i'eta)^2, with sigma^2 = J_n / gamma_n at its minimum J_n.
     rng = np.random.default_rng(20 + k)
     for _ in range(25):
         state, params = ChannelState.identity(k), GaussianChannelParams.zeros(k)
-        us, ss = [], []
+        samples = []
         for n in range(1, 61):
             u = (1.0, *rng.normal(size=k - 1))
             s = float(rng.normal(2.0, 1.5))
-            channel_update(state, params, u, s, lam)
-            us.append(u)
-            ss.append(s)
-            weights = lam ** np.arange(n - 1, -1, -1)
-            u_arr, s_arr = np.array(us), np.array(ss)
-            gram = lam**n * np.eye(k) + (u_arr * weights[:, None]).T @ u_arr
-            eta = np.linalg.solve(gram, (u_arr * weights[:, None]).T @ s_arr)
-            j_n = lam**n * eta @ eta + weights @ (s_arr - u_arr @ eta) ** 2
-            sigma = math.sqrt(j_n / weights.sum())
-            assert np.max(np.abs(np.array(params.eta) - eta)) / max(1.0, np.max(np.abs(eta))) <= 1e-8
-            assert abs(params.sigma - sigma) / max(1.0, sigma) <= 1e-8
+            channel_update(state, params, u, s, lam, LearnDiagnostics())
+            samples.append((u, s))
+            assert_is_the_ridge_fit(params, samples, lam)
+
+
+@pytest.mark.parametrize("lambda_s, lambda_r", [(0.2, 0.7), (0.5, 0.8), (0.7, 0.2), (0.95, 0.95)])
+@pytest.mark.parametrize("seed", range(3))
+def test_learn_step_gives_each_channel_the_ridge_fit_of_the_samples_routed_to_it(lambda_s, lambda_r, seed):
+    # The documented rule: a revealed load s at a step of calendar type c gives observation channel c
+    # the sample (obs, s) when the step's observation is known, and transition channel c the sample
+    # ((1, prev), s) when the previous load prev is known. prev is the anchor's load at an instance's
+    # first step and the previous step's load after it, so a blank load breaks the chain. Three
+    # calendar types over six steps repeat types within an instance, and about one load, observation
+    # and anchor in seven is blank.
+    hp = HyperParams(horizon=6, lambda_s=lambda_s, lambda_r=lambda_r, trace_reset_threshold=math.inf)
+    learner, rng = OnlineLearner(hp), np.random.default_rng(seed)
+    routed = {(kind, c): [] for kind in "sr" for c in range(1, CALENDAR_TYPES + 1)}
+    channels = {"s": (learner.model.s_channels, lambda_s), "r": (learner.model.r_channels, lambda_r)}
+
+    def maybe(value):
+        return None if rng.random() < 0.15 else value
+
+    for t in range(30):
+        types = rng.integers(1, 4, size=hp.horizon).tolist()
+        observations = tuple(maybe((1.0, *rng.normal(size=2))) for _ in types)
+        targets = [maybe(float(rng.normal(2.0, 1.5))) for _ in types]
+        anchor = maybe(float(rng.normal(2.0, 1.5)))
+        learner.learn_step(InstanceVector(anchor, observations, types, t * hp.horizon), targets)
+        prev = anchor
+        for obs, c, s in zip(observations, types, targets):
+            if s is not None and obs is not None:
+                routed["r", c].append((obs, s))
+            if s is not None and prev is not None:
+                routed["s", c].append(((1.0, prev), s))
+            prev = s
+        for (kind, c), samples in routed.items():
+            kind_params, lam = channels[kind]
+            params = kind_params[c - 1]
+            if samples:
+                assert_is_the_ridge_fit(params, samples, lam)
+            else:
+                assert params == GaussianChannelParams.zeros(len(params.eta))
+    assert learner.diagnostics == LearnDiagnostics()
 
 
 def test_gamma_closed_form():
@@ -379,11 +434,11 @@ def test_gamma_closed_form():
     # exact in binary floating point.
     state, params = fresh_channel()
     for i in range(1, 40):
-        channel_update(state, params, np.array([1.0, 0.5]), 1.0, 0.5)
+        channel_update(state, params, np.array([1.0, 0.5]), 1.0, 0.5, LearnDiagnostics())
         assert state.gamma == (1.0 - 0.5**i) / (1.0 - 0.5)
     state, params = fresh_channel()
     for i in range(1, 40):
-        channel_update(state, params, np.array([1.0, 0.5]), 1.0, 0.7)
+        channel_update(state, params, np.array([1.0, 0.5]), 1.0, 0.7, LearnDiagnostics())
         assert math.isclose(state.gamma, (1.0 - 0.7**i) / (1.0 - 0.7), rel_tol=1e-12)
 
 
@@ -394,7 +449,7 @@ def test_final_eta_depends_on_sample_order():
     def run(ordered):
         state, params = fresh_channel()
         for u, s in ordered:
-            channel_update(state, params, u, s, 0.5)
+            channel_update(state, params, u, s, 0.5, LearnDiagnostics())
         return params.eta
 
     assert not np.allclose(run(samples), run(samples[::-1]))
@@ -604,7 +659,7 @@ def test_a_degenerate_update_leaves_the_channel_as_it_was(k, path, message):
     rows, eta = list(state.P), params.eta
     before = (copy.deepcopy(state.P), state.gamma, list(params.eta), params.sigma)
     with pytest.raises(DegenerateUpdate, match=message):
-        channel_update(state, params, (1.0,) * k, 3.0, 0.7)
+        channel_update(state, params, (1.0,) * k, 3.0, 0.7, LearnDiagnostics())
     assert (state.P, state.gamma, params.eta, params.sigma) == before
     assert all(a is b for a, b in zip(state.P, rows)) and params.eta is eta
 
@@ -614,7 +669,7 @@ def test_an_update_whose_new_values_are_finite_but_sum_overflows_does_not_raise(
     # Zero innovation keeps eta = (1e308, ...): every new value is finite, and their sum is inf.
     state = ChannelState([[float(i == j) for j in range(k)] for i in range(k)], 1.0)
     params = GaussianChannelParams([1e308] * k, 1.0)
-    channel_update(state, params, (1.0,) + (0.0,) * (k - 1), 1e308, 0.5)
+    channel_update(state, params, (1.0,) + (0.0,) * (k - 1), 1e308, 0.5, LearnDiagnostics())
     new = [*params.eta, *(x for row in state.P for x in row), params.sigma]
     assert params.eta == [1e308] * k and all(map(math.isfinite, new)) and math.isinf(sum(new))
 
@@ -655,7 +710,7 @@ def test_an_update_with_any_one_non_finite_new_value_raises_and_leaves_the_chann
     rows, eta = list(state.P), params.eta
     before = (copy.deepcopy(state.P), state.gamma, list(params.eta), params.sigma)
     with pytest.raises(DegenerateUpdate, match="non-finite"):
-        channel_update(state, params, u, s, 0.5)
+        channel_update(state, params, u, s, 0.5, LearnDiagnostics())
     assert (state.P, state.gamma, params.eta, params.sigma) == before
     assert all(a is b for a, b in zip(state.P, rows)) and params.eta is eta
 
@@ -701,3 +756,68 @@ def test_no_two_channels_share_a_list_after_initial_batch_fallback_or_load(tmp_p
     snap = snapshot_load(path)
     assert snap.model == fallback.model and snap.state == fallback.state
     assert_no_shared_lists(snap.model, snap.state)
+
+
+# --- reset accounting ----------------------------------------------------------
+
+SNAPSHOT_V1_48 = Path(__file__).parent / "data" / "snapshot_v1_48.json"
+
+
+@pytest.fixture
+def fired_resets(monkeypatch):
+    """trace_reset wrapped through its module attribute, as the benchmark's tracer wraps it: one entry
+    per call, True when the record it returns is not the record it was given."""
+    fired, real = [], recursive_learner.trace_reset
+
+    def traced(*args):
+        out = real(*args)
+        fired.append(out is not args[0])
+        return out
+
+    monkeypatch.setattr(recursive_learner, "trace_reset", traced)
+    return fired
+
+
+def feed(learner, steps, anchor):
+    """One-step instances on calendar types 1 and 2 in turn, type c anchored at anchor(c, rng). The
+    observations never excite their third regressor, so the observation channels' trace grows."""
+    rng = np.random.default_rng(43)
+    for t in range(steps):
+        c = 1 + t % 2
+        instance = InstanceVector(anchor(c, rng), ((1.0, float(rng.normal()), 0.0),), (c,), t)
+        learner.learn_step(instance, [float(rng.normal(1.0, 0.5))])
+
+
+def noisy_load(c, rng):
+    return float(rng.normal(1.0, 0.5))
+
+
+def test_a_zero_init_learner_counts_every_reset_that_fires(fired_resets):
+    learner = OnlineLearner(HyperParams(horizon=1))
+    feed(learner, 200, noisy_load)
+    assert sum(fired_resets) > 0 and learner.diagnostics.trace_resets == sum(fired_resets)
+    assert learner.diagnostics.batch_init_fallbacks == 0
+
+
+def test_a_batch_learner_counts_the_resets_of_its_solves_its_fallback_replay_and_its_live_updates(fired_resets):
+    # Type 1 is always anchored at the same load, so its transition buffer never solves and is
+    # replayed from the zero start once it is full; type 2's buffer solves at its second sample.
+    learner = OnlineLearner(HyperParams(horizon=1), init_mode="batch")
+    feed(learner, 4 * BATCH_INIT_MAX_BUFFER, lambda c, rng: 1.0 if c == 1 else noisy_load(c, rng))
+    assert ("s", 1) not in learner.state.pending and ("s", 2) not in learner.state.pending
+    assert sum(fired_resets) > 0 and learner.diagnostics.trace_resets == sum(fired_resets)
+    assert learner.diagnostics.batch_init_fallbacks == 1
+
+
+def test_a_resumed_learner_counts_the_resets_of_its_legacy_buffer_replays(fired_resets):
+    # The v1 snapshot holds observation-channel buffers r:1 and r:2, which the learner replays as it
+    # is built, each a counted fallback. At a trace threshold of 4, two of the replay's eight resets
+    # fire; at the snapshot's own 10, none would.
+    snap = snapshot_load(SNAPSHOT_V1_48)
+    hp = dataclasses.replace(snap.hp, trace_reset_threshold=4.0)
+    learner = OnlineLearner(hp, "batch", model=snap.model, state=snap.state)
+    assert learner.state.pending == {} and fired_resets.count(True) == 2
+    assert learner.diagnostics.trace_resets == 2
+    feed(learner, 50, noisy_load)
+    assert sum(fired_resets) > 0 and learner.diagnostics.trace_resets == sum(fired_resets)
+    assert learner.diagnostics.batch_init_fallbacks == 2

@@ -1,6 +1,7 @@
 """Self-consistency of the slow-path oracles."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -90,3 +91,11 @@ def test_filter_oracle_matches_quadrature_on_random_chains():
 
 def test_self_check_passes():
     assert self_check(seed=0, verbose=False)
+
+
+def test_self_check_ends_each_line_with_the_wall_time_of_its_check(capsys):
+    assert self_check(seed=0)
+    lines = capsys.readouterr().out.splitlines()
+    names = ["gradient-at-optimum", "recursion-vs-batch", "forecaster-vs-filter", "filter-vs-quadrature"]
+    assert [line.split(":")[0] for line in lines] == [f"ok   {name}" for name in names]
+    assert all(re.fullmatch(r"ok   [a-z-]+: [^()]+ = \d\.\d{3}e[+-]\d\d \(\d+ ms\)", line) for line in lines)
