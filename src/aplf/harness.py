@@ -250,17 +250,22 @@ def _load_schedule(path: Path) -> dict:
     return schedule
 
 
+def _without_bom(header: list[str]) -> list[str]:
+    """header less one leading U+FEFF, the byte-order mark of many spreadsheet exports."""
+    return [header[0].removeprefix("\ufeff"), *header[1:]] if header else header
+
+
 def read_series(path: Path | str, config: RunConfig) -> Series:
     """Parse and validate a series CSV into a Series on the configured step grid.
 
-    The header must be timestamp,load[,temperature]; timestamps must be
-    strictly increasing on the step grid, and either all naive or all
-    offset-aware. Missing steps are not errors. A load must be finite and
-    >= 0, a temperature finite once temperatures declared in Celsius are
-    converted to Fahrenheit here; a blank cell is missing. A ParseError
-    names the file and the row's last line (a quoted field may span
-    lines); so does one for a row the csv module cannot read, such as a
-    field over csv.field_size_limit().
+    The header must be timestamp,load[,temperature], after at most one
+    byte-order mark; timestamps must be strictly increasing on the step
+    grid, and either all naive or all offset-aware. Missing steps are not
+    errors. A load must be finite and >= 0, a temperature finite once
+    temperatures declared in Celsius are converted to Fahrenheit here; a
+    blank cell is missing. A ParseError names the file and the row's last
+    line (a quoted field may span lines); so does one for a row the csv
+    module cannot read, such as a field over csv.field_size_limit().
     """
     path = Path(path)
     convert = config.temperature_unit == "C"
@@ -276,7 +281,7 @@ def read_series(path: Path | str, config: RunConfig) -> Series:
             header = next(reader, None)
             if header is None:
                 raise ParseError(f"{path}:1: empty file")
-            header = [h.strip() for h in header]
+            header = [h.strip() for h in _without_bom(header)]
             if header not in (["timestamp", "load"], ["timestamp", "load", "temperature"]):
                 raise ParseError(f"{path}:1: header must be timestamp,load[,temperature], got {header}")
             has_temp = len(header) == 3
@@ -377,6 +382,8 @@ def _pending_to_dict(pending: dict) -> dict:
 
 
 def _pending_from_dict(d: dict) -> dict:
+    if not isinstance(d, dict):
+        raise ValueError(f"pending_batch must be an object, got {type(d).__name__}")
     out = {}
     for key, buf in d.items():
         kind, _, c = key.partition(":")
@@ -834,10 +841,10 @@ def _write_outputs(output_dir: Path, result: RunResult) -> None:
 def read_forecasts(path: Path | str) -> Iterator[tuple[datetime, float, float]]:
     """Yield every (timestamp, mean, std) row of a forecasts.csv, in file order.
 
-    The header must start with the columns run_online_evaluation writes. A
-    row whose mean or std is not finite, or whose std is negative, and a
-    row the csv module cannot read, are ParseErrors naming the row's last
-    line (a quoted field may span lines), raised when iteration reaches it.
+    The header must start with the columns run_online_evaluation writes, after at most one
+    byte-order mark. A row whose mean or std is not finite, or whose std is negative, and a
+    row the csv module cannot read, are ParseErrors naming the row's last line (a quoted
+    field may span lines), raised when iteration reaches it.
     """
     path = Path(path)
     columns = _FORECAST_HEADER.split(",")
@@ -845,7 +852,7 @@ def read_forecasts(path: Path | str) -> Iterator[tuple[datetime, float, float]]:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
-            if header is None or header[:len(columns)] != columns:
+            if header is None or _without_bom(header)[:len(columns)] != columns:
                 raise ParseError(f"{path}:1: expected forecasts.csv header {_FORECAST_HEADER}")
             for row in reader:
                 if not row:

@@ -96,34 +96,36 @@ class GaussianChannelParams:
         return cls(eta=[0.0] * k, sigma=1.0)
 
 
+_IDENTITY = {2: (1.0, 0.0, 1.0), 3: (1.0, 0.0, 0.0, 1.0, 0.0, 1.0)}
+
+
 @dataclass(slots=True)
 class ChannelState:
     """Recursive-update state of one channel.
 
-    P is the K x K inverse weighted Gram matrix as a nested list of
-    floats. It is exactly symmetric by construction: every update computes
-    its upper triangle and mirrors it. gamma is the geometric sum of sample
-    weights, 0 only before the first update.
+    P is the symmetric K x K inverse weighted Gram matrix as the immutable
+    tuple of its upper triangle, row-major: (p00, p01, p11) for K = 2 and
+    (p00, p01, p02, p11, p12, p22) for K = 3; an update stores a new one.
+    gamma is the geometric sum of sample weights, 0 before the first update.
     """
 
-    P: list[list[float]]
+    P: tuple[float, ...]
     gamma: float
 
     @classmethod
     def identity(cls, k: int, gamma: float = 0.0) -> "ChannelState":
-        """P = I as fresh lists, with the given gamma; ValueError unless K is 2 or 3."""
-        if k == 2:
-            return cls([[1.0, 0.0], [0.0, 1.0]], gamma)
-        if k == 3:
-            return cls([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], gamma)
-        raise ValueError(f"a channel has K = 2 or 3 regressors, got {k}")
+        """P = I, as the shared identity tuple, with the given gamma; ValueError unless K is 2 or 3."""
+        if k not in _IDENTITY:
+            raise ValueError(f"a channel has K = 2 or 3 regressors, got {k}")
+        return cls(_IDENTITY[k], gamma)
 
 
 # Snapshot codec (format v1): the one place that turns channel records into
 # JSON values and back. Reading checks every list length and array shape
 # against the dimensions the snapshot declares, and every value against what
 # a run can write: finite eta, finite sigma and gamma >= 0, and a symmetric
-# positive definite P. A payload that fails is rejected before it reaches a run.
+# positive definite P, written as its K x K nested list and read back to its
+# upper triangle. A payload that fails is rejected before it reaches a run.
 
 
 def _records_from_json(record_cls, items, n: int, k: int) -> list:
@@ -131,10 +133,9 @@ def _records_from_json(record_cls, items, n: int, k: int) -> list:
 
     A record's first field is a channel's eta, a list of k finite floats,
     or its P, a k x k matrix of them that must be symmetric positive
-    definite, as every P the learner writes is: the update reads only its
-    upper triangle and keeps P positive definite. Its second field is a
-    channel's sigma or gamma, so it must be finite and >= 0. ValueError
-    otherwise.
+    definite, as every P the learner writes is, kept as its upper triangle.
+    Its second field is a channel's sigma or gamma, so it must be finite
+    and >= 0. ValueError otherwise.
     """
     array_field, float_field = (f.name for f in fields(record_cls))
     square = record_cls is ChannelState
@@ -145,9 +146,7 @@ def _records_from_json(record_cls, items, n: int, k: int) -> list:
             raise ValueError(f"{float_field} must be finite and >= 0, got {value}")
         array = item[array_field]
         if square:
-            array = [_finite_floats(row, k) for row in _checked_list(array, k)]
-            if not _symmetric(array):
-                raise ValueError("P is not symmetric")
+            array = _upper_triangle([_finite_floats(row, k) for row in _checked_list(array, k)])
             if not _positive_definite(array):
                 raise ValueError("P is not positive definite")
         else:
@@ -174,23 +173,38 @@ def _finite_floats(items, n: int) -> list[float]:
     return values
 
 
-def _symmetric(p: list) -> bool:
-    """Whether the K x K matrix p (K = 2 or 3) is exactly symmetric."""
-    if len(p) == 2:
-        return p[0][1] == p[1][0]
-    return p[0][1] == p[1][0] and p[0][2] == p[2][0] and p[1][2] == p[2][1]
+def _upper_triangle(rows: list) -> tuple[float, ...]:
+    """The upper triangle, row-major, of the K x K matrix rows; ValueError unless symmetric."""
+    if len(rows) == 2:
+        (a, b), (b_, d) = rows
+        triangle, symmetric = (a, b, d), b == b_
+    else:
+        (a, b, c), (b_, d, e), (c_, e_, f) = rows
+        triangle, symmetric = (a, b, c, d, e, f), b == b_ and c == c_ and e == e_
+    if not symmetric:
+        raise ValueError("P is not symmetric")
+    return triangle
 
 
-def _positive_definite(p: list) -> bool:
-    """Whether the symmetric matrix p is positive definite.
+def _square(p: tuple[float, ...]) -> list[list[float]]:
+    """The K x K nested list of the upper triangle p, as a snapshot stores P."""
+    if len(p) == 3:
+        a, b, d = p
+        return [[a, b], [b, d]]
+    a, b, c, d, e, f = p
+    return [[a, b, c], [b, d, e], [c, e, f]]
+
+
+def _positive_definite(p: tuple[float, ...]) -> bool:
+    """Whether the symmetric matrix of upper triangle p is positive definite.
 
     Sylvester's criterion, written out for the two channel shapes K = 2
     and K = 3: every leading principal minor is positive.
     """
-    if len(p) == 2:
-        (a, b), (_, d) = p
+    if len(p) == 3:
+        a, b, d = p
         return a > 0.0 and a * d - b * b > 0.0
-    (a, b, c), (_, d, e), (_, _, f) = p
+    a, b, c, d, e, f = p
     det = a * (d * f - e * e) - b * (b * f - c * e) + c * (b * e - c * d)
     return a > 0.0 and a * d - b * b > 0.0 and det > 0.0
 
@@ -247,10 +261,10 @@ class LearnerState:
         )
 
     def to_dict(self) -> dict:
-        """Every channel state as {"P": [[...]], "gamma": float}, without the pending buffers;
-        P lists are shared, not copied."""
-        return {"s_states": [{"P": c.P, "gamma": float(c.gamma)} for c in self.s_states],
-                "r_states": [{"P": c.P, "gamma": float(c.gamma)} for c in self.r_states]}
+        """Every channel state as {"P": [[...]], "gamma": float}, P as its full K x K nested
+        list, without the pending buffers."""
+        return {"s_states": [{"P": _square(c.P), "gamma": float(c.gamma)} for c in self.s_states],
+                "r_states": [{"P": _square(c.P), "gamma": float(c.gamma)} for c in self.r_states]}
 
     @classmethod
     def from_dict(cls, d: dict) -> "LearnerState":

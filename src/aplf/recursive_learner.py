@@ -71,8 +71,8 @@ def channel_update(
     s: float,
     lam: float,
     diagnostics: LearnDiagnostics,
-) -> None:
-    """One recursive update of a channel from sample (u, s), in place.
+) -> float:
+    """One recursive update of a channel from sample (u, s), in place; returns trace(P_new).
 
     u is any sequence of K = 2 or K = 3 floats, the model's two channel
     shapes. Order matches the learning algorithm: P, gamma, sigma, eta.
@@ -80,23 +80,21 @@ def channel_update(
     P and gamma; the shared gain P_new u equals P_old u / (lam + u' P_old u),
     so it is computed once from the pre-update quantities. The update is
     written out in closed form on the upper triangle of the symmetric P,
-    which is mirrored, so the new P is exactly symmetric. A negative sigma
-    radicand (finite-precision only) is clamped to 0 and counted. A gain
+    which is all that ChannelState keeps. A negative sigma radicand
+    (finite-precision only) is clamped to 0 and counted. A gain
     denominator that is not a positive finite number, or a new P entry,
     eta or sigma that is not finite, raises DegenerateUpdate.
 
-    The new P, gamma, eta and sigma are written into state and params,
-    whose P rows and eta list are updated element by element. Every new
-    value is computed and checked before any is written, so a
-    DegenerateUpdate leaves the channel as it was.
+    The new P tuple, gamma, eta and sigma are written into state and
+    params, the eta list element by element. Every new value is computed
+    and checked before any is written, so a DegenerateUpdate leaves the
+    channel as it was. The returned trace is summed as trace_reset sums
+    it, so the caller needs trace_reset only when it exceeds the threshold.
     """
-    k = len(u)
-    p, eta = state.P, params.eta
+    k, eta = len(u), params.eta
     if k == 2:
         u0, u1 = u
-        row0, row1 = p
-        p00, p01 = row0
-        p11 = row1[1]
+        p00, p01, p11 = state.P
         eta0, eta1 = eta
         pu0 = p00 * u0 + p01 * u1
         pu1 = p01 * u0 + p11 * u1
@@ -109,13 +107,11 @@ def channel_update(
         innovation = s - (u0 * eta0 + u1 * eta1)
         g = innovation / gain_denom
         e0, e1 = eta0 + pu0 * g, eta1 + pu1 * g
+        p_new, trace = (q00, q01, q11), q00 + q11
         total = q00 + q01 + q11 + e0 + e1
     elif k == 3:
         u0, u1, u2 = u
-        row0, row1, row2 = p
-        p00, p01, p02 = row0
-        _, p11, p12 = row1
-        p22 = row2[2]
+        p00, p01, p02, p11, p12, p22 = state.P
         eta0, eta1, eta2 = eta
         pu0 = p00 * u0 + p01 * u1 + p02 * u2
         pu1 = p01 * u0 + p11 * u1 + p12 * u2
@@ -132,6 +128,7 @@ def channel_update(
         innovation = s - (u0 * eta0 + u1 * eta1 + u2 * eta2)
         g = innovation / gain_denom
         e0, e1, e2 = eta0 + pu0 * g, eta1 + pu1 * g, eta2 + pu2 * g
+        p_new, trace = (q00, q01, q02, q11, q12, q22), q00 + q11 + q22
         total = q00 + q01 + q02 + q11 + q12 + q22 + e0 + e1 + e2
     else:
         raise ValueError(f"channel_update supports K = 2 or 3 regressors, got {k}")
@@ -146,42 +143,33 @@ def channel_update(
     # A finite sum proves every new value finite; only an overflowing sum of
     # finite values needs the value-by-value check.
     if not isfinite(total + sigma_new):
-        new = (q00, q01, q11, e0, e1) if k == 2 else (q00, q01, q02, q11, q12, q22, e0, e1, e2)
+        new = (*p_new, e0, e1) if k == 2 else (*p_new, e0, e1, e2)
         if not (isfinite(sigma_new) and all(map(isfinite, new))):
             raise DegenerateUpdate("update produced a non-finite P, eta or sigma")
 
-    if k == 2:
-        row0[0] = q00
-        row0[1] = row1[0] = q01
-        row1[1] = q11
-        eta[0] = e0
-        eta[1] = e1
-    else:
-        row0[0] = q00
-        row0[1] = row1[0] = q01
-        row0[2] = row2[0] = q02
-        row1[1] = q11
-        row1[2] = row2[1] = q12
-        row2[2] = q22
-        eta[0] = e0
-        eta[1] = e1
+    state.P = p_new
+    eta[0] = e0
+    eta[1] = e1
+    if k == 3:
         eta[2] = e2
     state.gamma = gamma_new
     params.sigma = sigma_new
+    return trace
 
 
 def trace_reset(state: ChannelState, hp: HyperParams, diagnostics: LearnDiagnostics) -> ChannelState:
     """Reset P to the identity when its trace exceeds the threshold.
 
-    A reset is counted and returns a fresh ChannelState, P = I as new lists
-    with gamma preserved, which the caller stores in place of the old
-    record; the same object is returned when no reset fires.
+    A reset is counted and returns ChannelState.identity with gamma
+    preserved, which the caller stores in place of the old record; the
+    same object is returned when no reset fires. The trace is summed as
+    channel_update sums the one it returns.
     """
     p = state.P
-    trace = p[0][0] + p[1][1] if len(p) == 2 else p[0][0] + p[1][1] + p[2][2]
+    trace = p[0] + p[2] if len(p) == 3 else p[0] + p[3] + p[5]
     if trace > hp.trace_reset_threshold:
         diagnostics.trace_resets += 1
-        return ChannelState.identity(len(p), state.gamma)
+        return ChannelState.identity(2 if len(p) == 3 else 3, state.gamma)
     return state
 
 
@@ -194,7 +182,7 @@ def batch_initialize(
     reproduces the batch maximizer at every later step. One pass over the
     buffer accumulates the weighted Gram matrix G (G <- lam G + u u'),
     q = sum w s u, sum w s^2 and gamma. P = G^-1 is the adjugate of G over
-    its determinant, mirrored so it is exactly symmetric, and eta = P q.
+    its determinant, kept as its upper triangle, and eta = P q.
     Raises SingularGram when G is not finite, or unless its determinant is
     positive and its condition number is below GRAM_CONDITION_LIMIT. The
     larger eigenvalue comes from the quadratic formula, where nothing
@@ -227,7 +215,7 @@ def batch_initialize(
     p00, p01, p11 = g11 / det, -g01 / det, g00 / det
     eta = [p00 * q0 + p01 * q1, p01 * q0 + p11 * q1]
     sigma = math.sqrt(max((m2 - (q0 * eta[0] + q1 * eta[1])) / gamma, 0.0))
-    return ChannelState(P=[[p00, p01], [p01, p11]], gamma=gamma), GaussianChannelParams(eta=eta, sigma=sigma)
+    return ChannelState(P=(p00, p01, p11), gamma=gamma), GaussianChannelParams(eta=eta, sigma=sigma)
 
 
 class OnlineLearner:
@@ -277,9 +265,9 @@ class OnlineLearner:
         revealed load updates its calendar type's observation channel from
         the encoded observation and then its transition channel from the
         actual previous load, where each is known. A live channel takes a
-        channel_update and then a trace_reset, whose record it keeps; a
-        transition channel still awaiting batch initialization goes through
-        _learn instead.
+        channel_update, then a trace_reset if the returned trace exceeds the
+        threshold, keeping its record; a transition channel still awaiting
+        batch initialization goes through _learn instead.
         Targets, types and observations of unequal length raise ValueError
         before any channel changes. A calendar type outside
         1..CALENDAR_TYPES raises IndexError, and an observation of other
@@ -291,7 +279,7 @@ class OnlineLearner:
             raise ValueError(f"{len(targets)} targets, {len(types)} calendar types and "
                              f"{len(observations)} observations must be equally many")
         hp, diagnostics, pending = self.hp, self.diagnostics, self.state.pending
-        lambda_s, lambda_r = hp.lambda_s, hp.lambda_r
+        lambda_s, lambda_r, threshold = hp.lambda_s, hp.lambda_r, hp.trace_reset_threshold
         s_params, r_params = self.model.s_channels, self.model.r_channels
         s_states, r_states = self.state.s_states, self.state.r_states
         prev = instance.anchor_load
@@ -304,15 +292,15 @@ class OnlineLearner:
                 # sample, and then neither channel of the step has changed.
                 if obs is not None:
                     state = r_states[i]
-                    channel_update(state, r_params[i], obs, target, lambda_r, diagnostics)
-                    r_states[i] = trace_reset(state, hp, diagnostics)
+                    if channel_update(state, r_params[i], obs, target, lambda_r, diagnostics) > threshold:
+                        r_states[i] = trace_reset(state, hp, diagnostics)
                 if prev is not None:
                     if pending and ("s", c) in pending:
                         self._learn(c, (1.0, prev), target)
                     else:
                         state = s_states[i]
-                        channel_update(state, s_params[i], (1.0, prev), target, lambda_s, diagnostics)
-                        s_states[i] = trace_reset(state, hp, diagnostics)
+                        if channel_update(state, s_params[i], (1.0, prev), target, lambda_s, diagnostics) > threshold:
+                            s_states[i] = trace_reset(state, hp, diagnostics)
             prev = target
 
     def _learn(self, c: int, u: tuple[float, float], s: float) -> None:
@@ -335,14 +323,15 @@ class OnlineLearner:
 
     def _replay(self, kind: str, c: int, params: list, states: list, lam: float) -> None:
         """Replace channel kind:c's pending buffer by a zero-start channel fed its samples in
-        order, each update followed by a trace_reset, and count a batch-init fallback.
+        order, resetting the trace as learn_step does, and count a batch-init fallback.
         The replay's records are built locally and stored only once it has finished, so a
         DegenerateUpdate leaves the channel and its buffer as they were."""
-        diagnostics, buf, k = self.diagnostics, self.state.pending[(kind, c)], len(states[c - 1].P)
+        hp, diagnostics, buf = self.hp, self.diagnostics, self.state.pending[(kind, c)]
+        k = len(params[c - 1].eta)
         state, fresh = ChannelState.identity(k), GaussianChannelParams.zeros(k)
         for u, s in buf:
-            channel_update(state, fresh, u, s, lam, diagnostics)
-            state = trace_reset(state, self.hp, diagnostics)
+            if channel_update(state, fresh, u, s, lam, diagnostics) > hp.trace_reset_threshold:
+                state = trace_reset(state, hp, diagnostics)
         del self.state.pending[(kind, c)]
         params[c - 1], states[c - 1] = fresh, state
         diagnostics.batch_init_fallbacks += 1

@@ -1,7 +1,8 @@
-"""Shared test fixtures: random model builders, the discounted log-likelihood,
-the matrix form of the channel update, agreement of a batch solve with its oracle, a one-sample-at-a-time
-learn step, the scalar pinball loss, whole-table quantile scoring, and the environment of a
-subprocess that imports the package from this checkout."""
+"""Shared test fixtures: random model builders, the discounted log-likelihood, the square and
+flat forms of a channel's P, the matrix form of the channel update, agreement of a batch solve
+with its oracle, a one-sample-at-a-time learn step, the scalar pinball loss, whole-table
+quantile scoring, and the environment of a subprocess that imports the package from this
+checkout."""
 
 from __future__ import annotations
 
@@ -49,6 +50,21 @@ def weighted_log_likelihood(samples, eta, sigma: float, lam: float) -> float:
     return math.fsum(terms)
 
 
+def square(p) -> np.ndarray:
+    """The K x K symmetric matrix whose upper triangle, row-major, is p: a ChannelState's P."""
+    k = 2 if len(p) == 3 else 3
+    m = np.zeros((k, k))
+    m[np.triu_indices(k)] = p
+    return m + np.triu(m, 1).T
+
+
+def flatten(m) -> tuple[float, ...]:
+    """The upper triangle, row-major, of the K x K matrix m as a tuple of floats: the P that
+    ChannelState keeps for m."""
+    m = np.asarray(m, dtype=float)
+    return tuple(m[np.triu_indices(len(m))].tolist())
+
+
 def reference_channel_update(p, gamma: float, eta, sigma: float, u, s: float, lam: float):
     """The channel update in numpy matrix form: (P, gamma, eta, sigma) after sample (u, s).
 
@@ -86,7 +102,7 @@ def assert_agrees_with_batch_oracle(state, params, samples, lam: float) -> None:
     bound = 8.0 * n * eps
     eta_err = float(np.linalg.norm(np.asarray(params.eta) - eta_star))
     assert eta_err <= bound * (cond * float(np.linalg.norm(eta_star)) + inv_norm * float(np.linalg.norm(q_abs)))
-    assert float(np.max(np.abs(np.asarray(state.P) @ gram - np.eye(len(gram))))) <= bound * cond
+    assert float(np.max(np.abs(square(state.P) @ gram - np.eye(len(gram))))) <= bound * cond
     q = u_mat.T @ (weights * s_vec)
     delta = bound * cond * (float(weights @ s_vec**2) + float(np.abs(q) @ np.abs(eta_star))) / state.gamma
     sigma_tol = 1e-12 * max(1.0, sigma_star)

@@ -18,6 +18,7 @@ import pytest
 from helpers import (
     assert_grid_pinball,
     consistent_chain_steps,
+    flatten,
     random_model,
     weighted_log_likelihood,
 )
@@ -45,7 +46,7 @@ def _exact_fit(samples, lam):
     u_mat = np.array([u for u, _ in samples])
     weights = lam ** np.arange(len(samples) - 1, -1, -1)
     p = np.linalg.inv((u_mat * weights[:, None]).T @ u_mat)
-    return (ChannelState(P=((p + p.T) / 2.0).tolist(), gamma=float(weights.sum())),
+    return (ChannelState(P=flatten((p + p.T) / 2.0), gamma=float(weights.sum())),
             GaussianChannelParams(eta=eta.tolist(), sigma=sigma))
 
 

@@ -704,6 +704,10 @@ def _narrow_observation_channels(p):
     lambda p: p.update(n_calendar_types=48.0),
     lambda p: p["hyper_params"].update(n_calendar_types=48.0),
     lambda p: p["hyper_params"].pop("n_calendar_types"),
+    lambda p: p.update(pending_batch=None),
+    lambda p: p.update(pending_batch=[]),
+    lambda p: p.update(pending_batch="x"),
+    lambda p: p.update(pending_batch=3),
 ], ids=["short-s-channels", "short-r-eta", "3x3-P-on-K2", "extra-r-state", "short-tracker-counts",
         "long-tracker-sums", "short-pending-vector", "pending-type-out-of-range", "hyper-params-types",
         "asymmetric-P", "nan-eta", "negative-sigma", "inf-sigma", "negative-gamma", "nan-gamma",
@@ -711,7 +715,8 @@ def _narrow_observation_channels(p):
         "negative-tracker-count", "fractional-tracker-count", "nan-tracker-sum", "inf-pending-vector",
         "nan-pending-load", "r_dim-4", "r_dim-2", "string-n_calendar_types", "fractional-r_dim", "float-r_dim",
         "empty-cursor", "n_calendar_types-2", "float-n_calendar_types", "float-hyper-params-types",
-        "missing-hyper-params-types"])
+        "missing-hyper-params-types", "null-pending-batch", "list-pending-batch", "string-pending-batch",
+        "number-pending-batch"])
 def test_snapshot_contradicting_its_header_is_corrupt(tmp_path, edit):
     bad = _rewrite_payload(SNAPSHOT_V1_48, tmp_path / "bad.snapshot", edit)
     with pytest.raises(CorruptSnapshot):
@@ -983,7 +988,8 @@ def test_parameters_never_see_loads_after_the_prediction_time(data_csv, tmp_path
 
 def test_each_traced_call_is_made_once_per_sample_step_and_row(tmp_path, series_14d, monkeypatch):
     # A tracer that wraps these module attributes by name counts the work of each layer from its
-    # calls, so the run must make each call through its attribute, once per unit of that work.
+    # calls, so the run must make each call through its attribute, once per unit of that work:
+    # trace_reset once per reset, each call returning a new record.
     # The series has blank loads (one on test anchor 251), blank temperatures and a dropped row.
     blank_load, blank_temp, dropped = {40, 41, 100, 251}, {41, 42, 150, 252}, {300}
     load = {i: None if i in blank_load else x for i, (_, x, _) in enumerate(series_14d) if i not in dropped}
@@ -992,14 +998,17 @@ def test_each_traced_call_is_made_once_per_sample_step_and_row(tmp_path, series_
     data.write_text("timestamp,load,temperature\n" + "".join(
         f"{ts.isoformat()},{'' if load[i] is None else repr(load[i])},{'' if temp[i] is None else repr(temp[i])}\n"
         for i, (ts, _, _) in enumerate(series_14d) if i not in dropped))
-    calls = Counter()
+    calls, kept_records = Counter(), 0
 
     def count(owner, name):
         real = getattr(owner, name)
 
         def counted(*args, **kwargs):
+            nonlocal kept_records
             calls[name] += 1
-            return real(*args, **kwargs)
+            out = real(*args, **kwargs)
+            kept_records += name == "trace_reset" and out is args[0]
+            return out
         monkeypatch.setattr(owner, name, counted)
 
     for owner, name in [(recursive_learner, "channel_update"), (recursive_learner, "trace_reset"),
@@ -1017,7 +1026,9 @@ def test_each_traced_call_is_made_once_per_sample_step_and_row(tmp_path, series_
     samples = sum((temp.get(i) is not None) + (load.get(i - 1) is not None)
                   for i in learned if load.get(i) is not None)
     assert result.notes["skipped_days"] == 1 and samples > 0
-    assert calls == {"channel_update": samples, "trace_reset": samples, "forecast_step": len(result.forecast_rows),
+    resets = result.notes["trace_resets"]
+    assert resets > 0 and kept_records == 0
+    assert calls == {"channel_update": samples, "trace_reset": resets, "forecast_step": len(result.forecast_rows),
                      "encode": sum(temp.get(i) is not None for i in learned), "calendar_type": n_steps}
 
 
@@ -1762,6 +1773,28 @@ def test_cli_bad_header_is_input_error(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("a,b\n1,2\n")
     assert cli_main(["run", "--data", str(bad), "--config", str(cfg)]) == 2
+
+
+def test_a_byte_order_mark_before_the_header_changes_no_output(tmp_path, data_csv, capsys):
+    # Spreadsheet exports often start a CSV with the UTF-8 byte-order mark.
+    def marked(path: Path) -> Path:
+        copy = path.with_name("marked_" + path.name)
+        copy.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        return copy
+
+    cfg, outputs = write_cli_config(tmp_path), []
+    for data in (data_csv, marked(data_csv)):
+        out = tmp_path / data.stem
+        assert cli_main(["run", "--data", str(data), "--config", str(cfg), "--output-dir", str(out)]) == 0
+        forecasts = out / "forecasts.csv"
+        outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert outputs[0] == outputs[1]
+    capsys.readouterr()
+    printed = []
+    for args in ((forecasts, data_csv), (marked(forecasts), marked(data_csv))):
+        assert cli_main(["metrics", "--forecasts", str(args[0]), "--actuals", str(args[1])]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1] and printed[0]
 
 
 def _package_errors() -> list:

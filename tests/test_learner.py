@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 from helpers import (
     NonPositiveSigma,
     assert_agrees_with_batch_oracle,
+    flatten,
     reference_channel_update,
     reference_learn_step,
+    square,
     weighted_log_likelihood,
 )
 
@@ -51,14 +53,14 @@ def fresh_channel(k=2):
 def test_single_update_worked_values():
     state, params = fresh_channel()
     channel_update(state, params, np.array([1.0, 0.0]), 1.0, 0.5, LearnDiagnostics())
-    assert np.allclose(state.P, np.diag([2.0 / 3.0, 2.0]), atol=1e-15)
+    assert np.allclose(square(state.P), np.diag([2.0 / 3.0, 2.0]), atol=1e-15)
     assert state.gamma == 1.0
     assert math.isclose(params.sigma, math.sqrt(1.0 / 3.0), rel_tol=1e-15)
     assert np.allclose(params.eta, [2.0 / 3.0, 0.0], atol=1e-15)
 
 
 def test_zero_innovation_leaves_eta_and_shrinks_sigma():
-    state = ChannelState(P=np.diag([0.5, 0.25]), gamma=3.0)
+    state = ChannelState(P=(0.5, 0.0, 0.25), gamma=3.0)
     params = GaussianChannelParams(eta=np.array([1.0, 2.0]), sigma=0.8)
     u = np.array([1.0, 3.0])
     s = float(u @ params.eta)
@@ -71,14 +73,13 @@ def test_zero_innovation_leaves_eta_and_shrinks_sigma():
 
 
 def test_degenerate_update_on_corrupted_state():
-    state = ChannelState(P=-np.eye(2), gamma=1.0)
+    state = ChannelState(P=(-1.0, 0.0, -1.0), gamma=1.0)
     params = GaussianChannelParams(eta=np.zeros(2), sigma=1.0)
     diagnostics = LearnDiagnostics()
     with pytest.raises(DegenerateUpdate):
         channel_update(state, params, np.array([1.0, 1.0]), 1.0, 0.5, diagnostics)
     with pytest.raises(DegenerateUpdate):
-        channel_update(ChannelState(P=[[math.nan, 0.0], [0.0, 1.0]], gamma=1.0), params, (1.0, 1.0), 1.0, 0.5,
-                       diagnostics)
+        channel_update(ChannelState(P=(math.nan, 0.0, 1.0), gamma=1.0), params, (1.0, 1.0), 1.0, 0.5, diagnostics)
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -91,7 +92,7 @@ def test_unexcited_updates_raise_before_any_value_turns_non_finite(k, lam):
     with pytest.raises(DegenerateUpdate):
         for _ in range(50_000):
             channel_update(state, params, u, 1.0, lam, diagnostics)
-            assert all(math.isfinite(x) for row in state.P for x in row)
+            assert all(map(math.isfinite, state.P))
             assert all(math.isfinite(x) for x in params.eta)
             assert math.isfinite(params.sigma) and math.isfinite(state.gamma)
 
@@ -108,16 +109,15 @@ def test_unexcited_updates_with_the_trace_reset_never_degenerate(k, lam, level, 
     hp, diagnostics = HyperParams(), LearnDiagnostics()
     u = (1.0, *regressors[:k - 1])
     state, params = fresh_channel(k)
-    resets = 0
+    resets, diagonal = 0, (0, 2) if k == 2 else (0, 3, 5)
     for s in (level + np.random.default_rng(seed).standard_normal(100_000)).tolist():
         channel_update(state, params, u, s, lam, diagnostics)
         after = trace_reset(state, hp, diagnostics)
         resets += after is not state
         state = after
         p = state.P
-        assert all(p[i][j] == p[j][i] for i in range(k) for j in range(i))
         assert _positive_definite(p)
-        assert sum(p[i][i] for i in range(k)) <= hp.trace_reset_threshold
+        assert sum(p[i] for i in diagonal) <= hp.trace_reset_threshold
     assert resets > 0 and diagnostics.trace_resets == resets
 
 
@@ -175,11 +175,10 @@ def test_closed_form_update_matches_the_matrix_form(k, lam, as_u):
         gamma, sigma = float(rng.uniform(0.0, 5.0)), float(rng.uniform(0.1, 2.0))
         u = as_u([1.0] + rng.normal(size=k - 1).tolist())
         s = float(rng.normal(scale=2.0))
-        state, params = ChannelState(P=p.tolist(), gamma=gamma), GaussianChannelParams(eta=eta.tolist(), sigma=sigma)
+        state, params = ChannelState(P=flatten(p), gamma=gamma), GaussianChannelParams(eta=eta.tolist(), sigma=sigma)
         channel_update(state, params, u, s, lam, LearnDiagnostics())
         p_ref, gamma_ref, eta_ref, sigma_ref = reference_channel_update(p, gamma, eta, sigma, u, s, lam)
-        p_new = np.array(state.P)
-        assert np.array_equal(p_new, p_new.T)
+        p_new = square(state.P)
         assert np.max(np.abs(p_new - p_ref)) <= 1e-12 * np.max(np.abs(p_ref))
         assert np.max(np.abs(np.array(params.eta) - eta_ref)) <= 1e-12 * np.max(np.abs(eta_ref))
         assert math.isclose(params.sigma, sigma_ref, rel_tol=1e-12)
@@ -188,14 +187,33 @@ def test_closed_form_update_matches_the_matrix_form(k, lam, as_u):
 
 def test_closed_form_update_keeps_plain_float_records():
     state, params = fresh_channel(3)
-    assert channel_update(state, params, (1.0, 0.5, 0.0), 2.0, 0.7, LearnDiagnostics()) is None
+    assert type(channel_update(state, params, (1.0, 0.5, 0.0), 2.0, 0.7, LearnDiagnostics())) is float
     assert all(type(x) is float for x in params.eta) and type(params.sigma) is float
-    assert all(type(row) is list and all(type(x) is float for x in row) for row in state.P)
+    assert type(state.P) is tuple and len(state.P) == 6 and all(type(x) is float for x in state.P)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("lam", [0.2, 0.7, 0.99])
+def test_channel_update_returns_the_new_trace_as_trace_reset_sums_it(k, lam):
+    # Bit for bit: trace_reset at a threshold of the returned trace keeps the record, and at
+    # the next float below it fires.
+    rng = np.random.default_rng([k, int(lam * 100)])
+    diagonal = (0, 2) if k == 2 else (0, 3, 5)
+    for _ in range(200):
+        state = ChannelState(P=flatten(random_spd(rng, k)), gamma=float(rng.uniform(0.0, 5.0)))
+        params = GaussianChannelParams(eta=rng.normal(size=k).tolist(), sigma=float(rng.uniform(0.1, 2.0)))
+        trace = channel_update(state, params, (1.0, *rng.normal(size=k - 1)), float(rng.normal()), lam,
+                               LearnDiagnostics())
+        assert trace == sum(state.P[i] for i in diagonal)
+        diagnostics = LearnDiagnostics()
+        assert trace_reset(state, HyperParams(trace_reset_threshold=trace), diagnostics) is state
+        below = HyperParams(trace_reset_threshold=math.nextafter(trace, 0.0))
+        assert trace_reset(state, below, diagnostics) is not state and diagnostics.trace_resets == 1
 
 
 @pytest.mark.parametrize("k", [1, 4])
 def test_channel_update_rejects_other_shapes(k):
-    state = ChannelState([[float(i == j) for j in range(k)] for i in range(k)], 0.0)
+    state = ChannelState(flatten(np.eye(k)), 0.0)
     with pytest.raises(ValueError):
         channel_update(state, GaussianChannelParams.zeros(k), (1.0,) * k, 1.0, 0.5, LearnDiagnostics())
 
@@ -213,13 +231,13 @@ def test_a_resumed_learner_needs_a_model_and_a_state():
 
 def test_trace_reset_examples():
     hp, diagnostics = HyperParams(), LearnDiagnostics()
-    reset = trace_reset(ChannelState(P=np.diag([12.0, 1.0]), gamma=2.0), hp, diagnostics)
-    assert np.array_equal(reset.P, np.eye(2))
+    reset = trace_reset(ChannelState(P=(12.0, 0.0, 1.0), gamma=2.0), hp, diagnostics)
+    assert np.array_equal(square(reset.P), np.eye(2))
     assert reset.gamma == 2.0
-    kept = trace_reset(ChannelState(P=np.diag([4.0, 4.0]), gamma=2.0), hp, diagnostics)
-    assert np.array_equal(kept.P, np.diag([4.0, 4.0]))
-    boundary = trace_reset(ChannelState(P=np.diag([5.0, 5.1]), gamma=2.0), hp, diagnostics)
-    assert np.array_equal(boundary.P, np.eye(2))
+    kept = trace_reset(ChannelState(P=(4.0, 0.0, 4.0), gamma=2.0), hp, diagnostics)
+    assert np.array_equal(square(kept.P), np.diag([4.0, 4.0]))
+    boundary = trace_reset(ChannelState(P=(5.0, 0.0, 5.1), gamma=2.0), hp, diagnostics)
+    assert np.array_equal(square(boundary.P), np.eye(2))
     assert diagnostics == LearnDiagnostics(trace_resets=2)
 
 
@@ -229,9 +247,11 @@ def test_trace_reset_returns_the_same_record_unless_it_fires(k):
     state, diagnostics = ChannelState.identity(k, 2.0), LearnDiagnostics()
     assert trace_reset(state, HyperParams(), diagnostics) is state
     assert diagnostics.trace_resets == 0
-    state.P[k - 1][k - 1] = 11.0
+    state.P = (*state.P[:-1], 11.0)
     reset = trace_reset(state, HyperParams(), diagnostics)
     assert reset is not state and reset == ChannelState.identity(k, 2.0)
+    # Every record at the identity shares one immutable tuple.
+    assert reset.P is ChannelState.identity(k).P
     assert diagnostics.trace_resets == 1
 
 
@@ -319,7 +339,7 @@ def test_batch_initialize_matches_oracle():
     # P must invert the weighted Gram matrix.
     weights = 0.7 ** np.arange(len(samples) - 1, -1, -1)
     gram = sum(w * np.outer(u, u) for w, (u, _) in zip(weights, samples))
-    assert np.allclose(state.P @ gram, np.eye(2), atol=1e-9)
+    assert np.allclose(square(state.P) @ gram, np.eye(2), atol=1e-9)
 
 
 def test_recursion_after_exact_init_tracks_batch_maximizer():
@@ -356,7 +376,7 @@ def test_p_inverse_consistency_from_zero_init():
         expected_inv = lam**i * np.eye(2) + sum(
             lam ** (i - j) * g for j, g in enumerate(gram_terms, start=1)
         )
-        assert np.allclose(np.linalg.inv(state.P), expected_inv, rtol=1e-8, atol=1e-10)
+        assert np.allclose(np.linalg.inv(square(state.P)), expected_inv, rtol=1e-8, atol=1e-10)
 
 
 def assert_is_the_ridge_fit(params, samples, lam):
@@ -530,8 +550,8 @@ def test_trace_stays_bounded_over_a_long_sweep():
             anchor_load=float(rng.normal()), observations=(np.array([1.0, 0.0, 0.0]),), types=(1,), t=t
         )
         learner.learn_step(instance, [float(rng.normal())])
-        assert np.trace(learner.state.s_states[0].P) <= hp.trace_reset_threshold
-        assert np.trace(learner.state.r_states[0].P) <= hp.trace_reset_threshold
+        assert np.trace(square(learner.state.s_states[0].P)) <= hp.trace_reset_threshold
+        assert np.trace(square(learner.state.r_states[0].P)) <= hp.trace_reset_threshold
     assert learner.diagnostics.trace_resets > 0
 
 
@@ -647,8 +667,8 @@ def degenerate_channel(k, path):
     """A channel record whose next update with u = (1, 1, ...) raises DegenerateUpdate on the given path:
     a gain denominator below 0 (P = -I), an overflowing P, or an overflowing sigma."""
     diagonal = {"gain": -1.0, "p-overflow": 1e300, "sigma-overflow": 1.0}[path]
-    p = [[diagonal if i == j else 0.0 for j in range(k)] for i in range(k)]
-    return ChannelState(p, 2.0), GaussianChannelParams([0.5] * k, 1e200 if path == "sigma-overflow" else 1.0)
+    sigma = 1e200 if path == "sigma-overflow" else 1.0
+    return ChannelState(flatten(diagonal * np.eye(k)), 2.0), GaussianChannelParams([0.5] * k, sigma)
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -656,21 +676,21 @@ def degenerate_channel(k, path):
                                            ("sigma-overflow", "non-finite")])
 def test_a_degenerate_update_leaves_the_channel_as_it_was(k, path, message):
     state, params = degenerate_channel(k, path)
-    rows, eta = list(state.P), params.eta
-    before = (copy.deepcopy(state.P), state.gamma, list(params.eta), params.sigma)
+    p, eta = state.P, params.eta
+    before = (state.P, state.gamma, list(params.eta), params.sigma)
     with pytest.raises(DegenerateUpdate, match=message):
         channel_update(state, params, (1.0,) * k, 3.0, 0.7, LearnDiagnostics())
     assert (state.P, state.gamma, params.eta, params.sigma) == before
-    assert all(a is b for a, b in zip(state.P, rows)) and params.eta is eta
+    assert state.P is p and params.eta is eta
 
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_an_update_whose_new_values_are_finite_but_sum_overflows_does_not_raise(k):
     # Zero innovation keeps eta = (1e308, ...): every new value is finite, and their sum is inf.
-    state = ChannelState([[float(i == j) for j in range(k)] for i in range(k)], 1.0)
+    state = ChannelState.identity(k, 1.0)
     params = GaussianChannelParams([1e308] * k, 1.0)
     channel_update(state, params, (1.0,) + (0.0,) * (k - 1), 1e308, 0.5, LearnDiagnostics())
-    new = [*params.eta, *(x for row in state.P for x in row), params.sigma]
+    new = [*params.eta, *state.P, params.sigma]
     assert params.eta == [1e308] * k and all(map(math.isfinite, new)) and math.isinf(sum(new))
 
 
@@ -695,7 +715,7 @@ def update_with_one_non_finite_value(k, target):
         s = 1e200
     else:
         sigma = 1e200
-    return ChannelState(p, 2.0), GaussianChannelParams(eta, sigma), tuple(u), s
+    return ChannelState(flatten(p), 2.0), GaussianChannelParams(eta, sigma), tuple(u), s
 
 
 def non_finite_targets(k):
@@ -707,20 +727,20 @@ def non_finite_targets(k):
                          ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else f"k{v}")
 def test_an_update_with_any_one_non_finite_new_value_raises_and_leaves_the_channel(k, target):
     state, params, u, s = update_with_one_non_finite_value(k, target)
-    rows, eta = list(state.P), params.eta
-    before = (copy.deepcopy(state.P), state.gamma, list(params.eta), params.sigma)
+    p, eta = state.P, params.eta
+    before = (state.P, state.gamma, list(params.eta), params.sigma)
     with pytest.raises(DegenerateUpdate, match="non-finite"):
         channel_update(state, params, u, s, 0.5, LearnDiagnostics())
     assert (state.P, state.gamma, params.eta, params.sigma) == before
-    assert all(a is b for a, b in zip(state.P, rows)) and params.eta is eta
+    assert state.P is p and params.eta is eta
 
 
 def assert_no_shared_lists(model, state):
-    """No two channels of the model and state share a P, a P row or an eta list."""
+    """No two channels of the model share an eta list, and every P of the state is a tuple,
+    which channels may share because an update replaces it."""
     lists = [p.eta for p in model.s_channels + model.r_channels]
-    for s in state.s_states + state.r_states:
-        lists += [s.P, *s.P]
     assert len({id(x) for x in lists}) == len(lists)
+    assert all(type(s.P) is tuple for s in state.s_states + state.r_states)
 
 
 def batch_learner(anchor):
@@ -766,7 +786,8 @@ SNAPSHOT_V1_48 = Path(__file__).parent / "data" / "snapshot_v1_48.json"
 @pytest.fixture
 def fired_resets(monkeypatch):
     """trace_reset wrapped through its module attribute, as the benchmark's tracer wraps it: one entry
-    per call, True when the record it returns is not the record it was given."""
+    per call, True when the record it returns is not the record it was given. After a channel_update
+    the learner calls it only when it fires; after a batch solve it always calls it."""
     fired, real = [], recursive_learner.trace_reset
 
     def traced(*args):
@@ -795,7 +816,7 @@ def noisy_load(c, rng):
 def test_a_zero_init_learner_counts_every_reset_that_fires(fired_resets):
     learner = OnlineLearner(HyperParams(horizon=1))
     feed(learner, 200, noisy_load)
-    assert sum(fired_resets) > 0 and learner.diagnostics.trace_resets == sum(fired_resets)
+    assert fired_resets and all(fired_resets) and learner.diagnostics.trace_resets == len(fired_resets)
     assert learner.diagnostics.batch_init_fallbacks == 0
 
 
