@@ -391,10 +391,9 @@ def _pending_from_dict(d: dict) -> dict:
         if kind not in ("s", "r") or not 1 <= c <= CALENDAR_TYPES or key != f"{kind}:{c}":
             raise ValueError(f"pending_batch key {key!r} names no channel")
         k = S_DIM if kind == "s" else R_DIM
-        samples = [(tuple(_finite_floats(u, k)), float(s)) for u, s in buf]
-        if not all(math.isfinite(s) for _, s in samples):
-            raise ValueError(f"pending_batch {key!r} holds a non-finite load")
-        out[(kind, c)] = samples
+        vectors = [tuple(_finite_floats(u, k)) for u, _ in buf]
+        loads = _finite_floats([s for _, s in buf], len(vectors))
+        out[(kind, c)] = list(zip(vectors, loads))
     return out
 
 
@@ -473,7 +472,9 @@ def snapshot_load(path: Path | str) -> Snapshot:
     CALENDAR_TYPES and the channel shapes give, and hold values a
     run can write: finite eta, sigma and gamma finite and >= 0, P symmetric
     positive definite, tracker counts integers >= 0, and finite tracker
-    sums and pending samples. Otherwise CorruptSnapshot.
+    sums and pending samples. Each of those values must be a JSON number,
+    not a string or boolean; an integer too large for a float is refused.
+    Otherwise CorruptSnapshot.
     """
     try:
         text = Path(path).read_text()
@@ -508,16 +509,14 @@ def snapshot_load(path: Path | str) -> Snapshot:
         counts = _checked_list(payload["tracker"]["counts"], CALENDAR_TYPES)
         if not all(type(v) is int and v >= 0 for v in counts):
             raise ValueError("tracker counts must be integers >= 0")
-        sums = [float(v) for v in _checked_list(payload["tracker"]["sums"], CALENDAR_TYPES)]
-        if not all(map(math.isfinite, sums)):
-            raise ValueError("tracker sums must be finite")
+        sums = _finite_floats(payload["tracker"]["sums"], CALENDAR_TYPES)
         hp = HyperParams(**hp_values)
         if cursor is not None:
             if type(cursor) is not str or not cursor:
                 raise ValueError(f"cursor must be null or a non-empty ISO-8601 string, got {cursor!r}")
             cursor = datetime.fromisoformat(cursor)
         state.pending = _pending_from_dict(payload.get("pending_batch", {}))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CorruptSnapshot(f"{path}: malformed payload: {exc}") from exc
     return Snapshot(model=model, state=state, tracker=TemperatureTracker(counts, sums), hp=hp, cursor=cursor)
 

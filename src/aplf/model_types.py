@@ -123,9 +123,14 @@ class ChannelState:
 # Snapshot codec (format v1): the one place that turns channel records into
 # JSON values and back. Reading checks every list length and array shape
 # against the dimensions the snapshot declares, and every value against what
-# a run can write: finite eta, finite sigma and gamma >= 0, and a symmetric
-# positive definite P, written as its K x K nested list and read back to its
-# upper triangle. A payload that fails is rejected before it reaches a run.
+# a run can write: a JSON number (int or float, never a string or boolean),
+# finite eta, finite sigma and gamma >= 0, and a symmetric positive definite
+# P, written as its K x K nested list and read back to its upper triangle. A
+# payload that fails is rejected before it reaches a run.
+
+# The types json.loads gives a JSON number; bool is not among them.
+_NUMBERS = frozenset({int, float})
+_FLOATS = frozenset({float})
 
 
 def _records_from_json(record_cls, items, n: int, k: int) -> list:
@@ -135,15 +140,16 @@ def _records_from_json(record_cls, items, n: int, k: int) -> list:
     or its P, a k x k matrix of them that must be symmetric positive
     definite, as every P the learner writes is, kept as its upper triangle.
     Its second field is a channel's sigma or gamma, so it must be finite
-    and >= 0. ValueError otherwise.
+    and >= 0. Every value must be a JSON number. ValueError otherwise.
     """
     array_field, float_field = (f.name for f in fields(record_cls))
     square = record_cls is ChannelState
     records = []
     for item in _checked_list(items, n):
-        value = float(item[float_field])
-        if not 0.0 <= value < math.inf:
-            raise ValueError(f"{float_field} must be finite and >= 0, got {value}")
+        value = item[float_field]
+        if type(value) not in _NUMBERS or not 0.0 <= value < math.inf:
+            raise ValueError(f"{float_field} must be a finite number >= 0, got {value!r}")
+        value = float(value)
         array = item[array_field]
         if square:
             array = _upper_triangle([_finite_floats(row, k) for row in _checked_list(array, k)])
@@ -164,8 +170,13 @@ def _checked_list(items, n: int) -> list:
 
 
 def _finite_floats(items, n: int) -> list[float]:
-    """items as a new list of n finite floats; ValueError otherwise."""
-    values = list(map(float, _checked_list(items, n)))
+    """items, a list of n finite JSON numbers, as floats: items itself if every entry is
+    a float, else a new list; ValueError otherwise."""
+    values = _checked_list(items, n)
+    if not _FLOATS.issuperset(map(type, values)):
+        if not _NUMBERS.issuperset(map(type, values)):
+            raise ValueError(f"expected JSON numbers, got {values!r}")
+        values = list(map(float, values))
     # A finite sum proves every value finite; only an overflowing sum of
     # finite values needs the value-by-value check.
     if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):

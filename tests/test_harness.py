@@ -304,11 +304,18 @@ def test_ingest_rejects_naive_and_offset_aware_timestamps_mixed(tmp_path):
         ingest_csv(path, base_config())
 
 
-def test_ingest_requires_load_unit(tmp_path):
+def test_ingest_requires_load_unit(tmp_path, capsys):
     path = tmp_path / "x.csv"
     path.write_text("timestamp,load\n2021-03-01T00:00:00+00:00,1.0\n")
     with pytest.raises(UnitMissing):
         ingest_csv(path, base_config(load_unit=None))
+    # The config is refused before the data are read: no such file is opened.
+    with pytest.raises(UnitMissing):
+        ingest_csv(tmp_path / "absent.csv", base_config(load_unit=None))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("train_end = 2021-03-01T00:00:00+00:00\n")
+    assert cli_main(["run", "--data", str(path), "--config", str(cfg)]) == 2
+    assert "load_unit" in capsys.readouterr().err
 
 
 def test_read_series_parses_without_a_load_unit(tmp_path):
@@ -708,6 +715,16 @@ def _narrow_observation_channels(p):
     lambda p: p.update(pending_batch=[]),
     lambda p: p.update(pending_batch="x"),
     lambda p: p.update(pending_batch=3),
+    lambda p: p["model"]["s_channels"][0].update(eta=["1.5", 0.0]),
+    lambda p: p["model"]["s_channels"][0].update(eta=[1.5, True]),
+    lambda p: p["model"]["r_channels"][0].update(sigma="0.5"),
+    lambda p: p["model"]["r_channels"][1].update(sigma=10**400),
+    lambda p: p["state"]["s_states"][0].update(P=[[True, 0.0], [0.0, 1.0]]),
+    lambda p: p["state"]["r_states"][0].update(P=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, False, 1.0]]),
+    lambda p: p["state"]["s_states"][1].update(gamma="1.0"),
+    lambda p: p["tracker"]["sums"].__setitem__(0, "3"),
+    lambda p: p["pending_batch"]["r:1"][0][0].__setitem__(0, "1.0"),
+    lambda p: p["pending_batch"]["r:2"][0].__setitem__(1, True),
 ], ids=["short-s-channels", "short-r-eta", "3x3-P-on-K2", "extra-r-state", "short-tracker-counts",
         "long-tracker-sums", "short-pending-vector", "pending-type-out-of-range", "hyper-params-types",
         "asymmetric-P", "nan-eta", "negative-sigma", "inf-sigma", "negative-gamma", "nan-gamma",
@@ -716,11 +733,29 @@ def _narrow_observation_channels(p):
         "nan-pending-load", "r_dim-4", "r_dim-2", "string-n_calendar_types", "fractional-r_dim", "float-r_dim",
         "empty-cursor", "n_calendar_types-2", "float-n_calendar_types", "float-hyper-params-types",
         "missing-hyper-params-types", "null-pending-batch", "list-pending-batch", "string-pending-batch",
-        "number-pending-batch"])
+        "number-pending-batch", "string-eta", "boolean-eta", "string-sigma", "integer-sigma-beyond-float",
+        "boolean-P", "boolean-lower-P", "string-gamma", "string-tracker-sum", "string-pending-vector",
+        "boolean-pending-load"])
 def test_snapshot_contradicting_its_header_is_corrupt(tmp_path, edit):
     bad = _rewrite_payload(SNAPSHOT_V1_48, tmp_path / "bad.snapshot", edit)
     with pytest.raises(CorruptSnapshot):
         snapshot_load(bad)
+
+
+def test_snapshot_integers_where_floats_belong_load_as_floats(tmp_path):
+    # JSON has one number type: another tool may write 1.0 as 1.
+    def integral(p):
+        p["model"]["s_channels"][0].update(eta=[3, -4], sigma=1)
+        p["state"]["r_states"][0].update(P=[[2, 0, 0], [0, 1, 0], [0, 0, 1]], gamma=0)
+        p["tracker"]["sums"][0] = 245
+        p["pending_batch"]["r:1"][0] = [[1, 0, 0], 2]
+
+    snap = snapshot_load(_rewrite_payload(SNAPSHOT_V1_48, tmp_path / "integral.snapshot", integral))
+    values = [*snap.model.s_channels[0].eta, snap.model.s_channels[0].sigma, *snap.state.r_states[0].P,
+              snap.state.r_states[0].gamma, snap.tracker.sums[0], *snap.state.pending[("r", 1)][0][0],
+              snap.state.pending[("r", 1)][0][1]]
+    assert values == [3.0, -4.0, 1.0, 2.0, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0, 245.0, 1.0, 0.0, 0.0, 2.0]
+    assert all(type(v) is float for v in values)
 
 
 @pytest.mark.parametrize("edit", [
@@ -1311,6 +1346,29 @@ def test_writing_quantile_rows_peaks_at_most_1_mib_above_the_inputs(tmp_path):
     assert peak <= 2**20
 
 
+def test_a_cli_quantile_run_keeps_at_most_256_bytes_per_extra_forecast_row(tmp_path, capsys):
+    # `aplf run` adds no copy of the rows to the run's own: from 60 to 120 days,
+    # 1,440 more forecast rows of about 1.9 KB each with quantile columns may raise
+    # the peak of traced allocations of the whole command by at most 256 B each.
+    cfg = write_cli_config(tmp_path, emit_quantiles="true")
+
+    def peak(days: int) -> int:
+        data = write_small_csv(tmp_path / f"series_{days}.csv", make_hourly_series(days, seed=1))
+        tracemalloc.start()
+        try:
+            assert cli_main(["run", "--data", str(data), "--config", str(cfg),
+                             "--output-dir", str(tmp_path / f"out_{days}")]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak_60 = peak(60)
+    growth = peak(120) - peak_60
+    n_rows = [line for line in capsys.readouterr().out.splitlines() if line.startswith("n_forecast_rows = ")]
+    assert n_rows == ["n_forecast_rows = 1200", "n_forecast_rows = 2640"]
+    assert growth / 1440 <= 256
+
+
 @pytest.mark.parametrize("offset", [None, timedelta(hours=5), timedelta(hours=-5)], ids=["naive", "east", "west"])
 def test_a_run_whose_forecasts_pass_the_last_representable_instant_is_a_parse_error(tmp_path, capsys, offset):
     # 12 hourly days from 9999-12-20: the last prediction day's 24 steps from
@@ -1446,14 +1504,21 @@ def quarter_hourly_csv(path: Path, n_days: int) -> Path:
 REPORT_KEYS = ("n_points", "rmse", "mape_percent", "mean_pinball", "ece")
 
 
-@pytest.mark.parametrize("extra", [
-    pytest.param({"emit_quantiles": "true"}, id="quantiles"),
-    pytest.param({"horizon": "48"}, id="overlapping-horizons"),
-    pytest.param({"step_minutes": "15"}, id="15-minute-step"),
+@pytest.mark.parametrize("extra, missing_row_every", [
+    pytest.param({"emit_quantiles": "true"}, None, id="quantiles"),
+    pytest.param({"horizon": "48"}, None, id="overlapping-horizons"),
+    pytest.param({"step_minutes": "15"}, None, id="15-minute-step"),
+    pytest.param({"init_mode": "batch"}, None, id="batch-init"),
+    pytest.param({}, 97, id="every-97th-row-missing"),
 ])
-def test_cli_run_and_metrics(tmp_path, data_csv, capsys, extra):
+def test_cli_run_and_metrics(tmp_path, data_csv, capsys, extra, missing_row_every):
     if "step_minutes" in extra:
         data_csv = quarter_hourly_csv(tmp_path / "quarter.csv", 14)
+    if missing_row_every:
+        # The run and the metrics re-check both meet real gaps.
+        header, *rows = data_csv.read_text().splitlines()
+        data_csv = write_lines(tmp_path / "gaps.csv",
+                               [header] + [row for k, row in enumerate(rows, start=1) if k % missing_row_every])
     cfg = write_cli_config(tmp_path, **extra)
     out_dir = tmp_path / "cli_out"
     code = cli_main([
@@ -1834,21 +1899,49 @@ def test_cli_self_check_passes():
     assert cli_main(["self-check"]) == 0
 
 
-@pytest.mark.parametrize("init_mode", ["zero", "batch"])
-def test_cli_run_loads_neither_the_oracles_nor_numpy(tmp_path, data_csv, init_mode):
-    # Only self-check needs the oracles, and no run needs numpy: a run in a fresh
-    # interpreter imports neither. The batch-init run must have solved a buffer, or
-    # it would not have reached the closed-form solve.
+@pytest.mark.parametrize("command, init_mode", [("run", "zero"), ("run", "batch"), ("metrics", "zero")],
+                         ids=["zero", "batch", "metrics"])
+def test_cli_run_loads_neither_the_oracles_nor_numpy(tmp_path, data_csv, command, init_mode):
+    # Only self-check needs the oracles, and neither a run nor `aplf metrics` needs
+    # numpy: each in a fresh interpreter imports neither. The batch-init run must have
+    # solved a buffer, or it would not have reached the closed-form solve.
     if init_mode == "batch":
         data_csv = tmp_path / "batch.csv"
         write_batch_init_series(data_csv)
     cfg = write_cli_config(tmp_path, init_mode=init_mode, temperature_unit="C")
+    args = ["run", "--data", str(data_csv), "--config", str(cfg)]
+    if command == "metrics":
+        out = tmp_path / "out"
+        assert cli_main([*args, "--output-dir", str(out)]) == 0
+        args = ["metrics", "--forecasts", str(out / "forecasts.csv"), "--actuals", str(data_csv)]
     code = ("import sys; from aplf import cli, recursive_learner as rl; solved = []; solve = rl.batch_initialize\n"
             "def counting(samples, lam):\n"
             "    out = solve(samples, lam); solved.append(out); return out\n"
             "rl.batch_initialize = counting\n"
-            f"rc = cli.main(['run', '--data', {str(data_csv)!r}, '--config', {str(cfg)!r}])\n"
+            f"rc = cli.main({args!r})\n"
             "loaded = ' '.join(sorted({'aplf.oracles', 'numpy'} & set(sys.modules)))\n"
             f"sys.exit(rc or loaded or ({init_mode!r} == 'batch' and not solved and 'no buffer was solved') or None)")
     done = subprocess.run([sys.executable, "-c", code], env=src_path_env(), capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def test_the_scripts_run_from_a_checkout(tmp_path):
+    # Each script in its own interpreter, as the README runs them: a synthetic
+    # series, then online learning against a frozen model across a pattern switch.
+    def script(name: str, *args: str) -> list[str]:
+        done = subprocess.run([sys.executable, str(SCRIPTS / name), *args], env=src_path_env(),
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        return done.stdout.splitlines()
+
+    series = tmp_path / "series.csv"
+    script("make_synthetic.py", "--days", "30", "--switch-day", "15", "--out", str(series))
+    header, *rows = series.read_text().splitlines()
+    assert header == "timestamp,load,temperature"
+    assert len(rows) == 30 * 24
+    lines = script("adaptation_experiment.py", "--days", "40", "--switch-day", "20", "--train-days", "10")
+    for run in ("online", "frozen"):
+        assert any(line.startswith(f"{run}  rmse = ") for line in lines), lines
