@@ -21,9 +21,12 @@ from .model_types import InputError, NumericError
 
 
 def _cmd_run(args) -> int:
+    try:
+        frozen_after = datetime.fromisoformat(args.frozen_after) if args.frozen_after else None
+    except ValueError as exc:
+        raise harness.ParseError(f"--frozen-after {args.frozen_after!r}: {exc}") from exc
     config = harness.load_config(args.config)
     series, _ = harness.ingest_csv(args.data, config)
-    frozen_after = datetime.fromisoformat(args.frozen_after) if args.frozen_after else None
     output_dir = Path(args.output_dir) if args.output_dir else None
     result = harness.run_online_evaluation(
         series,

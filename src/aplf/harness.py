@@ -62,6 +62,8 @@ _FORECAST_HEADER = "timestamp,horizon,mean,std"
 _QUANTILE_COLUMNS = "," + ",".join(f"q{int(round(q * 100)):02d}" for q in QUANTILE_LEVELS)
 # Characters of forecast rows per write of forecasts.csv.
 _WRITE_CHUNK_CHARS = 256 * 1024
+# About how many characters of whole lines read_series converts at a time.
+_READ_BLOCK_CHARS = 16 * 1024
 
 
 class ParseError(InputError):
@@ -224,8 +226,9 @@ def load_config(path: Path | str) -> RunConfig:
 
 def _entries(path: Path):
     """(where, line) for each line of a key file that is neither blank nor a # comment:
-    the line stripped, and the `path:lineno` that starts every ParseError about it."""
-    for lineno, raw_line in enumerate(path.read_text().splitlines(), start=1):
+    the line stripped, and the `path:lineno` that starts every ParseError about it. One
+    leading byte-order mark is dropped."""
+    for lineno, raw_line in enumerate(path.read_text().removeprefix("\ufeff").splitlines(), start=1):
         line = raw_line.strip()
         if line and not line.startswith("#"):
             yield f"{path}:{lineno}", line
@@ -267,6 +270,88 @@ def read_series(path: Path | str, config: RunConfig) -> Series:
     line (a quoted field may span lines); so does one for a row the csv
     module cannot read, such as a field over csv.field_size_limit().
     """
+    path = Path(path)
+    series = None
+    if path.is_file():  # the row reader opens the file again, which a pipe would not allow
+        with path.open(newline="") as fh:
+            series = _read_blocks(fh, config)
+    return _read_rows(path, config) if series is None else series
+
+
+def _read_blocks(fh, config: RunConfig) -> Series | None:
+    """read_series column by column, a block of whole lines at a time; None, and the caller
+    reads the file with _read_rows, once a block holds a quote, a NUL (an error for the csv
+    module before Python 3.11), a lone CR, a line that may be over the csv field limit, a
+    line of another width than the header, or a cell or step that _read_rows refuses."""
+    step, limit, inf = config.step, csv.field_size_limit(), math.inf
+    start = prev = None
+    i = -1
+    index: list[int] = []
+    loads: list[float | None] = []
+    temps: list[float | None] = []
+    try:
+        header = fh.readline().removeprefix("\ufeff").rstrip("\r\n")
+        width = header.count(",") + 1
+        if '"' in header or [h.strip() for h in header.split(",")] not in (["timestamp", "load"],
+                                                                           ["timestamp", "load", "temperature"]):
+            return None
+        text = ""
+        while True:
+            chunk = fh.read(_READ_BLOCK_CHARS)
+            text += chunk or "\n"  # the last line may lack its line end
+            cut = text.rfind("\n") + 1
+            block, text = text[:cut], text[cut:]
+            n = block.count("\n")
+            # Each line's last cell keeps its line end, which float and str.strip ignore.
+            cells = block.replace("\n", "\n,").split(",")
+            if len(cells) != width * n + 1:  # perhaps blank lines, which the csv module skips
+                block = "".join(line + "\n" for line in block.split("\n") if line.strip("\r"))
+                n, cells = block.count("\n"), block.replace("\n", "\n,").split(",")
+            # The rows have the header's width only if every cell of the last column ends a line;
+            # a CR not in a CRLF ends a line for the csv module.
+            tail = "".join(cells[width - 1::width])
+            if (max(len(block), len(text)) > limit or '"' in block or "\0" in block or len(cells) != width * n + 1
+                    or tail.count("\n") != n or "\r" in block and block.count("\r") != tail.count("\r\n")):
+                return None
+            if n:
+                stamps = list(map(datetime.fromisoformat, map(str.strip, cells[:-1:width])))
+                load = _floats(cells[1::width])
+                temp = _floats(cells[2::width]) if width == 3 else [None] * n
+                if config.temperature_unit == "C":
+                    temp = [None if r is None else r * 9.0 / 5.0 + 32.0 for r in temp]
+                if not (-inf < sum(filter(None, load)) < inf and min(filter(None, load), default=0.0) >= 0.0
+                        and -inf < sum(filter(None, temp)) < inf):
+                    return None
+                deltas = list(map(operator.sub, stamps, [prev or stamps[0], *stamps]))
+                if prev is None:
+                    start, deltas[0] = stamps[0], step
+                if deltas.count(step) == n:
+                    index += range(i + 1, i + 1 + n)
+                else:
+                    steps = list(map(operator.floordiv, deltas, repeat(step)))
+                    if min(steps) < 1 or any(map(operator.mod, deltas, repeat(step))):
+                        return None
+                    steps[0] += i
+                    index += accumulate(steps)
+                i, prev = index[-1], stamps[-1]
+                loads += load
+                temps += temp
+            if not chunk:
+                return Series(start, step, index, loads, temps)
+    except (ValueError, TypeError):
+        return None
+
+
+def _floats(column: list[str]) -> list[float | None]:
+    """float of each cell, None for a blank one; ValueError for any other cell float refuses."""
+    try:
+        return list(map(float, column))
+    except ValueError:
+        return [float(c) if c.strip() else None for c in column]
+
+
+def _read_rows(path: Path | str, config: RunConfig) -> Series:
+    """read_series by the csv module, row by row: the reference reader, and the one that names errors."""
     path = Path(path)
     convert = config.temperature_unit == "C"
     step = config.step

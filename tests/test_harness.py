@@ -1,14 +1,17 @@
 """Ingestion, configuration, snapshots, the rolling loop, and the CLI."""
 
 import copy
+import csv
 import hashlib
 import importlib
 import json
 import math
+import os
 import pkgutil
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 from array import array
 from collections import Counter
@@ -49,6 +52,7 @@ from aplf.recursive_learner import OnlineLearner
 from aplf.synthetic import make_hourly_series, write_series_csv
 
 UTC = timezone.utc
+IST = timezone(timedelta(hours=5, minutes=30))
 
 
 def base_config(**overrides) -> RunConfig:
@@ -395,6 +399,152 @@ def test_ingest_rejects_unknown_header(tmp_path):
     path.write_text("time,value\n2021-03-01T00:00:00+00:00,1.0\n")
     with pytest.raises(ParseError, match=":1:"):
         ingest_csv(path, base_config())
+
+# read_series reads unquoted blocks of lines column by column and hands any file it
+# cannot read that way to the csv-module row reader, harness._read_rows, which names
+# every error. The edits below cover what either reader could read differently.
+CELL_EDITS = ["", "  ", " {v} ", '"{v}"', '"{v}{nl}"', "nan", "inf", "-inf", "-1.5", "-0.0", "1e308", "x1",
+              "0" * (csv.field_size_limit() + 1)]
+ROW_EDITS = ["drop", "off-grid", "repeat", "back", "other-awareness", "padded-stamp", "bad-stamp", "nul-separator",
+             "blank-line", "space-line", "wide", "narrow", "cr-ending", "lf-ending"]
+
+
+def edited_lines(edit: str, column: int, cells: list[str], step: timedelta, nl: str) -> list[str]:
+    """The lines, line ends included, that stand for one row of a series CSV after one edit."""
+    stamp = cells[0]
+    ts = datetime.fromisoformat(stamp)
+    stamps = {"off-grid": (ts + step / 2).isoformat(), "repeat": (ts - step).isoformat(),
+              "back": (ts - 2 * step).isoformat(),
+              "other-awareness": ts.replace(tzinfo=None if ts.tzinfo else UTC).isoformat(),
+              "padded-stamp": f" {stamp} ", "bad-stamp": stamp[:8] + "32" + stamp[10:],
+              "nul-separator": stamp[:10] + "\0" + stamp[11:]}  # the csv module refuses a NUL before 3.11
+    if edit in stamps:
+        cells[0] = stamps[edit]
+    elif edit in ("wide", "narrow"):
+        cells = cells + ["1.0"] if edit == "wide" else cells[:-1]
+    elif edit not in ROW_EDITS:
+        cells[column] = edit.format(v=cells[column], nl=nl)
+    line = ",".join(cells) + {"cr-ending": "\r", "lf-ending": "\n"}.get(edit, nl)
+    return {"drop": [], "blank-line": [nl, line], "space-line": [" " + nl, line]}.get(edit, [line])
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(0, 700), nl=st.sampled_from(["\n", "\r\n", "\r"]), zone=st.sampled_from([None, UTC, IST]),
+       minutes=st.sampled_from([60, 15]), width=st.sampled_from([2, 3]), celsius=st.booleans(), bom=st.booleans(),
+       last_nl=st.booleans(), edits=st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from(CELL_EDITS + ROW_EDITS),
+                                                       st.sampled_from([1, 2])), max_size=3))
+def test_read_series_reads_every_file_as_the_row_reader_does(tmp_path_factory, n, nl, zone, minutes, width, celsius,
+                                                               bom, last_nl, edits):
+    # Equal Series, or the same exception with the same message: on files of up to
+    # three blocks whose first edited row may sit in any block.
+    step = timedelta(minutes=minutes)
+    start = datetime(2021, 3, 1, tzinfo=zone)
+    rows = [[(start + k * step).isoformat(), repr(1.0 + k % 89 / 7), repr(30.0 + k % 53 * 0.9)][:width]
+            for k in range(n)]
+    by_row = {at % n: (edit, min(column, width - 1)) for at, edit, column in edits} if n else {}
+    lines = ["\ufeff" * bom + ",".join(["timestamp", "load", "temperature"][:width]) + nl]
+    for k, cells in enumerate(rows):
+        edit, column = by_row.get(k, ("none", 1))
+        lines += edited_lines(edit, column, cells, step, nl) if edit != "none" else [",".join(cells) + nl]
+    text = "".join(lines)
+    path = tmp_path_factory.mktemp("blocks") / "series.csv"
+    path.write_text(text if last_nl else text.removesuffix(nl), newline="")
+    config = base_config(step=step, temperature_unit="C" if celsius else "F")
+    outcomes = []
+    for read in (read_series, harness._read_rows):
+        try:
+            outcomes.append(repr(read(path, config)))
+        except Exception as exc:
+            outcomes.append((type(exc), str(exc)))
+    assert outcomes[0] == outcomes[1]
+
+
+# Files whose cells all convert when split on commas, but which the csv module reads
+# otherwise: a lone CR ends a line, a wide row and a narrow one shift the columns between
+# them, the last row has no next row whose step could be off the grid too, and a
+# zero-padded number longer than the csv field limit is still a float.
+SPLIT_TRAPS = {
+    "lone-cr": ("timestamp,load,temperature\r\n2021-03-01T00:00:00,1.5,40.0\r\n"
+                "2021-03-01T01:00:00,1.6,41.0\r \r\n", 60),
+    "wide-then-narrow": ("timestamp,load,temperature\n20210301,1.0,40.0\n20210302,1.0,41.0,20210303\n"
+                         "20210303,1.0\n20210304,1.0,43.0\n", 1440),
+    "last-row-off-grid": ("timestamp,load\n2021-03-01T00:00:00,1.5\n2021-03-01T01:30:00,1.6\n", 60),
+    "over-field-limit": (f"timestamp,load\n2021-03-01T00:00:00,{'0' * csv.field_size_limit()}1.5\n", 60),
+}
+
+
+@pytest.mark.parametrize("text, minutes", SPLIT_TRAPS.values(), ids=SPLIT_TRAPS)
+def test_a_file_the_csv_module_splits_otherwise_is_refused_as_the_row_reader_refuses_it(tmp_path, text, minutes):
+    path = tmp_path / "trap.csv"
+    path.write_text(text, newline="")
+    config = base_config(step=timedelta(minutes=minutes))
+    with pytest.raises(ParseError) as refused:
+        harness._read_rows(path, config)
+    with pytest.raises(ParseError, match=re.escape(str(refused.value))):
+        read_series(path, config)
+
+
+def multi_block_csv(path: Path, keep=lambda k: True) -> Path:
+    """Sixty days hourly, 1,440 rows less those keep refuses: several read blocks."""
+    path = write_small_csv(path, [row for k, row in enumerate(make_hourly_series(60, seed=1)) if keep(k)])
+    assert path.stat().st_size > 4 * harness._READ_BLOCK_CHARS
+    return path
+
+
+def test_an_unquoted_file_is_read_without_the_row_reader(tmp_path, monkeypatch):
+    paths = [multi_block_csv(tmp_path / "clean.csv"), multi_block_csv(tmp_path / "gaps.csv", lambda k: k % 97 != 96)]
+    expected = [repr(harness._read_rows(path, base_config())) for path in paths]
+
+    def refuse(*args):
+        raise AssertionError("the row reader was called")
+
+    monkeypatch.setattr(harness, "_read_rows", refuse)
+    series = [read_series(path, base_config()) for path in paths]
+    assert [repr(s) for s in series] == expected
+    assert series[1].index[95:98] == [95, 97, 98]
+
+
+def test_a_file_with_a_quoted_cell_is_read_by_the_row_reader(tmp_path, monkeypatch):
+    path = multi_block_csv(tmp_path / "clean.csv")
+    quoted = tmp_path / "quoted.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    ts, load, temp = lines[700].split(",")
+    lines[700] = f'{ts},"{load}",{temp}'
+    quoted.write_text("".join(lines), newline="")
+    calls, row_reader = [], harness._read_rows
+    monkeypatch.setattr(harness, "_read_rows", lambda *args: calls.append(args) or row_reader(*args))
+    assert read_series(quoted, base_config()) == read_series(path, base_config())
+    assert calls == [(quoted, base_config())]
+
+
+def test_a_series_from_a_named_pipe_is_read_once(tmp_path):
+    # The column reader would read the pipe to its end, give up at the quoted cell, and
+    # leave the row reader waiting for a writer that has gone; a pipe goes to the row
+    # reader alone.
+    text = 'timestamp,load\n2021-03-01T00:00:00+00:00,"1.5"\n2021-03-01T01:00:00+00:00,1.6\n'
+    regular, fifo = tmp_path / "series.csv", tmp_path / "series.fifo"
+    regular.write_text(text)
+    os.mkfifo(fifo)
+    threading.Thread(target=fifo.write_text, args=(text,), daemon=True).start()
+    read = []
+    reader = threading.Thread(target=lambda: read.append(read_series(fifo, base_config())), daemon=True)
+    reader.start()
+    reader.join(timeout=30)
+    assert read == [read_series(regular, base_config())]
+
+
+def test_reading_a_replay_sized_file_peaks_at_most_half_a_mib_above_its_series(tmp_path):
+    # One block of about 16 KiB of lines is converted at a time; 26,280 rows as in
+    # the three-year reference replay.
+    path = write_small_csv(tmp_path / "three-years.csv", make_hourly_series(1095, switch_day=547, seed=1))
+    tracemalloc.start()
+    try:
+        series = read_series(path, base_config())
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(series) == 26_280
+    assert peak - held <= 2**19
 
 
 # --- snapshots ---------------------------------------------------------------
@@ -1828,6 +1978,13 @@ def test_cli_resume_with_a_cursor_naive_where_the_data_is_aware_or_back_is_input
     assert "snapshot cursor" in capsys.readouterr().err
 
 
+def test_cli_a_bad_frozen_after_is_a_parse_error_before_any_file_is_read(tmp_path, capsys):
+    absent = tmp_path / "absent.csv"
+    argv = ["run", "--data", str(absent), "--config", str(absent), "--frozen-after", "2021-13-01T00:00:00"]
+    assert cli_main(argv) == 2
+    assert capsys.readouterr().err == "error: --frozen-after '2021-13-01T00:00:00': month must be in 1..12\n"
+
+
 def test_cli_missing_file_is_input_error(tmp_path):
     cfg = write_cli_config(tmp_path)
     assert cli_main(["run", "--data", str(tmp_path / "nope.csv"), "--config", str(cfg)]) == 2
@@ -1847,10 +2004,14 @@ def test_a_byte_order_mark_before_the_header_changes_no_output(tmp_path, data_cs
         copy.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
         return copy
 
-    cfg, outputs = write_cli_config(tmp_path), []
-    for data in (data_csv, marked(data_csv)):
+    # The config and its schedule file may carry one too.
+    schedule = tmp_path / "schedule.csv"
+    schedule.write_text("2021-03-12,06:00,6\n")
+    marked_cfg = marked(write_cli_config(tmp_path, schedule_file=marked(schedule)))
+    cfg, outputs = write_cli_config(tmp_path, schedule_file=schedule), []
+    for data, config in ((data_csv, cfg), (marked(data_csv), marked_cfg)):
         out = tmp_path / data.stem
-        assert cli_main(["run", "--data", str(data), "--config", str(cfg), "--output-dir", str(out)]) == 0
+        assert cli_main(["run", "--data", str(data), "--config", str(config), "--output-dir", str(out)]) == 0
         forecasts = out / "forecasts.csv"
         outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
     assert outputs[0] == outputs[1]
