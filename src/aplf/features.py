@@ -8,11 +8,10 @@ channel's regressor, a binary vector that flags extreme temperature shifts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from datetime import date, datetime
 from typing import Iterable
 
-from .model_types import CALENDAR_TYPES, HOURS_PER_DAY, HyperParams
+from .model_types import CALENDAR_TYPES, HOURS_PER_DAY, HyperParams, _Record
 
 __all__ = [
     "NO_SHIFT",
@@ -85,13 +84,15 @@ class TemperatureShiftEncoder:
         return _ENCODED[(shift > hp.w1) + 2 * (shift < -hp.w1)]
 
 
-@dataclass(slots=True)
-class TemperatureTracker:
+class TemperatureTracker(_Record):
     """The plain mean, with no forgetting, of the temperatures learned per calendar type:
-    type c's count and sum of them are entry c - 1 of counts and sums."""
+    type c's count and sum of them are entry c - 1 of counts and sums, zeros by default."""
 
-    counts: list[int] = field(default_factory=lambda: [0] * CALENDAR_TYPES)
-    sums: list[float] = field(default_factory=lambda: [0.0] * CALENDAR_TYPES)
+    __slots__ = _fields = ("counts", "sums")
+
+    def __init__(self, counts: list[int] | None = None, sums: list[float] | None = None):
+        self.counts = [0] * CALENDAR_TYPES if counts is None else counts
+        self.sums = [0.0] * CALENDAR_TYPES if sums is None else sums
 
     def observations(self, encoder: TemperatureShiftEncoder, types: Iterable[int],
                      temps: Iterable[float | None]) -> list[tuple[float, float, float] | None]:

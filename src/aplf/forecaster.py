@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 from .features import NO_SHIFT, neighbour_types
-from .model_types import CALENDAR_TYPES, GaussianChannelParams, LearnerState, ModelParams, NumericError
+from .model_types import CALENDAR_TYPES, GaussianChannelParams, LearnerState, ModelParams, NumericError, _Record
 
 __all__ = [
     "DegenerateVariances",
@@ -33,25 +32,24 @@ class ColdStart(NumericError):
     """A visited calendar type was never trained and no trained fallback exists."""
 
 
-@dataclass(slots=True)
-class InstanceVector:
+class InstanceVector(_Record):
     """Prediction input: anchoring load s_t, one encoded observation-channel
     regressor per step (None where the observation is missing), the
     calendar type of each step, and the absolute step index t of the anchor."""
 
-    anchor_load: float | None
-    observations: tuple
-    types: Sequence[int]
-    t: int
+    __slots__ = _fields = ("anchor_load", "observations", "types", "t")
+
+    def __init__(self, anchor_load: float | None, observations: tuple, types: Sequence[int], t: int):
+        self.anchor_load, self.observations, self.types, self.t = anchor_load, observations, types, t
 
 
-@dataclass(slots=True)
-class ForecastPath:
+class ForecastPath(_Record):
     """Per-step forecast means and stds, plus any cold-start substitutions (wanted, used) applied."""
 
-    mean: list[float]
-    std: list[float]
-    cold_start_substitutions: tuple[tuple[int, int], ...] = ()
+    __slots__ = _fields = ("mean", "std", "cold_start_substitutions")
+
+    def __init__(self, mean: list[float], std: list[float], cold_start_substitutions: tuple[tuple[int, int], ...] = ()):
+        self.mean, self.std, self.cold_start_substitutions = mean, std, cold_start_substitutions
 
 
 def forecast_step(

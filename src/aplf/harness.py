@@ -18,7 +18,6 @@ import operator
 from array import array
 from bisect import bisect_right
 from collections.abc import Callable, Iterator, Sequence
-from dataclasses import asdict, dataclass, field, fields
 from datetime import date, datetime, time, timedelta
 from itertools import accumulate, pairwise, repeat
 from pathlib import Path
@@ -27,7 +26,7 @@ from .features import TemperatureShiftEncoder, TemperatureTracker, calendar_type
 from .forecaster import InstanceVector, predict
 from .metrics import QUANTILE_LEVELS, QUANTILE_Z, EvalReport, evaluate_forecasts
 from .model_types import (CALENDAR_TYPES, R_DIM, S_DIM, HyperParams, InputError, LearnerState, ModelParams,
-                          _checked_list, _finite_floats)
+                          _checked_list, _finite_floats, _ReadOnlyRecord, _Record)
 from .recursive_learner import OnlineLearner
 
 __all__ = [
@@ -94,38 +93,36 @@ class CorruptSnapshot(InputError):
     """Snapshot is unreadable or fails its checksum."""
 
 
-@dataclass(slots=True)
-class Series:
+class Series(_Record):
     """A series as read_series parsed it, in three parallel columns, one entry per row
     read: the row's step index i on the grid (its instant is start + i * step), its
     load and its temperature in deg F (None for a blank cell). len() is the number of
     rows read; start is the first row's instant, None when there is no row."""
 
-    start: datetime | None
-    step: timedelta
-    index: list[int]
-    load: list[float | None]
-    temperature: list[float | None]
+    __slots__ = _fields = ("start", "step", "index", "load", "temperature")
+
+    def __init__(self, start: datetime | None, step: timedelta, index: list[int], load: list[float | None],
+                 temperature: list[float | None]):
+        self.start, self.step, self.index, self.load, self.temperature = start, step, index, load, temperature
 
     def __len__(self) -> int:
         return len(self.index)
 
 
-@dataclass
-class RunConfig:
-    """Run configuration; see load_config for the file keys."""
+class RunConfig(_Record):
+    """Run configuration; see load_config for the file keys. schedule is empty by default."""
 
-    hp: HyperParams = field(default_factory=HyperParams)
-    load_unit: str | None = None
-    temperature_unit: str = "F"
-    prediction_time: time = time(11, 0)
-    train_end: datetime | None = None
-    test_end: datetime | None = None
-    holidays: frozenset = frozenset()
-    init_mode: str = "zero"
-    emit_quantiles: bool = False
-    step: timedelta = timedelta(hours=1)
-    schedule: dict = field(default_factory=dict)
+    __slots__ = _fields = ("hp", "load_unit", "temperature_unit", "prediction_time", "train_end", "test_end",
+                           "holidays", "init_mode", "emit_quantiles", "step", "schedule")
+
+    def __init__(self, hp: HyperParams = HyperParams(), load_unit: str | None = None, temperature_unit: str = "F",
+                 prediction_time: time = time(11, 0), train_end: datetime | None = None,
+                 test_end: datetime | None = None, holidays: frozenset = frozenset(), init_mode: str = "zero",
+                 emit_quantiles: bool = False, step: timedelta = timedelta(hours=1), schedule: dict | None = None):
+        self.hp, self.load_unit, self.temperature_unit = hp, load_unit, temperature_unit
+        self.prediction_time, self.train_end, self.test_end = prediction_time, train_end, test_end
+        self.holidays, self.init_mode, self.emit_quantiles, self.step = holidays, init_mode, emit_quantiles, step
+        self.schedule = {} if schedule is None else schedule
 
 
 def _parse_bool(raw: str) -> bool:
@@ -174,7 +171,7 @@ def _hyper_param(name: str, convert):
 
 # Config-file key -> (field name, parser). A parser raises ValueError on a
 # bad value, and load_config adds the file and line to the message.
-_HP_FIELDS = {f.name: (f.name, _hyper_param(f.name, type(f.default))) for f in fields(HyperParams)}
+_HP_FIELDS = {name: (name, _hyper_param(name, type(getattr(HyperParams(), name)))) for name in HyperParams._fields}
 _CONFIG_FIELDS = {
     "load_unit": ("load_unit", _one_of(*LOAD_UNITS)),
     "temperature_unit": ("temperature_unit", _one_of("F", "C")),
@@ -450,13 +447,15 @@ def ingest_csv(path: Path | str, config: RunConfig) -> tuple[Series, list[dict]]
                     for prev, i in pairwise(index) if i != prev + 1]
 
 
-@dataclass(frozen=True)
-class Snapshot:
-    model: ModelParams
-    state: LearnerState
-    tracker: TemperatureTracker
-    hp: HyperParams
-    cursor: datetime | None
+class Snapshot(_ReadOnlyRecord):
+    """The learned state a snapshot file holds, and the cursor: the last anchor processed."""
+
+    __slots__ = _fields = ("model", "state", "tracker", "hp", "cursor")
+
+    def __init__(self, model: ModelParams, state: LearnerState, tracker: TemperatureTracker, hp: HyperParams,
+                 cursor: datetime | None):
+        for name, value in zip(self._fields, (model, state, tracker, hp, cursor)):
+            object.__setattr__(self, name, value)
 
 
 def _pending_to_dict(pending: dict) -> dict:
@@ -517,7 +516,8 @@ def snapshot_save(path: Path | str, snapshot: Snapshot) -> None:
     payload = {
         "n_calendar_types": CALENDAR_TYPES,
         "r_dim": R_DIM,
-        "hyper_params": {**asdict(snapshot.hp), "n_calendar_types": CALENDAR_TYPES},
+        "hyper_params": {**{name: getattr(snapshot.hp, name) for name in HyperParams._fields},
+                         "n_calendar_types": CALENDAR_TYPES},
         "model": model.to_dict(),
         "state": state.to_dict(),
         "tracker": {"counts": tracker.counts, "sums": tracker.sums},
@@ -589,6 +589,8 @@ def snapshot_load(path: Path | str) -> Snapshot:
         for name, (value, expected) in constants.items():
             if not (type(value) is int and value == expected):
                 raise ValueError(f"{name} must be the integer {expected}, got {value!r}")
+        if bool in map(type, hp_values.values()) or type(hp_values.get("horizon", 1)) is not int:
+            raise ValueError(f"hyper_params must be JSON numbers, not booleans, and horizon an integer: {hp_values}")
         model = ModelParams.from_dict(payload["model"])
         state = LearnerState.from_dict(payload["state"])
         counts = _checked_list(payload["tracker"]["counts"], CALENDAR_TYPES)
@@ -689,19 +691,17 @@ class ForecastRows(Sequence[str]):
             lo, a = stop, a + 1
 
 
-@dataclass
-class RunResult:
+class RunResult(_Record):
     """A run's report, forecast rows and notes, and its evaluated steps as parallel
     typed columns: step index t (array('q')), actual load, and the forecast's mean
     and std (array('d')). forecast_header is the forecast rows' header line."""
 
-    report: EvalReport | None
-    forecast_rows: ForecastRows
-    t: array
-    actual: array
-    mean: array
-    std: array
-    notes: dict
+    __slots__ = _fields = ("report", "forecast_rows", "t", "actual", "mean", "std", "notes")
+
+    def __init__(self, report: EvalReport | None, forecast_rows: ForecastRows, t: array, actual: array, mean: array,
+                 std: array, notes: dict):
+        self.report, self.forecast_rows, self.t, self.actual = report, forecast_rows, t, actual
+        self.mean, self.std, self.notes = mean, std, notes
 
     @property
     def forecast_header(self) -> str:
@@ -800,7 +800,7 @@ def run_online_evaluation(series: Series, config: RunConfig, *,
         cursor = None
     else:
         snap = snapshot_load(resume)
-        differ = [k for k, v in asdict(hp).items() if getattr(snap.hp, k) != v]
+        differ = [k for k in HyperParams._fields if getattr(snap.hp, k) != getattr(hp, k)]
         if differ:
             raise ShapeMismatch(f"{resume}: snapshot hyper-parameters differ from the config: "
                                 f"{', '.join(differ)}")
@@ -867,7 +867,7 @@ def run_online_evaluation(series: Series, config: RunConfig, *,
         "n_eval_points": len(eval_actual),
         "skipped_days": skipped_days,
         "cold_start_substitutions": cold_starts,
-        **asdict(learner.diagnostics),
+        **{name: getattr(learner.diagnostics, name) for name in learner.diagnostics._fields},
         "max_abs_transition_slope": max_slope,
         "n_gap_steps": series.index[-1] + 1 - len(series),
     }

@@ -18,12 +18,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import mul, sub
 from statistics import NormalDist
 
-from .model_types import InputError
+from .model_types import InputError, _ReadOnlyRecord
 
 __all__ = [
     "EmptyInput",
@@ -98,21 +97,22 @@ QUANTILE_Z = tuple(NormalDist().inv_cdf(q) for q in QUANTILE_LEVELS)
 _K = len(QUANTILE_LEVELS)
 
 # Grid pinball sum of (a, m, s) covered from level j on: (a - m)(sum L - K + j) + s (sum_{k>=j} z_k - sum L z).
-_D_COEF = tuple(math.fsum(QUANTILE_LEVELS) - _K + j for j in range(_K + 1))
-_S_COEF = tuple(math.fsum(QUANTILE_Z[j:]) - math.fsum(map(mul, QUANTILE_LEVELS, QUANTILE_Z)) for j in range(_K + 1))
+_SUM_L, _SUM_LZ = math.fsum(QUANTILE_LEVELS), math.fsum(map(mul, QUANTILE_LEVELS, QUANTILE_Z))
+_D_COEF = tuple(_SUM_L - _K + j for j in range(_K + 1))
+_S_COEF = tuple(math.fsum(QUANTILE_Z[j:]) - _SUM_LZ for j in range(_K + 1))
 
 
-@dataclass(frozen=True)
-class EvalReport:
-    """Aggregated accuracy of a rolling evaluation."""
+class EvalReport(_ReadOnlyRecord):
+    """Aggregated accuracy of a rolling evaluation. Its __dict__ holds exactly its fields,
+    so type(report)(**report.__dict__) rebuilds it."""
 
-    rmse: float
-    mape: float
-    mean_pinball: float
-    calibration_curve: tuple[tuple[float, float], ...]
-    ece: float
-    n_points: int
-    n_mape_excluded: int = 0
+    _fields = ("rmse", "mape", "mean_pinball", "calibration_curve", "ece", "n_points", "n_mape_excluded")
+
+    def __init__(self, rmse: float, mape: float, mean_pinball: float,
+                 calibration_curve: tuple[tuple[float, float], ...], ece: float, n_points: int,
+                 n_mape_excluded: int = 0):
+        self.__dict__.update(rmse=rmse, mape=mape, mean_pinball=mean_pinball, calibration_curve=calibration_curve,
+                             ece=ece, n_points=n_points, n_mape_excluded=n_mape_excluded)
 
     def lines(self) -> list[str]:
         return [

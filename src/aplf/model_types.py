@@ -12,7 +12,6 @@ weighted Gram matrix P and effective weighted sample count gamma).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
 
 __all__ = [
     "CALENDAR_TYPES",
@@ -49,8 +48,37 @@ class NumericError(Exception):
     """A numerical degeneracy of the model or of a forecast; the command line exits 3."""
 
 
-@dataclass(frozen=True)
-class HyperParams:
+class _Record:
+    """Base of the package's records: value equality, a repr and no hash, from the field
+    names in _fields, in __init__'s order. A record without __slots__ keeps a __dict__."""
+
+    __slots__ = ()
+    __hash__ = None  # type: ignore[assignment]
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return [getattr(self, name) for name in self._fields] == [getattr(other, name) for name in self._fields]
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self._fields)})"
+
+
+class _ReadOnlyRecord(_Record):
+    """A _Record whose fields only its __init__ sets, past __setattr__; nothing else may."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # copy and pickle call __init__, not setattr
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+
+class HyperParams(_ReadOnlyRecord):
     """Run-time model configuration.
 
     lambda_s / lambda_r are the forgetting factors of the transition and
@@ -62,34 +90,32 @@ class HyperParams:
     trace(P) before the state matrix is reinitialized.
     """
 
-    lambda_s: float = 0.2
-    lambda_r: float = 0.7
-    w1: float = 20.0
-    w2: float = 80.0
-    w3: float = 20.0
-    horizon: int = 24
-    trace_reset_threshold: float = 10.0
+    __slots__ = _fields = ("lambda_s", "lambda_r", "w1", "w2", "w3", "horizon", "trace_reset_threshold")
 
-    def __post_init__(self):
-        if not 0.0 < self.lambda_s < 1.0:
-            raise ValueError(f"lambda_s must be in (0, 1), got {self.lambda_s}")
-        if not 0.0 < self.lambda_r < 1.0:
-            raise ValueError(f"lambda_r must be in (0, 1), got {self.lambda_r}")
-        if self.horizon < 1:
-            raise ValueError(f"horizon must be at least 1, got {self.horizon}")
-        if not self.trace_reset_threshold > 0.0:
+    def __init__(self, lambda_s: float = 0.2, lambda_r: float = 0.7, w1: float = 20.0, w2: float = 80.0,
+                 w3: float = 20.0, horizon: int = 24, trace_reset_threshold: float = 10.0):
+        if not 0.0 < lambda_s < 1.0:
+            raise ValueError(f"lambda_s must be in (0, 1), got {lambda_s}")
+        if not 0.0 < lambda_r < 1.0:
+            raise ValueError(f"lambda_r must be in (0, 1), got {lambda_r}")
+        if horizon < 1:
+            raise ValueError(f"horizon must be at least 1, got {horizon}")
+        if not trace_reset_threshold > 0.0:
             raise ValueError("trace_reset_threshold must be > 0")
-        for name in ("w1", "w2", "w3"):
-            if math.isnan(getattr(self, name)):
+        for name, w in (("w1", w1), ("w2", w2), ("w3", w3)):
+            if math.isnan(w):
                 raise ValueError(f"{name} must not be NaN")
+        for name, value in zip(self._fields, (lambda_s, lambda_r, w1, w2, w3, horizon, trace_reset_threshold)):
+            object.__setattr__(self, name, value)
 
 
-@dataclass(slots=True)
-class GaussianChannelParams:
+class GaussianChannelParams(_Record):
     """Coefficients eta (a list of K floats) and standard deviation sigma >= 0 of one channel."""
 
-    eta: list[float]
-    sigma: float
+    __slots__ = _fields = ("eta", "sigma")
+
+    def __init__(self, eta: list[float], sigma: float):
+        self.eta, self.sigma = eta, sigma
 
     @classmethod
     def zeros(cls, k: int) -> "GaussianChannelParams":
@@ -99,8 +125,7 @@ class GaussianChannelParams:
 _IDENTITY = {2: (1.0, 0.0, 1.0), 3: (1.0, 0.0, 0.0, 1.0, 0.0, 1.0)}
 
 
-@dataclass(slots=True)
-class ChannelState:
+class ChannelState(_Record):
     """Recursive-update state of one channel.
 
     P is the symmetric K x K inverse weighted Gram matrix as the immutable
@@ -109,8 +134,10 @@ class ChannelState:
     gamma is the geometric sum of sample weights, 0 before the first update.
     """
 
-    P: tuple[float, ...]
-    gamma: float
+    __slots__ = _fields = ("P", "gamma")
+
+    def __init__(self, P: tuple[float, ...], gamma: float):
+        self.P, self.gamma = P, gamma
 
     @classmethod
     def identity(cls, k: int, gamma: float = 0.0) -> "ChannelState":
@@ -142,7 +169,7 @@ def _records_from_json(record_cls, items, n: int, k: int) -> list:
     Its second field is a channel's sigma or gamma, so it must be finite
     and >= 0. Every value must be a JSON number. ValueError otherwise.
     """
-    array_field, float_field = (f.name for f in fields(record_cls))
+    array_field, float_field = record_cls._fields
     square = record_cls is ChannelState
     records = []
     for item in _checked_list(items, n):
@@ -220,12 +247,13 @@ def _positive_definite(p: tuple[float, ...]) -> bool:
     return a > 0.0 and a * d - b * b > 0.0 and det > 0.0
 
 
-@dataclass
-class ModelParams:
+class ModelParams(_Record):
     """Per-calendar-type channel parameters; calendar type c owns entry c - 1 of each list."""
 
-    s_channels: list[GaussianChannelParams]
-    r_channels: list[GaussianChannelParams]
+    __slots__ = _fields = ("s_channels", "r_channels")
+
+    def __init__(self, s_channels: list[GaussianChannelParams], r_channels: list[GaussianChannelParams]):
+        self.s_channels, self.r_channels = s_channels, r_channels
 
     @classmethod
     def initial(cls) -> "ModelParams":
@@ -249,8 +277,7 @@ class ModelParams:
         )
 
 
-@dataclass
-class LearnerState:
+class LearnerState(_Record):
     """Per-calendar-type recursive-update state for both channels.
 
     pending holds the sample buffers of the transition channels still
@@ -260,9 +287,11 @@ class LearnerState:
     replays from the zero start when it takes the state.
     """
 
-    s_states: list[ChannelState]
-    r_states: list[ChannelState]
-    pending: dict[tuple[str, int], list[tuple[tuple[float, ...], float]]] = field(default_factory=dict)
+    __slots__ = _fields = ("s_states", "r_states", "pending")
+
+    def __init__(self, s_states: list[ChannelState], r_states: list[ChannelState],
+                 pending: dict[tuple[str, int], list[tuple[tuple[float, ...], float]]] | None = None):
+        self.s_states, self.r_states, self.pending = s_states, r_states, {} if pending is None else pending
 
     @classmethod
     def initial(cls) -> "LearnerState":

@@ -13,19 +13,10 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 from math import isfinite
 
-from .model_types import (
-    CALENDAR_TYPES,
-    GaussianChannelParams,
-    ChannelState,
-    HyperParams,
-    LearnerState,
-    ModelParams,
-    NumericError,
-    S_DIM,
-)
+from .model_types import (CALENDAR_TYPES, GaussianChannelParams, ChannelState, HyperParams, LearnerState, ModelParams,
+                          NumericError, S_DIM, _Record)
 
 __all__ = [
     "DegenerateUpdate",
@@ -54,14 +45,15 @@ class SingularGram(NumericError):
     """The weighted Gram matrix is singular or too ill-conditioned to invert."""
 
 
-@dataclass
-class LearnDiagnostics:
+class LearnDiagnostics(_Record):
     """Counters surfaced in run reports, each kept where it happens: sigma_clamps by
     channel_update, trace_resets by trace_reset, batch_init_fallbacks by the learner."""
 
-    sigma_clamps: int = 0
-    trace_resets: int = 0
-    batch_init_fallbacks: int = 0
+    __slots__ = _fields = ("sigma_clamps", "trace_resets", "batch_init_fallbacks")
+
+    def __init__(self, sigma_clamps: int = 0, trace_resets: int = 0, batch_init_fallbacks: int = 0):
+        self.sigma_clamps, self.trace_resets = sigma_clamps, trace_resets
+        self.batch_init_fallbacks = batch_init_fallbacks
 
 
 def channel_update(

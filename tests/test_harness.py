@@ -7,6 +7,7 @@ import importlib
 import json
 import math
 import os
+import pickle
 import pkgutil
 import re
 import subprocess
@@ -34,6 +35,7 @@ from aplf.harness import (
     NonMonotoneTimestamps,
     ParseError,
     RunConfig,
+    Series,
     Snapshot,
     UnitMissing,
     VersionMismatch,
@@ -45,9 +47,10 @@ from aplf.harness import (
     snapshot_save,
 )
 from aplf.features import TemperatureShiftEncoder, TemperatureTracker
-from aplf.forecaster import InstanceVector
+from aplf.forecaster import ForecastPath, InstanceVector
 from aplf.metrics import evaluate_forecasts
-from aplf.model_types import HyperParams, InputError, LearnerState, ModelParams, NumericError
+from aplf.model_types import (ChannelState, GaussianChannelParams, HyperParams, InputError, LearnerState, ModelParams,
+                              NumericError)
 from aplf.recursive_learner import OnlineLearner
 from aplf.synthetic import make_hourly_series, write_series_csv
 
@@ -147,6 +150,47 @@ def test_a_step_beyond_the_timedelta_range_is_a_parse_error_naming_the_line(tmp_
         load_config(cfg)
     assert cli_main(["run", "--data", str(data_csv), "--config", str(cfg)]) == 2
     assert "step_minutes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("make, field", [
+    pytest.param(lambda: InstanceVector(5.0, ((1.0, 0.0, 0.0),), [1], 0), "t", id="InstanceVector"),
+    pytest.param(lambda: ForecastPath([1.0, 2.0], [0.5, 0.6]), "std", id="ForecastPath"),
+    pytest.param(lambda: Series(datetime(2021, 3, 1), timedelta(hours=1), [0, 2], [1.0, None], [50.0, None]),
+                 "load", id="Series"),
+    pytest.param(lambda: GaussianChannelParams.zeros(2), "sigma", id="GaussianChannelParams"),
+    pytest.param(lambda: ChannelState.identity(3), "gamma", id="ChannelState"),
+    pytest.param(TemperatureTracker, "sums", id="TemperatureTracker"),
+])
+def test_the_value_records_are_slotted_mutable_unhashable_and_compared_by_value(make, field):
+    record, twin = make(), make()
+    assert record == twin and record is not twin and repr(record) == repr(twin)
+    assert not hasattr(record, "__dict__")
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(record)
+    with pytest.raises(AttributeError):
+        record.surplus = 1
+    setattr(record, field, 7)
+    assert record != twin and getattr(record, field) == 7
+
+
+def test_hyper_params_are_read_only_compared_by_value_and_copied_whole():
+    hp = HyperParams(horizon=4)
+    assert hp == HyperParams(horizon=4) != HyperParams()
+    assert repr(hp) == ("HyperParams(lambda_s=0.2, lambda_r=0.7, w1=20.0, w2=80.0, w3=20.0, horizon=4, "
+                        "trace_reset_threshold=10.0)")
+    for change in (lambda: setattr(hp, "horizon", 5), lambda: delattr(hp, "w1"), lambda: setattr(hp, "surplus", 1)):
+        with pytest.raises(AttributeError):
+            change()
+    assert hp.horizon == 4 and hp.w1 == 20.0 and not hasattr(hp, "__dict__")
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(hp)
+    with pytest.raises(TypeError):
+        HyperParams(horizn=4)
+    assert copy.copy(hp) == copy.deepcopy(hp) == pickle.loads(pickle.dumps(hp)) == hp
+    snap = snapshot_load(SNAPSHOT_V1_48)
+    assert copy.deepcopy(snap) == snap and pickle.loads(pickle.dumps(snap)) == snap
+    with pytest.raises(AttributeError):
+        snap.hp = hp
 
 
 def test_temperature_thresholds_may_be_negative_or_infinite_but_not_nan(tmp_path, data_csv, capsys):
@@ -932,6 +976,38 @@ def test_cli_resume_from_a_malformed_snapshot_is_input_error(tmp_path, data_csv,
     assert cli_main(["run", "--data", str(data_csv), "--config", str(write_cli_config(tmp_path)),
                      "--resume", str(bad)]) == 2
     assert "malformed payload" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value, config_value", [
+    ("horizon", True, 1),
+    ("horizon", 24.0, 24),
+    ("horizon", 1e20, None),
+    ("w1", True, 1),
+    ("w2", False, 0),
+    ("trace_reset_threshold", True, 1),
+], ids=["boolean-horizon", "float-horizon", "float-horizon-1e20", "boolean-w1", "boolean-w2", "boolean-threshold"])
+def test_a_boolean_hyper_param_or_a_horizon_that_is_no_json_integer_is_corrupt(tmp_path, data_csv, capsys, key, value,
+                                                                               config_value):
+    # Each value but 1e20 equals the config's number, so a resume would accept it if the load did.
+    extra = {} if config_value is None else {key: config_value}
+    snap = tmp_path / "mid.snapshot"
+    cfg = write_cli_config(tmp_path, test_end="2021-03-13T00:00:00+00:00", **extra)
+    assert cli_main(["run", "--data", str(data_csv), "--config", str(cfg), "--snapshot-out", str(snap)]) == 0
+    bad = _rewrite_payload(snap, tmp_path / "bad.snapshot", lambda p: p["hyper_params"].update({key: value}))
+    with pytest.raises(CorruptSnapshot, match="hyper_params must be JSON numbers"):
+        snapshot_load(bad)
+    capsys.readouterr()
+    assert cli_main(["run", "--data", str(data_csv), "--config", str(write_cli_config(tmp_path, **extra)),
+                     "--resume", str(bad)]) == 2
+    assert "malformed payload: hyper_params must be JSON numbers" in capsys.readouterr().err
+    assert cli_main(["run", "--data", str(data_csv), "--config", str(write_cli_config(tmp_path, **extra)),
+                     "--resume", str(snap)]) == 0
+
+
+def test_an_unknown_hyper_param_in_a_snapshot_is_corrupt(tmp_path):
+    bad = _rewrite_payload(SNAPSHOT_V1_48, tmp_path / "bad.snapshot", lambda p: p["hyper_params"].update(surplus=1.0))
+    with pytest.raises(CorruptSnapshot, match="surplus"):
+        snapshot_load(bad)
 
 
 @pytest.mark.parametrize("which", ["--data", "--config", "--resume", "schedule_file"])
@@ -2064,8 +2140,10 @@ def test_cli_self_check_passes():
                          ids=["zero", "batch", "metrics"])
 def test_cli_run_loads_neither_the_oracles_nor_numpy(tmp_path, data_csv, command, init_mode):
     # Only self-check needs the oracles, and neither a run nor `aplf metrics` needs
-    # numpy: each in a fresh interpreter imports neither. The batch-init run must have
-    # solved a buffer, or it would not have reached the closed-form solve.
+    # numpy: each in a fresh interpreter imports neither. Nor do they import dataclasses,
+    # or the inspect it imports: the package's records are plain classes, built at import
+    # without generated code. The batch-init run must have solved a buffer, or it would
+    # not have reached the closed-form solve.
     if init_mode == "batch":
         data_csv = tmp_path / "batch.csv"
         write_batch_init_series(data_csv)
@@ -2080,7 +2158,7 @@ def test_cli_run_loads_neither_the_oracles_nor_numpy(tmp_path, data_csv, command
             "    out = solve(samples, lam); solved.append(out); return out\n"
             "rl.batch_initialize = counting\n"
             f"rc = cli.main({args!r})\n"
-            "loaded = ' '.join(sorted({'aplf.oracles', 'numpy'} & set(sys.modules)))\n"
+            "loaded = ' '.join(sorted({'aplf.oracles', 'numpy', 'dataclasses', 'inspect'} & set(sys.modules)))\n"
             f"sys.exit(rc or loaded or ({init_mode!r} == 'batch' and not solved and 'no buffer was solved') or None)")
     done = subprocess.run([sys.executable, "-c", code], env=src_path_env(), capture_output=True, text=True)
     assert done.returncode == 0, done.stderr

@@ -1,7 +1,6 @@
 """Recursive channel updates: worked values, consistency identities, learn steps."""
 
 import copy
-import dataclasses
 import math
 from pathlib import Path
 
@@ -835,7 +834,8 @@ def test_a_resumed_learner_counts_the_resets_of_its_legacy_buffer_replays(fired_
     # is built, each a counted fallback. At a trace threshold of 4, two of the replay's eight resets
     # fire; at the snapshot's own 10, none would.
     snap = snapshot_load(SNAPSHOT_V1_48)
-    hp = dataclasses.replace(snap.hp, trace_reset_threshold=4.0)
+    assert snap.hp == HyperParams(horizon=4)
+    hp = HyperParams(trace_reset_threshold=4.0, horizon=4)
     learner = OnlineLearner(hp, "batch", model=snap.model, state=snap.state)
     assert learner.state.pending == {} and fired_resets.count(True) == 2
     assert learner.diagnostics.trace_resets == 2

@@ -203,6 +203,14 @@ def test_evaluate_forecasts_assembles_report():
     assert report.n_mape_excluded == 0
     text = "\n".join(report.lines())
     assert "rmse = " in text and "ece = " in text
+    # A report's __dict__ is exactly its seven fields, which rebuild an equal report by keyword;
+    # the report itself is read-only.
+    assert list(report.__dict__) == ["rmse", "mape", "mean_pinball", "calibration_curve", "ece", "n_points",
+                                     "n_mape_excluded"]
+    assert type(report)(**report.__dict__) == report
+    assert type(report)(**{**report.__dict__, "ece": report.ece + 1e-12}) != report
+    with pytest.raises(AttributeError):
+        report.ece = 0.0
 
 
 @st.composite
