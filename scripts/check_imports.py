@@ -91,7 +91,7 @@ def _bound_at_module_level(tree: ast.Module) -> set[str] | None:
 
 def stale_exports(path: Path) -> list[tuple[str, int]]:
     """(name, line) of every `__all__` entry that the module never binds at module level."""
-    tree = ast.parse(path.read_text(), filename=str(path))
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     bound = _bound_at_module_level(tree)
     if bound is None:
         return []
@@ -104,7 +104,7 @@ def stale_exports(path: Path) -> list[tuple[str, int]]:
 
 def unused_imports(path: Path) -> list[tuple[str, int]]:
     """(name, line) of every import in the file that the module never uses."""
-    tree = ast.parse(path.read_text(), filename=str(path))
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     used = _used(tree)
     return [(name, line) for name, line in _imports(tree) if name not in used]
 

@@ -56,6 +56,8 @@ SNAPSHOT_VERSION = 1
 
 LOAD_UNITS = ("kW", "MW", "GW")
 
+# The headers of a series CSV, each cell stripped.
+_SERIES_HEADERS = (["timestamp", "load"], ["timestamp", "load", "temperature"])
 # The forecasts.csv header, and the columns emit_quantiles appends to it.
 _FORECAST_HEADER = "timestamp,horizon,mean,std"
 _QUANTILE_COLUMNS = "," + ",".join(f"q{int(round(q * 100)):02d}" for q in QUANTILE_LEVELS)
@@ -223,9 +225,9 @@ def load_config(path: Path | str) -> RunConfig:
 
 def _entries(path: Path):
     """(where, line) for each line of a key file that is neither blank nor a # comment:
-    the line stripped, and the `path:lineno` that starts every ParseError about it. One
-    leading byte-order mark is dropped."""
-    for lineno, raw_line in enumerate(path.read_text().removeprefix("\ufeff").splitlines(), start=1):
+    the line stripped, and the `path:lineno` that starts every ParseError about it. The
+    file is read as UTF-8, less one leading byte-order mark."""
+    for lineno, raw_line in enumerate(path.read_text(encoding="utf-8-sig").splitlines(), start=1):
         line = raw_line.strip()
         if line and not line.startswith("#"):
             yield f"{path}:{lineno}", line
@@ -250,11 +252,6 @@ def _load_schedule(path: Path) -> dict:
     return schedule
 
 
-def _without_bom(header: list[str]) -> list[str]:
-    """header less one leading U+FEFF, the byte-order mark of many spreadsheet exports."""
-    return [header[0].removeprefix("\ufeff"), *header[1:]] if header else header
-
-
 def read_series(path: Path | str, config: RunConfig) -> Series:
     """Parse and validate a series CSV into a Series on the configured step grid.
 
@@ -270,7 +267,7 @@ def read_series(path: Path | str, config: RunConfig) -> Series:
     path = Path(path)
     series = None
     if path.is_file():  # the row reader opens the file again, which a pipe would not allow
-        with path.open(newline="") as fh:
+        with path.open(encoding="utf-8-sig", newline="") as fh:
             series = _read_blocks(fh, config)
     return _read_rows(path, config) if series is None else series
 
@@ -287,10 +284,9 @@ def _read_blocks(fh, config: RunConfig) -> Series | None:
     loads: list[float | None] = []
     temps: list[float | None] = []
     try:
-        header = fh.readline().removeprefix("\ufeff").rstrip("\r\n")
+        header = fh.readline().rstrip("\r\n")
         width = header.count(",") + 1
-        if '"' in header or [h.strip() for h in header.split(",")] not in (["timestamp", "load"],
-                                                                           ["timestamp", "load", "temperature"]):
+        if '"' in header or [h.strip() for h in header.split(",")] not in _SERIES_HEADERS:
             return None
         text = ""
         while True:
@@ -357,14 +353,14 @@ def _read_rows(path: Path | str, config: RunConfig) -> Series:
     loads: list[float | None] = []
     temps: list[float | None] = []
     add_index, add_load, add_temp, inf = index.append, loads.append, temps.append, math.inf
-    with path.open(newline="") as fh:
+    with path.open(encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
             if header is None:
                 raise ParseError(f"{path}:1: empty file")
-            header = [h.strip() for h in _without_bom(header)]
-            if header not in (["timestamp", "load"], ["timestamp", "load", "temperature"]):
+            header = [h.strip() for h in header]
+            if header not in _SERIES_HEADERS:
                 raise ParseError(f"{path}:1: header must be timestamp,load[,temperature], got {header}")
             has_temp = len(header) == 3
             prev_ts = None
@@ -529,7 +525,7 @@ def snapshot_save(path: Path | str, snapshot: Snapshot) -> None:
     # The document is {"checksum", "format", "payload", "version"} in the
     # sorted, compact encoding; the payload's encoding is spliced in rather
     # than encoded a second time, and snapshot_load hashes it as written.
-    _replace(Path(path), lambda partial: partial.write_text(f"{_HEAD}{checksum}{_MID}{body}{_TAIL}"))
+    _replace(Path(path), lambda partial: partial.write_text(f"{_HEAD}{checksum}{_MID}{body}{_TAIL}", encoding="utf-8"))
 
 
 def _replace(path: Path, write: Callable[[Path], object]) -> None:
@@ -562,7 +558,7 @@ def snapshot_load(path: Path | str) -> Snapshot:
     Otherwise CorruptSnapshot.
     """
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
         doc = _as_written(text)
         checked = doc is not None
         if not checked:
@@ -589,7 +585,9 @@ def snapshot_load(path: Path | str) -> Snapshot:
         for name, (value, expected) in constants.items():
             if not (type(value) is int and value == expected):
                 raise ValueError(f"{name} must be the integer {expected}, got {value!r}")
-        if bool in map(type, hp_values.values()) or type(hp_values.get("horizon", 1)) is not int:
+        if hp_values.keys() != {*HyperParams._fields}:
+            raise ValueError(f"hyper_params keys missing or extra: {sorted(hp_values.keys() ^ {*HyperParams._fields})}")
+        if bool in map(type, hp_values.values()) or type(hp_values["horizon"]) is not int:
             raise ValueError(f"hyper_params must be JSON numbers, not booleans, and horizon an integer: {hp_values}")
         model = ModelParams.from_dict(payload["model"])
         state = LearnerState.from_dict(payload["state"])
@@ -901,7 +899,7 @@ def _write_outputs(output_dir: Path, result: RunResult) -> None:
         # Each row is formatted here, once, and written in chunks of about
         # _WRITE_CHUNK_CHARS, so that no copy of the whole file is built. A
         # chunk's empty last item ends its last row without copying the chunk.
-        with partial.open("w") as fh:
+        with partial.open("w", encoding="utf-8") as fh:
             fh.write(result.forecast_header + "\n")
             chunk, size = [], 0
             for row in result.forecast_rows:
@@ -915,11 +913,11 @@ def _write_outputs(output_dir: Path, result: RunResult) -> None:
             fh.write("\n".join(chunk))
 
     _replace(output_dir / "forecasts.csv", write_forecasts)
-    (output_dir / "report.txt").write_text("".join(line + "\n" for line in result.lines()))
+    (output_dir / "report.txt").write_text("".join(line + "\n" for line in result.lines()), encoding="utf-8")
     cal_lines = ["q,coverage"]
     if result.report is not None:
         cal_lines += [f"{q!r},{c!r}" for q, c in result.report.calibration_curve]
-    (output_dir / "calibration.csv").write_text("".join(line + "\n" for line in cal_lines))
+    (output_dir / "calibration.csv").write_text("".join(line + "\n" for line in cal_lines), encoding="utf-8")
 
 
 def read_forecasts(path: Path | str) -> Iterator[tuple[datetime, float, float]]:
@@ -932,11 +930,11 @@ def read_forecasts(path: Path | str) -> Iterator[tuple[datetime, float, float]]:
     """
     path = Path(path)
     columns = _FORECAST_HEADER.split(",")
-    with path.open(newline="") as fh:
+    with path.open(encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
-            if header is None or _without_bom(header)[:len(columns)] != columns:
+            if header is None or header[:len(columns)] != columns:
                 raise ParseError(f"{path}:1: expected forecasts.csv header {_FORECAST_HEADER}")
             for row in reader:
                 if not row:

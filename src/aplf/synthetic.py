@@ -61,7 +61,7 @@ def make_hourly_series(
 def write_series_csv(path: Path | str, rows, include_temperature: bool = True) -> None:
     """Write rows in the harness CSV format (header: timestamp,load[,temperature])."""
     path = Path(path)
-    with path.open("w", newline="") as fh:
+    with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         if include_temperature:
             writer.writerow(["timestamp", "load", "temperature"])

@@ -1004,10 +1004,23 @@ def test_a_boolean_hyper_param_or_a_horizon_that_is_no_json_integer_is_corrupt(t
                      "--resume", str(snap)]) == 0
 
 
-def test_an_unknown_hyper_param_in_a_snapshot_is_corrupt(tmp_path):
-    bad = _rewrite_payload(SNAPSHOT_V1_48, tmp_path / "bad.snapshot", lambda p: p["hyper_params"].update(surplus=1.0))
-    with pytest.raises(CorruptSnapshot, match="surplus"):
+@pytest.mark.parametrize("edit, keys", [
+    (lambda hp: hp.update(surplus=1.0), ["surplus"]),
+    (lambda hp: [hp.pop("horizon"), hp.pop("lambda_s")], ["horizon", "lambda_s"]),
+], ids=["unknown-key", "missing-keys"])
+def test_an_unknown_hyper_param_in_a_snapshot_is_corrupt(tmp_path, data_csv, capsys, edit, keys):
+    # A missing key takes no default: the fixture was recorded at horizon 4, and with horizon
+    # and lambda_s gone its other hyper-parameters are the defaults, so it would otherwise
+    # resume under a default config.
+    bad = _rewrite_payload(SNAPSHOT_V1_48, tmp_path / "bad.snapshot", lambda p: edit(p["hyper_params"]))
+    message = f"malformed payload: hyper_params keys missing or extra: {keys}"
+    with pytest.raises(CorruptSnapshot, match=re.escape(message)):
         snapshot_load(bad)
+    capsys.readouterr()
+    assert cli_main(["run", "--data", str(data_csv), "--config", str(write_cli_config(tmp_path)),
+                     "--resume", str(bad)]) == 2
+    assert message in capsys.readouterr().err
+    assert snapshot_load(SNAPSHOT_V1_48).hp == HyperParams(horizon=4)
 
 
 @pytest.mark.parametrize("which", ["--data", "--config", "--resume", "schedule_file"])
@@ -2074,29 +2087,57 @@ def test_cli_bad_header_is_input_error(tmp_path):
 
 
 def test_a_byte_order_mark_before_the_header_changes_no_output(tmp_path, data_csv, capsys):
-    # Spreadsheet exports often start a CSV with the UTF-8 byte-order mark.
-    def marked(path: Path) -> Path:
-        copy = path.with_name("marked_" + path.name)
-        copy.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
-        return copy
+    # Spreadsheet exports often start a CSV with the UTF-8 byte-order mark, and a config and
+    # its schedule file may carry one too. Every input is read as UTF-8 less one leading mark,
+    # so marked files give what unmarked ones do: in process, and in an interpreter whose
+    # locale is C (ASCII) and where a file opened without naming its encoding is an error.
+    # Each side runs up to a snapshot, resumes from it and scores the resumed forecasts.
+    def in_process(*args: str) -> tuple[int, str, str]:
+        code = cli_main(list(args))
+        return code, *capsys.readouterr()
 
-    # The config and its schedule file may carry one too.
-    schedule = tmp_path / "schedule.csv"
-    schedule.write_text("2021-03-12,06:00,6\n")
-    marked_cfg = marked(write_cli_config(tmp_path, schedule_file=marked(schedule)))
-    cfg, outputs = write_cli_config(tmp_path, schedule_file=schedule), []
-    for data, config in ((data_csv, cfg), (marked(data_csv), marked_cfg)):
-        out = tmp_path / data.stem
-        assert cli_main(["run", "--data", str(data), "--config", str(config), "--output-dir", str(out)]) == 0
-        forecasts = out / "forecasts.csv"
-        outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
-    assert outputs[0] == outputs[1]
-    capsys.readouterr()
-    printed = []
-    for args in ((forecasts, data_csv), (marked(forecasts), marked(data_csv))):
-        assert cli_main(["metrics", "--forecasts", str(args[0]), "--actuals", str(args[1])]) == 0
-        printed.append(capsys.readouterr().out)
-    assert printed[0] == printed[1] and printed[0]
+    def c_locale(*args: str) -> tuple[int, str, str]:
+        env = {**src_path_env(), "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+        done = subprocess.run([sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+                               "-m", "aplf.cli", *args], env=env, capture_output=True, text=True)
+        return done.returncode, done.stdout, done.stderr
+
+    def side(name: str, mark: bytes, aplf) -> tuple[list, dict]:
+        folder = tmp_path / name
+        folder.mkdir()
+
+        def write(file_name: str, content: bytes) -> str:
+            (folder / file_name).write_bytes(mark + content)
+            return str(folder / file_name)
+
+        data = write("data.csv", data_csv.read_bytes())
+        schedule = write("schedule.csv", b"2021-03-12,06:00,6\n")
+        settings = f"load_unit = GW\ntrain_end = 2021-03-11T00:00:00+00:00\nschedule_file = {schedule}\n"
+        first = write("first.cfg", f"{settings}test_end = 2021-03-13T00:00:00+00:00\n".encode())
+        rest = write("rest.cfg", settings.encode())
+        snap = str(folder / "mid.snapshot")
+        seen = [aplf("run", "--data", data, "--config", first, "--output-dir", str(folder / "first"),
+                     "--snapshot-out", snap),
+                aplf("run", "--data", data, "--config", rest, "--output-dir", str(folder / "rest"), "--resume", snap)]
+        assert [code for code, _, _ in seen] == [0, 0], seen
+        forecasts = write("forecasts.csv", (folder / "rest" / "forecasts.csv").read_bytes())
+        seen.append(aplf("metrics", "--forecasts", forecasts, "--actuals", data))
+        written = {path.relative_to(folder).as_posix(): path.read_bytes()
+                   for path in [folder / "mid.snapshot", *(folder / "first").iterdir(), *(folder / "rest").iterdir()]}
+        return [(code, out.replace(str(folder), "<folder>"), err) for code, out, err in seen], written
+
+    seen, written = side("unmarked", b"", in_process)
+    assert all(code == 0 and out and not err for code, out, err in seen), seen
+    assert len(written) == 7
+    for name, aplf in (("marked", in_process), ("marked_c_locale", c_locale)):
+        assert side(name, b"\xef\xbb\xbf", aplf) == (seen, written), name
+    # A file that holds only the mark is empty.
+    only_mark = tmp_path / "only_mark.csv"
+    only_mark.write_bytes(b"\xef\xbb\xbf")
+    cfg = write_cli_config(tmp_path)
+    for aplf in (in_process, c_locale):
+        assert aplf("run", "--data", str(only_mark), "--config", str(cfg)) == (2, "",
+                                                                              f"error: {only_mark}:1: empty file\n")
 
 
 def _package_errors() -> list:
@@ -2171,8 +2212,8 @@ def test_the_scripts_run_from_a_checkout(tmp_path):
     # Each script in its own interpreter, as the README runs them: a synthetic
     # series, then online learning against a frozen model across a pattern switch.
     def script(name: str, *args: str) -> list[str]:
-        done = subprocess.run([sys.executable, str(SCRIPTS / name), *args], env=src_path_env(),
-                              capture_output=True, text=True)
+        done = subprocess.run([sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+                               str(SCRIPTS / name), *args], env=src_path_env(), capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
         return done.stdout.splitlines()
 
