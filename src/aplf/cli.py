@@ -55,19 +55,30 @@ def _cmd_metrics(args) -> int:
     # actuals of any run. A forecast row is scored against the actual row at
     # its own instant, found by its step index in the series' sorted index
     # column; a row off the grid, outside the series or with the other
-    # awareness (naive or offset-aware) has none. The forecast rows are
-    # streamed, and only a matched row's three floats are kept.
+    # awareness (naive or offset-aware) has none. An anchor's rows come in
+    # time order, so a row is first tried against the entry after the last
+    # row's, and the column is searched only when that is not its instant.
+    # The forecast rows are streamed, and only a matched row's three floats
+    # are kept.
     step = timedelta(minutes=1)
     series = harness.read_series(args.actuals, harness.RunConfig(step=step))
+    start, index, load, n = series.start, series.index, series.load, len(series)
     actual, means, stds = array("d"), array("d"), array("d")
+    k = -1  # each row is first tried against entry k + 1
     for ts, mean, std in harness.read_forecasts(args.forecasts):
-        try:
-            i, rem = divmod(ts - series.start, step)
-        except TypeError:
-            continue
-        k = bisect_left(series.index, i)
-        if not rem and k < len(series) and series.index[k] == i and series.load[k] is not None:
-            actual.append(series.load[k])
+        k += 1
+        if k == n or ts != start + index[k] * step:
+            try:
+                i, rem = divmod(ts - start, step)
+            except TypeError:
+                k -= 1
+                continue
+            k = bisect_left(index, i)
+            if rem or k == n or index[k] != i:
+                k -= 1
+                continue
+        if load[k] is not None:
+            actual.append(load[k])
             means.append(mean)
             stds.append(std)
     if not actual:

@@ -11,7 +11,6 @@ learner bit-identically.
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import math
 import operator
@@ -21,6 +20,16 @@ from collections.abc import Callable, Iterator, Sequence
 from datetime import date, datetime, time, timedelta
 from itertools import accumulate, pairwise, repeat
 from pathlib import Path
+
+# The snapshot checksum is CPython's built-in SHA-256: hashlib's loads OpenSSL's
+# libcrypto, about 3.5 MiB of resident memory, for the same digest.
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256  # an interpreter built without the module
 
 from .features import TemperatureShiftEncoder, TemperatureTracker, calendar_type
 from .forecaster import InstanceVector, predict
@@ -491,7 +500,7 @@ def _as_written(text: str) -> dict | None:
     if not (text.startswith(_HEAD) and text.startswith(_MID, _BODY_AT - len(_MID)) and text.endswith(_TAIL)):
         return None
     checksum, body = text[len(_HEAD):_BODY_AT - len(_MID)], text[_BODY_AT:len(text) - len(_TAIL)]
-    if hashlib.sha256(body.encode()).hexdigest() != checksum:
+    if sha256(body.encode()).hexdigest() != checksum:
         return None
     return {"checksum": checksum, "format": SNAPSHOT_FORMAT, "payload": json.loads(body),
             "version": SNAPSHOT_VERSION}
@@ -521,7 +530,7 @@ def snapshot_save(path: Path | str, snapshot: Snapshot) -> None:
         "pending_batch": _pending_to_dict(state.pending),
     }
     body = json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
-    checksum = hashlib.sha256(body.encode()).hexdigest()
+    checksum = sha256(body.encode()).hexdigest()
     # The document is {"checksum", "format", "payload", "version"} in the
     # sorted, compact encoding; the payload's encoding is spliced in rather
     # than encoded a second time, and snapshot_load hashes it as written.
@@ -575,7 +584,7 @@ def snapshot_load(path: Path | str) -> Snapshot:
         raise CorruptSnapshot(f"{path}: missing payload or checksum")
     if not checked:
         body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        if hashlib.sha256(body.encode()).hexdigest() != doc["checksum"]:
+        if sha256(body.encode()).hexdigest() != doc["checksum"]:
             raise CorruptSnapshot(f"{path}: checksum mismatch")
     try:
         hp_values, cursor = {**payload["hyper_params"]}, payload["cursor"]

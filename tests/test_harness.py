@@ -1835,6 +1835,8 @@ AWKWARD_ACTUALS = {
                                shifted(ts, seconds=30) if k % 5 == 1 else ts, lambda k: True),
     "forecasts-outside-the-span": (lambda k, ts: shifted(ts, days=-20) if k % 4 == 0 else
                                    shifted(ts, days=20) if k % 4 == 1 else ts, lambda k: k % 11 != 0),
+    "forecasts-out-of-time-order": (lambda k, ts: shifted(ts, hours=-3) if k % 4 == 2 else
+                                    shifted(ts, days=2) if k % 13 == 5 else ts, lambda k: k % 17 != 4),
     "naive-forecasts-among-aware": (lambda k, ts: naive(ts) if k % 3 == 0 else ts, lambda k: True),
     "another-offset-for-the-same-instant": (
         lambda k, ts: datetime.fromisoformat(ts).astimezone(timezone(timedelta(hours=-5))).isoformat(),
@@ -2177,32 +2179,73 @@ def test_cli_self_check_passes():
     assert cli_main(["self-check"]) == 0
 
 
+def split_runs(tmp_path, data_csv, cfg, tag) -> list[list[str]]:
+    """CLI arguments of a run to the 2021-03-13 split that writes tag-first.snapshot, then
+    of a run that resumes from it and writes tag-second.snapshot."""
+    split = cfg.with_name(f"{tag}-split.cfg")
+    split.write_text(cfg.read_text() + "test_end = 2021-03-13T00:00:00+00:00\n")
+    first, second = tmp_path / f"{tag}-first.snapshot", tmp_path / f"{tag}-second.snapshot"
+    run = ["run", "--data", str(data_csv)]
+    return [[*run, "--config", str(split), "--snapshot-out", str(first)],
+            [*run, "--config", str(cfg), "--resume", str(first), "--snapshot-out", str(second)]]
+
+
 @pytest.mark.parametrize("command, init_mode", [("run", "zero"), ("run", "batch"), ("metrics", "zero")],
                          ids=["zero", "batch", "metrics"])
 def test_cli_run_loads_neither_the_oracles_nor_numpy(tmp_path, data_csv, command, init_mode):
     # Only self-check needs the oracles, and neither a run nor `aplf metrics` needs
     # numpy: each in a fresh interpreter imports neither. Nor do they import dataclasses,
     # or the inspect it imports: the package's records are plain classes, built at import
-    # without generated code. The batch-init run must have solved a buffer, or it would
-    # not have reached the closed-form solve.
+    # without generated code. Nor OpenSSL's _hashlib: a run saves a snapshot and resumes
+    # from it, checksum checked, with CPython's own SHA-256. The batch-init run must have
+    # solved a buffer, or it would not have reached the closed-form solve.
     if init_mode == "batch":
         data_csv = tmp_path / "batch.csv"
         write_batch_init_series(data_csv)
     cfg = write_cli_config(tmp_path, init_mode=init_mode, temperature_unit="C")
-    args = ["run", "--data", str(data_csv), "--config", str(cfg)]
+    runs = split_runs(tmp_path, data_csv, cfg, "cli")
     if command == "metrics":
         out = tmp_path / "out"
-        assert cli_main([*args, "--output-dir", str(out)]) == 0
-        args = ["metrics", "--forecasts", str(out / "forecasts.csv"), "--actuals", str(data_csv)]
+        assert cli_main(["run", "--data", str(data_csv), "--config", str(cfg), "--output-dir", str(out)]) == 0
+        runs = [["metrics", "--forecasts", str(out / "forecasts.csv"), "--actuals", str(data_csv)]]
     code = ("import sys; from aplf import cli, recursive_learner as rl; solved = []; solve = rl.batch_initialize\n"
             "def counting(samples, lam):\n"
             "    out = solve(samples, lam); solved.append(out); return out\n"
             "rl.batch_initialize = counting\n"
-            f"rc = cli.main({args!r})\n"
-            "loaded = ' '.join(sorted({'aplf.oracles', 'numpy', 'dataclasses', 'inspect'} & set(sys.modules)))\n"
+            f"rc = next(filter(None, map(cli.main, {runs!r})), 0)\n"
+            "unwanted = {'aplf.oracles', 'numpy', 'dataclasses', 'inspect', '_hashlib'}\n"
+            "loaded = ' '.join(sorted(unwanted & set(sys.modules)))\n"
             f"sys.exit(rc or loaded or ({init_mode!r} == 'batch' and not solved and 'no buffer was solved') or None)")
     done = subprocess.run([sys.executable, "-c", code], env=src_path_env(), capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+def test_without_the_builtin_sha256_snapshots_take_hashlib_and_keep_their_bytes(tmp_path, data_csv):
+    # An interpreter built without CPython's own SHA-256 module (_sha2 from 3.12,
+    # _sha256 before) checksums with hashlib's, which loads OpenSSL's _hashlib. The
+    # digest is the same, so a split run and its resume write the same snapshots, and
+    # both v1 fixtures' stored checksums are the SHA-256 of their payload text.
+    assert harness.sha256.__module__ in ("_sha2", "_sha256")
+    cfg = write_cli_config(tmp_path)
+    for args in split_runs(tmp_path, data_csv, cfg, "builtin"):
+        assert cli_main(args) == 0
+    fixtures = [str(SNAPSHOT_V1), str(SNAPSHOT_V1_48)]
+    code = ("import sys; sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+            "from aplf import cli, harness\n"
+            f"if next(filter(None, map(cli.main, {split_runs(tmp_path, data_csv, cfg, 'fallback')!r})), 0):\n"
+            "    sys.exit('a run failed')\n"
+            f"for path in {fixtures!r}:\n"
+            "    text = open(path, encoding='utf-8').read()\n"
+            "    print(harness.sha256(text[harness._BODY_AT:-len(harness._TAIL)].encode()).hexdigest())\n"
+            "sys.exit('_hashlib' not in sys.modules and 'the fallback did not load _hashlib')")
+    done = subprocess.run([sys.executable, "-c", code], env=src_path_env(), capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    for name in ("first.snapshot", "second.snapshot"):
+        assert (tmp_path / f"fallback-{name}").read_bytes() == (tmp_path / f"builtin-{name}").read_bytes()
+    payloads = [Path(path).read_text()[harness._BODY_AT:-len(harness._TAIL)].encode() for path in fixtures]
+    stored = [json.loads(Path(path).read_text())["checksum"] for path in fixtures]
+    assert [hashlib.sha256(payload).hexdigest() for payload in payloads] == stored
+    assert [harness.sha256(payload).hexdigest() for payload in payloads] == stored == done.stdout.splitlines()[-2:]
 
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
